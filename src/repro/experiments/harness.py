@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from repro.core.config import SystemConfig
-from repro.lba.capture import LogProducer, iter_machine_records
+from repro.lba.capture import iter_machine_records
 from repro.lba.multicore import MultiCoreLBASystem, MultiCoreResult
 from repro.lba.platform import LBASystem, MonitoringResult
 from repro.lifeguards import (
@@ -200,18 +200,18 @@ def capture_trace(
 ) -> TraceStats:
     """Run a workload once, capturing its full log into a trace file.
 
-    The capture run needs no lifeguard and no cache hierarchy -- only the
-    functional record stream matters -- so it is the cheapest way to bank a
-    workload for repeated offline analysis.
+    The capture run needs no lifeguard, no cache hierarchy and no
+    application-core cost model -- only the functional record stream
+    matters -- so the machine's records go straight into the
+    :class:`TraceWriter`, each encoded once.  It is the cheapest way to
+    bank a workload for repeated offline analysis.  (To capture a *live*
+    monitored run instead, attach the writer as the ``trace_writer`` tee
+    of its :class:`repro.lba.capture.LogProducer`.)
     """
     workload = get_workload(benchmark, scale=scale)
     machine = workload.build_machine()
     with TraceWriter(path, chunk_bytes=chunk_bytes, compress=compress) as writer:
-        producer = LogProducer(
-            machine, None, max_instructions=max_instructions, trace_writer=writer
-        )
-        for _record, _cost in producer.stream():
-            pass
+        writer.extend(iter_machine_records(machine, max_instructions))
     return writer.stats
 
 

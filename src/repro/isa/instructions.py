@@ -17,11 +17,24 @@ from typing import Optional, Sequence, Tuple, Union
 from repro.isa.registers import Register
 
 
+def _check_register(reg: object) -> None:
+    """Operands name registers by :class:`Register` member, checked once here.
+
+    The register file indexes its values by register number without
+    re-checking on every access, so anything else must fail at build time.
+    """
+    if not isinstance(reg, Register):
+        raise TypeError(f"register operand must be a Register, got {reg!r}")
+
+
 @dataclass(frozen=True)
 class Reg:
     """A register operand."""
 
     reg: Register
+
+    def __post_init__(self) -> None:
+        _check_register(self.reg)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"%{self.reg.name.lower()}"
@@ -48,6 +61,10 @@ class Mem:
     size: int = 4
 
     def __post_init__(self) -> None:
+        if self.base is not None:
+            _check_register(self.base)
+        if self.index is not None:
+            _check_register(self.index)
         if self.scale not in (1, 2, 4, 8):
             raise ValueError("scale must be 1, 2, 4 or 8")
         if self.size not in (1, 2, 4, 8):
@@ -110,27 +127,10 @@ class Opcode(enum.Enum):
     PRINTF = "printf"
 
     @property
-    def is_annotation(self) -> bool:
-        """True for the rare high-level pseudo-instructions."""
-        return self in _ANNOTATION_OPCODES
-
-    @property
     def is_binary_alu(self) -> bool:
         """True for two-operand ALU opcodes (``dest op= src``)."""
         return self in _BINARY_ALU_OPCODES
 
-
-_ANNOTATION_OPCODES = frozenset(
-    {
-        Opcode.MALLOC,
-        Opcode.FREE,
-        Opcode.REALLOC,
-        Opcode.LOCK,
-        Opcode.UNLOCK,
-        Opcode.SYSCALL,
-        Opcode.PRINTF,
-    }
-)
 
 _BINARY_ALU_OPCODES = frozenset(
     {Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.MUL}

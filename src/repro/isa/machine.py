@@ -156,12 +156,19 @@ class Machine:
         Returns an empty list without advancing when the thread is blocked on
         a lock held by another thread, or when the program has halted.
         """
-        if self.halted or self._index >= len(self.program):
+        index = self._index
+        program = self.program
+        if self.halted or index >= len(program.instructions):
             self.halted = True
             return []
-        instruction = self.program.instructions[self._index]
-        pc = self.program.pc_of(self._index)
+        instruction = program.instructions[index]
+        pc = program.code_base + index * INSTRUCTION_BYTES
         self.registers.eip = pc
+        handler = _REGULAR_DISPATCH.get(instruction.opcode)
+        if handler is not None:
+            self._index = index + 1
+            self.stats.instructions += 1
+            return handler(self, instruction, pc)
 
         if instruction.opcode is Opcode.LOCK and self.lock_manager is not None:
             lock_addr = self._operand_value(instruction.operands[0])
@@ -169,7 +176,7 @@ class Machine:
                 self.blocked = True
                 return []
             self.blocked = False
-            self._index += 1
+            self._index = index + 1
             self.stats.instructions += 1
             self.stats.annotations += 1
             return [
@@ -178,11 +185,9 @@ class Machine:
                 )
             ]
 
-        self._index += 1
+        self._index = index + 1
         self.stats.instructions += 1
-        if instruction.opcode.is_annotation:
-            return self._execute_annotation(instruction, pc)
-        return self._execute_regular(instruction, pc)
+        return self._execute_annotation(instruction, pc)
 
     # -------------------------------------------------------------- operand access
 
@@ -196,30 +201,25 @@ class Machine:
         return address & WORD_MASK
 
     def _operand_value(self, operand: Operand) -> int:
-        if isinstance(operand, Imm):
-            return operand.value & WORD_MASK
-        if isinstance(operand, Reg):
+        kind = type(operand)
+        if kind is Reg:
             return self.registers.read(operand.reg)
-        if isinstance(operand, Mem):
+        if kind is Imm:
+            return operand.value & WORD_MASK
+        if kind is Mem:
             return self.memory.read_uint(self.effective_address(operand), operand.size)
         raise MachineError(f"unsupported operand {operand!r}")
 
     def _write_operand(self, operand: Operand, value: int) -> None:
-        if isinstance(operand, Reg):
+        kind = type(operand)
+        if kind is Reg:
             self.registers.write(operand.reg, value)
-        elif isinstance(operand, Mem):
+        elif kind is Mem:
             self.memory.write_uint(self.effective_address(operand), value, operand.size)
         else:
             raise MachineError(f"cannot write to operand {operand!r}")
 
     # -------------------------------------------------------------- regular opcodes
-
-    def _execute_regular(self, instruction: Instruction, pc: int) -> List[Record]:
-        opcode = instruction.opcode
-        handler = _REGULAR_DISPATCH.get(opcode)
-        if handler is None:
-            raise MachineError(f"unimplemented opcode {opcode}")
-        return handler(self, instruction, pc)
 
     def _record(
         self,
@@ -237,47 +237,42 @@ class Machine:
         is_indirect_jump: bool = False,
         immediate: Optional[int] = None,
     ) -> InstructionRecord:
-        dest_reg = dest.reg.value if isinstance(dest, Reg) else None
-        src_reg = src.reg.value if isinstance(src, Reg) else None
-        base_reg = None
-        index_reg = None
-        mem_operand = None
-        if isinstance(dest, Mem):
+        # Register ids go into the record as plain ints (``int()`` of a
+        # Register member), never as enum members.
+        dest_reg = src_reg = base_reg = index_reg = mem_operand = None
+        dest_kind = type(dest)
+        if dest_kind is Reg:
+            dest_reg = int(dest.reg)
+        elif dest_kind is Mem:
             mem_operand = dest
-        elif isinstance(src, Mem):
+        src_kind = type(src)
+        if src_kind is Reg:
+            src_reg = int(src.reg)
+        elif src_kind is Mem and mem_operand is None:
             mem_operand = src
         if mem_operand is not None:
-            base_reg = mem_operand.base.value if mem_operand.base is not None else None
-            index_reg = mem_operand.index.value if mem_operand.index is not None else None
+            if mem_operand.base is not None:
+                base_reg = int(mem_operand.base)
+            if mem_operand.index is not None:
+                index_reg = int(mem_operand.index)
         if is_load:
             self.stats.loads += 1
         if is_store:
             self.stats.stores += 1
         return InstructionRecord(
-            pc=pc,
-            event_type=event_type,
-            dest_reg=dest_reg,
-            src_reg=src_reg,
-            dest_addr=dest_addr,
-            src_addr=src_addr,
-            size=size,
-            is_load=is_load,
-            is_store=is_store,
-            base_reg=base_reg,
-            index_reg=index_reg,
-            is_cond_test=is_cond_test,
-            is_indirect_jump=is_indirect_jump,
-            thread_id=self.thread_id,
-            immediate=immediate,
+            pc, event_type, dest_reg, src_reg, dest_addr, src_addr, size, is_load,
+            is_store, base_reg, index_reg, is_cond_test, is_indirect_jump,
+            self.thread_id, immediate,
         )
 
     def _exec_mov(self, instruction: Instruction, pc: int) -> List[Record]:
         dest, src = instruction.dest, instruction.src
         value = self._operand_value(src)
         self._write_operand(dest, value)
-        if isinstance(dest, Reg) and isinstance(src, Imm):
+        dest_kind, src_kind = type(dest), type(src)
+        if dest_kind is Reg and src_kind is Imm:
             return [self._record(pc, EventType.IMM_TO_REG, dest=dest, immediate=src.value)]
-        if isinstance(dest, Mem) and isinstance(src, Imm):
+        if dest_kind is Mem and src_kind is Imm:
             addr = self.effective_address(dest)
             return [
                 self._record(
@@ -285,9 +280,9 @@ class Machine:
                     size=dest.size, is_store=True, immediate=src.value,
                 )
             ]
-        if isinstance(dest, Reg) and isinstance(src, Reg):
+        if dest_kind is Reg and src_kind is Reg:
             return [self._record(pc, EventType.REG_TO_REG, dest=dest, src=src)]
-        if isinstance(dest, Mem) and isinstance(src, Reg):
+        if dest_kind is Mem and src_kind is Reg:
             addr = self.effective_address(dest)
             return [
                 self._record(
@@ -295,7 +290,7 @@ class Machine:
                     size=dest.size, is_store=True,
                 )
             ]
-        if isinstance(dest, Reg) and isinstance(src, Mem):
+        if dest_kind is Reg and src_kind is Mem:
             addr = self.effective_address(src)
             return [
                 self._record(
@@ -303,7 +298,7 @@ class Machine:
                     size=src.size, is_load=True,
                 )
             ]
-        if isinstance(dest, Mem) and isinstance(src, Mem):
+        if dest_kind is Mem and src_kind is Mem:
             daddr = self.effective_address(dest)
             saddr = self.effective_address(src)
             return [
@@ -343,9 +338,10 @@ class Machine:
         result = _ALU_OPS[opcode](lhs, rhs) & WORD_MASK
         self._write_operand(dest, result)
         self.registers.last_compare = _signed32(result)
-        if isinstance(dest, Reg) and isinstance(src, Imm):
+        dest_kind, src_kind = type(dest), type(src)
+        if dest_kind is Reg and src_kind is Imm:
             return [self._record(pc, EventType.REG_SELF, dest=dest, immediate=src.value)]
-        if isinstance(dest, Mem) and isinstance(src, Imm):
+        if dest_kind is Mem and src_kind is Imm:
             addr = self.effective_address(dest)
             return [
                 self._record(
@@ -353,9 +349,9 @@ class Machine:
                     is_load=True, is_store=True, immediate=src.value,
                 )
             ]
-        if isinstance(dest, Reg) and isinstance(src, Reg):
+        if dest_kind is Reg and src_kind is Reg:
             return [self._record(pc, EventType.DEST_REG_OP_REG, dest=dest, src=src)]
-        if isinstance(dest, Reg) and isinstance(src, Mem):
+        if dest_kind is Reg and src_kind is Mem:
             addr = self.effective_address(src)
             return [
                 self._record(
@@ -363,7 +359,7 @@ class Machine:
                     size=src.size, is_load=True,
                 )
             ]
-        if isinstance(dest, Mem) and isinstance(src, Reg):
+        if dest_kind is Mem and src_kind is Reg:
             addr = self.effective_address(dest)
             return [
                 self._record(

@@ -60,10 +60,6 @@ class Program:
     def __len__(self) -> int:
         return len(self.instructions)
 
-    def pc_of(self, index: int) -> int:
-        """Program counter of the instruction at ``index``."""
-        return self.code_base + index * INSTRUCTION_BYTES
-
     def index_of_label(self, label: str) -> int:
         """Instruction index of ``label``."""
         return self.labels[label]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterator
+from typing import Dict, Iterator, List
 
 WORD_MASK = 0xFFFF_FFFF
 
@@ -30,26 +30,31 @@ NUM_GPRS = len(Register)
 
 
 class RegisterFile:
-    """A 32-bit register file plus instruction pointer and compare flags."""
+    """A 32-bit register file plus instruction pointer and compare flags.
+
+    Values live in a list indexed by register number, so an access is a
+    plain list index: operands are checked to name a :class:`Register`
+    once, when they are built, not on every access.
+    """
 
     def __init__(self) -> None:
-        self._values: Dict[Register, int] = {reg: 0 for reg in Register}
+        self._values: List[int] = [0] * NUM_GPRS
         self.eip = 0
         #: result of the last CMP/TEST as a signed difference (None before any compare)
         self.last_compare: int | None = None
 
     def read(self, reg: Register) -> int:
         """Read a register as an unsigned 32-bit value."""
-        return self._values[Register(reg)]
+        return self._values[reg]
 
     def write(self, reg: Register, value: int) -> None:
         """Write a register, truncating to 32 bits."""
-        self._values[Register(reg)] = value & WORD_MASK
+        self._values[reg] = value & WORD_MASK
 
     def items(self) -> Iterator[tuple[Register, int]]:
         """Iterate over ``(register, value)`` pairs."""
-        return iter(self._values.items())
+        return zip(Register, self._values)
 
     def snapshot(self) -> Dict[str, int]:
         """Return a name→value snapshot (useful in tests and debugging)."""
-        return {reg.name: value for reg, value in self._values.items()}
+        return {reg.name: value for reg, value in self.items()}

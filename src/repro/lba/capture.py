@@ -9,9 +9,12 @@ stream context).  The resulting ``(record, app_cycles)`` stream feeds the
 coupling model.
 
 The producer can additionally *tee* every record it emits into a
-:class:`repro.trace.tracefile.TraceWriter`, capturing the run as a chunked
-trace file that can later be replayed offline (capture once, analyse many
-times) without re-executing the ISA machine.
+:class:`repro.trace.tracefile.TraceWriter`, capturing a *live* monitored
+run as a chunked trace file that can later be replayed offline without
+re-executing the ISA machine.  Offline capture with no live run
+(:func:`repro.experiments.harness.capture_trace`) needs none of the
+producer's cost accounting: it writes :func:`iter_machine_records` straight
+into the writer, so each record is encoded once.
 """
 
 from __future__ import annotations
@@ -62,8 +65,9 @@ def iter_machine_records(
     """Yield the raw record stream of an application machine.
 
     This is the machine-driving half of :meth:`LogProducer.stream`, usable
-    on its own by consumers that do their own cost accounting (the
-    multi-core platform routes each record to a per-core log channel).
+    on its own by consumers that do their own cost accounting or need none
+    (the multi-core platform routes each record to a per-core log channel;
+    offline capture writes each record straight into a trace file).
     ``ThreadedMachine`` handles its own interleaving; it is run to
     completion and its buffered trace replayed (traces are modest --
     reduced inputs -- so buffering the multithreaded case is acceptable).

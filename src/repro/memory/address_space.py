@@ -14,6 +14,7 @@ from typing import Dict, Iterator, Tuple
 
 PAGE_SIZE = 4096
 PAGE_SHIFT = 12
+PAGE_OFFSET_MASK = PAGE_SIZE - 1
 ADDRESS_BITS = 32
 ADDRESS_MASK = (1 << ADDRESS_BITS) - 1
 
@@ -82,7 +83,7 @@ class AddressSpace:
         while offset < size:
             addr = (address + offset) & ADDRESS_MASK
             page = self._page_for(addr, create=False)
-            in_page = addr & (PAGE_SIZE - 1)
+            in_page = addr & PAGE_OFFSET_MASK
             chunk = min(size - offset, PAGE_SIZE - in_page)
             if page is not None:
                 out[offset : offset + chunk] = page[in_page : in_page + chunk]
@@ -98,7 +99,7 @@ class AddressSpace:
         while offset < size:
             addr = (address + offset) & ADDRESS_MASK
             page = self._page_for(addr, create=True)
-            in_page = addr & (PAGE_SIZE - 1)
+            in_page = addr & PAGE_OFFSET_MASK
             chunk = min(size - offset, PAGE_SIZE - in_page)
             page[in_page : in_page + chunk] = data[offset : offset + chunk]
             offset += chunk
@@ -106,12 +107,32 @@ class AddressSpace:
     # -- word-oriented helpers -------------------------------------------------
 
     def read_uint(self, address: int, size: int = 4) -> int:
-        """Read an unsigned little-endian integer of ``size`` bytes."""
+        """Read an unsigned little-endian integer of ``size`` bytes.
+
+        An access inside one page is served straight from that page; one
+        that crosses a page (or is out of range) takes :meth:`read`.
+        """
+        offset = address & PAGE_OFFSET_MASK
+        if 0 <= address <= ADDRESS_MASK and 0 < size <= PAGE_SIZE - offset:
+            self.bytes_read += size
+            page = self._pages.get(address >> PAGE_SHIFT)
+            if page is None:
+                return 0
+            return int.from_bytes(page[offset : offset + size], "little")
         return int.from_bytes(self.read(address, size), "little")
 
     def write_uint(self, address: int, value: int, size: int = 4) -> None:
-        """Write an unsigned little-endian integer of ``size`` bytes."""
+        """Write an unsigned little-endian integer of ``size`` bytes.
+
+        Same page rule as :meth:`read_uint`.
+        """
         value &= (1 << (8 * size)) - 1
+        offset = address & PAGE_OFFSET_MASK
+        if 0 <= address <= ADDRESS_MASK and 0 < size <= PAGE_SIZE - offset:
+            self.bytes_written += size
+            page = self._page_for(address, create=True)
+            page[offset : offset + size] = value.to_bytes(size, "little")
+            return
         self.write(address, value.to_bytes(size, "little"))
 
     def fill(self, address: int, size: int, byte: int = 0) -> None:

@@ -18,9 +18,9 @@ from __future__ import annotations
 import asyncio
 import os
 import uuid
-from typing import Optional
+from typing import Optional, Tuple
 
-from repro.service.protocol import chunk_crc, read_message, write_message
+from repro.service.protocol import chunk_crc, decode_document, read_message, write_message
 
 DEFAULT_CHUNK_BYTES = 64 * 1024
 
@@ -70,15 +70,19 @@ class GatewayClient:
 
     # ------------------------------------------------------------------ raw ops
 
-    async def _call(self, header: dict, payload: bytes = b"") -> dict:
-        """Send one frame and read its reply (not for chunk frames)."""
+    async def _exchange(self, header: dict, payload: bytes = b"") -> Tuple[dict, bytes]:
+        """Send one frame and read the reply frame (not for chunk frames)."""
         assert self._writer is not None, "client not connected"
         write_message(self._writer, header, payload)
         await self._writer.drain()
         message = await read_message(self._reader)
         if message is None:
             raise ConnectionError("gateway closed the connection")
-        return message[0]
+        return message
+
+    async def _call(self, header: dict, payload: bytes = b"") -> dict:
+        """Send one frame and return its reply header."""
+        return (await self._exchange(header, payload))[0]
 
     async def _call_ok(self, header: dict) -> dict:
         reply = await self._call(header)
@@ -144,10 +148,17 @@ class GatewayClient:
     async def report(
         self, session_id: str, wait: bool = False, timeout: float = 120.0
     ) -> dict:
-        return await self._call({
+        """The session's status; ``reply["report"]`` is its report or None.
+
+        The report travels as the reply frame's payload (it can outgrow a
+        header line) and is decoded back under ``report``.
+        """
+        reply, payload = await self._exchange({
             "op": "report", "session_id": session_id,
             "wait": wait, "timeout": timeout,
         })
+        reply["report"] = decode_document(payload)
+        return reply
 
     async def cancel(self, session_id: str) -> dict:
         return await self._call({"op": "cancel", "session_id": session_id})

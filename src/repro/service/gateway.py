@@ -55,7 +55,13 @@ from repro.obs.pipeline import (
     collect_sharded_replay,
     snapshot_document,
 )
-from repro.service.protocol import ProtocolError, chunk_crc, read_message, write_message
+from repro.service.protocol import (
+    ProtocolError,
+    chunk_crc,
+    encode_document,
+    read_message,
+    write_message,
+)
 from repro.service.session import SessionMachine, SessionState
 from repro.service.store import SessionMeta, SessionStore, StoreError
 from repro.trace.replay import ParallelReplay, ReplayResult
@@ -684,7 +690,10 @@ class MonitoringGateway:
                     attached = self.sessions.get(reply["session_id"])
                     if attached is not None:
                         attached.attached = True
-                write_message(writer, reply)
+                payload = b""
+                if op == "report":
+                    payload = encode_document(reply.pop("report", None))
+                write_message(writer, reply, payload)
                 await writer.drain()
         except ProtocolError as exc:
             try:

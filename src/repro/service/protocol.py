@@ -7,7 +7,10 @@ streams):
 * one frame = a single JSON header line (UTF-8, ``\\n``-terminated)
   optionally followed by ``header["length"]`` bytes of binary payload;
 * the header carries ``op`` plus op-specific fields; replies carry
-  ``ok`` and either result fields or ``error``.
+  ``ok`` and either result fields or ``error``;
+* a reply that returns a document (the ``report`` op's replay report)
+  sends it JSON-encoded as the frame's payload, not in the header: a
+  report with many findings is far longer than a header line may be.
 
 Chunk frames are *fire and forget* -- the client pipelines them without
 waiting for acks.  Flow control is the transport itself: when a
@@ -42,6 +45,8 @@ async def read_message(
         line = await reader.readline()
     except (ConnectionError, asyncio.IncompleteReadError):
         return None
+    except ValueError as exc:  # the line overran the stream reader's limit
+        raise ProtocolError(f"header too large: {exc}") from exc
     if not line:
         return None
     if len(line) > MAX_HEADER_BYTES:
@@ -74,6 +79,23 @@ def write_message(
     writer.write(json.dumps(header, sort_keys=True).encode() + b"\n")
     if payload:
         writer.write(payload)
+
+
+def encode_document(document: Optional[dict]) -> bytes:
+    """Payload bytes of a reply document (empty when there is none)."""
+    if document is None:
+        return b""
+    return json.dumps(document, sort_keys=True).encode()
+
+
+def decode_document(payload: bytes) -> Optional[dict]:
+    """Inverse of :func:`encode_document`."""
+    if not payload:
+        return None
+    try:
+        return json.loads(payload)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ProtocolError(f"malformed document payload: {exc}") from exc
 
 
 def chunk_crc(payload: bytes) -> int:

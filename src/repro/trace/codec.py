@@ -160,10 +160,10 @@ class RecordEncoder:
         a ``bytes`` allocation + copy per record.
         """
         before = len(out)
-        if isinstance(record, AnnotationRecord):
-            self._encode_annotation(out, record)
-        elif isinstance(record, InstructionRecord):
+        if isinstance(record, InstructionRecord):
             self._encode_instruction(out, record)
+        elif isinstance(record, AnnotationRecord):
+            self._encode_annotation(out, record)
         else:
             raise TraceCodecError(f"cannot encode {type(record).__name__}")
         return len(out) - before
@@ -179,57 +179,72 @@ class RecordEncoder:
     # ------------------------------------------------------------------ internals
 
     def _encode_instruction(self, out: bytearray, record: InstructionRecord) -> None:
-        _write_varint(out, record.event_type.ordinal << 1)
+        # Unpack once; every value below 0x80 -- the header, the flags, most
+        # PC deltas and the register ids -- is its own one-byte varint and is
+        # appended directly.  Only longer (or negative) values go through
+        # ``_write_varint``.  Zigzag is inlined for the same reason.
+        (pc, event_type, dest_reg, src_reg, dest_addr, src_addr, size, is_load,
+         is_store, base_reg, index_reg, is_cond_test, is_indirect_jump, thread_id,
+         immediate) = record
+        append = out.append
+        value = event_type.ordinal << 1
+        append(value) if value < 0x80 else _write_varint(out, value)
         flags = 0
-        if record.dest_reg is not None:
+        if dest_reg is not None:
             flags |= _F_DEST_REG
-        if record.src_reg is not None:
+        if src_reg is not None:
             flags |= _F_SRC_REG
-        if record.dest_addr is not None:
+        if dest_addr is not None:
             flags |= _F_DEST_ADDR
-        if record.src_addr is not None:
+        if src_addr is not None:
             flags |= _F_SRC_ADDR
-        if record.base_reg is not None:
+        if base_reg is not None:
             flags |= _F_BASE_REG
-        if record.index_reg is not None:
+        if index_reg is not None:
             flags |= _F_INDEX_REG
-        if record.immediate is not None:
+        if immediate is not None:
             flags |= _F_IMMEDIATE
-        if record.size:
+        if size:
             flags |= _F_SIZE
-        if record.is_load:
+        if is_load:
             flags |= _F_IS_LOAD
-        if record.is_store:
+        if is_store:
             flags |= _F_IS_STORE
-        if record.is_cond_test:
+        if is_cond_test:
             flags |= _F_COND_TEST
-        if record.is_indirect_jump:
+        if is_indirect_jump:
             flags |= _F_INDIRECT_JUMP
-        if record.thread_id:
+        if thread_id:
             flags |= _F_THREAD
-        _write_varint(out, flags)
-        _write_varint(out, _zigzag(record.pc - self._last_pc))
-        self._last_pc = record.pc
-        if flags & _F_DEST_REG:
-            _write_varint(out, record.dest_reg)
-        if flags & _F_SRC_REG:
-            _write_varint(out, record.src_reg)
-        if flags & _F_DEST_ADDR:
-            _write_varint(out, _zigzag(record.dest_addr - self._last_addr))
-            self._last_addr = record.dest_addr
-        if flags & _F_SRC_ADDR:
-            _write_varint(out, _zigzag(record.src_addr - self._last_addr))
-            self._last_addr = record.src_addr
-        if flags & _F_BASE_REG:
-            _write_varint(out, record.base_reg)
-        if flags & _F_INDEX_REG:
-            _write_varint(out, record.index_reg)
-        if flags & _F_IMMEDIATE:
-            _write_varint(out, _zigzag(record.immediate))
-        if flags & _F_SIZE:
-            _write_varint(out, record.size)
-        if flags & _F_THREAD:
-            _write_varint(out, record.thread_id)
+        append(flags) if flags < 0x80 else _write_varint(out, flags)
+        value = pc - self._last_pc
+        value = (value << 1) if value >= 0 else ((-value) << 1) - 1
+        append(value) if value < 0x80 else _write_varint(out, value)
+        self._last_pc = pc
+        if dest_reg is not None:
+            append(dest_reg) if 0 <= dest_reg < 0x80 else _write_varint(out, dest_reg)
+        if src_reg is not None:
+            append(src_reg) if 0 <= src_reg < 0x80 else _write_varint(out, src_reg)
+        if dest_addr is not None:
+            value = dest_addr - self._last_addr
+            value = (value << 1) if value >= 0 else ((-value) << 1) - 1
+            append(value) if value < 0x80 else _write_varint(out, value)
+            self._last_addr = dest_addr
+        if src_addr is not None:
+            value = src_addr - self._last_addr
+            value = (value << 1) if value >= 0 else ((-value) << 1) - 1
+            append(value) if value < 0x80 else _write_varint(out, value)
+            self._last_addr = src_addr
+        if base_reg is not None:
+            append(base_reg) if 0 <= base_reg < 0x80 else _write_varint(out, base_reg)
+        if index_reg is not None:
+            append(index_reg) if 0 <= index_reg < 0x80 else _write_varint(out, index_reg)
+        if immediate is not None:
+            _write_varint(out, _zigzag(immediate))
+        if size:
+            append(size) if 0 <= size < 0x80 else _write_varint(out, size)
+        if thread_id:
+            append(thread_id) if 0 <= thread_id < 0x80 else _write_varint(out, thread_id)
 
     def _encode_annotation(self, out: bytearray, record: AnnotationRecord) -> None:
         _write_varint(out, (record.event_type.ordinal << 1) | 1)

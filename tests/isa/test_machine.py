@@ -26,6 +26,20 @@ class TestRegisterFile:
         regs = RegisterFile()
         regs.write(Register.EBX, 7)
         assert regs.snapshot()["EBX"] == 7
+        assert dict(regs.items())[Register.EBX] == 7
+
+    @pytest.mark.parametrize("bad", [0, 7, "eax", None, 1.0])
+    def test_operand_naming_anything_but_a_register_raises(self, bad):
+        # The register file indexes by number unchecked; operands are
+        # checked once, when they are built.
+        with pytest.raises(TypeError):
+            Reg(bad)
+        if bad is not None:                   # None means "no base/index"
+            with pytest.raises(TypeError):
+                Mem(base=bad)
+            with pytest.raises(TypeError):
+                Mem(base=Register.ESI, index=bad)
+        assert Mem(base=Register.ESI, index=Register.EDI).index is Register.EDI
 
 
 class TestProgramBuilder:

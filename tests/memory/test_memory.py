@@ -52,6 +52,40 @@ class TestAddressSpace:
         with pytest.raises(ValueError):
             memory.read(0xFFFF_FFFF, 8)
 
+    def test_last_word_of_the_address_space(self):
+        memory = AddressSpace()
+        memory.write_uint(0xFFFF_FFFC, 0x0102_0304, 4)
+        assert memory.read_uint(0xFFFF_FFFC, 4) == 0x0102_0304
+        assert memory.read(0xFFFF_FFFC, 4) == b"\x04\x03\x02\x01"
+
+    @pytest.mark.parametrize("address", [0xFFFF_FFFE, 0x1_0000_0000, -1, -4096])
+    def test_word_access_out_of_range_rejected(self, address):
+        memory = AddressSpace()
+        for access in (
+            lambda: memory.read_uint(address, 4),
+            lambda: memory.write_uint(address, 1, 4),
+            lambda: memory.read(address, 4),
+            lambda: memory.write(address, b"\x00" * 4),
+        ):
+            with pytest.raises(ValueError):
+                access()
+        assert memory.bytes_read == memory.bytes_written == 0
+        assert memory.touched_page_count() == 0
+
+    @pytest.mark.parametrize("address", [0x2000, 0x2FFC, 0x2FFD, 0x2FFF])
+    @pytest.mark.parametrize("size", [1, 2, 4, 8])
+    def test_word_access_counts_its_bytes(self, address, size):
+        # Inside one page and across the page boundary alike.
+        memory = AddressSpace()
+        value = 0x1122_3344_5566_7788 & ((1 << (8 * size)) - 1)
+        memory.write_uint(address, value, size)
+        assert memory.bytes_written == size
+        assert memory.read_uint(address, size) == value
+        assert memory.bytes_read == size
+        assert memory.read(address, size) == value.to_bytes(size, "little")
+        assert memory.read_uint(0x7000, size) == 0      # a page never written
+        assert memory.bytes_read == 3 * size
+
     def test_segment_layout_validation(self):
         with pytest.raises(ValueError):
             SegmentLayout(code_base=0x9000_0000, stack_top=0x1000_0000)

@@ -14,16 +14,18 @@ import shutil
 
 import pytest
 
+from repro.core.events import EventType, InstructionRecord
 from repro.faultinject.chaos import CHAOS_LIFEGUARD, build_chaos_trace
 from repro.faultinject.corrupt import flip_chunk_bytes
 from repro.obs.pipeline import validate_snapshot
 from repro.service.client import GatewayClient, GatewayError, upload_trace
 from repro.service.gateway import GatewayConfig, MonitoringGateway, report_document
+from repro.service.protocol import MAX_HEADER_BYTES, ProtocolError, read_message
 from repro.service.session import SessionState
 from repro.service.store import SessionStore
-from repro.trace.replay import ParallelReplay
+from repro.trace.replay import ParallelReplay, replay_trace
 from repro.trace.supervisor import SupervisorPolicy
-from repro.trace.tracefile import TraceReader
+from repro.trace.tracefile import TraceReader, TraceWriter
 
 WORKERS = 2
 POLICY = SupervisorPolicy(
@@ -108,6 +110,53 @@ class TestUploadAndReplay:
                 assert reply["report"]["result"] == baseline
 
         _run(_config(tmp_path), body)
+
+    def test_report_larger_than_a_header_line_arrives_intact(self, tmp_path):
+        # Every load touches unallocated heap, so every load is a finding
+        # and the report document outgrows the 64 KiB header-line limit.
+        # A jump after each load keeps runs of same-type rows as short as
+        # in captured traces (long runs engage the NumPy kernel tier).
+        loads = 1000
+        path = str(tmp_path / "findings.lbatrace")
+        with TraceWriter(path) as writer:
+            for i in range(loads):
+                pc = 0x0804_8000 + 8 * i
+                writer.append(InstructionRecord(
+                    pc, EventType.MEM_TO_REG, dest_reg=0,
+                    src_addr=0x0900_0000 + 16 * i, size=4, is_load=True,
+                ))
+                writer.append(InstructionRecord(pc + 4, EventType.CONTROL))
+        expected = report_document(replay_trace(path, CHAOS_LIFEGUARD))["result"]
+        assert len(expected["reports"]) == loads
+        assert len(json.dumps(expected)) > MAX_HEADER_BYTES
+
+        async def body(gateway):
+            reply = await upload_trace(
+                "127.0.0.1", gateway.port, path, session_id="findings"
+            )
+            assert reply["ok"] and reply["state"] == SessionState.SETTLED.value
+            assert reply["report"]["result"] == expected
+            async with GatewayClient("127.0.0.1", gateway.port) as client:
+                again = await client.report("findings")
+                missing = await client.report("no-such-session")
+            assert again["ok"] and again["report"] == reply["report"]
+            assert not missing["ok"] and missing["report"] is None
+
+        _run(_config(tmp_path), body)
+
+
+class TestFraming:
+    def test_header_line_over_the_limit_is_a_protocol_error(self):
+        async def read(line):
+            reader = asyncio.StreamReader()
+            reader.feed_data(line)
+            reader.feed_eof()
+            return await read_message(reader)
+
+        assert asyncio.run(read(b'{"op": "health"}\n')) == ({"op": "health"}, b"")
+        oversized = json.dumps({"op": "x", "pad": "x" * MAX_HEADER_BYTES}).encode() + b"\n"
+        with pytest.raises(ProtocolError, match="header too large"):
+            asyncio.run(read(oversized))
 
 
 class TestBackpressure:

@@ -69,6 +69,43 @@ class TestEveryEventType:
         )
 
 
+class TestOneByteBoundaries:
+    """Values either side of 0x80, where the encoder's inline one-byte path ends."""
+
+    @pytest.mark.parametrize("delta", [0, 1, -1, 63, 64, -64, -65, 8191, 8192, -8192, -8193])
+    def test_pc_and_address_deltas(self, delta):
+        first, second = (
+            InstructionRecord(
+                pc=0x0804_8000 + step, event_type=EventType.MEM_TO_REG, dest_reg=0,
+                src_addr=0x0900_0000 + step, size=4, is_load=True,
+            )
+            for step in (0, delta)
+        )
+        roundtrip([first, second])
+        encoder = RecordEncoder()
+        encoder.encode(first)
+        zigzag = (delta << 1) if delta >= 0 else ((-delta) << 1) - 1
+        width = 1 if zigzag < 0x80 else 2 if zigzag < 0x4000 else 3
+        # header, flags, dest_reg and size take a byte each, then two deltas
+        assert len(encoder.encode(second)) == 4 + 2 * width
+
+    @pytest.mark.parametrize("value", [1, 127, 128, 255, 16383, 16384])
+    def test_register_ids_sizes_and_thread_ids(self, value):
+        roundtrip([
+            InstructionRecord(
+                pc=0, event_type=EventType.REG_TO_MEM, dest_reg=value, src_reg=value,
+                dest_addr=0, size=value, is_store=True, base_reg=value,
+                index_reg=value, thread_id=value,
+            )
+        ])
+
+    def test_negative_field_is_a_codec_error(self):
+        with pytest.raises(TraceCodecError):
+            RecordEncoder().encode(
+                InstructionRecord(pc=0, event_type=EventType.REG_TO_REG, dest_reg=-1)
+            )
+
+
 def _random_record(rng):
     if rng.random() < 0.1:
         return AnnotationRecord(
