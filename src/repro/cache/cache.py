@@ -9,8 +9,8 @@ lives in :class:`repro.memory.address_space.AddressSpace`).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from repro.core.config import CacheConfig
 
@@ -38,12 +38,17 @@ class Cache:
         self.config = config
         self.name = name
         self.stats = CacheStats()
+        # The geometry is read once: ``access`` runs for every simulated
+        # fetch, data access and metadata read.
+        self._line_bytes = config.line_bytes
+        self._num_sets = config.num_sets
+        self._ways = config.associativity
         # per-set ordered dict: tag -> dirty flag; ordering is LRU (oldest first)
         self._sets: Dict[int, OrderedDict[int, bool]] = {}
 
     def _index_and_tag(self, address: int) -> Tuple[int, int]:
-        line = address // self.config.line_bytes
-        return line % self.config.num_sets, line // self.config.num_sets
+        line = address // self._line_bytes
+        return line % self._num_sets, line // self._num_sets
 
     def access(self, address: int, is_write: bool = False) -> bool:
         """Access the line containing ``address``; returns True on a hit.
@@ -51,36 +56,45 @@ class Cache:
         On a miss the line is allocated, possibly evicting the LRU line of
         the set (a dirty eviction increments ``writebacks``).
         """
-        self.stats.accesses += 1
-        index, tag = self._index_and_tag(address)
-        lines = self._sets.setdefault(index, OrderedDict())
-        if tag in lines:
-            self.stats.hits += 1
-            dirty = lines.pop(tag)
-            lines[tag] = dirty or is_write
+        stats = self.stats
+        stats.accesses += 1
+        line = address // self._line_bytes
+        num_sets = self._num_sets
+        tag = line // num_sets
+        lines = self._sets.get(line % num_sets)
+        if lines is None:
+            lines = self._sets[line % num_sets] = OrderedDict()
+        dirty = lines.get(tag)
+        if dirty is not None:
+            stats.hits += 1
+            lines.move_to_end(tag)
+            if is_write and not dirty:
+                lines[tag] = True
             return True
-        self.stats.misses += 1
-        if len(lines) >= self.config.associativity:
+        stats.misses += 1
+        if len(lines) >= self._ways:
             _evicted_tag, dirty = lines.popitem(last=False)
-            self.stats.evictions += 1
+            stats.evictions += 1
             if dirty:
-                self.stats.writebacks += 1
-        lines[tag] = is_write
+                stats.writebacks += 1
+        # Stored as a bool so that ``None`` above always means "absent".
+        lines[tag] = bool(is_write)
         return False
 
     def access_range(self, address: int, size: int, is_write: bool = False) -> int:
         """Access every line touched by ``[address, address + size)``.
 
-        Returns the number of line misses.
+        Returns the number of line misses.  A size of 0 or less touches the
+        line of ``address`` only.
         """
-        if size <= 0:
-            size = 1
-        line_bytes = self.config.line_bytes
+        line_bytes = self._line_bytes
         first = address // line_bytes
-        last = (address + size - 1) // line_bytes
+        last = (address + size - 1) // line_bytes if size > 0 else first
+        if last == first:
+            return 0 if self.access(address, is_write) else 1
         misses = 0
         for line in range(first, last + 1):
-            if not self.access(line * line_bytes, is_write=is_write):
+            if not self.access(line * line_bytes, is_write):
                 misses += 1
         return misses
 

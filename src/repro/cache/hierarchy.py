@@ -24,6 +24,10 @@ class AccessType(enum.Enum):
     DATA_WRITE = "write"
 
 
+_INSTRUCTION_FETCH = AccessType.INSTRUCTION_FETCH
+_DATA_WRITE = AccessType.DATA_WRITE
+
+
 @dataclass
 class CoreCaches:
     """The private L1 caches of one core."""
@@ -47,26 +51,30 @@ class MemoryHierarchy:
         }
         self.l2 = Cache(self.config.l2, name="shared.l2")
         self.memory_accesses = 0
+        self._l2_latency = self.config.l2.latency_cycles
+        self._memory_latency = self.config.memory_latency_cycles
 
     def core(self, core_id: int) -> CoreCaches:
         """The private caches of ``core_id``."""
         return self._cores[core_id]
 
     def access(self, core_id: int, address: int, access_type: AccessType, size: int = 4) -> int:
-        """Perform an access and return its latency in cycles."""
+        """Perform an access and return its latency in cycles.
+
+        A miss in the L1 probes the shared L2 once, at ``address``, even
+        when the access spans more than one L1 line.
+        """
         caches = self._cores[core_id]
-        is_write = access_type is AccessType.DATA_WRITE
-        l1 = caches.l1i if access_type is AccessType.INSTRUCTION_FETCH else caches.l1d
+        is_write = access_type is _DATA_WRITE
+        l1 = caches.l1i if access_type is _INSTRUCTION_FETCH else caches.l1d
         latency = l1.config.latency_cycles
-        l1_misses = l1.access_range(address, size, is_write=is_write)
-        if not l1_misses:
+        if not l1.access_range(address, size, is_write):
             return latency
-        latency += self.config.l2.latency_cycles
-        l2_hit = self.l2.access(address, is_write=is_write)
-        if l2_hit:
+        latency += self._l2_latency
+        if self.l2.access(address, is_write):
             return latency
         self.memory_accesses += 1
-        return latency + self.config.memory_latency_cycles
+        return latency + self._memory_latency
 
     def total_l1_miss_rate(self, core_id: int) -> float:
         """Combined L1 data+instruction miss rate of ``core_id``."""

@@ -58,6 +58,10 @@ _ANNOTATION_APP_CYCLES = {
 #: Which application core the monitored program runs on (dual-core system).
 APPLICATION_CORE = 0
 
+_INSTRUCTION_FETCH = AccessType.INSTRUCTION_FETCH
+_DATA_READ = AccessType.DATA_READ
+_DATA_WRITE = AccessType.DATA_WRITE
+
 
 def iter_machine_records(
     machine: ApplicationMachine, max_instructions: int = 5_000_000
@@ -135,29 +139,21 @@ class LogProducer:
         self._sizer = RecordSizer()
 
     def _record_cost(self, record: Record) -> int:
-        if isinstance(record, AnnotationRecord):
+        # Exact-type check first: instruction records are the common case.
+        if type(record) is not InstructionRecord and isinstance(record, AnnotationRecord):
             self.stats.annotations += 1
             return _ANNOTATION_APP_CYCLES.get(record.event_type, 50)
         self.stats.instructions += 1
-        cycles = 1
-        if self.hierarchy is not None:
-            core = self.core_index
-            cycles = self.hierarchy.access(
-                core, record.pc, AccessType.INSTRUCTION_FETCH, size=4
-            )
-            if record.is_load and record.src_addr is not None:
-                cycles += self.hierarchy.access(
-                    core, record.src_addr, AccessType.DATA_READ, record.size or 4
-                )
-            if record.is_store and record.dest_addr is not None:
-                cycles += self.hierarchy.access(
-                    core, record.dest_addr, AccessType.DATA_WRITE, record.size or 4
-                )
-        else:
-            if record.is_load:
-                cycles += 1
-            if record.is_store:
-                cycles += 1
+        hierarchy = self.hierarchy
+        if hierarchy is None:
+            return 1 + (1 if record.is_load else 0) + (1 if record.is_store else 0)
+        access = hierarchy.access
+        core = self.core_index
+        cycles = access(core, record.pc, _INSTRUCTION_FETCH, 4)
+        if record.is_load and record.src_addr is not None:
+            cycles += access(core, record.src_addr, _DATA_READ, record.size or 4)
+        if record.is_store and record.dest_addr is not None:
+            cycles += access(core, record.dest_addr, _DATA_WRITE, record.size or 4)
         return cycles
 
     def account(self, record: Record) -> int:
@@ -171,14 +167,16 @@ class LogProducer:
         records routed to this core's channel.
         """
         cost = self._record_cost(record)
-        self.stats.records += 1
-        self.stats.app_cycles += cost
-        self.stats.log_bytes += self._sizer.size(record)
+        stats = self.stats
+        stats.records += 1
+        stats.app_cycles += cost
+        stats.log_bytes += self._sizer.size(record)
         if self.trace_writer is not None:
             self.trace_writer.append(record)
         return cost
 
     def stream(self) -> Iterator[Tuple[Record, int]]:
         """Yield ``(record, app_cycles)`` pairs until the program halts."""
+        account = self.account
         for record in iter_machine_records(self.machine, self.max_instructions):
-            yield record, self.account(record)
+            yield record, account(record)

@@ -38,7 +38,7 @@ run-grouped interleaving equivalent to the scalar order:
 The engine only vectorizes when the dispatcher has no cache hierarchy
 attached (offline replay); with a hierarchy the per-event metadata
 addresses feed the cache model, and the engine transparently degrades to
-the batched scalar path.
+the scalar :meth:`EventDispatcher.consume`, record by record.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ class ColumnarEngine:
             self._kernel_tier = kernels
         #: vectorized steps need usage-count cycle charging only; a cache
         #: hierarchy needs the actual metadata addresses per event, so the
-        #: engine falls back to the batched scalar path then.
+        #: engine falls back to the scalar ``consume`` loop then.
         self.supported = dispatcher.hierarchy is None
         self.it = self.accelerator.it
         self.filter = self.accelerator.idempotent_filter
@@ -255,7 +255,9 @@ class ColumnarEngine:
         """Consume one decoded column set; returns total lifeguard cycles.
 
         Bit-identical to ``sum(dispatcher.consume(r) for r in
-        columns.records())``.
+        columns.records())``, which is what it runs (through
+        :meth:`EventDispatcher.consume_batch`) when a cache hierarchy is
+        attached.
 
         ``columns`` may be backed by zero-copy ``memoryview`` casts over a
         shared-memory segment (:meth:`RecordColumns.from_buffers`) instead

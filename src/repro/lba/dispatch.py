@@ -34,6 +34,8 @@ LIFEGUARD_CORE = 1
 #: Cycles charged for the nlba dispatch of one delivered event.
 NLBA_CYCLES = 2
 
+_DATA_READ = AccessType.DATA_READ
+
 
 @dataclass
 class DispatchStats:
@@ -86,180 +88,62 @@ class EventDispatcher:
 
     def consume(self, record: Record) -> int:
         """Process one log record; returns the lifeguard-core cycles it cost."""
-        self.stats.records_consumed += 1
+        stats = self.stats
+        stats.records_consumed += 1
+        events = self.accelerator.process(record)
+        if not events:
+            return 0
         mapper = self.lifeguard.mapper()
         table = self._table
+        hierarchy = self.hierarchy
+        translation_instructions = self._translation.instructions
+        miss_cost = self._miss_cost
         cycles = 0
-        for event in self.accelerator.process(record):
+        for event in events:
             entry = table[event.event_type.ordinal]
             if entry is None or entry.handler is None:
                 continue
-            self.stats.events_handled += 1
+            stats.events_handled += 1
             mapper.begin_event()
             entry.handler(event)
             usage = mapper.end_event()
 
             instructions = entry.handler_instructions
-            mapping_instr = usage.translations * self._translation.instructions
-            miss_instr = usage.mtlb_misses * self._miss_cost
-            self.stats.handler_instructions += instructions
-            self.stats.mapping_instructions += mapping_instr
-            self.stats.miss_handler_instructions += miss_instr
+            mapping_instr = usage.translations * translation_instructions
+            miss_instr = usage.mtlb_misses * miss_cost
+            stats.handler_instructions += instructions
+            stats.mapping_instructions += mapping_instr
+            stats.miss_handler_instructions += miss_instr
 
             event_cycles = NLBA_CYCLES + instructions + mapping_instr + miss_instr
-            if self.hierarchy is not None:
+            if hierarchy is not None:
+                core_index = self.core_index
                 for metadata_address in usage.metadata_addresses:
-                    event_cycles += self.hierarchy.access(
-                        self.core_index, metadata_address, AccessType.DATA_READ, size=4
-                    )
+                    event_cycles += hierarchy.access(core_index, metadata_address, _DATA_READ, 4)
             else:
                 event_cycles += len(usage.metadata_addresses)
             cycles += event_cycles
-        self.stats.lifeguard_cycles += cycles
+        stats.lifeguard_cycles += cycles
         return cycles
 
     def consume_batch(self, records: Iterable[Record]) -> int:
         """Process a record sequence; returns the total lifeguard-core cycles.
 
-        The batched twin of :meth:`consume`: per-record accounting is
-        bit-identical (same events, same handler invocations, same cycle
-        charges), but the mapper, handler table, translation costs and
-        stats counters are hoisted out of the per-record loop and folded
-        into the :class:`DispatchStats` once at the end.  This is the entry
-        point trace replay uses to push whole decoded chunks through the
-        pipeline.
+        A loop over :meth:`consume`: the entry point for callers that hold
+        a whole record sequence (the columnar engine's fallback when a
+        cache hierarchy is attached).
         """
-        stats = self.stats
-        mapper = self.lifeguard.mapper()
-        begin_event = mapper.begin_event
-        end_event = mapper.end_event
-        process = self.accelerator.process
-        table = self._table
-        hierarchy = self.hierarchy
-        hierarchy_access = hierarchy.access if hierarchy is not None else None
-        core_index = self.core_index
-        translation_instructions = self._translation.instructions
-        miss_cost = self._miss_cost
-
-        records_consumed = 0
-        events_handled = 0
-        handler_total = 0
-        mapping_total = 0
-        miss_total = 0
-        total_cycles = 0
-        try:
-            for record in records:
-                records_consumed += 1
-                events = process(record)
-                if not events:
-                    continue
-                cycles = 0
-                for event in events:
-                    entry = table[event.event_type.ordinal]
-                    if entry is None or entry.handler is None:
-                        continue
-                    events_handled += 1
-                    begin_event()
-                    entry.handler(event)
-                    usage = end_event()
-
-                    instructions = entry.handler_instructions
-                    mapping_instr = usage.translations * translation_instructions
-                    miss_instr = usage.mtlb_misses * miss_cost
-                    handler_total += instructions
-                    mapping_total += mapping_instr
-                    miss_total += miss_instr
-
-                    event_cycles = NLBA_CYCLES + instructions + mapping_instr + miss_instr
-                    if hierarchy_access is not None:
-                        for metadata_address in usage.metadata_addresses:
-                            event_cycles += hierarchy_access(
-                                core_index, metadata_address, AccessType.DATA_READ, size=4
-                            )
-                    else:
-                        event_cycles += len(usage.metadata_addresses)
-                    cycles += event_cycles
-                total_cycles += cycles
-        finally:
-            # Fold the hoisted counters in even if a handler raised, so the
-            # stats stay consistent with the work actually performed (as the
-            # incrementally-updating per-record path would report).
-            stats.records_consumed += records_consumed
-            stats.events_handled += events_handled
-            stats.handler_instructions += handler_total
-            stats.mapping_instructions += mapping_total
-            stats.miss_handler_instructions += miss_total
-            stats.lifeguard_cycles += total_cycles
-        return total_cycles
+        consume = self.consume
+        cycles = 0
+        for record in records:
+            cycles += consume(record)
+        return cycles
 
     def consume_each(self, records: Iterable[Record]) -> List[int]:
         """Process a record sequence; returns the cycles of *each* record.
 
-        The per-record-resolution twin of :meth:`consume_batch`: identical
-        events, handler invocations and accounting, with the loop constants
-        hoisted once and a cycles entry appended per record.  For batch
-        consumers that need per-record cycle costs (e.g. to feed a timing
-        model) *without* a shared cache hierarchy -- with one, the
-        producer/consumer access interleaving is part of the model and
-        consumption must stay per-record (see
-        :meth:`repro.lba.multicore.MultiCoreLBASystem.run`).
+        A loop over :meth:`consume`, for batch consumers that need the
+        per-record cycle costs (e.g. to feed a timing model).
         """
-        stats = self.stats
-        mapper = self.lifeguard.mapper()
-        begin_event = mapper.begin_event
-        end_event = mapper.end_event
-        process = self.accelerator.process
-        table = self._table
-        hierarchy = self.hierarchy
-        hierarchy_access = hierarchy.access if hierarchy is not None else None
-        core_index = self.core_index
-        translation_instructions = self._translation.instructions
-        miss_cost = self._miss_cost
-
-        per_record: List[int] = []
-        append = per_record.append
-        records_consumed = 0
-        events_handled = 0
-        handler_total = 0
-        mapping_total = 0
-        miss_total = 0
-        total_cycles = 0
-        try:
-            for record in records:
-                records_consumed += 1
-                cycles = 0
-                for event in process(record):
-                    entry = table[event.event_type.ordinal]
-                    if entry is None or entry.handler is None:
-                        continue
-                    events_handled += 1
-                    begin_event()
-                    entry.handler(event)
-                    usage = end_event()
-
-                    instructions = entry.handler_instructions
-                    mapping_instr = usage.translations * translation_instructions
-                    miss_instr = usage.mtlb_misses * miss_cost
-                    handler_total += instructions
-                    mapping_total += mapping_instr
-                    miss_total += miss_instr
-
-                    event_cycles = NLBA_CYCLES + instructions + mapping_instr + miss_instr
-                    if hierarchy_access is not None:
-                        for metadata_address in usage.metadata_addresses:
-                            event_cycles += hierarchy_access(
-                                core_index, metadata_address, AccessType.DATA_READ, size=4
-                            )
-                    else:
-                        event_cycles += len(usage.metadata_addresses)
-                    cycles += event_cycles
-                append(cycles)
-                total_cycles += cycles
-        finally:
-            stats.records_consumed += records_consumed
-            stats.events_handled += events_handled
-            stats.handler_instructions += handler_total
-            stats.mapping_instructions += mapping_total
-            stats.miss_handler_instructions += miss_total
-            stats.lifeguard_cycles += total_cycles
-        return per_record
+        consume = self.consume
+        return [consume(record) for record in records]

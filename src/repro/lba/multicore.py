@@ -428,12 +428,10 @@ class MultiCoreLBASystem:
         accesses through the *shared* L2, so any batching that reorders
         ``account``/``consume`` across records would perturb the cache
         timing and break the bit-identical N=1 anchor against
-        :meth:`LBASystem.run`.  The fast paths live on the offline side:
+        :meth:`LBASystem.run`.  The fast path lives on the offline side:
         captured per-core traces replay through the columnar engine
         (:class:`repro.trace.replay.MultiTraceReplay` decodes each shard's
-        chunks straight into columns), and per-record-resolution batch
-        consumers without a shared hierarchy can use
-        :meth:`EventDispatcher.consume_each`.
+        chunks straight into columns).
         """
         channels = self.channels
         shards = self.shards

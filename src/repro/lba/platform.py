@@ -20,7 +20,7 @@ from typing import List, Optional, Union
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.core.accelerator import AcceleratorConfig, AcceleratorStats, EventAccelerator
 from repro.core.config import SystemConfig
-from repro.core.events import AnnotationRecord, EventType
+from repro.core.events import AnnotationRecord, EventType, InstructionRecord
 from repro.isa.machine import Machine, MachineStats
 from repro.isa.threads import ThreadedMachine
 from repro.lba.capture import LogProducer, ProducerStats
@@ -104,13 +104,16 @@ class LBASystem:
 
     def run(self, config_label: str = "") -> MonitoringResult:
         """Run the monitored program to completion and return the result."""
+        consume = self.dispatcher.consume
+        observe = self.coupling.observe
         for record, app_cost in self.producer.stream():
-            lifeguard_cost = self.dispatcher.consume(record)
+            lifeguard_cost = consume(record)
             barrier = (
-                isinstance(record, AnnotationRecord)
+                type(record) is not InstructionRecord
+                and isinstance(record, AnnotationRecord)
                 and record.event_type in _SYSCALL_EVENTS
             )
-            self.coupling.observe(app_cost, lifeguard_cost, syscall_barrier=barrier)
+            observe(app_cost, lifeguard_cost, barrier)
         self.lifeguard.finalize()
         timing = self.coupling.finish()
         mapper = self.lifeguard.mapper_stats()

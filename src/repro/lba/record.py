@@ -39,6 +39,7 @@ class RecordSizer:
 
     def __init__(self) -> None:
         self._encoder = RecordEncoder()
+        self._scratch = bytearray()
 
     def reset(self) -> None:
         """Restart the delta chains (e.g. when the stream restarts)."""
@@ -50,7 +51,9 @@ class RecordSizer:
 
     def size(self, record: Record) -> int:
         """Exact compressed size of ``record``, advancing the stream state."""
-        return len(self._encoder.encode(record))
+        scratch = self._scratch
+        scratch.clear()
+        return self._encoder.encode_into(scratch, record)
 
     def state(self) -> Tuple[int, int]:
         """Snapshot of the stream state (see :meth:`rollback`)."""

@@ -78,27 +78,29 @@ class CouplingModel:
         b = self.breakdown
         b.records += 1
         b.app_alone_cycles += app_cost
+        window = self._window
+        consume_finish = self._consume_finish
 
         start = self._produce_finish
-        if len(self._window) >= self.capacity:
-            oldest_consumed = self._window.popleft()
+        if len(window) >= self.capacity:
+            oldest_consumed = window.popleft()
             if oldest_consumed > start:
                 b.producer_stall_cycles += oldest_consumed - start
                 start = oldest_consumed
-        if syscall_barrier and self._consume_finish > start:
-            b.syscall_stall_cycles += self._consume_finish - start
-            start = self._consume_finish
-        self._produce_finish = start + app_cost
-        b.app_finish_cycles = self._produce_finish
+        if syscall_barrier and consume_finish > start:
+            b.syscall_stall_cycles += consume_finish - start
+            start = consume_finish
+        produce_finish = self._produce_finish = start + app_cost
+        b.app_finish_cycles = produce_finish
 
-        consume_start = self._consume_finish
-        if self._produce_finish > consume_start:
-            b.consumer_stall_cycles += self._produce_finish - consume_start
-            consume_start = self._produce_finish
-        self._consume_finish = consume_start + lifeguard_cost
+        if produce_finish > consume_finish:
+            b.consumer_stall_cycles += produce_finish - consume_finish
+            consume_finish = produce_finish
+        consume_finish += lifeguard_cost
+        self._consume_finish = consume_finish
         b.lifeguard_busy_cycles += lifeguard_cost
-        b.lifeguard_finish_cycles = self._consume_finish
-        self._window.append(self._consume_finish)
+        b.lifeguard_finish_cycles = consume_finish
+        window.append(consume_finish)
 
     def finish(self) -> TimingBreakdown:
         """Return the final timing breakdown."""
