@@ -1,8 +1,8 @@
 """Hot-path throughput benchmarks with a tracked JSON trajectory.
 
 Measures the consumer pipeline stage by stage -- codec encode/decode
-(object and columnar), shadow-map writes and fills, per-record vs batched
-vs columnar dispatch, and end-to-end trace replay -- and writes the
+(object and columnar), shadow-map writes and fills, per-record vs
+columnar dispatch, and end-to-end trace replay -- and writes the
 results to ``BENCH_hotpath.json`` so the perf trajectory is tracked
 in-repo from PR 2 onward.
 
@@ -86,13 +86,9 @@ STAGE_UNITS = {
 
 #: Stages the ``--check`` regression guard compares against the committed
 #: BENCH_hotpath.json, and the allowed fraction of the committed value.
-#: The ``dispatch_kernel_stream_*`` stages only exist when numpy is
-#: installed; ``check_regression`` skips stages absent from either side.
 CHECK_STAGES = (
     "replay_MemCheck",
     "replay_TaintCheck",
-    "dispatch_kernel_stream_MemCheck",
-    "dispatch_kernel_stream_TaintCheck",
 )
 CHECK_TOLERANCE = 0.70
 
@@ -126,78 +122,6 @@ def synthetic_records(count):
                     base_reg=(i + 2) % 8,
                 )
             )
-    return records
-
-
-#: Phases of the kernel-stream workload each lifeguard can vectorize.
-#: MemCheck skips the store phase (its stores carry a fused cacheable
-#: store check the fill kernel declines); the others run all their
-#: kernel-eligible shapes.
-_KERNEL_STREAM_PHASES = {
-    "MemCheck": ("load", "cond", "mem_load"),
-    "TaintCheck": ("store", "load", "mem_load"),
-    "AddrCheck": ("store", "load", "mem_load"),
-}
-
-
-def kernel_stream_records(lifeguard_name, count, run=1024):
-    """Long same-ordinal runs tuned so every phase admits the kernel tier.
-
-    Captured traces average a handful of rows per run, which is below the
-    kernel admission threshold; this stream is the other extreme -- the
-    shape the vectorized tier exists for.  Each phase starts with a MALLOC
-    annotation: it makes the phase's region accessible *and* flushes the
-    idempotent filter, so every check phase dispatches as all-miss runs
-    (a filter-hit run is already cheap scalar and the kernels decline it).
-    """
-    phases = _KERNEL_STREAM_PHASES[lifeguard_name]
-    records = []
-    heap = 0x0900_0000
-    block = 0
-    while len(records) < count:
-        base = heap + block * 0x40000
-        for index, phase in enumerate(phases):
-            region = base + index * 0x8000
-            records.append(
-                AnnotationRecord(
-                    event_type=EventType.MALLOC, address=region,
-                    size=run * 4, pc=0x10,
-                )
-            )
-            if phase == "store":
-                records.extend(
-                    InstructionRecord(
-                        pc=0x200, event_type=EventType.IMM_TO_MEM,
-                        dest_addr=region + 4 * i, size=4, is_store=True,
-                    )
-                    for i in range(run)
-                )
-            elif phase == "load":
-                records.extend(
-                    InstructionRecord(
-                        pc=0x300, event_type=EventType.MEM_TO_REG,
-                        dest_reg=i % 4, src_addr=region + 4 * i, size=4,
-                        is_load=True,
-                    )
-                    for i in range(run)
-                )
-            elif phase == "cond":
-                records.extend(
-                    InstructionRecord(
-                        pc=0x400, event_type=EventType.COND_TEST,
-                        src_reg=5, is_cond_test=True,
-                    )
-                    for _ in range(run)
-                )
-            else:  # mem_load
-                records.extend(
-                    InstructionRecord(
-                        pc=0x500, event_type=EventType.MEM_LOAD,
-                        src_addr=region + 4 * i, size=4, is_load=True,
-                    )
-                    for i in range(run)
-                )
-        block += 1
     return records
 
 
@@ -271,7 +195,7 @@ def bench_shadow(element_writes, fill_rounds, repeats):
 
 
 def bench_dispatch(records, lifeguard_name, repeats):
-    """Per-record vs batched dispatch over an in-memory record list."""
+    """Per-record vs columnar dispatch over an in-memory record list."""
     stages = {}
 
     def per_record():
@@ -285,16 +209,6 @@ def bench_dispatch(records, lifeguard_name, repeats):
     elapsed, per_stats = _best_of(repeats, per_record)
     stages[f"dispatch_per_record_{lifeguard_name}"] = round(len(records) / elapsed)
 
-    def batched():
-        lifeguard = ALL_LIFEGUARDS[lifeguard_name]()
-        _, dispatcher = build_pipeline(lifeguard)
-        dispatcher.consume_batch(records)
-        return dispatcher.stats
-
-    elapsed, batch_stats = _best_of(repeats, batched)
-    stages[f"dispatch_batched_{lifeguard_name}"] = round(len(records) / elapsed)
-    assert per_stats == batch_stats, "batched dispatch diverged from per-record"
-
     columns = RecordColumns.from_records(records)
 
     def columnar():
@@ -307,55 +221,6 @@ def bench_dispatch(records, lifeguard_name, repeats):
     stages[f"dispatch_columnar_{lifeguard_name}"] = round(len(records) / elapsed)
     assert per_stats == columnar_stats, "columnar dispatch diverged from per-record"
     return stages
-
-
-def bench_kernel_dispatch(lifeguard_name, repeats, count):
-    """Scalar vs vectorized columnar dispatch on the same long-run stream.
-
-    Both stages consume the *same* pre-built column set in the same
-    process, and the run asserts their :class:`DispatchStats` are equal --
-    the speedup is therefore a like-for-like measurement, not two
-    different workloads.  Without numpy only the scalar stage is emitted.
-    """
-    from repro.lba.kernels import HAVE_NUMPY
-
-    stages = {}
-    records = kernel_stream_records(lifeguard_name, count)
-    columns = RecordColumns.from_records(records)
-    scalar_stage = f"dispatch_columnar_stream_{lifeguard_name}"
-    kernel_stage = f"dispatch_kernel_stream_{lifeguard_name}"
-
-    def scalar():
-        lifeguard = ALL_LIFEGUARDS[lifeguard_name]()
-        _, dispatcher = build_pipeline(lifeguard)
-        ColumnarEngine(dispatcher, kernels=False).consume_columns(columns)
-        return dispatcher.stats
-
-    elapsed, scalar_stats = _best_of(repeats, scalar)
-    stages[scalar_stage] = round(len(records) / elapsed)
-
-    if not HAVE_NUMPY:
-        return stages, None
-
-    engines = []
-
-    def vectored():
-        lifeguard = ALL_LIFEGUARDS[lifeguard_name]()
-        _, dispatcher = build_pipeline(lifeguard)
-        engine = ColumnarEngine(dispatcher)
-        engine.consume_columns(columns)
-        engines.append(engine)
-        return dispatcher.stats
-
-    elapsed, kernel_stats = _best_of(repeats, vectored)
-    stages[kernel_stage] = round(len(records) / elapsed)
-    assert kernel_stats.diff(scalar_stats) == {}, (
-        f"kernel dispatch diverged from scalar for {lifeguard_name}"
-    )
-    assert engines[-1].kernel_runs > 0, (
-        f"kernel stream failed to engage the kernel tier for {lifeguard_name}"
-    )
-    return stages, round(stages[kernel_stage] / stages[scalar_stage], 2)
 
 
 def bench_replay(trace_path, total_records, lifeguards, repeats):
@@ -403,15 +268,6 @@ def run(smoke=False, scale=1.0, quick=False):
         )
         stages.update(bench_dispatch(records, "TaintCheck", repeats))
         stages.update(bench_dispatch(records, "MemCheck", repeats))
-        # Vectorized-kernel stages: same column set dispatched scalar and
-        # kernelized in the same run, with stats equality asserted.
-        kernel_speedup = {}
-        stream_count = 6_000 if smoke else 120_000
-        for name in ("MemCheck", "TaintCheck", "AddrCheck"):
-            kernel_stages, ratio = bench_kernel_dispatch(name, repeats, stream_count)
-            stages.update(kernel_stages)
-            if ratio is not None:
-                kernel_speedup[name] = ratio
         stages.update(
             bench_replay(trace_path, len(records), ("TaintCheck", "MemCheck"), repeats)
         )
@@ -451,9 +307,6 @@ def run(smoke=False, scale=1.0, quick=False):
         "stages": stages,
         "baseline_pre_pr": dict(BASELINE_PRE_PR),
         "speedup_vs_pre_pr_baseline": speedup,
-        # Same-run kernel-vs-scalar ratio per lifeguard on the long-run
-        # stream (absent without numpy).
-        "kernel_vs_scalar_speedup": kernel_speedup,
         "python": platform.python_version(),
         "machine": platform.machine(),
         # Sidecar payloads: popped by main() and written to

@@ -3,9 +3,9 @@
 Machine-generated scenario coverage with a ground-truth oracle: seeded,
 structurally diverse (optionally multithreaded, optionally buggy) programs
 from :mod:`repro.workloads.generator` are pushed through *every* dispatch
-engine the platform offers -- the per-record loop, batched dispatch,
-per-record-resolution batch dispatch, the run-grouped columnar engine, the
-full live platform, the multi-core platform and offline trace replay -- and
+engine the platform offers -- the per-record loop, the run-grouped
+columnar engine, offline trace replay, the full live platform and the
+multi-core platform -- and
 the oracle asserts that they agree bit for bit (reports, statistics,
 cycles, and the internal accelerator state: IT table, Idempotent-Filter
 sets with LRU order, M-TLB CAM), that every injected bug class is detected

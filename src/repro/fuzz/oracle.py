@@ -4,17 +4,13 @@ For a fuzz case the oracle captures the log-record stream once, then runs
 it through every consumption path of the platform and asserts agreement:
 
 * **record legs** (no cache hierarchy, directly comparable bit for bit):
-  the per-record ``consume`` loop (the reference), ``consume_batch``,
-  ``consume_each`` (whose per-record cycle list must equal the reference's),
-  the run-grouped :class:`~repro.lba.columnar.ColumnarEngine` (scalar
-  paths pinned via ``kernels=False``), the same engine with the vectorized
-  NumPy kernel tier enabled (the ``numpy`` leg -- scalar-identical on
-  numpy-less hosts), and offline replay of a trace-file round-trip
-  (codec encode -> chunked file -> column decode -> columnar dispatch).
-  Equality covers error reports,
-  :class:`DispatchStats`, :class:`AcceleratorStats`, total and per-record
-  lifeguard cycles, mapper counters and -- for the in-process legs -- the
-  *internal* accelerator state via
+  the per-record ``consume`` loop (the reference), the run-grouped
+  :class:`~repro.lba.columnar.ColumnarEngine` (the one fast path), and
+  offline replay of a trace-file round-trip (codec encode -> chunked
+  file -> column decode -> columnar dispatch).  Equality covers error
+  reports, :class:`DispatchStats`, :class:`AcceleratorStats`, total
+  lifeguard cycles and -- for the in-process ``columnar`` leg -- mapper
+  counters and the *internal* accelerator state via
   :meth:`EventAccelerator.state_signature` (IT table, Idempotent-Filter
   sets with LRU order, M-TLB CAM with LRU order);
 * **full-system legs**: the live dual-core :class:`LBASystem` run (whose
@@ -61,16 +57,10 @@ from repro.workloads.generator import (
     manifest_for,
 )
 
-#: Engine legs the oracle knows, in execution order.  ``columnar`` pins the
-#: engine to its scalar paths; ``numpy`` runs the same engine with the
-#: vectorized kernel tier enabled (on numpy-less hosts the tier is absent
-#: and the leg degenerates to a second scalar run, still checked).
+#: Engine legs the oracle knows, in execution order.
 DEFAULT_ENGINES = (
     "consume",
-    "consume_batch",
-    "consume_each",
     "columnar",
-    "numpy",
     "trace_replay",
     "live",
     "multicore",
@@ -148,7 +138,6 @@ class _RecordLegOutcome:
     """Everything a record-stream leg measured (for exact comparison)."""
 
     cycles: int
-    per_record: Optional[List[int]]
     dispatch: object
     accelerator: object
     mapper: object
@@ -165,11 +154,10 @@ def _machine(spec: FuzzProgramSpec) -> ThreadedMachine:
     return ThreadedMachine(build_fuzz_programs(spec))
 
 
-def _finish(lifeguard, accelerator, dispatcher, cycles, per_record=None) -> _RecordLegOutcome:
+def _finish(lifeguard, accelerator, dispatcher, cycles) -> _RecordLegOutcome:
     lifeguard.finalize()
     return _RecordLegOutcome(
         cycles=cycles,
-        per_record=per_record,
         dispatch=dispatcher.stats,
         accelerator=accelerator.stats,
         mapper=lifeguard.mapper_stats(),
@@ -181,46 +169,16 @@ def _finish(lifeguard, accelerator, dispatcher, cycles, per_record=None) -> _Rec
 def _run_consume(records, lifeguard_cls) -> _RecordLegOutcome:
     lifeguard = lifeguard_cls()
     accelerator, dispatcher = build_pipeline(lifeguard)
-    per_record = [dispatcher.consume(record) for record in records]
-    return _finish(lifeguard, accelerator, dispatcher, sum(per_record), per_record)
-
-
-def _run_consume_batch(records, lifeguard_cls) -> _RecordLegOutcome:
-    lifeguard = lifeguard_cls()
-    accelerator, dispatcher = build_pipeline(lifeguard)
-    cycles = dispatcher.consume_batch(records)
+    cycles = sum(dispatcher.consume(record) for record in records)
     return _finish(lifeguard, accelerator, dispatcher, cycles)
-
-
-def _run_consume_each(records, lifeguard_cls) -> _RecordLegOutcome:
-    lifeguard = lifeguard_cls()
-    accelerator, dispatcher = build_pipeline(lifeguard)
-    per_record = dispatcher.consume_each(records)
-    return _finish(lifeguard, accelerator, dispatcher, sum(per_record), per_record)
 
 
 def _run_columnar(records, lifeguard_cls) -> _RecordLegOutcome:
     lifeguard = lifeguard_cls()
     accelerator, dispatcher = build_pipeline(lifeguard)
-    engine = ColumnarEngine(dispatcher, kernels=False)
-    cycles = engine.consume_columns(RecordColumns.from_records(records))
-    return _finish(lifeguard, accelerator, dispatcher, cycles)
-
-
-def _run_numpy(records, lifeguard_cls) -> _RecordLegOutcome:
-    lifeguard = lifeguard_cls()
-    accelerator, dispatcher = build_pipeline(lifeguard)
     engine = ColumnarEngine(dispatcher)
     cycles = engine.consume_columns(RecordColumns.from_records(records))
     return _finish(lifeguard, accelerator, dispatcher, cycles)
-
-
-_RECORD_LEGS = {
-    "consume_batch": _run_consume_batch,
-    "consume_each": _run_consume_each,
-    "columnar": _run_columnar,
-    "numpy": _run_numpy,
-}
 
 
 def _expect(condition: bool, seed: int, leg: str, lifeguard: str, message: str) -> None:
@@ -240,9 +198,6 @@ def _compare_record_leg(seed: int, leg: str, name: str,
             f"AcceleratorStats diverge: {other.accelerator} vs {reference.accelerator}")
     _expect(other.cycles == reference.cycles, seed, leg, name,
             f"total cycles diverge: {other.cycles} vs {reference.cycles}")
-    if other.per_record is not None and reference.per_record is not None:
-        _expect(other.per_record == reference.per_record, seed, leg, name,
-                "per-record cycle sequences diverge")
     _expect(other.mapper == reference.mapper, seed, leg, name,
             f"MapperStats diverge: {other.mapper} vs {reference.mapper}")
     _expect(other.state == reference.state, seed, leg, name,
@@ -371,11 +326,9 @@ def run_case(
             if not manifest.is_clean and name in manifest.detectors:
                 result.detected_by.append(name)
 
-            for leg, runner in _RECORD_LEGS.items():
-                if leg not in engines:
-                    continue
-                outcome = _timed(leg, lambda: runner(records, lifeguard_cls))
-                _compare_record_leg(seed, leg, name, reference, outcome)
+            if "columnar" in engines:
+                outcome = _timed("columnar", lambda: _run_columnar(records, lifeguard_cls))
+                _compare_record_leg(seed, "columnar", name, reference, outcome)
 
             if trace_path is not None:
                 replay = _timed("trace_replay", lambda: replay_trace(trace_path, lifeguard_cls))

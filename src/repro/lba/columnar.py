@@ -1,11 +1,12 @@
 """Columnar record pipeline: run-grouped dispatch over decoded columns.
 
-The scalar consumer walks one record object at a time through
-:meth:`EventAccelerator.process` and per-event handler dispatch.  This
-module is its structure-of-arrays twin: a chunk decoded into
+The reference consumer, :meth:`EventDispatcher.consume`, walks one record
+object at a time through :meth:`EventAccelerator.process` and per-event
+handler dispatch.  This module is the one fast path over it, its
+structure-of-arrays twin: a chunk decoded into
 :class:`repro.trace.codec.RecordColumns` is consumed by run-length-grouping
 consecutive rows with the same event ordinal *and* field-presence bitmap,
-and feeding each homogeneous run to a vectorized step:
+and feeding each homogeneous run to a pure-Python run step:
 
 * absorbing Inheritance-Tracking transitions (``mem_to_reg``,
   ``imm_to_reg``, ``reg_self``/``mem_self``) are run-applied by the
@@ -17,7 +18,7 @@ and feeding each homogeneous run to a vectorized step:
   (:meth:`repro.lifeguards.base.Lifeguard.columnar_handlers`) that skip
   :class:`DeliveredEvent` construction entirely;
 * everything else -- annotation records, ``other`` events, lifeguards or
-  configurations without a vectorized twin -- falls back to the scalar
+  configurations without a run step -- falls back to the scalar
   :meth:`EventDispatcher.consume`, row by row, inside the same pass.
 
 Bit-identity contract: for any column set, ``consume_columns(columns)``
@@ -35,7 +36,7 @@ run-grouped interleaving equivalent to the scalar order:
   flushes, filter lookups) are performed in exact scalar order, row by
   row, whenever a run contains events that could observe them.
 
-The engine only vectorizes when the dispatcher has no cache hierarchy
+The engine only groups runs when the dispatcher has no cache hierarchy
 attached (offline replay); with a hierarchy the per-event metadata
 addresses feed the cache model, and the engine transparently degrades to
 the scalar :meth:`EventDispatcher.consume`, record by record.
@@ -109,27 +110,11 @@ _FAST_SLOTS = (
 class ColumnarEngine:
     """Run-grouped columnar consumer wrapped around an :class:`EventDispatcher`."""
 
-    def __init__(self, dispatcher: EventDispatcher, kernels=None) -> None:
+    def __init__(self, dispatcher: EventDispatcher) -> None:
         self.dispatcher = dispatcher
         self.accelerator = dispatcher.accelerator
         self.lifeguard = dispatcher.lifeguard
-        #: runs consumed by a numpy kernel / runs a kernel declined (read,
-        #: never hooked, by end-of-replay telemetry collection)
-        self.kernel_runs = 0
-        self.kernel_fallbacks = 0
-        #: optional numpy kernel tier: ``None`` disables it (also pass
-        #: ``kernels=False`` explicitly); by default the tier is built from
-        #: the lifeguard's ``columnar_kernels()`` capabilities and is
-        #: ``None`` on numpy-less hosts, keeping today's scalar paths.
-        if kernels is None:
-            from repro.lba.kernels import build_tier
-
-            self._kernel_tier = build_tier(self.lifeguard)
-        elif kernels is False:
-            self._kernel_tier = None
-        else:
-            self._kernel_tier = kernels
-        #: vectorized steps need usage-count cycle charging only; a cache
+        #: run steps need usage-count cycle charging only; a cache
         #: hierarchy needs the actual metadata addresses per event, so the
         #: engine falls back to the scalar ``consume`` loop then.
         self.supported = dispatcher.hierarchy is None
@@ -244,9 +229,6 @@ class ColumnarEngine:
                     _ORD_DEST_REG_OP_MEM, _ORD_DEST_MEM_OP_REG, _ORD_OTHER,
                 ):
                     steps[ordinal] = self._step_prop_no_it
-        tier = self._kernel_tier
-        if tier is not None:
-            tier.install(self, steps)
         self._steps = steps
 
     # ------------------------------------------------------------------ main entry
@@ -255,9 +237,8 @@ class ColumnarEngine:
         """Consume one decoded column set; returns total lifeguard cycles.
 
         Bit-identical to ``sum(dispatcher.consume(r) for r in
-        columns.records())``, which is what it runs (through
-        :meth:`EventDispatcher.consume_batch`) when a cache hierarchy is
-        attached.
+        columns.records())``, which is what it runs when a cache hierarchy
+        is attached.
 
         ``columns`` may be backed by zero-copy ``memoryview`` casts over a
         shared-memory segment (:meth:`RecordColumns.from_buffers`) instead
@@ -269,7 +250,11 @@ class ColumnarEngine:
         segment) after this returns.
         """
         if not self.supported:
-            return self.dispatcher.consume_batch(columns.records())
+            consume = self.dispatcher.consume
+            cycles = 0
+            for record in columns.records():
+                cycles += consume(record)
+            return cycles
         self._begin_columns(columns)
         # The telemetry check is the whole disabled-mode cost: one
         # attribute load and one branch per chunk.

@@ -18,7 +18,7 @@ lifeguard-core cycles:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Union
+from typing import Iterable, Optional, Union
 
 from repro.cache.hierarchy import AccessType, MemoryHierarchy
 from repro.core.accelerator import EventAccelerator
@@ -125,25 +125,3 @@ class EventDispatcher:
             cycles += event_cycles
         stats.lifeguard_cycles += cycles
         return cycles
-
-    def consume_batch(self, records: Iterable[Record]) -> int:
-        """Process a record sequence; returns the total lifeguard-core cycles.
-
-        A loop over :meth:`consume`: the entry point for callers that hold
-        a whole record sequence (the columnar engine's fallback when a
-        cache hierarchy is attached).
-        """
-        consume = self.consume
-        cycles = 0
-        for record in records:
-            cycles += consume(record)
-        return cycles
-
-    def consume_each(self, records: Iterable[Record]) -> List[int]:
-        """Process a record sequence; returns the cycles of *each* record.
-
-        A loop over :meth:`consume`, for batch consumers that need the
-        per-record cycle costs (e.g. to feed a timing model).
-        """
-        consume = self.consume
-        return [consume(record) for record in records]

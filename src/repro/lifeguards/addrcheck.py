@@ -96,15 +96,6 @@ class AddrCheck(Lifeguard):
             EventType.MEM_STORE: (self._fast_mem_access, True),
         }
 
-    def columnar_kernels(self):
-        """NumPy kernel capabilities (see :meth:`Lifeguard.columnar_kernels`)."""
-        return {
-            "check": "addrcheck",
-            "shadow": self.accessible,
-            "heap_base": self._layout.heap_base,
-            "heap_limit": self._layout.mmap_base,
-        }
-
     # ------------------------------------------------------------------ helpers
 
     def _in_heap(self, address: int) -> bool:

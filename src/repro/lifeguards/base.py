@@ -331,20 +331,6 @@ class Lifeguard(ABC):
         """
         return {}
 
-    def columnar_kernels(self):
-        """Capability record for the optional NumPy kernel tier.
-
-        Returns ``None`` (no vectorized kernels) by default.  Lifeguards
-        whose span fast handlers reduce to bulk array operations return a
-        dict consumed by :class:`repro.lba.kernels.KernelTier` -- see that
-        module for the recognised keys (``check``, ``fill``, ``cond_test``,
-        ``shadow``, region bounds and mask tables).  The same subclassing
-        caveat as :meth:`columnar_handlers` applies: overriding a scalar
-        handler without overriding this method would let the inherited
-        kernels bypass the extension.
-        """
-        return None
-
     def meta_read_bits(self, app_address: int, bits: int) -> int:
         """Translate and read the per-byte bit field covering ``app_address``."""
         self.mapper().translate(app_address)

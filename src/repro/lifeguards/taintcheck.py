@@ -97,13 +97,6 @@ class TaintCheck(Lifeguard):
             EventType.DEST_REG_OP_MEM: (self._fast_dest_reg_op_mem, True),
         }
 
-    def columnar_kernels(self):
-        """NumPy kernel capabilities (see :meth:`Lifeguard.columnar_kernels`)."""
-        return {
-            "fill": "clear_element",
-            "shadow": self.taint,
-        }
-
     # ------------------------------------------------------------------ metadata helpers
 
     def register_tainted(self, reg: Optional[int]) -> bool:

@@ -236,21 +236,6 @@ class TwoLevelShadowMap(MetadataMap):
             self._assign_base(level1)
         return chunk
 
-    def chunk_buffer(self, level1: int, materialize: bool = False):
-        """Raw element buffer of chunk ``level1`` (zero-copy, no stats).
-
-        The vectorized kernel tier reads/writes chunk elements through
-        ``numpy.frombuffer`` views over this buffer, sharing state with the
-        scalar element accessors.  Returns ``None`` for an unmaterialised
-        chunk unless ``materialize`` is set, in which case the buffer (and
-        its arena base, if missing) is created exactly as the first scalar
-        write would.  Callers account their own ``reads``/``writes``.
-        """
-        chunk = self._chunks.get(level1)
-        if chunk is None and materialize:
-            chunk = self._allocate_buffer(level1)
-        return chunk
-
     # -- MetadataMap API -------------------------------------------------------------
 
     def translate(self, app_address: int) -> int:

@@ -208,18 +208,13 @@ def collect_pipeline(
     lifeguard=None,
     shadow=None,
     recorder: Optional[PipelineRecorder] = None,
-    engine=None,
+    engine=None,  # unused; perfbench/perlayer.py still passes it
 ) -> MetricsRegistry:
     """Read pipeline stats objects into ``registry`` at a collection point.
 
     ``accelerator`` may have any of ``it`` / ``idempotent_filter`` /
     ``mtlb`` set to ``None``; the required counter names are still emitted
     (as zeros) so snapshot schemas stay stable across configurations.
-
-    ``engine`` is a :class:`~repro.lba.columnar.ColumnarEngine` (or any
-    object with ``kernel_runs`` / ``kernel_fallbacks`` attributes); its
-    vectorized-kernel tier counters are plain integers read here once at
-    the collection point -- the hot dispatch loop is never hooked.
     """
     if accelerator is not None:
         for name in REQUIRED_ACCELERATOR_COUNTERS:
@@ -280,15 +275,6 @@ def collect_pipeline(
             disp.miss_handler_instructions
         )
         registry.counter("dispatch.lifeguard_cycles").inc(disp.lifeguard_cycles)
-        # Always present (zeros without a columnar engine or without the
-        # kernel tier) so snapshot schemas stay stable.
-        registry.counter("dispatch.kernel_runs")
-        registry.counter("dispatch.kernel_fallbacks")
-    if engine is not None:
-        registry.counter("dispatch.kernel_runs").inc(getattr(engine, "kernel_runs", 0))
-        registry.counter("dispatch.kernel_fallbacks").inc(
-            getattr(engine, "kernel_fallbacks", 0)
-        )
     if lifeguard is not None:
         mapper = lifeguard.mapper_stats()
         if mapper is not None:

@@ -331,7 +331,7 @@ class RecordColumns:
     __slots__ = (
         "n", "kind", "ordinal", "flags", "pc", "dest_reg", "src_reg",
         "dest_addr", "src_addr", "size", "base_reg", "index_reg",
-        "thread_id", "immediates", "objects", "runs", "_typed",
+        "thread_id", "immediates", "objects", "runs",
     )
 
     def __init__(self, count: int) -> None:
@@ -356,8 +356,6 @@ class RecordColumns:
         #: by the decoder (the previous row's key is already in hand), so
         #: consumers iterate runs without re-scanning the columns.
         self.runs: List[Tuple[int, int, int, int]] = []
-        #: lazy per-column typed-buffer cache (see :meth:`typed_column`)
-        self._typed: Optional[Dict[str, object]] = None
 
     def __len__(self) -> int:
         return self.n
@@ -566,7 +564,6 @@ class RecordColumns:
         columns.immediates = dict(zip(imm_rows, imm_values))
         flat = iter(runs_flat)
         columns.runs = list(zip(flat, flat, flat, flat))
-        columns._typed = None
         return columns
 
     def release(self) -> None:
@@ -577,40 +574,11 @@ class RecordColumns:
         Released columns are replaced by empty tuples, so further row
         access fails loudly instead of reading unmapped memory.
         """
-        self._typed = None
         for name in ("kind", "ordinal") + _INT64_COLUMNS:
             value = getattr(self, name, None)
             if isinstance(value, memoryview):
                 value.release()
                 setattr(self, name, ())
-
-    def typed_column(self, name: str):
-        """Int64 buffer view of a dense value column (or ``None``).
-
-        The vectorized kernel tier consumes columns through this accessor:
-        memoryview-backed columns (:meth:`from_buffers`) are returned as-is
-        (zero-copy), list-backed columns are packed into an ``array("q")``
-        once and cached.  Returns ``None`` -- also cached -- when any value
-        falls outside int64, so kernels route such runs to the scalar path
-        instead of silently wrapping.
-        """
-        cache = self._typed
-        if cache is None:
-            cache = self._typed = {}
-        try:
-            return cache[name]
-        except KeyError:
-            pass
-        column = getattr(self, name)
-        if isinstance(column, memoryview):
-            buf = column
-        else:
-            try:
-                buf = array("q", column)
-            except (OverflowError, TypeError):
-                buf = None
-        cache[name] = buf
-        return buf
 
 
 class RecordDecoder:

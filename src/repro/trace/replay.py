@@ -288,7 +288,6 @@ def replay_trace(
                 accelerator=accelerator,
                 lifeguard=instance,
                 recorder=OBS.recorder,
-                engine=engine,
             )
     return ReplayResult(
         lifeguard=lifeguard_cls.name,

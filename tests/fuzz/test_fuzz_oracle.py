@@ -1,11 +1,11 @@
 """Tier-1 differential-fuzzing block plus oracle mutation smoke tests.
 
-Every seed of the tier-1 block runs the full engine matrix: per-record
-``consume`` (reference), ``consume_batch``, ``consume_each``, the columnar
-engine, a trace-file round-trip replay, the live dual-core platform, and
-the multi-core platform at N in {1, 2, 4} -- asserting bit-identical
-reports/stats/cycles (and internal IT/IF/M-TLB state for the in-process
-record legs), manifest-driven bug detection, and clean-seed silence.
+Every seed of the tier-1 block runs all five engine legs: per-record
+``consume`` (reference), the columnar engine, a trace-file round-trip
+replay, the live dual-core platform, and the multi-core platform at N in
+{1, 2, 4} -- asserting bit-identical reports/stats/cycles (and internal
+IT/IF/M-TLB state for the columnar leg), manifest-driven bug detection,
+and clean-seed silence.
 
 The mutation tests prove the oracle has teeth: a deliberately broken
 dispatch path must be *caught* as a :class:`FuzzFailure`, not slip
@@ -17,8 +17,9 @@ import pytest
 
 from repro.core.events import EventType
 from repro.fuzz import FuzzFailure, run_seed
-from repro.lba.dispatch import EventDispatcher
+from repro.lba.columnar import ColumnarEngine
 from repro.lifeguards.memcheck import MemCheck
+from repro.trace.codec import RecordColumns
 
 #: The tier-1 seed block (CI runs the same range through the CLI).
 TIER1_SEEDS = range(25)
@@ -55,30 +56,28 @@ class TestOracleCatchesMutations:
         assert excinfo.value.lifeguard == "MemCheck"
 
     def test_record_dropping_batch_dispatch_is_caught(self, monkeypatch):
-        original = EventDispatcher.consume_batch
+        """Columnar dispatch of a chunk that silently drops its last row."""
+        original = ColumnarEngine.consume_columns
 
-        def dropping(self, records):
-            materialized = list(records)
-            return original(self, materialized[:-1])  # silently drop one record
+        def dropping(self, columns):
+            kept = RecordColumns.from_records(columns.records()[:-1])
+            return original(self, kept)
 
-        monkeypatch.setattr(EventDispatcher, "consume_batch", dropping)
+        monkeypatch.setattr(ColumnarEngine, "consume_columns", dropping)
         with pytest.raises(FuzzFailure) as excinfo:
-            run_seed(0, engines=("consume", "consume_batch"), lifeguards=["MemCheck"])
-        assert excinfo.value.leg == "consume_batch"
+            run_seed(0, engines=("consume", "columnar"), lifeguards=["MemCheck"])
+        assert excinfo.value.leg == "columnar"
 
     def test_miscounted_cycles_are_caught(self, monkeypatch):
-        original = EventDispatcher.consume_each
+        original = ColumnarEngine.consume_columns
 
-        def inflated(self, records):
-            per_record = original(self, records)
-            if per_record:
-                per_record[-1] += 1  # off-by-one in the last record's cycles
-            return per_record
+        def inflated(self, columns):
+            return original(self, columns) + 1  # one cycle too many
 
-        monkeypatch.setattr(EventDispatcher, "consume_each", inflated)
+        monkeypatch.setattr(ColumnarEngine, "consume_columns", inflated)
         with pytest.raises(FuzzFailure) as excinfo:
-            run_seed(0, engines=("consume", "consume_each"), lifeguards=["AddrCheck"])
-        assert excinfo.value.leg == "consume_each"
+            run_seed(0, engines=("consume", "columnar"), lifeguards=["AddrCheck"])
+        assert excinfo.value.leg == "columnar"
 
 
 class TestFaultInjectionLeg:

@@ -1,24 +1,29 @@
-"""Batched-vs-per-record dispatch equivalence.
+"""Batched-columns-vs-per-record dispatch equivalence.
 
-The acceptance bar of the hot-path overhaul: ``consume_batch`` must produce
-*bit-identical* simulated-cycle accounting to a per-record ``consume`` loop
--- same :class:`DispatchStats`, same :class:`AcceleratorStats`, same total
-lifeguard cycles and same error reports -- for every lifeguard, with and
-without a modelled cache hierarchy.
+Replay hands the dispatcher one decoded column batch per trace chunk, so
+runs are cut wherever a chunk ends.  ``ColumnarEngine.consume_columns``
+fed a record stream in fixed-size column batches must produce
+*bit-identical* simulated-cycle accounting to a per-record ``consume``
+loop -- same :class:`DispatchStats`, same :class:`AcceleratorStats`, same
+total lifeguard cycles and same error reports -- for every lifeguard, with
+and without a modelled cache hierarchy.
 """
 
 import pytest
 
 from repro.cache.hierarchy import MemoryHierarchy
-from repro.core.accelerator import AcceleratorConfig, EventAccelerator
-from repro.core.config import SystemConfig
 from repro.isa.machine import Machine
 from repro.lba.capture import LogProducer
+from repro.lba.columnar import ColumnarEngine
 from repro.lba.dispatch import EventDispatcher
 from repro.lifeguards import ALL_LIFEGUARDS
+from repro.trace.codec import RecordColumns
 from repro.trace.replay import build_pipeline
 from repro.workloads.base import get_workload
 from repro.workloads.bugs import double_free, uninitialized_condition, use_after_free
+
+#: Rows per column batch: small and odd enough to cut runs mid-way.
+BATCH_ROWS = 61
 
 
 def _workload_records(name, scale=0.3):
@@ -48,18 +53,30 @@ def buggy_records():
     return records
 
 
-def _run_per_record(records, lifeguard_name):
-    lifeguard = ALL_LIFEGUARDS[lifeguard_name]()
+def _pipeline(lifeguard, hierarchy):
     accelerator, dispatcher = build_pipeline(lifeguard)
+    if hierarchy:
+        dispatcher = EventDispatcher(lifeguard, accelerator, MemoryHierarchy(num_cores=2))
+    return accelerator, dispatcher
+
+
+def _run_per_record(records, lifeguard_name, hierarchy=False):
+    lifeguard = ALL_LIFEGUARDS[lifeguard_name]()
+    accelerator, dispatcher = _pipeline(lifeguard, hierarchy)
     cycles = sum(dispatcher.consume(record) for record in records)
     lifeguard.finalize()
     return lifeguard, accelerator, dispatcher, cycles
 
 
-def _run_batched(records, lifeguard_name):
+def _run_batched(records, lifeguard_name, hierarchy=False):
     lifeguard = ALL_LIFEGUARDS[lifeguard_name]()
-    accelerator, dispatcher = build_pipeline(lifeguard)
-    cycles = dispatcher.consume_batch(records)
+    accelerator, dispatcher = _pipeline(lifeguard, hierarchy)
+    engine = ColumnarEngine(dispatcher)
+    assert engine.supported is not hierarchy
+    cycles = 0
+    for start in range(0, len(records), BATCH_ROWS):
+        batch = RecordColumns.from_records(records[start:start + BATCH_ROWS])
+        cycles += engine.consume_columns(batch)
     lifeguard.finalize()
     return lifeguard, accelerator, dispatcher, cycles
 
@@ -76,6 +93,7 @@ def _assert_identical(per, batched):
 
 @pytest.mark.parametrize("name", sorted(ALL_LIFEGUARDS))
 def test_batched_matches_per_record_on_spec_stream(spec_records, name):
+    assert len(spec_records) > BATCH_ROWS
     _assert_identical(
         _run_per_record(spec_records, name), _run_batched(spec_records, name)
     )
@@ -96,41 +114,10 @@ def test_batched_matches_per_record_with_reports(buggy_records, name):
     assert per[0].reports, "bug workloads should produce reports"
 
 
-def _pipeline_with_hierarchy(lifeguard):
-    config = SystemConfig().gated_for(lifeguard)
-    accelerator = EventAccelerator(lifeguard.etct, AcceleratorConfig.from_system(config))
-    lifeguard.attach_hardware(accelerator.mtlb)
-    dispatcher = EventDispatcher(lifeguard, accelerator, MemoryHierarchy(num_cores=2))
-    return accelerator, dispatcher
-
-
 @pytest.mark.parametrize("name", ["MemCheck", "TaintCheck"])
 def test_batched_matches_per_record_with_cache_hierarchy(buggy_records, name):
     """Cache-latency charging must also be identical between the two paths."""
-    lifeguard_p = ALL_LIFEGUARDS[name]()
-    accelerator_p, dispatcher_p = _pipeline_with_hierarchy(lifeguard_p)
-    cycles_p = sum(dispatcher_p.consume(record) for record in buggy_records)
-    lifeguard_p.finalize()
-
-    lifeguard_b = ALL_LIFEGUARDS[name]()
-    accelerator_b, dispatcher_b = _pipeline_with_hierarchy(lifeguard_b)
-    cycles_b = dispatcher_b.consume_batch(buggy_records)
-    lifeguard_b.finalize()
-
-    assert dispatcher_p.stats == dispatcher_b.stats
-    assert accelerator_p.stats == accelerator_b.stats
-    assert cycles_p == cycles_b
-    assert lifeguard_p.reports == lifeguard_b.reports
-
-
-def test_consume_batch_accepts_generators(spec_records):
-    """Batch input may be any iterable, not just a list."""
-    lifeguard_list = ALL_LIFEGUARDS["TaintCheck"]()
-    _, dispatcher_list = build_pipeline(lifeguard_list)
-    dispatcher_list.consume_batch(spec_records)
-
-    lifeguard_gen = ALL_LIFEGUARDS["TaintCheck"]()
-    _, dispatcher_gen = build_pipeline(lifeguard_gen)
-    dispatcher_gen.consume_batch(record for record in spec_records)
-
-    assert dispatcher_list.stats == dispatcher_gen.stats
+    per = _run_per_record(buggy_records, name, hierarchy=True)
+    batched = _run_batched(buggy_records, name, hierarchy=True)
+    _assert_identical(per, batched)
+    assert per[2].hierarchy.memory_accesses == batched[2].hierarchy.memory_accesses

@@ -2,9 +2,11 @@
 
 The conformance matrix proves the engine bit-identical over whole
 workload streams; these tests aim crafted record sequences at the
-run-grouping machinery itself -- runs of length one, runs spanning trace
-chunk boundaries, mixed-ordinal chunks, annotation rows splitting runs,
-and the scalar fallback paths.
+run-grouping machinery itself -- runs of length one, long same-ordinal
+runs, runs spanning trace chunk boundaries and shadow pages, mixed-ordinal
+chunks, annotation rows splitting runs, addresses outside int64,
+memoryview-backed columns, and the scalar fallback paths.  Every case is
+compared with the per-record ``EventDispatcher.consume`` reference.
 """
 
 import os
@@ -76,23 +78,38 @@ def _reference(records, lifeguard_name):
     return lifeguard, accelerator, dispatcher, cycles
 
 
-def _columnar(records, lifeguard_name):
+def _chunks(records, chunk_rows=None):
+    """One column set, or ``chunk_rows``-row column sets that cut runs."""
+    if chunk_rows is None:
+        return [RecordColumns.from_records(records)]
+    return [RecordColumns.from_records(records[i:i + chunk_rows])
+            for i in range(0, len(records), chunk_rows)]
+
+
+def _columnar(chunks, lifeguard_name):
     lifeguard = ALL_LIFEGUARDS[lifeguard_name]()
     accelerator, dispatcher = build_pipeline(lifeguard)
-    cycles = ColumnarEngine(dispatcher).consume_columns(
-        RecordColumns.from_records(records)
-    )
+    engine = ColumnarEngine(dispatcher)
+    cycles = sum(engine.consume_columns(columns) for columns in chunks)
     lifeguard.finalize()
     return lifeguard, accelerator, dispatcher, cycles
 
 
-def _assert_identical(records, lifeguard_name):
-    ref = _reference(records, lifeguard_name)
-    col = _columnar(records, lifeguard_name)
-    assert ref[2].stats == col[2].stats
-    assert ref[1].stats == col[1].stats
-    assert ref[3] == col[3]
-    assert ref[0].reports == col[0].reports
+def _assert_matches(ref, col):
+    """Reports, stats, cycles, mapper counters and IT/IF/M-TLB state agree."""
+    assert col[2].stats.diff(ref[2].stats) == {}
+    assert col[1].stats == ref[1].stats
+    assert col[3] == ref[3]
+    assert col[0].reports == ref[0].reports
+    assert col[0].mapper_stats() == ref[0].mapper_stats()
+    assert col[1].state_signature() == ref[1].state_signature()
+
+
+def _assert_identical(records, lifeguard_name, chunk_rows=None):
+    _assert_matches(
+        _reference(records, lifeguard_name),
+        _columnar(_chunks(records, chunk_rows), lifeguard_name),
+    )
 
 
 @pytest.mark.parametrize("lifeguard", LIFEGUARDS)
@@ -187,6 +204,113 @@ def test_engine_degrades_to_batched_path_with_hierarchy():
     columnar_stats, columnar_cycles = run(columnar=True)
     assert scalar_stats == columnar_stats
     assert scalar_cycles == columnar_cycles
+
+
+# ------------------------------------------------------------------ long runs
+#
+# Captured traces average about 1.3 rows per run.  These streams drive the
+# run steps with long same-ordinal runs, each dispatched whole and cut into
+# 40-row chunks.
+
+#: Level-1 page size of the two-level shadow maps (level1_bits=16).
+L1_PAGE = 1 << 16
+
+
+def _alloc(base, size):
+    return AnnotationRecord(event_type=EventType.MALLOC, address=base, size=size, pc=0x10)
+
+
+def _store_imm(addr, pc=0x200):
+    return InstructionRecord(pc=pc, event_type=EventType.IMM_TO_MEM,
+                             dest_addr=addr, size=4, is_store=True)
+
+
+def _load_reg(addr, reg, pc=0x300):
+    return InstructionRecord(pc=pc, event_type=EventType.MEM_TO_REG,
+                             dest_reg=reg, src_addr=addr, size=4, is_load=True)
+
+
+def _cond_test(reg, pc=0x400):
+    return InstructionRecord(pc=pc, event_type=EventType.COND_TEST,
+                             src_reg=reg, is_cond_test=True)
+
+
+def _mem_load(addr, pc=0x500):
+    return InstructionRecord(pc=pc, event_type=EventType.MEM_LOAD,
+                             src_addr=addr, size=4, is_load=True)
+
+
+def _same_ordinal_runs(n_blocks=3, run=48):
+    """Runs of ``run`` rows of four event shapes over disjoint heap blocks."""
+    records = []
+    for block in range(n_blocks):
+        base = HEAP + block * 0x40000
+        records.append(_alloc(base, run * 8))
+        records.extend(_store_imm(base + 4 * i, pc=0x200 + block) for i in range(run))
+        records.extend(_load_reg(base + 4 * i, i % 4, pc=0x300 + block) for i in range(run))
+        records.extend(_cond_test(5, pc=0x400 + block) for _ in range(run))
+        records.extend(_mem_load(base + 4 * i, pc=0x500 + block) for i in range(run))
+    return records
+
+
+@pytest.mark.parametrize("lifeguard", LIFEGUARDS)
+def test_same_ordinal_runs_match_consume(lifeguard):
+    records = _same_ordinal_runs()
+    for chunk_rows in (None, 40):
+        _assert_identical(records, lifeguard, chunk_rows)
+
+
+@pytest.mark.parametrize("lifeguard", LIFEGUARDS)
+def test_page_spanning_runs_match_consume(lifeguard):
+    """Runs over a block that straddles a shadow level-1 page boundary."""
+    base = HEAP + L1_PAGE - 96
+    run = 48
+    records = [_alloc(base, run * 4)]
+    records.extend(_store_imm(base + 4 * i) for i in range(run))
+    records.extend(_load_reg(base + 4 * i, i % 4) for i in range(run))
+    records.extend(_mem_load(base + 4 * i) for i in range(run))
+    for chunk_rows in (None, 40):
+        _assert_identical(records, lifeguard, chunk_rows)
+
+
+@pytest.mark.parametrize("lifeguard", LIFEGUARDS)
+def test_addresses_beyond_int64_match_consume(lifeguard):
+    """``2**64 + HEAP`` is a huge non-heap address: anything that cut it to
+    64 bits would alias it back into the heap and diverge here."""
+    run = 32
+    records = [_alloc(HEAP, 0x1000)]
+    records.extend(_store_imm((1 << 64) + HEAP + 4 * i) for i in range(run))
+    records.extend(_load_reg((1 << 64) + HEAP + 4 * i, i % 4) for i in range(run))
+    records.extend(_mem_load((1 << 63) + 4 * i) for i in range(run))
+    for chunk_rows in (None, 40):
+        _assert_identical(records, lifeguard, chunk_rows)
+
+
+@pytest.mark.parametrize("lifeguard", LIFEGUARDS)
+def test_addresses_near_int64_match_consume(lifeguard):
+    """Addresses just above ``2**62``, where ``address + size`` nears int64."""
+    run = 32
+    base = (1 << 62) + 16
+    records = [_store_imm(base + 4 * i) for i in range(run)]
+    records.extend(_load_reg(base + 4 * i, i % 4) for i in range(run))
+    for chunk_rows in (None, 40):
+        _assert_identical(records, lifeguard, chunk_rows)
+
+
+@pytest.mark.parametrize("lifeguard", LIFEGUARDS)
+def test_memoryview_backed_columns_match_consume(lifeguard):
+    """Shared-memory style columns (``from_buffers``) dispatch identically."""
+    records = _same_ordinal_runs(n_blocks=2)
+    layout, parts = RecordColumns.from_records(records).to_buffers()
+    backing = bytearray(layout.nbytes)
+    for (_name, _typecode, offset, nbytes), part in zip(layout.fields, parts):
+        backing[offset:offset + nbytes] = memoryview(part).cast("B")
+    columns = RecordColumns.from_buffers(layout, backing)
+    try:
+        assert isinstance(columns.src_addr, memoryview)
+        _assert_matches(_reference(records, lifeguard), _columnar([columns], lifeguard))
+    finally:
+        columns.release()
 
 
 def test_hand_built_columns_get_runs_lazily():

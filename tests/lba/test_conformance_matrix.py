@@ -1,23 +1,22 @@
 """Differential conformance matrix: every lifeguard × every workload.
 
-Five consumption paths must agree bit for bit on every cell of the
-matrix:
+Three legs check every cell of the matrix bit for bit, each against its
+reference:
 
-* the per-record dispatch loop (``EventDispatcher.consume``),
-* the batched dispatch loop (``EventDispatcher.consume_batch``),
 * the run-grouped columnar engine (``ColumnarEngine.consume_columns``
-  over a structure-of-arrays flattening of the record stream), pinned
-  to its scalar paths via ``kernels=False``,
-* the same columnar engine with the vectorized NumPy kernel tier
-  enabled (on hosts without numpy the tier is absent and this leg
-  degenerates to a second scalar run, still fully checked),
+  over a structure-of-arrays flattening of the record stream) against
+  the per-record dispatch loop (``EventDispatcher.consume``),
+* the same engine with a cache hierarchy attached, where
+  ``consume_columns`` dispatches the column batch record by record
+  through ``consume``, against a ``consume`` loop over the same
+  hierarchy (cache-latency charging and cache statistics included),
 * the multi-core platform at N=1 against the classic dual-core
   :meth:`LBASystem.run` (which drives the per-record loop through the
   full timing model).
 
 "Agree" means identical error reports, identical lifeguard cycle counts
 and identical statistics -- :class:`DispatchStats`,
-:class:`AcceleratorStats`, and for the columnar leg additionally the
+:class:`AcceleratorStats`, and for the two columnar legs additionally the
 *internal* accelerator state (IT table, Idempotent-Filter contents and
 LRU order, M-TLB CAM and counters, mapper counters); for the full-system
 leg the complete :class:`MonitoringResult` including the timing
@@ -35,9 +34,11 @@ the registry.
 
 import pytest
 
+from repro.cache.hierarchy import MemoryHierarchy
 from repro.core.config import SystemConfig
 from repro.lba.capture import LogProducer
 from repro.lba.columnar import ColumnarEngine
+from repro.lba.dispatch import EventDispatcher
 from repro.lba.multicore import MultiCoreLBASystem
 from repro.lba.platform import LBASystem
 from repro.lifeguards import ALL_LIFEGUARDS
@@ -67,9 +68,16 @@ def record_streams():
     return build
 
 
-def _run_per_record(records, lifeguard_name):
-    lifeguard = ALL_LIFEGUARDS[lifeguard_name]()
+def _pipeline(lifeguard, hierarchy):
     accelerator, dispatcher = build_pipeline(lifeguard)
+    if hierarchy:
+        dispatcher = EventDispatcher(lifeguard, accelerator, MemoryHierarchy(num_cores=2))
+    return accelerator, dispatcher
+
+
+def _run_per_record(records, lifeguard_name, hierarchy=False):
+    lifeguard = ALL_LIFEGUARDS[lifeguard_name]()
+    accelerator, dispatcher = _pipeline(lifeguard, hierarchy)
     cycles = sum(dispatcher.consume(record) for record in records)
     lifeguard.finalize()
     return lifeguard, accelerator, dispatcher, cycles
@@ -77,22 +85,15 @@ def _run_per_record(records, lifeguard_name):
 
 def _run_batched(records, lifeguard_name):
     lifeguard = ALL_LIFEGUARDS[lifeguard_name]()
-    accelerator, dispatcher = build_pipeline(lifeguard)
-    cycles = dispatcher.consume_batch(records)
-    lifeguard.finalize()
-    return lifeguard, accelerator, dispatcher, cycles
-
-
-def _run_columnar(records, lifeguard_name):
-    lifeguard = ALL_LIFEGUARDS[lifeguard_name]()
-    accelerator, dispatcher = build_pipeline(lifeguard)
-    engine = ColumnarEngine(dispatcher, kernels=False)
+    accelerator, dispatcher = _pipeline(lifeguard, hierarchy=True)
+    engine = ColumnarEngine(dispatcher)
+    assert not engine.supported
     cycles = engine.consume_columns(RecordColumns.from_records(records))
     lifeguard.finalize()
     return lifeguard, accelerator, dispatcher, cycles
 
 
-def _run_numpy(records, lifeguard_name):
+def _run_columnar(records, lifeguard_name):
     lifeguard = ALL_LIFEGUARDS[lifeguard_name]()
     accelerator, dispatcher = build_pipeline(lifeguard)
     engine = ColumnarEngine(dispatcher)
@@ -118,13 +119,30 @@ def _assert_accelerator_state_equal(ref, col):
         assert ref.mtlb.stats == col.mtlb.stats
 
 
+def _cache_signature(hierarchy):
+    """Every cache counter of the hierarchy plus its memory accesses."""
+    caches = [hierarchy.l2] + [
+        cache
+        for core in range(hierarchy.num_cores)
+        for cache in (hierarchy.core(core).l1i, hierarchy.core(core).l1d)
+    ]
+    return [cache.stats for cache in caches], hierarchy.memory_accesses
+
+
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("lifeguard", LIFEGUARDS)
 def test_batched_dispatch_matches_per_record(record_streams, lifeguard, workload):
-    """``consume_batch`` is bit-identical to a ``consume`` loop on every cell."""
+    """A column batch with a cache hierarchy attached matches a ``consume`` loop.
+
+    With a hierarchy the engine cannot group runs (each event's metadata
+    address feeds the cache model), so ``consume_columns`` rebuilds the
+    records from the columns and dispatches them one by one.  Both sides
+    model the same hierarchy, so this also pins down the cache-latency
+    cycles and every cache counter.
+    """
     records = record_streams(workload)
     assert records, f"workload {workload} produced no records"
-    per = _run_per_record(records, lifeguard)
+    per = _run_per_record(records, lifeguard, hierarchy=True)
     batched = _run_batched(records, lifeguard)
     # .diff() names exactly which counters diverged on failure.
     assert per[2].stats.diff(batched[2].stats) == {}  # DispatchStats
@@ -132,6 +150,9 @@ def test_batched_dispatch_matches_per_record(record_streams, lifeguard, workload
     assert per[3] == batched[3]                      # total lifeguard cycles
     assert per[3] == per[2].stats.lifeguard_cycles
     assert per[0].reports == batched[0].reports      # error reports
+    assert per[0].mapper_stats() == batched[0].mapper_stats()
+    assert _cache_signature(per[2].hierarchy) == _cache_signature(batched[2].hierarchy)
+    _assert_accelerator_state_equal(per[1], batched[1])
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -156,43 +177,6 @@ def test_columnar_dispatch_matches_per_record(record_streams, lifeguard, workloa
     assert per[0].reports == columnar[0].reports     # error reports
     assert per[0].mapper_stats() == columnar[0].mapper_stats()
     _assert_accelerator_state_equal(per[1], columnar[1])
-
-
-@pytest.mark.parametrize("workload", WORKLOADS)
-@pytest.mark.parametrize("lifeguard", LIFEGUARDS)
-def test_numpy_kernels_match_per_record(record_streams, lifeguard, workload):
-    """The kernel-enabled columnar engine is bit-identical on every cell.
-
-    Same comparison depth as the scalar columnar leg -- stats, cycles,
-    reports, mapper counters and internal accelerator state.  Without
-    numpy the tier is absent and this re-checks the scalar paths, so the
-    test is meaningful (and must pass) on numpy-less hosts too.
-    """
-    records = record_streams(workload)
-    assert records, f"workload {workload} produced no records"
-    per = _run_per_record(records, lifeguard)
-    vectored = _run_numpy(records, lifeguard)
-    assert per[2].stats.diff(vectored[2].stats) == {}  # DispatchStats
-    assert per[1].stats == vectored[1].stats         # AcceleratorStats
-    assert per[3] == vectored[3]                     # total lifeguard cycles
-    assert vectored[3] == vectored[2].stats.lifeguard_cycles
-    assert per[0].reports == vectored[0].reports     # error reports
-    assert per[0].mapper_stats() == vectored[0].mapper_stats()
-    _assert_accelerator_state_equal(per[1], vectored[1])
-
-
-@pytest.mark.parametrize("workload", ["mcf", "pbzip2"])
-@pytest.mark.parametrize("lifeguard", LIFEGUARDS)
-def test_consume_each_matches_per_record(record_streams, lifeguard, workload):
-    """``consume_each`` returns exactly the per-record cycle sequence."""
-    records = record_streams(workload)
-    per_lifeguard = ALL_LIFEGUARDS[lifeguard]()
-    _, per_dispatcher = build_pipeline(per_lifeguard)
-    expected = [per_dispatcher.consume(record) for record in records]
-    each_lifeguard = ALL_LIFEGUARDS[lifeguard]()
-    _, each_dispatcher = build_pipeline(each_lifeguard)
-    assert each_dispatcher.consume_each(records) == expected
-    assert each_dispatcher.stats.diff(per_dispatcher.stats) == {}
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

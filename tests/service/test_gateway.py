@@ -115,7 +115,7 @@ class TestUploadAndReplay:
         # Every load touches unallocated heap, so every load is a finding
         # and the report document outgrows the 64 KiB header-line limit.
         # A jump after each load keeps runs of same-type rows as short as
-        # in captured traces (long runs engage the NumPy kernel tier).
+        # in captured traces.
         loads = 1000
         path = str(tmp_path / "findings.lbatrace")
         with TraceWriter(path) as writer:

@@ -28,20 +28,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import OPTIMIZED_CONFIG
-from repro.core.events import EVENT_TYPES, AnnotationRecord, InstructionRecord
+from repro.core.events import EVENT_TYPES, AnnotationRecord, EventType, InstructionRecord
 from repro.faultinject.corrupt import flip_chunk_bytes
 from repro.isa.machine import Machine
 from repro.lba.platform import LBASystem
-from repro.lifeguards import AddrCheck
+from repro.lifeguards import AddrCheck, MemCheck, TaintCheck
 from repro.trace.codec import RecordColumns
-from repro.trace.replay import ParallelReplay, ShardTask, _replay_shard
+from repro.trace.replay import ParallelReplay, ShardTask, _replay_shard, replay_trace
 from repro.trace.shm import (
     SEGMENT_PREFIX,
     SegmentPool,
     attach_segment,
     shared_memory_available,
 )
-from repro.trace.supervisor import ReplayError
+from repro.trace.supervisor import ReplayError, SupervisorPolicy
 from repro.trace.tracefile import TraceReader, TraceWriter
 from repro.workloads import bugs
 from tests.conftest import build_copy_loop
@@ -389,6 +389,39 @@ class TestSharedMemoryReplay:
         ).run_sequential()
         for timing in result.worker_timings:
             assert timing["ipc_s"] == 0.0
+
+    @pytest.mark.parametrize("lifeguard", [MemCheck, TaintCheck])
+    def test_forkserver_workers_release_long_runs(self, tmp_path, lifeguard):
+        """Forkserver workers dispatch long same-ordinal runs straight from
+        the shared segment and still release every view before closing it
+        (a view kept alive past dispatch fails ``SharedMemory.close`` with
+        ``BufferError``)."""
+        records = []
+        for block in range(4):
+            base = 0x0900_0000 + block * 0x1000
+            records.append(AnnotationRecord(EventType.MALLOC, address=base, size=400))
+            records.extend(
+                InstructionRecord(
+                    pc=0x300, event_type=EventType.MEM_TO_REG, dest_reg=i % 4,
+                    src_addr=base + 4 * i, size=4, is_load=True,
+                )
+                for i in range(100)
+            )
+        path = str(tmp_path / "runs.trace")
+        with TraceWriter(path, chunk_bytes=256) as writer:
+            writer.extend(records)
+        result = ParallelReplay(
+            path, lifeguard, workers=2, shared_memory=True,
+            policy=SupervisorPolicy(start_method="forkserver"),
+        ).run()
+        assert result.failures == []
+        assert result.fault_counters["shm_chunks"] > 0
+        assert result.records == len(records)
+        if lifeguard is TaintCheck:
+            # Sharded MemCheck still differs from sequential replay (each
+            # shard starts from a fresh lifeguard), so only TaintCheck's
+            # reports are compared.
+            assert result.reports == replay_trace(path, lifeguard).reports
 
 
 class TestShardResultTransport:
