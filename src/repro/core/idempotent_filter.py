@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
 from repro.core.config import IFConfig
 
@@ -100,54 +100,6 @@ class IdempotentFilter:
         stats.insertions += 1
         return False
 
-    def filter_address_run(self, cc: int, addresses, sizes, rows: List[int],
-                           thread_ids=None) -> List[int]:
-        """Vectorized dedup of one homogeneous check run over address columns.
-
-        ``rows`` selects the run's rows in the parallel ``addresses``/
-        ``sizes`` (and optionally ``thread_ids``) columns; every row is
-        looked up (and on a miss inserted) exactly as ``lookup_insert``
-        would with the key ``(cc, address, size[, thread_id])``, in row
-        order, with the per-lookup stats folded once at the end.  Returns
-        the rows that *missed* -- the checks that must still be delivered
-        to the lifeguard.  Only valid for runs where nothing between two
-        lookups can touch the filter (instruction-record runs: handlers
-        never mutate the filter, only rare annotation events do).
-        """
-        stats = self.stats
-        sets = self._sets
-        num_sets = self._num_sets
-        ways = self._ways
-        misses: List[int] = []
-        append_miss = misses.append
-        insertions = 0
-        evictions = 0
-        for row in rows:
-            if thread_ids is None:
-                key = (cc, addresses[row], sizes[row])
-            else:
-                key = (cc, addresses[row], sizes[row], thread_ids[row])
-            index = 0 if num_sets == 1 else hash(key) % num_sets
-            entries = sets.get(index)
-            if entries is None:
-                entries = sets[index] = OrderedDict()
-            if key in entries:
-                entries.move_to_end(key)
-                continue
-            if len(entries) >= ways:
-                entries.popitem(last=False)
-                evictions += 1
-            entries[key] = None
-            insertions += 1
-            append_miss(row)
-        lookups = len(rows)
-        stats.lookups += lookups
-        stats.misses += insertions
-        stats.hits += lookups - insertions
-        stats.insertions += insertions
-        stats.evictions += evictions
-        return misses
-
     def state_signature(self) -> Tuple[Tuple[int, Tuple[Hashable, ...]], ...]:
         """Hashable snapshot of the filter contents *including LRU order*.
 
@@ -177,31 +129,6 @@ class IdempotentFilter:
         if entries is not None and key in entries:
             del entries[key]
         self.stats.invalidations_selective += 1
-
-    def invalidate_range(self, cc: int, start: int, size: int) -> int:
-        """Drop every cached check of category ``cc`` whose address falls in
-        ``[start, start + size)``.
-
-        This supports selective invalidation for rare events that carry an
-        address range (e.g. ``free`` of one block) without flushing unrelated
-        checks.  Returns the number of entries removed.
-        """
-        removed = 0
-        for entries in self._sets.values():
-            stale = [
-                key
-                for key in entries
-                if len(key) >= 2
-                and key[0] == cc
-                and isinstance(key[1], int)
-                and start <= key[1] < start + size
-            ]
-            for key in stale:
-                del entries[key]
-                removed += 1
-        if removed:
-            self.stats.invalidations_selective += removed
-        return removed
 
     def resident_entries(self) -> int:
         """Number of checks currently cached."""

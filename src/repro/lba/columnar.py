@@ -2,23 +2,27 @@
 
 The reference consumer, :meth:`EventDispatcher.consume`, walks one record
 object at a time through :meth:`EventAccelerator.process` and per-event
-handler dispatch.  This module is the one fast path over it, its
-structure-of-arrays twin: a chunk decoded into
-:class:`repro.trace.codec.RecordColumns` is consumed by run-length-grouping
-consecutive rows with the same event ordinal *and* field-presence bitmap,
-and feeding each homogeneous run to a pure-Python run step:
+handler dispatch.  This module is the one fast path over it: a chunk
+decoded into :class:`repro.trace.codec.RecordColumns` is consumed by
+grouping consecutive rows with the same event ordinal *and* field-presence
+bitmap into runs, and handing each run to the one step registered for its
+ordinal:
 
-* absorbing Inheritance-Tracking transitions (``mem_to_reg``,
-  ``imm_to_reg``, ``reg_self``/``mem_self``) are run-applied by the
-  tracker itself (:meth:`InheritanceTracker.absorb_mem_to_reg_run` and
-  friends) with batched statistics;
+* a propagation step applies its Inheritance-Tracking transition row by
+  row straight from the columns; runs with no check events to interleave
+  are absorbed by the tracker itself
+  (:meth:`InheritanceTracker.absorb_mem_to_reg_run` and friends).  Every
+  register flush -- a store conflicting with an inherited range, a check
+  that reads an ``addr``-state register, a ``dest_mem op= reg`` source --
+  goes through one ``_flush_register``;
 * checking events are classified once per run (the presence bitmap is
-  uniform), deduped through the Idempotent Filter straight off the address
-  columns, and delivered through per-lifeguard span fast paths
+  uniform), their Idempotent-Filter keys are built from the columns and
+  probed through :meth:`IdempotentFilter.lookup_insert`, and delivered
+  events go through per-lifeguard span fast paths
   (:meth:`repro.lifeguards.base.Lifeguard.columnar_handlers`) that skip
-  :class:`DeliveredEvent` construction entirely;
-* everything else -- annotation records, ``other`` events, lifeguards or
-  configurations without a run step -- falls back to the scalar
+  :class:`DeliveredEvent` construction;
+* annotation records, and ``other`` events while IT is on (they flush
+  the whole IT table), fall back to the scalar
   :meth:`EventDispatcher.consume`, row by row, inside the same pass.
 
 Bit-identity contract: for any column set, ``consume_columns(columns)``
@@ -44,7 +48,6 @@ the scalar :meth:`EventDispatcher.consume`, record by record.
 
 from __future__ import annotations
 
-from collections import OrderedDict as _OrderedDict
 from typing import List, Optional
 
 from repro.core.accelerator import (
@@ -183,13 +186,6 @@ class ColumnarEngine:
         )
 
         self._ctx_cache = {}
-        filt = self.filter
-        if filt is not None:
-            # Filter geometry for the inlined probe (the sets dict object
-            # is stable: invalidations clear it in place).
-            self._if_sets = filt._sets
-            self._if_num_sets = filt._num_sets
-            self._if_ways = filt._ways
         fast = self.lifeguard.columnar_handlers() or {}
         (
             (self._fast_load, self._fast_load_tr),
@@ -256,11 +252,15 @@ class ColumnarEngine:
                 cycles += consume(record)
             return cycles
         self._begin_columns(columns)
-        # The telemetry check is the whole disabled-mode cost: one
-        # attribute load and one branch per chunk.
+        cycles = self._consume_runs(columns)
+        # Telemetry is a per-run census after the loop; disabled, it costs
+        # one attribute load and one branch per chunk.
         if OBS.enabled and OBS.recorder is not None:
-            return self._consume_runs_observed(columns, OBS.recorder)
-        return self._consume_runs(columns)
+            record_run = OBS.recorder.record_run
+            steps = self._steps
+            for i, j, o, _f in columns.runs:
+                record_run(o, j - i, o < 0 or steps[o] is None)
+        return cycles
 
     def _begin_columns(self, columns) -> None:
         """Refresh caches, zero the per-batch counters, ensure runs exist."""
@@ -284,15 +284,12 @@ class ColumnarEngine:
         self._c_it_delivered = 0
         self._c_it_transformed = 0
         self._c_it_conflict = 0
-        self._c_if_hits = 0
-        self._c_if_misses = 0
-        self._c_if_evictions = 0
         if not columns.runs and columns.n:
             # Hand-built columns without a run table: group them now.
             columns.build_runs()
 
     def _consume_runs(self, columns) -> int:
-        """The production run loop (telemetry disabled)."""
+        """The run loop: one step per run, scalar ``consume`` for the rest."""
         columnar_cycles = 0
         fallback_cycles = 0
         consume = self.dispatcher.consume
@@ -311,38 +308,6 @@ class ColumnarEngine:
                     for row in range(i, j):
                         fallback_cycles += consume(record_of(row))
                 else:
-                    columnar_cycles += step(columns, i, j, f)
-        finally:
-            self._fold(columnar_cycles)
-        return columnar_cycles + fallback_cycles
-
-    def _consume_runs_observed(self, columns, recorder) -> int:
-        """The same run loop, recording per-run telemetry.
-
-        Kept as a mirror of :meth:`_consume_runs` rather than a flag inside
-        it so the disabled path carries zero per-run telemetry branches.
-        """
-        columnar_cycles = 0
-        fallback_cycles = 0
-        consume = self.dispatcher.consume
-        objects = columns.objects
-        record_of = columns.record
-        steps = self._steps
-        record_run = recorder.record_run
-        try:
-            for i, j, o, f in columns.runs:
-                if o < 0:
-                    record_run(-1, j - i, True)
-                    for row in range(i, j):
-                        fallback_cycles += consume(objects[row])
-                    continue
-                step = steps[o]
-                if step is None:
-                    record_run(o, j - i, True)
-                    for row in range(i, j):
-                        fallback_cycles += consume(record_of(row))
-                else:
-                    record_run(o, j - i, False)
                     columnar_cycles += step(columns, i, j, f)
         finally:
             self._fold(columnar_cycles)
@@ -388,18 +353,6 @@ class ColumnarEngine:
             it_stats.events_delivered += self._c_it_delivered + self._c_rows_seen_delivered
             it_stats.events_transformed += self._c_it_transformed
             it_stats.conflict_flushes += self._c_it_conflict
-        filt = self.filter
-        if filt is not None:
-            hits = self._c_if_hits
-            misses = self._c_if_misses
-            if hits or misses:
-                if_stats = filt.stats
-                if_stats.lookups += hits + misses
-                if_stats.hits += hits
-                if_stats.misses += misses
-                # every inlined miss inserted its key
-                if_stats.insertions += misses
-                if_stats.evictions += self._c_if_evictions
 
     # ------------------------------------------------------------------ delivery
 
@@ -429,44 +382,26 @@ class ColumnarEngine:
         guarantees IT is enabled with at least one ``addr`` register, an
         address and a positive size.
         """
-        it = self.it
-        store_lo = address
         store_hi = address + size
-        entry_m2r = self._entry_m2r
-        fast = self._fast_m2r
         addr_state = ITState.ADDR
-        in_lifeguard = ITState.IN_LIFEGUARD
         cycles = 0
-        for reg, it_entry in enumerate(it._table):
+        for reg, it_entry in enumerate(self.it._table):
             if reg == exclude or it_entry.state is not addr_state:
                 continue
             own_lo = it_entry.address
             if own_lo is None:
                 continue
-            own_hi = own_lo + (it_entry.size or 1)
-            if store_lo < own_hi and own_lo < store_hi:
-                ev_addr = own_lo
-                ev_size = it_entry.size
-                it._addr_count -= 1
-                it_entry.state = in_lifeguard
-                it_entry.address = None
-                it_entry.size = 0
+            if address < own_lo + (it_entry.size or 1) and own_lo < store_hi:
                 self._c_it_conflict += 1
-                if entry_m2r is not None:
-                    self._c_prop_delivered += 1
-                    self._c_handled += 1
-                    if fast is not None:
-                        self._begin_event()
-                        fast(reg, ev_addr, ev_size)
-                        cycles += self._account(entry_m2r.handler_instructions)
-                    else:
-                        cycles += self._dispatch_m2r_flush(
-                            entry_m2r, reg, ev_addr, ev_size, pc, thread_id
-                        )
+                cycles += self._flush_register(reg, pc, thread_id)
         return cycles
 
     def _flush_register(self, reg, pc, thread_id) -> int:
-        """Flush one ``addr``-state register (the caller checked the state)."""
+        """Deliver one ``addr``-state register as a ``mem_to_reg`` flush.
+
+        Every IT flush the engine performs comes through here; the caller
+        checked the register's state.
+        """
         it = self.it
         it_entry = it._table[reg]
         ev_addr = it_entry.address
@@ -480,22 +415,18 @@ class ColumnarEngine:
             return 0
         self._c_prop_delivered += 1
         self._c_handled += 1
+        self._begin_event()
         fast = self._fast_m2r
         if fast is not None:
-            self._begin_event()
             fast(reg, ev_addr, ev_size)
-            return self._account(entry_m2r.handler_instructions)
-        return self._dispatch_m2r_flush(entry_m2r, reg, ev_addr, ev_size, pc, thread_id)
-
-    def _dispatch_m2r_flush(self, entry, reg, ev_addr, ev_size, pc, thread_id) -> int:
-        self._begin_event()
-        entry.handler(
-            DeliveredEvent(
-                EventType.MEM_TO_REG, pc, reg, None, None,
-                ev_addr, ev_size, thread_id,
+        else:
+            entry_m2r.handler(
+                DeliveredEvent(
+                    EventType.MEM_TO_REG, pc, reg, None, None,
+                    ev_addr, ev_size, thread_id,
+                )
             )
-        )
-        return self._account(entry.handler_instructions)
+        return self._account(entry_m2r.handler_instructions)
 
     def _check_flushes(self, row_sreg, row_breg, row_ireg, pc, thread_id) -> int:
         """Register flushes a non-load/store check event forces first.
@@ -504,36 +435,13 @@ class ColumnarEngine:
         guarantees IT is enabled with at least one ``addr`` register.  Note
         the scalar twin does *not* count IT conflict-flush statistics.
         """
-        it = self.it
-        table_it = it._table
+        table_it = self.it._table
         num_regs = self._it_nregs
         addr_state = ITState.ADDR
-        entry_m2r = self._entry_m2r
-        fast = self._fast_m2r
         cycles = 0
         for reg in (row_sreg, row_breg, row_ireg):
-            if reg is None or reg >= num_regs:
-                continue
-            it_entry = table_it[reg]
-            if it_entry.state is not addr_state:
-                continue
-            ev_addr = it_entry.address
-            ev_size = it_entry.size
-            it._addr_count -= 1
-            it_entry.state = ITState.IN_LIFEGUARD
-            it_entry.address = None
-            it_entry.size = 0
-            if entry_m2r is not None:
-                self._c_prop_delivered += 1
-                self._c_handled += 1
-                if fast is not None:
-                    self._begin_event()
-                    fast(reg, ev_addr, ev_size)
-                    cycles += self._account(entry_m2r.handler_instructions)
-                else:
-                    cycles += self._dispatch_m2r_flush(
-                        entry_m2r, reg, ev_addr, ev_size, pc, thread_id
-                    )
+            if reg is not None and reg < num_regs and table_it[reg].state is addr_state:
+                cycles += self._flush_register(reg, pc, thread_id)
         return cycles
 
     # ------------------------------------------------------------------ check events
@@ -574,7 +482,7 @@ class ColumnarEngine:
             per_row += 1
             # mode: 0 = unfiltered, 1/2 = specialised key shapes, 3 = generic
             load_mode = (
-                (entry_load._filter_mode or 3)
+                (entry_load.filter_mode or 3)
                 if filt is not None and entry_load.cacheable
                 else 0
             )
@@ -587,7 +495,7 @@ class ColumnarEngine:
         if entry_store is not None:
             per_row += 1
             store_mode = (
-                (entry_store._filter_mode or 3)
+                (entry_store.filter_mode or 3)
                 if filt is not None and entry_store.cacheable
                 else 0
             )
@@ -625,34 +533,6 @@ class ColumnarEngine:
             fast_ij_tr = self._fast_ij_tr and bool(f & F_SRC_ADDR)
         if not per_row:
             return None
-        # A "fusible load" run produces exactly one filterable load check
-        # (specialised key, translating fast path) plus at most a
-        # non-cacheable, non-translating address-compute fast path:
-        # _step_mem_to_reg then runs its fully fused row loop.
-        simple_ac = entry_ac is None or (
-            fast_ac is not None and not ac_cacheable and not fast_ac_tr
-        )
-        fused_load = (
-            entry_load is not None
-            and load_mode == 1
-            and fast_load is not None
-            and fast_load_tr
-            and entry_store is None
-            and entry_ct is None
-            and entry_ij is None
-            and simple_ac
-        )
-        # The store analogue, used by _step_reg_to_mem's fused row loop.
-        fused_store = (
-            entry_store is not None
-            and store_mode == 1
-            and fast_store is not None
-            and fast_store_tr
-            and entry_load is None
-            and entry_ct is None
-            and entry_ij is None
-            and simple_ac
-        )
         return (
             per_row,
             entry_load, load_mode, load_cc, load_instr, fast_load, fast_load_tr,
@@ -660,7 +540,6 @@ class ColumnarEngine:
             entry_ac, ac_cacheable, ac_instr, fast_ac, fast_ac_tr,
             entry_ct, ct_cacheable, ct_instr, fast_ct, fast_ct_tr,
             entry_ij, ij_cacheable, ij_instr, fast_ij, fast_ij_tr,
-            fused_load, fused_store,
         )
 
     def _check_row(self, cols, k, f, ctx) -> int:
@@ -676,7 +555,6 @@ class ColumnarEngine:
             entry_ac, ac_cacheable, ac_instr, fast_ac, fast_ac_tr,
             entry_ct, ct_cacheable, ct_instr, fast_ct, fast_ct_tr,
             entry_ij, ij_cacheable, ij_instr, fast_ij, fast_ij_tr,
-            _fused_load, _fused_store,
         ) = ctx
         cycles = 0
         delivered = 0
@@ -688,36 +566,16 @@ class ColumnarEngine:
             addr = cols.src_addr[k]
             deliver = True
             if load_mode:
-                if load_mode != 3:
-                    # Inlined IdempotentFilter.lookup_insert for the two
-                    # specialised key shapes (hit/miss stats batched).
-                    key = (
-                        (load_cc, addr, size)
-                        if load_mode == 1
-                        else (load_cc, addr, size, cols.thread_id[k])
-                    )
-                    sets = self._if_sets
-                    num_sets = self._if_num_sets
-                    index = 0 if num_sets == 1 else hash(key) % num_sets
-                    entries = sets.get(index)
-                    if entries is None:
-                        entries = sets[index] = _OrderedDict()
-                    if key in entries:
-                        entries.move_to_end(key)
-                        self._c_if_hits += 1
-                        self._c_check_filtered += 1
-                        deliver = False
-                    else:
-                        self._c_if_misses += 1
-                        if len(entries) >= self._if_ways:
-                            entries.popitem(last=False)
-                            self._c_if_evictions += 1
-                        entries[key] = None
-                elif filt.lookup_insert(
-                    self.accelerator.etct.filter_key(
+                # The two specialised key shapes are built from the columns.
+                if load_mode == 1:
+                    key = (load_cc, addr, size)
+                elif load_mode == 2:
+                    key = (load_cc, addr, size, cols.thread_id[k])
+                else:
+                    key = self.accelerator.etct.filter_key(
                         entry_load, self._event_mem_load(cols, k, f, addr, size)
                     )
-                ):
+                if filt.lookup_insert(key):
                     self._c_check_filtered += 1
                     deliver = False
             if deliver:
@@ -741,34 +599,15 @@ class ColumnarEngine:
             addr = cols.dest_addr[k]
             deliver = True
             if store_mode:
-                if store_mode != 3:
-                    key = (
-                        (store_cc, addr, size)
-                        if store_mode == 1
-                        else (store_cc, addr, size, cols.thread_id[k])
-                    )
-                    sets = self._if_sets
-                    num_sets = self._if_num_sets
-                    index = 0 if num_sets == 1 else hash(key) % num_sets
-                    entries = sets.get(index)
-                    if entries is None:
-                        entries = sets[index] = _OrderedDict()
-                    if key in entries:
-                        entries.move_to_end(key)
-                        self._c_if_hits += 1
-                        self._c_check_filtered += 1
-                        deliver = False
-                    else:
-                        self._c_if_misses += 1
-                        if len(entries) >= self._if_ways:
-                            entries.popitem(last=False)
-                            self._c_if_evictions += 1
-                        entries[key] = None
-                elif filt.lookup_insert(
-                    self.accelerator.etct.filter_key(
+                if store_mode == 1:
+                    key = (store_cc, addr, size)
+                elif store_mode == 2:
+                    key = (store_cc, addr, size, cols.thread_id[k])
+                else:
+                    key = self.accelerator.etct.filter_key(
                         entry_store, self._event_mem_store(cols, k, f, addr, size)
                     )
-                ):
+                if filt.lookup_insert(key):
                     self._c_check_filtered += 1
                     deliver = False
             if deliver:
@@ -999,53 +838,6 @@ class ColumnarEngine:
         if ctx is None:
             return 0
         self._c_check_in += ctx[0] * n
-        entry_ct = ctx[18]
-        if (
-            ctx[0] == 1
-            and entry_ct is not None
-            and ctx[21] is not None
-            and not ctx[22]
-            and not ctx[19]
-        ):
-            # Fused cond-test rows: the only check is an unfiltered,
-            # non-translating fast path (the dominant compare/test shape).
-            it = self.it
-            ct_instr = ctx[20]
-            fast_ct = ctx[21]
-            has_sreg = f & F_SRC_REG
-            has_saddr = f & F_SRC_ADDR
-            src_reg_col = cols.src_reg
-            src_addr_col = cols.src_addr
-            size_col = cols.size
-            pc_col = cols.pc
-            tid_col = cols.thread_id
-            it_nregs = self._it_nregs
-            addr_state = ITState.ADDR
-            cycles = 0
-            for k in range(i, j):
-                sreg = src_reg_col[k] if has_sreg else None
-                if (
-                    it is not None
-                    and it._addr_count
-                    and sreg is not None
-                    and sreg < it_nregs
-                    and it._table[sreg].state is addr_state
-                ):
-                    cycles += self._check_flushes(
-                        sreg, None, None, pc_col[k], tid_col[k]
-                    )
-                fast_ct(
-                    sreg,
-                    src_addr_col[k] if has_saddr else None,
-                    size_col[k],
-                    pc_col[k],
-                    tid_col[k],
-                )
-                cycles += NLBA_CYCLES + ct_instr
-            self._c_check_delivered += n
-            self._c_handled += n
-            self._c_handler_instr += ct_instr * n
-            return cycles
         check_row = self._check_row
         cycles = 0
         for k in range(i, j):
@@ -1102,10 +894,6 @@ class ColumnarEngine:
         self._c_it_seen += n
         self._c_it_discarded += n
         self._c_check_in += ctx[0] * n
-        # Fused path: also require no dest_addr so the addr-compute report
-        # address is unambiguously the source address.
-        if ctx[28] and f & _DREG_SADDR == _DREG_SADDR and not f & F_DEST_ADDR:
-            return self._fused_load_run(cols, i, j, f, ctx)
         cycles = 0
         check_row = self._check_row
         if f & _DREG_SADDR == _DREG_SADDR:
@@ -1128,130 +916,6 @@ class ColumnarEngine:
         else:
             for k in range(i, j):
                 cycles += check_row(cols, k, f, ctx)
-        return cycles
-
-    def _fused_load_run(self, cols, i, j, f, ctx) -> int:
-        """Fully fused ``mem_to_reg`` load rows (the hottest trace shape).
-
-        One loop performs, per row and in exact scalar order: the IT
-        inheritance write, the inlined mode-1 Idempotent-Filter probe for
-        the ``mem_load`` check, the (rare) delivery through the translating
-        load fast path, and the non-cacheable address-compute fast path
-        with its register-flush pre-test.  All counters accumulate in
-        locals and fold once at the end.  The caller verified the run
-        shape via ``ctx[28]`` and accounted ``check_events_in`` and the IT
-        seen/discarded counters.
-        """
-        it = self.it
-        table_it = it._table
-        num_regs = len(table_it)
-        addr_state = ITState.ADDR
-        dest_regs = cols.dest_reg
-        src_addrs = cols.src_addr
-        sizes = cols.size
-        pc_col = cols.pc
-        tid_col = cols.thread_id
-        load_cc = ctx[3]
-        load_instr = ctx[4]
-        fast_load = ctx[5]
-        entry_ac = ctx[13]
-        ac_instr = ctx[15]
-        fast_ac = ctx[16]
-        has_breg = f & F_BASE_REG
-        has_ireg = f & F_INDEX_REG
-        base_col = cols.base_reg
-        index_col = cols.index_reg
-        it_nregs = self._it_nregs
-        sets = self._if_sets
-        num_sets = self._if_num_sets
-        ways = self._if_ways
-        begin_event = self._begin_event
-        usage = self._usage
-        translation_instr = self._translation_instr
-        miss_cost = self._miss_cost
-        cycles = 0
-        if_hits = 0
-        if_misses = 0
-        if_evictions = 0
-        delivered = 0
-        handled = 0
-        handler_instr = 0
-        mapping_instr = 0
-        miss_instr = 0
-        for k in range(i, j):
-            # ---- IT: record the load's inheritance -----------------------
-            reg = dest_regs[k]
-            size = sizes[k]
-            addr = src_addrs[k]
-            if reg < num_regs:
-                entry = table_it[reg]
-                if entry.state is not addr_state:
-                    it._addr_count += 1
-                    entry.state = addr_state
-                entry.address = addr
-                entry.size = size or 1
-            # ---- mem_load check through the Idempotent Filter ------------
-            key = (load_cc, addr, size)
-            index = 0 if num_sets == 1 else hash(key) % num_sets
-            entries = sets.get(index)
-            if entries is None:
-                entries = sets[index] = _OrderedDict()
-            if key in entries:
-                entries.move_to_end(key)
-                if_hits += 1
-            else:
-                if_misses += 1
-                if len(entries) >= ways:
-                    entries.popitem(last=False)
-                    if_evictions += 1
-                entries[key] = None
-                delivered += 1
-                handled += 1
-                begin_event()
-                fast_load(addr, size, pc_col[k], tid_col[k])
-                translations = usage.translations
-                mapping = translations * translation_instr
-                miss = usage.mtlb_misses * miss_cost
-                handler_instr += load_instr
-                mapping_instr += mapping
-                miss_instr += miss
-                cycles += (
-                    NLBA_CYCLES + load_instr + mapping + miss
-                    + len(usage.metadata_addresses)
-                )
-            # ---- addr_compute fast path ----------------------------------
-            if entry_ac is not None:
-                breg = base_col[k] if has_breg else None
-                ireg = index_col[k] if has_ireg else None
-                if it._addr_count and (
-                    (
-                        breg is not None
-                        and breg < it_nregs
-                        and table_it[breg].state is addr_state
-                    )
-                    or (
-                        ireg is not None
-                        and ireg < it_nregs
-                        and table_it[ireg].state is addr_state
-                    )
-                ):
-                    cycles += self._check_flushes(
-                        None, breg, ireg, pc_col[k], tid_col[k]
-                    )
-                delivered += 1
-                handled += 1
-                fast_ac(breg, ireg, pc_col[k], tid_col[k], addr)
-                handler_instr += ac_instr
-                cycles += NLBA_CYCLES + ac_instr
-        self._c_if_hits += if_hits
-        self._c_if_misses += if_misses
-        self._c_if_evictions += if_evictions
-        self._c_check_filtered += if_hits
-        self._c_check_delivered += delivered
-        self._c_handled += handled
-        self._c_handler_instr += handler_instr
-        self._c_mapping_instr += mapping_instr
-        self._c_miss_instr += miss_instr
         return cycles
 
     def _step_imm_to_mem(self, cols, i, j, f) -> int:
@@ -1433,13 +1097,6 @@ class ColumnarEngine:
         check_ctx = self._check_ctx(f) if f & self._check_mask else None
         if check_ctx is not None:
             self._c_check_in += check_ctx[0] * n
-            if (
-                check_ctx[29]
-                and entry_i2m is not None
-                and fast_i2m is not None
-                and fast_i2m_tr
-            ):
-                return self._fused_store_run(cols, i, j, f, check_ctx)
         check_row = self._check_row
         cycles = 0
         transformed = 0
@@ -1519,197 +1176,6 @@ class ColumnarEngine:
         self._c_it_transformed += transformed
         self._c_prop_delivered += prop_delivered
         self._c_handled += handled
-        return cycles
-
-    def _fused_store_run(self, cols, i, j, f, ctx) -> int:
-        """Fully fused ``reg_to_mem`` store rows.
-
-        Per row, in scalar order: conflict flushes, the IT source-state
-        transform (the clean-source ``imm_to_mem`` outcome fully inlined,
-        the rarer transforms through the shared branches), the inlined
-        mode-1 filter probe for the ``mem_store`` check with its
-        translating fast-path delivery, and the address-compute fast path.
-        The caller verified the shape (``ctx[29]`` plus a registered,
-        translating ``imm_to_mem`` fast path) and accounted the run-level
-        counters.
-        """
-        it = self.it
-        table_it = it._table
-        clear_state = ITState.CLEAR
-        addr_state = ITState.ADDR
-        has_sreg = f & F_SRC_REG
-        src_reg_col = cols.src_reg
-        dest_addr_col = cols.dest_addr
-        size_col = cols.size
-        pc_col = cols.pc
-        tid_col = cols.thread_id
-        entry_i2m = self._entry_i2m
-        i2m_instr = entry_i2m.handler_instructions
-        fast_i2m = self._fast_i2m
-        store_cc = ctx[9]
-        store_instr = ctx[10]
-        fast_store = ctx[11]
-        entry_ac = ctx[13]
-        ac_instr = ctx[15]
-        fast_ac = ctx[16]
-        has_breg = f & F_BASE_REG
-        has_ireg = f & F_INDEX_REG
-        base_col = cols.base_reg
-        index_col = cols.index_reg
-        it_nregs = self._it_nregs
-        sets = self._if_sets
-        num_sets = self._if_num_sets
-        ways = self._if_ways
-        begin_event = self._begin_event
-        usage = self._usage
-        translation_instr = self._translation_instr
-        miss_cost = self._miss_cost
-        cycles = 0
-        transformed = 0
-        prop_delivered = 0
-        if_hits = 0
-        if_misses = 0
-        if_evictions = 0
-        delivered = 0
-        handled = 0
-        handler_instr = 0
-        mapping_instr = 0
-        miss_instr = 0
-        for k in range(i, j):
-            sreg = src_reg_col[k] if has_sreg else None
-            daddr = dest_addr_col[k]
-            size = size_col[k]
-            if it._addr_count and size > 0:
-                cycles += self._conflict_flushes(daddr, size, sreg, pc_col[k], tid_col[k])
-            src_state = table_it[sreg].state if sreg is not None else clear_state
-            if src_state is clear_state:
-                # Clean source: delivered as an immediate store.
-                transformed += 1
-                prop_delivered += 1
-                handled += 1
-                begin_event()
-                fast_i2m(daddr, size)
-                translations = usage.translations
-                mapping = translations * translation_instr
-                miss = usage.mtlb_misses * miss_cost
-                handler_instr += i2m_instr
-                mapping_instr += mapping
-                miss_instr += miss
-                cycles += (
-                    NLBA_CYCLES + i2m_instr + mapping + miss
-                    + len(usage.metadata_addresses)
-                )
-            elif src_state is addr_state:
-                transformed += 1
-                entry_m2m = self._entry_m2m
-                if entry_m2m is not None:
-                    prop_delivered += 1
-                    src_entry = table_it[sreg]
-                    fast_m2m = self._fast_m2m
-                    if fast_m2m is not None:
-                        if self._fast_m2m_tr:
-                            self._c_handled += 1
-                            begin_event()
-                            fast_m2m(daddr, src_entry.address, size)
-                            cycles += self._account(entry_m2m.handler_instructions)
-                        else:
-                            handled += 1
-                            fast_m2m(daddr, src_entry.address, size)
-                            instr = entry_m2m.handler_instructions
-                            handler_instr += instr
-                            cycles += NLBA_CYCLES + instr
-                    else:
-                        event = self._event_from_row(cols, k, f, EventType.MEM_TO_MEM)
-                        event.src_reg = None
-                        event.src_addr = src_entry.address
-                        cycles += self._dispatch(entry_m2m, event)
-            else:
-                self._c_it_delivered += 1
-                entry_r2m = self._entry_r2m
-                if entry_r2m is not None:
-                    prop_delivered += 1
-                    fast_r2m = self._fast_r2m
-                    if fast_r2m is not None:
-                        if self._fast_r2m_tr:
-                            self._c_handled += 1
-                            begin_event()
-                            fast_r2m(sreg, daddr, size)
-                            cycles += self._account(entry_r2m.handler_instructions)
-                        else:
-                            handled += 1
-                            fast_r2m(sreg, daddr, size)
-                            instr = entry_r2m.handler_instructions
-                            handler_instr += instr
-                            cycles += NLBA_CYCLES + instr
-                    else:
-                        cycles += self._dispatch(
-                            entry_r2m,
-                            self._event_from_row(cols, k, f, EventType.REG_TO_MEM),
-                        )
-            # ---- mem_store check through the Idempotent Filter -----------
-            key = (store_cc, daddr, size)
-            index = 0 if num_sets == 1 else hash(key) % num_sets
-            entries = sets.get(index)
-            if entries is None:
-                entries = sets[index] = _OrderedDict()
-            if key in entries:
-                entries.move_to_end(key)
-                if_hits += 1
-            else:
-                if_misses += 1
-                if len(entries) >= ways:
-                    entries.popitem(last=False)
-                    if_evictions += 1
-                entries[key] = None
-                delivered += 1
-                handled += 1
-                begin_event()
-                fast_store(daddr, size, pc_col[k], tid_col[k])
-                translations = usage.translations
-                mapping = translations * translation_instr
-                miss = usage.mtlb_misses * miss_cost
-                handler_instr += store_instr
-                mapping_instr += mapping
-                miss_instr += miss
-                cycles += (
-                    NLBA_CYCLES + store_instr + mapping + miss
-                    + len(usage.metadata_addresses)
-                )
-            # ---- addr_compute fast path ----------------------------------
-            if entry_ac is not None:
-                breg = base_col[k] if has_breg else None
-                ireg = index_col[k] if has_ireg else None
-                if it._addr_count and (
-                    (
-                        breg is not None
-                        and breg < it_nregs
-                        and table_it[breg].state is addr_state
-                    )
-                    or (
-                        ireg is not None
-                        and ireg < it_nregs
-                        and table_it[ireg].state is addr_state
-                    )
-                ):
-                    cycles += self._check_flushes(
-                        None, breg, ireg, pc_col[k], tid_col[k]
-                    )
-                delivered += 1
-                handled += 1
-                fast_ac(breg, ireg, pc_col[k], tid_col[k], daddr)
-                handler_instr += ac_instr
-                cycles += NLBA_CYCLES + ac_instr
-        self._c_it_transformed += transformed
-        self._c_prop_delivered += prop_delivered
-        self._c_if_hits += if_hits
-        self._c_if_misses += if_misses
-        self._c_if_evictions += if_evictions
-        self._c_check_filtered += if_hits
-        self._c_check_delivered += delivered
-        self._c_handled += handled
-        self._c_handler_instr += handler_instr
-        self._c_mapping_instr += mapping_instr
-        self._c_miss_instr += miss_instr
         return cycles
 
     def _step_dest_reg_op_reg(self, cols, i, j, f) -> int:

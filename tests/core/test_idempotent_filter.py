@@ -60,15 +60,6 @@ class TestInvalidation:
         assert not f.contains((1, 0x10, 4))
         assert f.contains((1, 0x20, 4))
 
-    def test_invalidate_range(self):
-        f = IdempotentFilter(IFConfig(num_entries=16))
-        f.lookup_insert((1, 0x100, 4))
-        f.lookup_insert((1, 0x104, 4))
-        f.lookup_insert((1, 0x200, 4))
-        removed = f.invalidate_range(1, 0x100, 8)
-        assert removed == 2
-        assert f.contains((1, 0x200, 4))
-
 
 class TestConfigValidation:
     def test_rejects_zero_entries(self):
@@ -115,37 +106,3 @@ class TestProperties:
         for key in keys:
             f.lookup_insert(key)
         assert f.stats.hits + f.stats.misses == f.stats.lookups == len(keys)
-
-
-class TestFilterAddressRun:
-    """The columnar run-dedup twin must equal a lookup_insert loop."""
-
-    @given(
-        rows=st.lists(
-            st.tuples(st.integers(0, 40), st.integers(1, 8), st.integers(0, 3)),
-            min_size=1, max_size=120,
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_matches_lookup_insert_loop(self, rows):
-        addresses = [address for address, _, _ in rows]
-        sizes = [size for _, size, _ in rows]
-        threads = [thread for _, _, thread in rows]
-        for thread_ids in (None, threads):
-            reference = IdempotentFilter(IFConfig(num_entries=16, associativity=2))
-            expected_misses = []
-            for row in range(len(rows)):
-                key = (
-                    (7, addresses[row], sizes[row])
-                    if thread_ids is None
-                    else (7, addresses[row], sizes[row], thread_ids[row])
-                )
-                if not reference.lookup_insert(key):
-                    expected_misses.append(row)
-            batched = IdempotentFilter(IFConfig(num_entries=16, associativity=2))
-            misses = batched.filter_address_run(
-                7, addresses, sizes, list(range(len(rows))), thread_ids
-            )
-            assert misses == expected_misses
-            assert batched.stats == reference.stats
-            assert batched._sets == reference._sets

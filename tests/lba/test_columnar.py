@@ -150,6 +150,36 @@ def test_annotation_splits_a_run(lifeguard):
     _assert_identical(records, lifeguard)
 
 
+@pytest.mark.parametrize("lifeguard", LIFEGUARDS)
+def test_address_compute_flushes_the_index_register(lifeguard):
+    """A check reading an ``addr``-state index register flushes it first."""
+    records = [
+        _malloc(0),
+        InstructionRecord(pc=0x600, event_type=EventType.MEM_TO_REG, dest_reg=3,
+                          src_addr=HEAP, size=4, is_load=True),
+        InstructionRecord(pc=0x604, event_type=EventType.MEM_TO_REG, dest_reg=4,
+                          src_addr=HEAP + 0x10, size=4, is_load=True,
+                          base_reg=2, index_reg=3),
+    ]
+    _assert_identical(records, lifeguard)
+
+
+@pytest.mark.parametrize("lifeguard", LIFEGUARDS)
+def test_store_to_last_inherited_byte_flushes_the_register(lifeguard):
+    """A 1-byte store overlapping only the last byte of an inherited range
+    still flushes the register, so the later store of it is not transformed."""
+    records = [
+        _malloc(0),
+        InstructionRecord(pc=0x700, event_type=EventType.MEM_TO_REG, dest_reg=3,
+                          src_addr=HEAP + 0x20, size=4, is_load=True),
+        InstructionRecord(pc=0x704, event_type=EventType.IMM_TO_MEM,
+                          dest_addr=HEAP + 0x23, size=1, is_store=True),
+        InstructionRecord(pc=0x708, event_type=EventType.REG_TO_MEM, src_reg=3,
+                          dest_addr=HEAP + 0x40, size=4, is_store=True),
+    ]
+    _assert_identical(records, lifeguard)
+
+
 @pytest.mark.parametrize("lifeguard", ["MemCheck", "TaintCheck", "AddrCheck"])
 def test_chunk_spanning_runs_via_trace_replay(tmp_path, lifeguard):
     """One long homogeneous run split across trace chunks replays identically.

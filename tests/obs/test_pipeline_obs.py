@@ -1,6 +1,7 @@
 """End-to-end telemetry: enabled replay snapshots, spans, bit-identity."""
 
 import time
+from collections import Counter
 
 import pytest
 
@@ -16,9 +17,12 @@ from repro.obs import (
     snapshot_document,
     validate_snapshot,
 )
-from repro.core.events import AnnotationRecord, EventType, InstructionRecord
+from repro.core.events import EVENT_TYPES, AnnotationRecord, EventType, InstructionRecord
+from repro.lba.columnar import ColumnarEngine
+from repro.lifeguards import ALL_LIFEGUARDS
 from repro.obs.pipeline import PipelineRecorder
-from repro.trace.replay import ParallelReplay, replay_trace
+from repro.trace.codec import RecordColumns
+from repro.trace.replay import ParallelReplay, build_pipeline, replay_trace
 from repro.trace.tracefile import TraceWriter
 
 
@@ -177,6 +181,61 @@ def test_sharded_and_sequential_accelerator_counters_agree(trace_path):
 def test_worker_timings_absent_by_default(trace_path):
     result = ParallelReplay(trace_path, "MemCheck", workers=2).run_sequential()
     assert result.worker_timings == []
+
+
+def test_dispatch_run_census():
+    """Every column run is counted once, by ordinal, with its fallback class.
+
+    Annotation rows and (with IT on) ``other`` rows take the scalar
+    fallback; every other run has a columnar step.
+    """
+    heap = 0x0900_0000
+    records = []
+    for i in range(6):
+        records.append(AnnotationRecord(
+            event_type=EventType.MALLOC, address=heap + 4096 * i, size=64,
+            pc=0x0804_7F00,
+        ))
+        if i % 2:
+            records.append(AnnotationRecord(
+                event_type=EventType.FREE, address=heap + 4096 * (i - 1),
+                size=64, pc=0x0804_7F10,
+            ))
+        for slot in range(1 + i % 3):
+            records.append(InstructionRecord(
+                pc=0x0804_8000 + 4 * slot, event_type=EventType.MEM_TO_REG,
+                dest_reg=slot, src_addr=heap + 4096 * i + 4 * slot, size=4,
+                is_load=True,
+            ))
+        records.append(InstructionRecord(
+            pc=0x0804_C000, event_type=EventType.OTHER, dest_reg=i % 8,
+            src_reg=(i + 3) % 8,
+        ))
+        records.append(InstructionRecord(
+            pc=0x0804_9000, event_type=EventType.REG_TO_MEM, src_reg=i % 8,
+            dest_addr=heap + 4096 * i + 32, size=4, is_store=True,
+        ))
+    columns = RecordColumns.from_records(records)
+    runs = columns.runs
+    assert len(runs) < len(records), "the stream must hold multi-row runs"
+    other = EventType.OTHER.ordinal
+    with observed() as obs:
+        _, dispatcher = build_pipeline(ALL_LIFEGUARDS["TaintCheck"]())
+        assert dispatcher.accelerator.it is not None
+        ColumnarEngine(dispatcher).consume_columns(columns)
+        obs.recorder.flush_to(obs.registry)
+        counters = obs.registry.snapshot()["counters"]
+    assert counters["dispatch.records_total"] == len(records)
+    assert counters["dispatch.runs_total"] == len(runs)
+    fallback = [(i, j) for i, j, o, _f in runs if o < 0 or o == other]
+    assert counters["dispatch.fallback_runs"] == len(fallback) == 12
+    assert counters["dispatch.fallback_records"] == sum(j - i for i, j in fallback)
+    per_ordinal = Counter(
+        "annotation" if o < 0 else EVENT_TYPES[o].value for _i, _j, o, _f in runs
+    )
+    assert per_ordinal["mem_to_reg"] == 6
+    for name, count in per_ordinal.items():
+        assert counters[f"dispatch.runs.{name}"] == count, name
 
 
 def test_recorder_flush_resets_accumulators():
