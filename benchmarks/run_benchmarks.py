@@ -6,9 +6,9 @@ columnar dispatch, and end-to-end trace replay -- and writes the
 results to ``BENCH_hotpath.json`` so the perf trajectory is tracked
 in-repo from PR 2 onward.
 
-``--multicore`` runs the multi-core scaling suite instead, recording a
-core-count scaling curve (sharded trace replay at 1/2/4 workers plus the
-live multi-core platform at 1/2/4 core pairs) into ``BENCH_multicore.json``.
+``--multicore`` runs the multi-core scaling suite instead, recording the
+live multi-core platform's simulated slowdown at 1/2/4 core pairs into
+``BENCH_multicore.json``.
 
 Usage::
 
@@ -43,12 +43,7 @@ for _path in (os.path.join(_ROOT, "src"), _ROOT):
         sys.path.insert(0, _path)
 
 from repro.core.events import AnnotationRecord, EventType, InstructionRecord
-from repro.experiments.harness import (
-    capture_multicore_traces,
-    capture_trace,
-    core_scaling_sweep,
-    multicore_trace_paths,
-)
+from repro.experiments.harness import capture_trace, core_scaling_sweep
 from repro.lba.columnar import ColumnarEngine
 from repro.lifeguards import ALL_LIFEGUARDS
 from repro.memory.shadow import TwoLevelShadowMap
@@ -60,7 +55,7 @@ from repro.trace.codec import (
     encode_records,
 )
 from repro.obs import observed, snapshot_document
-from repro.trace.replay import MultiTraceReplay, ParallelReplay, build_pipeline, replay_trace
+from repro.trace.replay import build_pipeline, replay_trace
 from repro.trace.tracefile import TraceReader, TraceWriter
 
 #: Pre-PR (dict-backed, per-record, enum-dict dispatch) throughput, measured
@@ -317,116 +312,12 @@ def run(smoke=False, scale=1.0, quick=False):
     }
 
 
-#: Core/worker counts of every multi-core scaling curve.
+#: Core counts of every multi-core scaling curve.
 SCALING_POINTS = (1, 2, 4)
 
 
-def _worker_breakdown(result):
-    """Per-worker time split for a curve point.
-
-    This is the attribution data for the scaling story: ``dispatch_s`` is
-    real lifeguard work, ``predecode_s``/``shm_attach_s`` are the
-    shared-memory transport (parent-side chunk packing, worker-side
-    zero-copy attach), ``decode_s`` is in-worker decoding of chunks that
-    could not be packed (0 on the shm path), and ``serialize_s``/``ipc_s``
-    are the residual result-shipping and per-shard spawn+transfer costs.
-    """
-    breakdown = []
-    for timing in result.worker_timings:
-        breakdown.append(
-            {
-                "pid": timing.get("pid"),
-                "chunks": timing.get("chunks"),
-                "records": timing.get("records"),
-                "setup_s": round(timing.get("setup_s", 0.0), 4),
-                "decode_s": round(timing.get("decode_s", 0.0), 4),
-                "predecode_s": round(timing.get("predecode_s", 0.0), 4),
-                "shm_attach_s": round(timing.get("shm_attach_s", 0.0), 4),
-                "dispatch_s": round(timing.get("dispatch_s", 0.0), 4),
-                "serialize_s": round(timing.get("serialize_s", 0.0), 4),
-                "ipc_s": round(timing.get("ipc_s", 0.0), 4),
-                "worker_wall_s": round(timing.get("worker_wall_s", 0.0), 4),
-            }
-        )
-    return breakdown
-
-
-def _oversubscribed(workers):
-    """Whether a curve point runs more workers than the host has CPUs.
-
-    On such a point the wall-clock throughput measures scheduler
-    contention, not scaling -- readers must lean on the per-stage
-    breakdown instead (and the committed curve flags this explicitly).
-    """
-    return workers > (os.cpu_count() or 1)
-
-
 def run_multicore(smoke=False, scale=1.0):
-    """Multi-core scaling suite: replay-worker and live core-count curves."""
-    curves = {}
-
-    with tempfile.TemporaryDirectory() as tmp:
-        # --- sharded trace replay: one stored workload, 1/2/4 workers -------
-        trace_path = os.path.join(tmp, "scaling.lbatrace")
-        if smoke:
-            workload = "synthetic"
-            with TraceWriter(trace_path, chunk_bytes=16 * 1024) as writer:
-                writer.extend(synthetic_records(8_000))
-            records = writer.stats.records
-        else:
-            workload = "mcf"
-            records = capture_trace("mcf", trace_path, scale=scale,
-                                    chunk_bytes=16 * 1024).records
-        replay_curve = []
-        for workers in SCALING_POINTS:
-            replay = ParallelReplay(trace_path, "MemCheck", workers=workers,
-                                    collect_timing=True)
-            result = replay.run()
-            replay_curve.append(
-                {
-                    "workers": workers,
-                    "oversubscribed": _oversubscribed(workers),
-                    "records_per_second": round(result.records_per_second),
-                    "wall_seconds": round(result.wall_seconds, 4),
-                    "worker_breakdown": _worker_breakdown(result),
-                }
-            )
-        curves["replay_scaling"] = {
-            "workload": workload,
-            "lifeguard": "MemCheck",
-            "records": records,
-            "curve": replay_curve,
-        }
-
-        # --- per-core trace sets: capture at 4 cores, multi-trace replay ----
-        cores = max(SCALING_POINTS)
-        capture_stats = capture_multicore_traces(
-            "pbzip2", tmp, cores=cores, scale=0.5 if smoke else scale
-        )
-        paths = multicore_trace_paths(tmp, "pbzip2", cores)
-        multi_curve = []
-        for workers in SCALING_POINTS:
-            result = MultiTraceReplay(paths, "LockSet", workers=workers,
-                                      collect_timing=True).run()
-            multi_curve.append(
-                {
-                    "workers": workers,
-                    "oversubscribed": _oversubscribed(workers),
-                    "records_per_second": round(result.records_per_second),
-                    "wall_seconds": round(result.wall_seconds, 4),
-                    "worker_breakdown": _worker_breakdown(result),
-                }
-            )
-        curves["per_core_trace_replay"] = {
-            "workload": "pbzip2",
-            "lifeguard": "LockSet",
-            "cores": cores,
-            "records": sum(s.records for s in capture_stats),
-            "per_core_records": [s.records for s in capture_stats],
-            "curve": multi_curve,
-        }
-
-    # --- live platform: simulated slowdown vs core count --------------------
+    """Multi-core scaling suite: live platform core-count curves."""
     live = {}
     for workload, lifeguard in (("mcf", "MemCheck"), ("pbzip2", "LockSet")):
         rows = core_scaling_sweep(
@@ -441,59 +332,18 @@ def run_multicore(smoke=False, scale=1.0):
             "lifeguard": lifeguard,
             "curve": rows,
         }
-    curves["live_scaling"] = live
-
     return {
         "benchmark": "multicore",
         "mode": "smoke" if smoke else "full",
         "scaling_points": list(SCALING_POINTS),
         "host_cpus": os.cpu_count(),
-        **curves,
+        "live_scaling": live,
         "python": platform.python_version(),
         "machine": platform.machine(),
     }
 
 
-def _breakdown_note(point):
-    """Summed per-stage attribution for one curve point."""
-    breakdown = point.get("worker_breakdown")
-    if not breakdown:
-        return ""
-    dispatch = sum(w["dispatch_s"] for w in breakdown)
-    ship = sum(w["serialize_s"] + w["ipc_s"] for w in breakdown)
-    transport = sum(
-        w.get("predecode_s", 0.0) + w.get("shm_attach_s", 0.0) for w in breakdown
-    )
-    setup = sum(w["setup_s"] for w in breakdown)
-    note = (f"   (dispatch {dispatch:.2f}s, serialize+ipc {ship:.2f}s, "
-            f"shm {transport:.2f}s, setup {setup:.2f}s)")
-    if point.get("oversubscribed"):
-        note += "  [oversubscribed]"
-    return note
-
-
-def _warn_oversubscribed(curve):
-    points = [p["workers"] for p in curve if p.get("oversubscribed")]
-    if points:
-        print(f"    WARNING: worker counts {points} exceed the {os.cpu_count()} "
-              "host CPU(s); wall-clock throughput on those points measures "
-              "scheduler contention -- read the per-stage breakdown instead")
-
-
 def _print_multicore(results):
-    replay = results["replay_scaling"]
-    print(f"  replay scaling ({replay['workload']}, {replay['lifeguard']}):")
-    for point in replay["curve"]:
-        print(f"    {point['workers']} workers  {point['records_per_second']:>12,} records/s"
-              f"{_breakdown_note(point)}")
-    _warn_oversubscribed(replay["curve"])
-    per_core = results["per_core_trace_replay"]
-    print(f"  per-core trace replay ({per_core['workload']}, {per_core['cores']} cores, "
-          f"{per_core['lifeguard']}):")
-    for point in per_core["curve"]:
-        print(f"    {point['workers']} workers  {point['records_per_second']:>12,} records/s"
-              f"{_breakdown_note(point)}")
-    _warn_oversubscribed(per_core["curve"])
     for entry in results["live_scaling"].values():
         print(f"  live platform ({entry['workload']}, {entry['lifeguard']}):")
         for row in entry["curve"]:

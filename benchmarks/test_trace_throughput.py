@@ -1,8 +1,9 @@
-"""Trace-subsystem throughput: codec rate and sequential-vs-parallel replay.
+"""Trace-subsystem throughput: codec rate, in-process and supervised replay.
 
-Records the encode/decode records-per-second of the binary codec and the
-speedup of sharded parallel replay over the equivalent sequential sharded
-replay, so future PRs have a perf trajectory for the trace path.
+Records the encode/decode records-per-second of the binary codec, the
+throughput of in-process :func:`replay_trace`, and the cost of running the
+same replay in one supervised worker process (which must report exactly
+what ``replay_trace`` reports), so the trace path has a perf trajectory.
 """
 
 import os
@@ -14,7 +15,7 @@ from benchmarks.bench_params import BENCH_SCALE
 from repro.core.events import EventType, InstructionRecord
 from repro.experiments.harness import capture_trace
 from repro.trace.codec import RecordEncoder, decode_records, encode_records
-from repro.trace.replay import ParallelReplay
+from repro.trace.replay import ParallelReplay, replay_trace
 from repro.trace.tracefile import TraceReader
 
 _RECORDS = 20_000
@@ -73,27 +74,32 @@ def captured_trace(tmp_path_factory):
     path = os.path.join(tmp_path_factory.mktemp("traces"), "mcf.lbatrace")
     stats = capture_trace("mcf", path, scale=BENCH_SCALE, chunk_bytes=8 * 1024)
     with TraceReader(path) as reader:
-        assert reader.num_chunks >= 2  # sharding needs at least two chunks
+        assert reader.num_chunks >= 2  # state must carry across chunk boundaries
     return path, stats.records
 
 
 def test_replay_sequential_throughput(benchmark, captured_trace):
     path, records = captured_trace
-    replay = ParallelReplay(path, "TaintCheck", workers=2)
 
-    result = benchmark.pedantic(replay.run_sequential, rounds=3, iterations=1)
+    result = benchmark.pedantic(
+        replay_trace, args=(path, "TaintCheck"), rounds=3, iterations=1
+    )
     assert result.records == records
     benchmark.extra_info["records_per_second"] = round(records / benchmark.stats.stats.mean)
 
 
 def test_replay_parallel_speedup(benchmark, captured_trace):
+    """Supervised replay in one worker process: same outcome, its speed
+    relative to in-process ``replay_trace`` recorded (spawn + IPC cost)."""
     path, records = captured_trace
-    replay = ParallelReplay(path, "TaintCheck", workers=2)
-    sequential = replay.run_sequential()
+    sequential = replay_trace(path, "TaintCheck")
+    replay = ParallelReplay(path, "TaintCheck")
 
     result = benchmark.pedantic(replay.run, rounds=3, iterations=1)
     assert result.records == records
     assert result.dispatch == sequential.dispatch
+    assert result.accelerator == sequential.accelerator
+    assert result.reports == sequential.reports
     benchmark.extra_info["records_per_second"] = round(records / benchmark.stats.stats.mean)
     if sequential.wall_seconds:
         benchmark.extra_info["speedup_vs_sequential"] = round(

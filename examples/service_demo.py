@@ -11,9 +11,9 @@ with a durable report.  This demo walks the whole story in-process:
 2. start a gateway on an ephemeral port and upload the trace from three
    concurrent tenants -- plus one tenant whose upload is deliberately
    corrupted, admitted under the ``degrade`` quarantine policy;
-3. check every clean report is bit-identical to an offline sharded
-   replay of the same trace, and the damaged one accounts for exactly
-   the chunk it lost;
+3. check every clean report is bit-identical to an offline
+   ``replay_trace`` of the same trace, and the damaged one accounts for
+   exactly the chunk it lost;
 4. kill the gateway mid-upload, restart it on the same store, and watch
    crash recovery resume the interrupted session at its exact byte
    offset.
@@ -35,10 +35,8 @@ from repro.lba import LBASystem
 from repro.lifeguards import MemCheck
 from repro.service import GatewayClient, GatewayConfig, MonitoringGateway, upload_trace
 from repro.service.gateway import report_document
-from repro.trace import ParallelReplay, TraceReader, TraceWriter
+from repro.trace import TraceReader, TraceWriter, replay_trace
 from repro.trace.supervisor import SupervisorPolicy
-
-WORKERS = 2
 
 
 def build_application(rounds=40):
@@ -73,9 +71,8 @@ def capture_trace(path):
 
 
 def offline_baseline(trace_path):
-    """The determinism reference: offline sharded replay, same worker count."""
-    result = ParallelReplay(trace_path, "MemCheck", workers=WORKERS).run_sequential()
-    return report_document(result)["result"]
+    """The determinism reference: offline in-order replay of the trace."""
+    return report_document(replay_trace(trace_path, "MemCheck"))["result"]
 
 
 def gateway_config(store_dir):
@@ -83,7 +80,6 @@ def gateway_config(store_dir):
         store_dir=store_dir,
         lifeguard="MemCheck",
         pool_size=2,
-        workers_per_session=WORKERS,
         quarantine="strict",
         policy=SupervisorPolicy(backoff_seconds=0.01, start_method="forkserver"),
     )

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Capture a monitored run once, then replay it many times -- in parallel.
+"""Capture a monitored run once, then replay it many times.
 
 The LBA premise is a *log*: the application core streams compressed records
 to lifeguard cores.  This example makes the log tangible:
@@ -9,9 +9,10 @@ to lifeguard cores.  This example makes the log tangible:
 2. replay the stored trace sequentially through a fresh TAINTCHECK --
    without re-executing the program -- and check the replay reproduces the
    live run's taint violations and delivered-event counts exactly;
-3. shard the trace's chunks across two worker processes
-   (:class:`ParallelReplay`), each owning a private lifeguard, and check
-   the merged stats match the equivalent sequential sharded replay.
+3. replay it again in one supervised worker process
+   (:class:`ParallelReplay`: retries, timeouts, quarantine), whose single
+   lifeguard sees every chunk in order, and check it reports exactly what
+   the in-process replay reports.
 
 Run with::
 
@@ -92,18 +93,17 @@ def main():
     assert replayed.dispatch.events_handled == live.dispatch.events_handled
     print("replay matches the live run exactly.")
 
-    # --- 3. parallel sharded replay -----------------------------------------
-    parallel = ParallelReplay(trace_path, TaintCheck, OPTIMIZED_CONFIG, workers=2)
-    par = parallel.run()
-    seq = parallel.run_sequential()
-    print("\n--- parallel replay (2 workers, chunk-sharded) ---")
-    print(f"shards:               {[len(s) for s in parallel.shards()]} chunks/worker")
-    print(f"records replayed:     {par.records}")
-    print(f"events handled:       {par.dispatch.events_handled}")
-    print(f"violations:           {par.errors_detected}")
-    assert par.dispatch == seq.dispatch, "parallel must match sequential sharded stats"
-    assert par.reports == seq.reports
-    print("parallel merge matches the sequential sharded replay exactly.")
+    # --- 3. supervised replay in a worker process ---------------------------
+    supervised = ParallelReplay(trace_path, TaintCheck, OPTIMIZED_CONFIG).run()
+    print("\n--- supervised replay (one worker process, every chunk in order) ---")
+    print(f"chunks replayed:      {supervised.chunks}")
+    print(f"records replayed:     {supervised.records}")
+    print(f"events handled:       {supervised.dispatch.events_handled}")
+    print(f"violations:           {supervised.errors_detected}")
+    assert supervised.dispatch == replayed.dispatch, "supervised must match replay_trace"
+    assert supervised.accelerator == replayed.accelerator
+    assert supervised.reports == replayed.reports
+    print("supervised replay matches replay_trace exactly.")
 
     print(f"\ntrace kept at: {trace_path}")
 

@@ -14,7 +14,8 @@ Typical entry points:
 * :class:`repro.lba.platform.LBASystem` -- run a workload under a lifeguard
   with a chosen acceleration configuration and obtain slowdowns.
 * :mod:`repro.trace` -- serialize the log into chunked trace files and
-  replay them offline (sequentially or sharded across worker processes).
+  replay them offline through one lifeguard that sees every chunk in order
+  (in-process, or in one supervised worker process).
 * :mod:`repro.experiments` -- regenerate every table and figure of the
   paper's evaluation section.
 * :mod:`repro.analysis` -- the PIN-analogue profiling study (design-space

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple, Union
 
 from repro.core.events import AnnotationRecord, EventType, InstructionRecord
-from repro.workloads.base import Workload, get_workload
+from repro.workloads.base import get_workload
 
 Record = Union[InstructionRecord, AnnotationRecord]
 
@@ -51,10 +51,6 @@ class Profiler:
             machine = workload.build_machine()
             self._traces[key] = machine.trace()
         return self._traces[key]
-
-    def trace_of(self, workload: Workload) -> List[Record]:
-        """Trace of an already-instantiated workload (memoised by name/scale)."""
-        return self.trace(workload.name, workload.scale)
 
     def summary(self, workload_name: str, scale: float = 1.0) -> TraceSummary:
         """Summary statistics of the workload's trace."""

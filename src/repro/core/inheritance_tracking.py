@@ -66,26 +66,6 @@ class ITEntry:
     address: Optional[int] = None
     size: int = 0
 
-    def aligned_ranges(self) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-        """Return the two (4-byte-aligned address, byte bitmap) pairs.
-
-        The paper's conflict detector stores ``addr & ~3`` and
-        ``(addr & ~3) + 4`` with 4-bit byte bitmaps so that unaligned and
-        multi-size accesses can be matched conservatively.
-        """
-        if self.state is not ITState.ADDR or self.address is None:
-            return ((0, 0), (0, 0))
-        base = self.address & ~3
-        bitmap_lo = 0
-        bitmap_hi = 0
-        for offset in range(max(1, min(self.size, 8))):
-            byte_addr = self.address + offset
-            if byte_addr < base + 4:
-                bitmap_lo |= 1 << (byte_addr - base)
-            elif byte_addr < base + 8:
-                bitmap_hi |= 1 << (byte_addr - base - 4)
-        return ((base, bitmap_lo), (base + 4, bitmap_hi))
-
     def overlaps(self, address: int, size: int) -> bool:
         """True if this entry inherits from any byte of ``[address, address+size)``."""
         if self.state is not ITState.ADDR or self.address is None or size <= 0:

@@ -1,6 +1,6 @@
 """Shared helpers for the integer-counter statistics dataclasses.
 
-Replay shards and lifeguard cores both produce homogeneous stats objects
+The multi-core platform's lifeguard cores produce homogeneous stats objects
 (:class:`DispatchStats`, :class:`AcceleratorStats`, ...) that merge by
 field-wise summation; this is the single definition of that merge.
 """

@@ -1,11 +1,10 @@
 """Shared helpers for the figure-regeneration experiments.
 
-Besides the live-run helpers this module provides the capture-once /
-replay-many path: :func:`capture_trace` executes a workload a single time
-while serializing its log into a chunked trace file, and
-:func:`replay_captured` re-analyses that stored trace with any lifeguard
-(optionally sharded across worker processes) without re-running the ISA
-machine.
+Besides the live-run helpers this module provides the capture half of the
+capture-once / replay-many path: :func:`capture_trace` executes a workload
+a single time while serializing its log into a chunked trace file, which
+:func:`repro.trace.replay.replay_trace` then re-analyses with any
+lifeguard without re-running the ISA machine.
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ from repro.lifeguards import (
     TaintCheckDetailed,
 )
 from repro.lifeguards.base import Lifeguard
-from repro.trace.replay import MultiTraceReplay, ParallelReplay, ReplayResult, replay_trace
-from repro.trace.supervisor import SupervisorPolicy
 from repro.trace.tracefile import TraceStats, TraceWriter
 from repro.workloads.base import Workload, get_workload, workload_names
 
@@ -213,91 +210,3 @@ def capture_trace(
     with TraceWriter(path, chunk_bytes=chunk_bytes, compress=compress) as writer:
         writer.extend(iter_machine_records(machine, max_instructions))
     return writer.stats
-
-
-def replay_captured(
-    path: Union[str, os.PathLike],
-    lifeguard: Union[str, Type[Lifeguard]],
-    config: Optional[SystemConfig] = None,
-    workers: int = 1,
-    quarantine: str = "strict",
-    policy: Optional[SupervisorPolicy] = None,
-    shared_memory: Optional[bool] = None,
-) -> ReplayResult:
-    """Replay a captured trace through a lifeguard (replay-many path).
-
-    ``workers > 1`` shards the trace's chunks across supervised processes,
-    each with a private lifeguard instance, and merges stats and reports;
-    ``workers == 1`` is the faithful single-consumer replay that reproduces
-    the live run's reports and event counts exactly.  ``quarantine`` and
-    ``policy`` control damaged-chunk handling and worker supervision (see
-    :mod:`repro.trace.supervisor`); sharded replays ship pre-decoded
-    columns to the workers through shared memory by default --
-    ``shared_memory=False`` forces the classic decode-in-worker path.
-    """
-    if workers <= 1:
-        return replay_trace(os.fspath(path), lifeguard, config, quarantine=quarantine)
-    return ParallelReplay(
-        os.fspath(path), lifeguard, config, workers=workers,
-        quarantine=quarantine, policy=policy, shared_memory=shared_memory,
-    ).run()
-
-
-def multicore_trace_paths(
-    trace_dir: Union[str, os.PathLike], benchmark: str, cores: int
-) -> List[str]:
-    """Canonical per-core trace locations of a multi-core capture."""
-    return [
-        os.path.join(os.fspath(trace_dir), f"{benchmark}.core{core}.lbatrace")
-        for core in range(cores)
-    ]
-
-
-def capture_multicore_traces(
-    benchmark: str,
-    trace_dir: Union[str, os.PathLike],
-    cores: int,
-    scale: float = 1.0,
-    threads: Optional[int] = None,
-    compress: bool = True,
-    chunk_bytes: int = 64 * 1024,
-    max_instructions: int = 5_000_000,
-) -> List[TraceStats]:
-    """Capture a workload's per-core log channels as one trace file per core.
-
-    Like :func:`capture_trace` this needs no lifeguard and no cache
-    hierarchy; records are routed to their application core's channel
-    exactly as the multi-core platform routes them, so each file is that
-    core's log stream (its own codec delta chain and chunk index).
-    """
-    workload = get_workload(benchmark, scale=scale, threads=threads)
-    machine = build_multicore_machine(workload, cores)
-    core_of = getattr(machine, "core_of", None) or (lambda thread_id: thread_id % cores)
-    os.makedirs(os.fspath(trace_dir), exist_ok=True)
-    paths = multicore_trace_paths(trace_dir, benchmark, cores)
-    writers = [
-        TraceWriter(path, chunk_bytes=chunk_bytes, compress=compress) for path in paths
-    ]
-    try:
-        for record in iter_machine_records(machine, max_instructions):
-            writers[core_of(record.thread_id) % cores].append(record)
-    finally:
-        for writer in writers:
-            writer.close()
-    return [writer.stats for writer in writers]
-
-
-def replay_multicore_traces(
-    paths: Sequence[Union[str, os.PathLike]],
-    lifeguard: Union[str, Type[Lifeguard]],
-    config: Optional[SystemConfig] = None,
-    workers: Optional[int] = None,
-    quarantine: str = "strict",
-    policy: Optional[SupervisorPolicy] = None,
-    shared_memory: Optional[bool] = None,
-) -> ReplayResult:
-    """Replay a per-core trace set through sharded lifeguard instances."""
-    return MultiTraceReplay(
-        [os.fspath(path) for path in paths], lifeguard, config, workers=workers,
-        quarantine=quarantine, policy=policy, shared_memory=shared_memory,
-    ).run()

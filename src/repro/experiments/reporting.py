@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
@@ -33,11 +33,6 @@ def _fmt(value: object) -> str:
 def format_percent(value: float) -> str:
     """Render a ``[0, 1]`` fraction as a percentage string."""
     return f"{100.0 * value:.1f}%"
-
-
-def format_series(series: Mapping[object, float], unit: str = "") -> str:
-    """Render an ``x -> y`` mapping as ``x=y`` pairs on one line."""
-    return "  ".join(f"{key}={value:.3f}{unit}" for key, value in series.items())
 
 
 def range_string(values: Sequence[float], as_percent: bool = True) -> str:

@@ -7,11 +7,10 @@ Installed as the ``repro-experiments`` console script::
     repro-experiments --output out.txt
 
 Capture-once/replay-many: workloads can be executed a single time into
-chunked trace files, then re-analysed repeatedly (and in parallel) without
-re-running them::
+chunked trace files, then re-analysed repeatedly without re-running them::
 
     repro-experiments --capture-traces traces/          # bank the workloads
-    repro-experiments --replay-traces traces/ --workers 4
+    repro-experiments --replay-traces traces/
 
 Multi-core platform (N application cores streaming per-core logs to N
 lifeguard cores through a shard router)::
@@ -40,11 +39,11 @@ from repro.experiments.harness import (
     capture_trace,
     core_scaling_sweep,
     lifeguard_classes,
-    replay_captured,
     run_multicore,
     trace_path_for,
 )
-from repro.trace.supervisor import QUARANTINE_POLICIES, SupervisorPolicy
+from repro.trace.replay import replay_trace
+from repro.trace.supervisor import QUARANTINE_POLICIES
 from repro.workloads.base import workload_names
 
 #: Benchmark subset used by ``--quick`` (spans memory-bound and CPU-bound).
@@ -75,35 +74,17 @@ def capture_all(trace_dir: str, quick: bool = False, scale: float = 1.0) -> List
 def replay_all(
     trace_dir: str,
     lifeguards: Sequence[str] = REPLAY_LIFEGUARDS,
-    workers: int = 1,
     quarantine: str = "strict",
-    policy: Optional[SupervisorPolicy] = None,
-    shared_memory: Optional[bool] = None,
 ) -> List[str]:
     """Replay every stored trace through each lifeguard; returns report lines."""
     paths = sorted(glob.glob(os.path.join(trace_dir, "*.lbatrace")))
     if not paths:
         raise FileNotFoundError(f"no *.lbatrace files in {trace_dir!r} (run --capture-traces)")
-    lines = [f"replaying {len(paths)} traces from {trace_dir} (workers={workers})"]
-    if workers > 1:
-        lines.append(
-            "  note: sharded replay gives each worker a fresh lifeguard, so "
-            "error counts of stateful lifeguards are per-shard approximations; "
-            "use --workers 1 for live-run-exact reports"
-        )
-        if shared_memory is False:
-            lines.append(
-                "  note: shared-memory transport disabled; workers decode "
-                "chunks from the trace file"
-            )
-    lines.append("")
+    lines = [f"replaying {len(paths)} traces from {trace_dir}", ""]
     for path in paths:
         benchmark = os.path.splitext(os.path.basename(path))[0]
         for name in lifeguards:
-            result = replay_captured(
-                path, name, workers=workers, quarantine=quarantine, policy=policy,
-                shared_memory=shared_memory,
-            )
+            result = replay_trace(path, name, quarantine=quarantine)
             quarantined = (
                 f"  [{len(result.skipped_chunks)} chunks / "
                 f"{result.skipped_records} records quarantined]"
@@ -241,23 +222,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="replay previously captured traces from DIR and exit")
     parser.add_argument("--lifeguards", nargs="+", default=list(REPLAY_LIFEGUARDS),
                         help="lifeguards used with --replay-traces")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for --replay-traces (sharded replay)")
     parser.add_argument("--quarantine", choices=QUARANTINE_POLICIES, default="strict",
                         help="damaged-chunk policy for --replay-traces: 'strict' "
                              "fails on the first corrupt chunk, 'degrade' skips "
                              "it and reports exact record accounting")
-    parser.add_argument("--shard-timeout", type=float, default=None, metavar="SECONDS",
-                        help="per-shard-attempt wall-clock timeout for sharded "
-                             "replay (default: the supervisor's 300s)")
-    parser.add_argument("--shard-retries", type=int, default=None, metavar="N",
-                        help="attempts per replay shard before bisection/"
-                             "quarantine (default: the supervisor's 3)")
-    parser.add_argument("--no-shared-memory", action="store_true",
-                        help="disable the shared-memory column transport for "
-                             "sharded replay (workers decode chunks from the "
-                             "trace file instead of attaching pre-decoded "
-                             "segments)")
     parser.add_argument("--cores", type=int, default=1,
                         help="application/lifeguard core pairs; >1 runs the "
                              "multi-core platform report instead of the figures")
@@ -273,7 +241,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="run the multi-tenant monitoring gateway against "
                              "STORE_DIR instead of the offline experiments "
                              "(delegates to `python -m repro.service serve`; "
-                             "--workers and --quarantine carry over)")
+                             "--quarantine carries over)")
     parser.add_argument("--serve-port", type=int, default=0,
                         help="TCP port for --serve (0 = ephemeral, printed "
                              "on stdout)")
@@ -296,7 +264,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return service_main([
             "serve", "--store", args.serve,
             "--port", str(args.serve_port),
-            "--workers", str(args.workers),
             "--quarantine", args.quarantine,
         ])
 
@@ -311,20 +278,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sections = ["\n".join(capture_all(args.capture_traces, quick=args.quick,
                                           scale=args.scale))]
     elif args.replay_traces:
-        policy = None
-        if args.shard_timeout is not None or args.shard_retries is not None:
-            defaults = SupervisorPolicy()
-            policy = SupervisorPolicy(
-                timeout_seconds=(args.shard_timeout if args.shard_timeout is not None
-                                 else defaults.timeout_seconds),
-                max_attempts=(args.shard_retries if args.shard_retries is not None
-                              else defaults.max_attempts),
-            )
         sections = ["\n".join(replay_all(args.replay_traces, lifeguards=args.lifeguards,
-                                         workers=args.workers,
-                                         quarantine=args.quarantine, policy=policy,
-                                         shared_memory=(False if args.no_shared_memory
-                                                        else None)))]
+                                         quarantine=args.quarantine))]
     elif args.core_sweep:
         cores_list = [c for c in (1, 2, 4, 8, 16) if c <= max(args.cores, 1)]
         if cores_list[-1] != args.cores:

@@ -4,10 +4,11 @@ Each scenario builds on the same seeded workload trace and asserts one
 fault-tolerance invariant end to end:
 
 * **recoverable faults** (a worker SIGKILL, ``os._exit``, hang, or
-  transient IO error) must leave the merged :class:`ReplayResult`
-  *bit-identical* to a clean sequential replay -- same record counts,
-  dispatch/accelerator stats and error reports -- with the failures
-  visible in ``result.failures`` / ``result.fault_counters``;
+  transient IO error) must leave the supervised :class:`ReplayResult`
+  *bit-identical* to a clean :func:`~repro.trace.replay.replay_trace` --
+  same record counts, dispatch/accelerator stats and error reports, in
+  order -- with the failures visible in ``result.failures`` /
+  ``result.fault_counters``;
 * **unrecoverable faults** (a poison chunk that kills every worker that
   reads it, corrupt chunk bytes, a truncated file) must produce a precise
   quarantine report under ``degrade`` and a precise error under
@@ -55,8 +56,8 @@ def build_chaos_trace(path: str, seed: int, min_chunks: int = 10) -> int:
 
     The record stream comes from the fuzz workload generator (same seeds
     as the differential oracle), and ``chunk_bytes`` is sized off the raw
-    byte count so the trace always has enough chunks for multi-worker
-    sharding and span bisection to be meaningful.
+    byte count so the trace always has enough chunks for span bisection
+    to be meaningful.
     """
     spec = generate_spec(seed)
     records = ThreadedMachine(build_fuzz_programs(spec)).trace()
@@ -78,8 +79,8 @@ class ChaosContext:
     trace_path: str
     num_chunks: int
     chunk_records: List[int]
+    #: :func:`replay_trace` of the clean trace: the bit-identity reference.
     baseline: ReplayResult
-    workers: int = 4
 
     def state_dir(self, name: str) -> str:
         path = os.path.join(self.workdir, f"state_{name}")
@@ -133,7 +134,7 @@ def _recoverable(ctx: ChaosContext, name: str, kind: str, times: int,
         kinds=[kind], times=times, hang_seconds=60.0,
     )
     result = ParallelReplay(
-        ctx.trace_path, CHAOS_LIFEGUARD, workers=ctx.workers,
+        ctx.trace_path, CHAOS_LIFEGUARD,
         policy=_policy(timeout=timeout), fault_plan=plan,
     ).run()
     _same_outcome(result, ctx.baseline)
@@ -154,7 +155,7 @@ def _recoverable(ctx: ChaosContext, name: str, kind: str, times: int,
 
 
 def scenario_sigkill_recovers(ctx: ChaosContext) -> Dict[str, object]:
-    """A SIGKILL'd worker is retried; the merge matches the clean run."""
+    """A SIGKILL'd worker is retried; the result matches the clean run."""
     return _recoverable(ctx, "sigkill", "sigkill", times=1,
                         timeout=30.0, expect_counter="worker_crashes")
 
@@ -193,7 +194,7 @@ def scenario_poison_degrade(ctx: ChaosContext) -> Dict[str, object]:
     plan = _poison_plan(ctx, "poison_degrade")
     chunk = plan.specs[0].chunk
     result = ParallelReplay(
-        ctx.trace_path, CHAOS_LIFEGUARD, workers=ctx.workers,
+        ctx.trace_path, CHAOS_LIFEGUARD,
         quarantine="degrade",
         policy=_policy(timeout=10.0, max_attempts=2, fallback=False),
         fault_plan=plan,
@@ -206,9 +207,7 @@ def scenario_poison_degrade(ctx: ChaosContext) -> Dict[str, object]:
            f"{ctx.chunk_records[chunk]}")
     _check(result.records == ctx.baseline.records - ctx.chunk_records[chunk],
            "surviving record count wrong")
-    _check(result.fault_counters.get("bisections", 0) >= 1
-           or len(ParallelReplay(ctx.trace_path, CHAOS_LIFEGUARD,
-                                 workers=ctx.workers).shards()[0]) == 1,
+    _check(result.fault_counters.get("bisections", 0) >= 1,
            f"expected a bisection, counters: {result.fault_counters}")
     _check(result.degraded and result.skipped_records == quarantined.records,
            "degraded/skipped_records properties inconsistent")
@@ -225,7 +224,7 @@ def scenario_poison_strict(ctx: ChaosContext) -> Dict[str, object]:
     chunk = plan.specs[0].chunk
     try:
         ParallelReplay(
-            ctx.trace_path, CHAOS_LIFEGUARD, workers=ctx.workers,
+            ctx.trace_path, CHAOS_LIFEGUARD,
             quarantine="strict",
             policy=_policy(timeout=10.0, max_attempts=2, fallback=False),
             fault_plan=plan,
@@ -244,21 +243,25 @@ def scenario_corrupt_degrade(ctx: ChaosContext) -> Dict[str, object]:
     path = ctx.trace_copy("corrupt_degrade")
     chunk = ctx.target_chunk("corrupt")
     flip_chunk_bytes(path, chunk, seed=ctx.seed)
-    parallel = ParallelReplay(
-        path, CHAOS_LIFEGUARD, workers=ctx.workers,
+    supervised = ParallelReplay(
+        path, CHAOS_LIFEGUARD,
         quarantine="degrade", policy=_policy(),
     ).run()
     sequential = replay_trace(path, CHAOS_LIFEGUARD, quarantine="degrade")
-    for result in (parallel, sequential):
+    for result in (supervised, sequential):
         _check([c.chunk for c in result.skipped_chunks] == [chunk],
                f"expected chunk {chunk} quarantined, got {result.skipped_chunks}")
         _check(result.skipped_chunks[0].reason == "corrupt", "wrong quarantine reason")
         _check(result.records == ctx.baseline.records - ctx.chunk_records[chunk],
                "surviving record count wrong")
+    _check(supervised.dispatch == sequential.dispatch
+           and supervised.accelerator == sequential.accelerator
+           and supervised.reports == sequential.reports,
+           "supervised degrade replay diverged from replay_trace")
     audit = verify_trace(path)
     _check([c.index for c in audit.bad_chunks] == [chunk],
            f"verify_trace blamed {audit.bad_chunks}, expected chunk {chunk}")
-    return {"corrupt_chunk": chunk, "records": parallel.records}
+    return {"corrupt_chunk": chunk, "records": supervised.records}
 
 
 def scenario_corrupt_strict(ctx: ChaosContext) -> Dict[str, object]:
@@ -297,9 +300,7 @@ def scenario_truncation_detected(ctx: ChaosContext) -> Dict[str, object]:
 # the service-level invariants: per-session outcomes are exact, and one
 # tenant's fault never bleeds into another's session ("zero cross-session
 # blast radius").  Report bit-identity is judged against the offline
-# sharded-sequential reference (``ctx.baseline``) -- the same worker-count
-# sharding the gateway replays with, which the replay layer guarantees is
-# bit-for-bit equal to its supervised parallel run.
+# reference (``ctx.baseline``, a :func:`replay_trace` of the same trace).
 
 
 def _gateway_config(ctx: ChaosContext, store: str, **overrides) -> "GatewayConfig":
@@ -311,7 +312,6 @@ def _gateway_config(ctx: ChaosContext, store: str, **overrides) -> "GatewayConfi
         store_dir=store,
         lifeguard=CHAOS_LIFEGUARD,
         pool_size=2,
-        workers_per_session=ctx.workers,
         # forkserver: the gateway parent is threaded (see GatewayConfig).
         policy=dataclasses.replace(_policy(timeout=30.0), start_method="forkserver"),
         drain_grace=60.0,
@@ -674,7 +674,6 @@ def run_chaos(
     seed: int,
     workdir: str,
     scenarios: Optional[Sequence[str]] = None,
-    workers: int = 4,
 ) -> Dict[str, object]:
     """Run the chaos suite; returns a JSON-able report document."""
     names = list(scenarios) if scenarios else list(SCENARIOS)
@@ -686,13 +685,11 @@ def run_chaos(
     num_chunks = build_chaos_trace(trace_path, seed)
     with TraceReader(trace_path) as reader:
         chunk_records = [info.records for info in reader.chunks]
-    baseline = ParallelReplay(
-        trace_path, CHAOS_LIFEGUARD, workers=workers
-    ).run_sequential()
+    baseline = replay_trace(trace_path, CHAOS_LIFEGUARD)
     ctx = ChaosContext(
         seed=seed, workdir=workdir, trace_path=trace_path,
         num_chunks=num_chunks, chunk_records=chunk_records,
-        baseline=baseline, workers=workers,
+        baseline=baseline,
     )
     reports: List[ScenarioReport] = []
     for name in names:

@@ -33,8 +33,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="workload + fault-targeting seed (default 0)")
     parser.add_argument("--scenarios", default=None, metavar="A,B,...",
                         help="comma-separated scenario subset (default: all)")
-    parser.add_argument("--workers", type=int, default=4,
-                        help="replay worker count (default 4)")
     parser.add_argument("--workdir", default=None, metavar="DIR",
                         help="keep traces/claim state in DIR instead of a "
                              "temporary directory")
@@ -76,10 +74,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     scenarios = args.scenarios.split(",") if args.scenarios else None
     if args.workdir is not None:
-        report = run_chaos(args.seed, args.workdir, scenarios, workers=args.workers)
+        report = run_chaos(args.seed, args.workdir, scenarios)
     else:
         with tempfile.TemporaryDirectory(prefix="repro-chaos-") as workdir:
-            report = run_chaos(args.seed, workdir, scenarios, workers=args.workers)
+            report = run_chaos(args.seed, workdir, scenarios)
     _emit(report, args.json)
     return 0 if report["ok"] else 1
 

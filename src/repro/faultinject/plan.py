@@ -1,7 +1,7 @@
 """Deterministic worker-fault plans for supervised replay.
 
 A :class:`FaultPlan` is attached to replay work via
-``ShardTask.fault_plan`` and fired by the shard worker once per chunk
+``ShardTask.fault_plan`` and fired by the replay worker once per chunk
 read (:func:`repro.trace.replay._replay_shard`).  Each :class:`FaultSpec`
 names a *chunk index* and a fault kind:
 

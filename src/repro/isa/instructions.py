@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from repro.isa.registers import Register
 
@@ -126,16 +126,6 @@ class Opcode(enum.Enum):
     SYSCALL = "syscall"
     PRINTF = "printf"
 
-    @property
-    def is_binary_alu(self) -> bool:
-        """True for two-operand ALU opcodes (``dest op= src``)."""
-        return self in _BINARY_ALU_OPCODES
-
-
-_BINARY_ALU_OPCODES = frozenset(
-    {Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.MUL}
-)
-
 
 class Cond(enum.Enum):
     """Branch conditions evaluated against the last compare result."""
@@ -210,8 +200,3 @@ class Instruction:
             syscall=self.syscall,
             label=label,
         )
-
-
-def mem_operands(instruction: Instruction) -> Sequence[Mem]:
-    """Return the memory operands of an instruction (possibly empty)."""
-    return [op for op in instruction.operands if isinstance(op, Mem)]

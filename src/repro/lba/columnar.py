@@ -236,14 +236,12 @@ class ColumnarEngine:
         columns.records())``, which is what it runs when a cache hierarchy
         is attached.
 
-        ``columns`` may be backed by zero-copy ``memoryview`` casts over a
-        shared-memory segment (:meth:`RecordColumns.from_buffers`) instead
-        of Python lists: the engine reads columns strictly by integer row
-        index and writes nothing but the run table (and only when a
-        hand-built column set lacks one -- pre-decoded columns always
-        carry theirs), so both representations dispatch identically.
-        Callers owning such views release them (and only then the
-        segment) after this returns.
+        The engine reads columns strictly by integer row index and writes
+        nothing but the run table, and only when a hand-built column set
+        lacks one (decoded columns always carry theirs).  Replay feeds it
+        one decoded chunk per call, in trace order, so lifeguard and
+        accelerator state carries across chunk boundaries exactly as in a
+        per-record ``consume`` loop.
         """
         if not self.supported:
             consume = self.dispatcher.consume

@@ -56,15 +56,6 @@ class LogBuffer:
         """Current occupancy in (compressed) bytes."""
         return self._occupancy_bytes
 
-    @property
-    def is_empty(self) -> bool:
-        """True when there is nothing for the consumer to pop."""
-        return not self._queue
-
-    def has_room_for(self, record: Record) -> bool:
-        """True if ``record`` fits without exceeding the configured size."""
-        return self._occupancy_bytes + self._sizer.measure(record) <= self.config.size_bytes
-
     def push(self, record: Record) -> bool:
         """Append ``record``; returns False (and records a stall) when full."""
         saved = self._sizer.state()

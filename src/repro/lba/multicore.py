@@ -31,12 +31,12 @@ dispatcher and coupling model, driven in the same per-record order -- so
 :meth:`LBASystem.run` (enforced by the differential conformance matrix in
 ``tests/lba/test_conformance_matrix.py``).
 
-Sharding with N>1 trades cross-shard metadata propagation for throughput,
-exactly like sharded trace replay: a shard does not see register
-inheritance established by records routed elsewhere, so stateful
-lifeguards' reports are per-shard approximations (address sharding keeps
-per-address state -- allocation, initialisation, locksets -- exact, since
-every access to an address is routed to its owning shard).
+Sharding with N>1 trades cross-shard metadata propagation for throughput:
+a shard does not see register inheritance established by records routed
+elsewhere, so stateful lifeguards' reports are per-shard approximations
+(address sharding keeps per-address state -- allocation, initialisation,
+locksets -- exact, since every access to an address is routed to its
+owning shard).
 """
 
 from __future__ import annotations
@@ -248,13 +248,6 @@ class MultiCoreStats:
     forwarded_records: int = 0
     broadcast_records: int = 0
 
-    @property
-    def forwarding_overhead(self) -> float:
-        """Extra shard consumptions per log record (0 = no forwarding)."""
-        if not self.records:
-            return 0.0
-        return self.forwarded_records / self.records
-
 
 @dataclass
 class ShardOutcome:
@@ -356,7 +349,8 @@ class MultiCoreLBASystem:
         max_instructions: execution safety limit.
         trace_writers: optional per-core trace tees (one per application
             core); each core's log channel is captured as its own trace
-            file, replayable with :class:`repro.trace.replay.MultiTraceReplay`.
+            file, which :func:`repro.trace.replay.replay_trace` replays
+            through one lifeguard.
     """
 
     def __init__(
@@ -429,9 +423,9 @@ class MultiCoreLBASystem:
         ``account``/``consume`` across records would perturb the cache
         timing and break the bit-identical N=1 anchor against
         :meth:`LBASystem.run`.  The fast path lives on the offline side:
-        captured per-core traces replay through the columnar engine
-        (:class:`repro.trace.replay.MultiTraceReplay` decodes each shard's
-        chunks straight into columns).
+        a captured trace replays through the columnar engine
+        (:func:`repro.trace.replay.replay_trace` decodes each chunk
+        straight into columns).
         """
         channels = self.channels
         shards = self.shards

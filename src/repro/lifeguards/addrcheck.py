@@ -101,12 +101,6 @@ class AddrCheck(Lifeguard):
     def _in_heap(self, address: int) -> bool:
         return self._layout.heap_base <= address < self._layout.mmap_base
 
-    def is_accessible(self, address: int) -> bool:
-        """True if ``address`` may be accessed (non-heap regions always may)."""
-        if not self._in_heap(address):
-            return True
-        return self.accessible.read_bits(address, 1) == _ACCESSIBLE
-
     # ------------------------------------------------------------------ handlers
 
     def _fast_mem_access(self, address: int, size: int, pc: int, thread_id: int) -> None:

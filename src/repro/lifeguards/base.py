@@ -336,11 +336,6 @@ class Lifeguard(ABC):
         self.mapper().translate(app_address)
         return self.primary_map().read_bits(app_address, bits)
 
-    def meta_write_bits(self, app_address: int, bits: int, value: int) -> None:
-        """Translate and write the per-byte bit field covering ``app_address``."""
-        self.mapper().translate(app_address)
-        self.primary_map().write_bits(app_address, bits, value)
-
     def meta_read_element(self, app_address: int) -> int:
         """Translate and read the whole metadata element covering ``app_address``."""
         self.mapper().translate(app_address)

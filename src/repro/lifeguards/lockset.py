@@ -143,13 +143,6 @@ class LockSet(Lifeguard):
         """Decoded ``(state, value)`` of the word containing ``address``."""
         return self._decode(self.records.read_element(address - address % _WORD))
 
-    def candidate_lockset(self, address: int) -> FrozenSet[int]:
-        """Candidate lockset of the (shared) word containing ``address``."""
-        state, value = self.location_state(address)
-        if state in (STATE_SHARED_READ, STATE_SHARED_MODIFIED):
-            return self.lockset_table[value]
-        return frozenset()
-
     # ------------------------------------------------------------------ tracked regions
 
     def _tracked(self, address: int) -> bool:

@@ -1,11 +1,11 @@
-"""Error reports produced by lifeguards, and merging across replay shards."""
+"""Error reports produced by lifeguards, and per-kind tallies of them."""
 
 from __future__ import annotations
 
 import enum
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 
 class ErrorKind(enum.Enum):
@@ -45,29 +45,6 @@ class ErrorReport:
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         location = f" at {self.address:#x}" if self.address is not None else ""
         return f"[{self.lifeguard}] {self.kind.value}{location} (pc={self.pc:#x}): {self.message}"
-
-    def sort_key(self) -> Tuple:
-        """Deterministic ordering key used when merging report groups."""
-        return (
-            self.pc,
-            -1 if self.address is None else self.address,
-            self.kind.value,
-            self.thread_id,
-            self.lifeguard,
-            self.message,
-        )
-
-
-def merge_reports(*groups: Iterable[ErrorReport]) -> List[ErrorReport]:
-    """Merge report groups (e.g. from parallel replay shards) deterministically.
-
-    Reports are combined and sorted by :meth:`ErrorReport.sort_key`, so the
-    merged list is independent of shard count and completion order --
-    sequential and parallel replays of the same trace compare equal.
-    """
-    combined = [report for group in groups for report in group]
-    combined.sort(key=ErrorReport.sort_key)
-    return combined
 
 
 def report_counts(reports: Iterable[ErrorReport]) -> Dict[ErrorKind, int]:

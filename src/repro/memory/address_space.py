@@ -153,10 +153,6 @@ class AddressSpace:
         """Number of distinct pages that have been written."""
         return len(self._pages)
 
-    def footprint_bytes(self) -> int:
-        """Total bytes of backing storage currently allocated."""
-        return len(self._pages) * PAGE_SIZE
-
     def touched_ranges(self) -> Iterator[Tuple[int, int]]:
         """Yield contiguous ``(start, length)`` ranges of touched pages."""
         pages = sorted(self._pages)

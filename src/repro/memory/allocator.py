@@ -115,10 +115,6 @@ class HeapAllocator:
         """Return the live blocks sorted by address (for leak reporting)."""
         return sorted(self._live.values(), key=lambda b: b.address)
 
-    def live_bytes(self) -> int:
-        """Bytes currently allocated (rounded to allocator granularity)."""
-        return self._live_bytes
-
     # -- internals ----------------------------------------------------------------
 
     def _round(self, size: int) -> int:

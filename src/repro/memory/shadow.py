@@ -307,10 +307,6 @@ class TwoLevelShadowMap(MetadataMap):
         """Number of level-2 chunk buffers actually materialized by writes."""
         return len(self._chunks)
 
-    def level1_table_bytes(self) -> int:
-        """Bytes consumed by the level-1 table (4-byte pointers)."""
-        return (1 << self.level1_bits) * 4
-
     def touched_level1_entries(self) -> Iterator[int]:
         """Yield the level-1 indices that have an allocated chunk."""
         return iter(sorted(self._chunk_bases))

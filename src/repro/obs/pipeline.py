@@ -49,8 +49,8 @@ REQUIRED_ACCELERATOR_COUNTERS = (
     "mtlb.misses",
 )
 
-#: Fault-tolerance counters every sharded-replay snapshot must carry --
-#: the supervised-replay health story (retries, crashes, timeouts,
+#: Fault-tolerance counters every replay snapshot must carry -- the
+#: supervised-replay health story (retries, crashes, timeouts,
 #: bisections, quarantine accounting).  Zero on a clean run, but always
 #: present so dashboards and the CI schema gate never miss a regression.
 REQUIRED_REPLAY_COUNTERS = (
@@ -62,12 +62,6 @@ REQUIRED_REPLAY_COUNTERS = (
     "replay.fallbacks_inprocess",
     "replay.chunks_quarantined",
     "replay.records_quarantined",
-    # Shared-memory transport health: segments created by the pre-decode
-    # stage, chunks packed into them, and chunks that fell back to
-    # in-worker decode (damage, IO error, value outside int64).
-    "replay.shm_segments",
-    "replay.shm_chunks",
-    "replay.shm_fallback_chunks",
 )
 
 #: Gateway counters every *service* snapshot must carry -- the
@@ -298,11 +292,11 @@ def collect_pipeline(
 
 
 def shard_detail(accelerator=None, lifeguard=None) -> Dict[str, object]:
-    """Picklable counter detail for one parallel-replay shard.
+    """Picklable counter detail of a supervised replay worker.
 
     Worker processes have no access to the parent's registry, and the
-    merged :class:`ReplayResult` only carries the summed ``DispatchStats``
-    / ``AcceleratorStats`` -- the IT / IF / M-TLB / mapper / shadow detail
+    :class:`ReplayResult` only carries the ``DispatchStats`` /
+    ``AcceleratorStats`` -- the IT / IF / M-TLB / mapper / shadow detail
     lives in live objects that never cross the process boundary.  This
     captures that detail as plain dicts of counter values; the parent folds
     them in with :func:`collect_sharded_replay`.
@@ -337,13 +331,12 @@ def shard_detail(accelerator=None, lifeguard=None) -> Dict[str, object]:
 
 
 def collect_sharded_replay(registry: MetricsRegistry, result, details) -> MetricsRegistry:
-    """Fold a merged sharded-replay result and its shard details into ``registry``.
+    """Fold a supervised replay's result and worker details into ``registry``.
 
-    ``result`` is the merged :class:`~repro.trace.replay.ReplayResult`
-    (summed dispatch/accelerator stats); ``details`` are the per-shard
-    :func:`shard_detail` dicts.  Emits the same counter names as
-    :func:`collect_pipeline`, so snapshots from sequential and sharded
-    replays share one schema.
+    ``result`` is the :class:`~repro.trace.replay.ReplayResult`; ``details``
+    are the worker's :func:`shard_detail` dicts (empty when the caller has
+    none).  Emits the same counter names as :func:`collect_pipeline`, so
+    snapshots from in-process and supervised replays share one schema.
     """
     for name in REQUIRED_ACCELERATOR_COUNTERS:
         registry.counter(name)

@@ -5,8 +5,9 @@ through a bounded log buffer.  This package exposes that pipeline to many
 concurrent tenants: a long-running asyncio gateway
 (:class:`~repro.service.gateway.MonitoringGateway`) accepts chunked trace
 uploads from thousands of clients, applies the bounded-buffer coupling
-*per client* as backpressure, multiplexes the committed traces across a
-supervised pool of columnar replay workers, and persists every trace and
+*per client* as backpressure, replays each committed trace in one
+supervised columnar replay worker that sees every chunk in order (a
+bounded pool of sessions replays at once), and persists every trace and
 report to an indexed on-disk store
 (:class:`~repro.service.store.SessionStore`) -- engineered for failure
 first: per-session state machines with idempotent resume, admission

@@ -53,8 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--lifeguard", default="AddrCheck")
     serve.add_argument("--pool-size", type=int, default=2,
                        help="concurrent session replays")
-    serve.add_argument("--workers", type=int, default=2,
-                       help="replay worker processes per session")
     serve.add_argument("--queue-depth", type=int, default=8,
                        help="per-session bounded ingest queue (chunks)")
     serve.add_argument("--max-sessions", type=int, default=64)
@@ -87,7 +85,6 @@ def _config_from_args(args: argparse.Namespace) -> GatewayConfig:
         port=args.port,
         lifeguard=args.lifeguard,
         pool_size=args.pool_size,
-        workers_per_session=args.workers,
         ingest_queue_depth=args.queue_depth,
         max_sessions=args.max_sessions,
         quarantine=args.quarantine,

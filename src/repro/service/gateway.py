@@ -2,9 +2,9 @@
 
 One long-running asyncio process accepts chunked trace uploads from many
 concurrent clients and runs each committed trace through the supervised
-columnar replay stack (:class:`~repro.trace.replay.ParallelReplay`),
-persisting traces and reports to an indexed
-:class:`~repro.service.store.SessionStore`.
+columnar replay stack (:class:`~repro.trace.replay.ParallelReplay`: one
+worker process per session replays every chunk in order), persisting
+traces and reports to an indexed :class:`~repro.service.store.SessionStore`.
 
 Resilience model, layer by layer:
 
@@ -102,10 +102,14 @@ class GatewayConfig:
     #: Lifeguard every session replays through (per-session override via
     #: the ``begin`` frame).
     lifeguard: str = "AddrCheck"
-    #: Concurrent replay slots (sessions replaying at once).
+    #: Concurrent replay slots (sessions replaying at once); each session
+    #: replays its whole trace in one supervised worker process.
     pool_size: int = 2
-    #: Replay worker processes *per session's* ParallelReplay.
-    workers_per_session: int = 2
+    #: Unannotated class constants, not fields: kept only because
+    #: perfbench's ``shard_probe`` still reads them; they go with the
+    #: benchmark change of ROADMAP item 6.
+    workers_per_session = 1
+    shared_memory = None
     #: Bound of each session's ingest queue (chunks) -- the per-tenant
     #: bounded buffer that implements backpressure.
     ingest_queue_depth: int = 8
@@ -131,7 +135,6 @@ class GatewayConfig:
     )
     #: Seconds in-flight replays get to finish during a drain.
     drain_grace: float = 30.0
-    shared_memory: Optional[bool] = None
     #: Testing hook: build a :class:`repro.faultinject.FaultPlan` per
     #: session (fault injection inside that session's replay workers).
     fault_plan_factory: Optional[Callable[[str], object]] = None
@@ -614,18 +617,16 @@ class MonitoringGateway:
             session.done.set()
 
     def _run_replay(self, session: _Session) -> ReplayResult:
-        """Executor thread: supervised sharded replay of one session."""
+        """Executor thread: supervised in-order replay of one session."""
         fault_plan = None
         if self.config.fault_plan_factory is not None:
             fault_plan = self.config.fault_plan_factory(session.session_id)
         replay = ParallelReplay(
             str(self.store.trace_path(session.session_id)),
             session.meta.extra.get("lifeguard") or self.config.lifeguard,
-            workers=self.config.workers_per_session,
             quarantine=session.meta.quarantine or self.config.quarantine,
             policy=self.config.policy,
             fault_plan=fault_plan,
-            shared_memory=self.config.shared_memory,
         )
         return replay.run()
 

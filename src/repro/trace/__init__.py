@@ -11,10 +11,9 @@ log bytes real:
   files with a per-chunk index, so a workload can be captured once and
   re-analysed many times;
 * :mod:`repro.trace.replay` -- offline replay of a stored trace through the
-  acceleration pipeline and a lifeguard, including sharded parallel replay
-  across supervised ``multiprocessing`` workers and multi-trace replay of
-  the per-core trace sets the multi-core platform captures;
-* :mod:`repro.trace.supervisor` -- the fault-tolerant shard supervision
+  acceleration pipeline and one lifeguard that sees every chunk in order,
+  either in-process or in one supervised ``multiprocessing`` worker;
+* :mod:`repro.trace.supervisor` -- the fault-tolerant replay supervision
   loop (per-attempt timeouts, bounded retry with backoff, span bisection
   to isolate poison chunks, quarantine accounting).
 """
@@ -27,11 +26,9 @@ from repro.trace.codec import (
     encode_records,
 )
 from repro.trace.replay import (
-    MultiTraceReplay,
     ParallelReplay,
     ReplayResult,
     ShardTask,
-    default_workers,
     replay_records,
     replay_trace,
 )
@@ -67,11 +64,9 @@ __all__ = [
     "TraceStats",
     "TraceWriter",
     "verify_trace",
-    "MultiTraceReplay",
     "ParallelReplay",
     "ReplayResult",
     "ShardTask",
-    "default_workers",
     "replay_records",
     "replay_trace",
     "QUARANTINE_POLICIES",

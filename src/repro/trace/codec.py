@@ -14,8 +14,9 @@ stream that exploits the redundancy between successive records --
 The codec is *stateful* (the deltas form a chain), so both ends must
 process the same record sequence from the same reset point.  Chunked trace
 files (:mod:`repro.trace.tracefile`) reset the codec at every chunk
-boundary, which is what makes chunks independently decodable and therefore
-shardable across parallel replay workers.
+boundary, which is what makes chunks independently decodable: a reader can
+seek to any chunk, and a damaged chunk can be quarantined without losing
+the rest of the trace.
 
 Round-tripping is lossless: ``decode(encode(r)) == r`` field for field, and
 re-encoding the decoded stream reproduces the identical bytes.
@@ -23,9 +24,6 @@ re-encoding the decoded stream reproduces the identical bytes.
 
 from __future__ import annotations
 
-import pickle
-from array import array
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.events import (
@@ -274,32 +272,6 @@ class RecordEncoder:
             _write_varint(out, _zigzag(record.payload))
 
 
-#: Dense value columns packed as int64 by :meth:`RecordColumns.to_buffers`,
-#: in layout order.  ``kind``/``ordinal`` stay byte-wide, and the sparse
-#: members (immediates, runs, objects) get dedicated entries.
-_INT64_COLUMNS = (
-    "flags", "pc", "dest_reg", "src_reg", "dest_addr", "src_addr",
-    "size", "base_reg", "index_reg", "thread_id",
-)
-
-
-@dataclass(frozen=True)
-class ColumnLayout:
-    """Picklable byte layout of one :class:`RecordColumns` packed flat.
-
-    Produced by :meth:`RecordColumns.to_buffers` and consumed by
-    :meth:`RecordColumns.from_buffers`; the layout (not the data) is what
-    crosses a process boundary when the column buffers live in a shared
-    memory segment.  ``fields`` is ``(name, typecode, offset, nbytes)`` per
-    packed member, where ``typecode`` is ``"B"`` (raw bytes), ``"q"``
-    (int64 array) or ``"P"`` (pickle blob); offsets are 8-byte aligned.
-    """
-
-    count: int
-    nbytes: int
-    fields: Tuple[Tuple[str, str, int, int], ...]
-
-
 class RecordColumns:
     """A decoded chunk as a structure of arrays (one entry per record row).
 
@@ -471,114 +443,6 @@ class RecordColumns:
             columns.pc[row] = record.pc
         columns.build_runs()
         return columns
-
-    def to_buffers(self) -> Tuple[ColumnLayout, List[object]]:
-        """Pack the columns into flat buffers plus a picklable layout.
-
-        Returns ``(layout, parts)`` where ``parts[i]`` is a buffer-protocol
-        object holding the bytes of ``layout.fields[i]``.  Writing every
-        part at its field offset into one contiguous buffer (e.g. a shared
-        memory segment) lets :meth:`from_buffers` rebuild the columns as
-        zero-copy views -- the pre-decode half of shared-memory replay.
-
-        Dense value columns become int64 arrays; the sparse ``immediates``
-        dict travels as two parallel arrays, the run table as a flat
-        4-per-run array, and the rare ``objects`` rows (annotations) as one
-        pickle blob.  Raises :class:`ValueError` when any column value
-        falls outside int64 -- callers treat that chunk as unpackable and
-        leave it for in-worker decode.
-        """
-        try:
-            int64 = [array("q", getattr(self, name)) for name in _INT64_COLUMNS]
-            imm_rows = array("q", self.immediates.keys())
-            imm_values = array("q", self.immediates.values())
-            runs = array("q", [value for run in self.runs for value in run])
-        except OverflowError as exc:
-            raise ValueError(f"column value outside int64 range: {exc}") from None
-        objects = (
-            pickle.dumps(self.objects, protocol=pickle.HIGHEST_PROTOCOL)
-            if self.objects else b""
-        )
-        parts: List[object] = []
-        fields: List[Tuple[str, str, int, int]] = []
-        offset = 0
-
-        def put(name: str, typecode: str, buf, nbytes: int) -> None:
-            nonlocal offset
-            offset = (offset + 7) & ~7
-            fields.append((name, typecode, offset, nbytes))
-            parts.append(buf)
-            offset += nbytes
-
-        put("kind", "B", self.kind, len(self.kind))
-        put("ordinal", "B", self.ordinal, len(self.ordinal))
-        for name, arr in zip(_INT64_COLUMNS, int64):
-            put(name, "q", arr, arr.itemsize * len(arr))
-        put("immediate_rows", "q", imm_rows, imm_rows.itemsize * len(imm_rows))
-        put("immediate_values", "q", imm_values, imm_values.itemsize * len(imm_values))
-        put("runs", "q", runs, runs.itemsize * len(runs))
-        put("objects", "P", objects, len(objects))
-        layout = ColumnLayout(count=self.n, nbytes=(offset + 7) & ~7, fields=tuple(fields))
-        return layout, parts
-
-    @classmethod
-    def from_buffers(cls, layout: ColumnLayout, buffer) -> "RecordColumns":
-        """Rebuild columns over a buffer packed per ``layout`` (zero-copy).
-
-        The dense int64 columns become ``memoryview.cast("q")`` views into
-        ``buffer`` -- no per-row copying, which is the whole point when
-        ``buffer`` is an attached shared memory segment.  The byte-wide
-        ``kind``/``ordinal`` columns (2 bytes/row vs the 80 of the value
-        columns) are materialised as ``bytearray`` so consumers keep exact
-        ``bytearray`` semantics; ``immediates``, ``runs`` and ``objects``
-        are reconstructed as their native dict/list forms.
-
-        Callers that close the underlying segment must call
-        :meth:`release` first to drop the exported views.
-        """
-        view = memoryview(buffer)
-        columns = cls.__new__(cls)
-        columns.n = layout.count
-        imm_rows: List[int] = []
-        imm_values: List[int] = []
-        runs_flat: List[int] = []
-        columns.objects = {}
-        try:
-            for name, typecode, offset, nbytes in layout.fields:
-                region = view[offset:offset + nbytes]
-                if typecode == "q":
-                    if name == "immediate_rows":
-                        imm_rows = region.cast("q").tolist()
-                    elif name == "immediate_values":
-                        imm_values = region.cast("q").tolist()
-                    elif name == "runs":
-                        runs_flat = region.cast("q").tolist()
-                    else:
-                        setattr(columns, name, region.cast("q"))
-                elif typecode == "B":
-                    setattr(columns, name, bytearray(region))
-                elif nbytes:  # "P": pickle blob (empty when no object rows)
-                    columns.objects = pickle.loads(region)
-        finally:
-            view.release()
-        columns.immediates = dict(zip(imm_rows, imm_values))
-        flat = iter(runs_flat)
-        columns.runs = list(zip(flat, flat, flat, flat))
-        return columns
-
-    def release(self) -> None:
-        """Release any memoryview-backed columns.
-
-        Required before closing a shared memory segment the views point
-        into (``SharedMemory.close`` refuses while exports are alive).
-        Released columns are replaced by empty tuples, so further row
-        access fails loudly instead of reading unmapped memory.
-        """
-        for name in ("kind", "ordinal") + _INT64_COLUMNS:
-            value = getattr(self, name, None)
-            if isinstance(value, memoryview):
-                value.release()
-                setattr(self, name, ())
 
 
 class RecordDecoder:

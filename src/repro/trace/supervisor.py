@@ -1,54 +1,41 @@
-"""Shard supervision: run replay shard tasks in worker processes that are
+"""Replay supervision: run a replay task in a worker process that is
 allowed to crash, hang or report corruption -- and survive all three.
 
-``multiprocessing.Pool.map`` offers none of the control fault tolerance
-needs: a SIGKILL'd worker poisons the whole pool, a hung worker blocks
-``map`` forever, and there is no per-shard retry.  The
-:class:`ShardSupervisor` replaces it with one :class:`multiprocessing`
-process *per shard attempt*, each reporting through its own pipe, under a
+The :class:`ShardSupervisor` runs one :class:`multiprocessing` process
+*per attempt*, one at a time, each reporting through its own pipe, under a
 supervision loop that provides:
 
 * **per-attempt timeouts** -- a worker that exceeds
-  :attr:`SupervisorPolicy.timeout_seconds` is terminated and the shard is
+  :attr:`SupervisorPolicy.timeout_seconds` is terminated and the task is
   retried;
 * **bounded retry with exponential backoff** -- crashes (nonzero exit
   without a result), timeouts and IO errors (``OSError`` from the reader)
   are retried up to :attr:`SupervisorPolicy.max_attempts` times, waiting
   ``backoff_seconds * backoff_multiplier**(attempt-1)`` between attempts;
-* **span bisection** -- a multi-chunk shard that keeps dying is split into
+* **bisection** -- a multi-chunk task that keeps dying is split into
   probe halves (results discarded) to isolate the poison chunk(s); the
-  full span is then re-run as *one* shard with the poison chunks skipped,
-  so the surviving chunks still share a single lifeguard exactly like an
-  in-worker quarantine would;
-* **graceful fallback** -- a single-chunk shard that exhausts its retries
-  is replayed in-process as a last resort (disable via
+  full task is then re-run with the poison chunks skipped, so every
+  surviving chunk still passes through a single lifeguard, in order,
+  exactly like an in-worker quarantine would;
+* **graceful fallback** -- a task that exhausts its retries without
+  bisecting is replayed in-process as a last resort (disable via
   :attr:`SupervisorPolicy.in_process_fallback` when hunting poison chunks
   that would kill the parent too);
 * **structured failure records** -- every attempt that dies produces a
-  :class:`ShardFailure`; unrecoverable shards either raise
+  :class:`ShardFailure`; unrecoverable tasks either raise
   :class:`ReplayError` (``strict``) or quarantine their chunks with exact
   record accounting (``degrade``).
 
 Deterministic worker *exceptions* are not retried: a
 :class:`~repro.trace.tracefile.TraceFormatError` escaping a strict-mode
 worker will fail identically on every attempt, so the supervisor raises
-:class:`ReplayError` immediately, naming the shard.  Only ``OSError``
+:class:`ReplayError` immediately, naming the task.  Only ``OSError``
 (environmental IO) is treated as retryable among exceptions.
 
 The supervisor is generic over the task type: tasks must be frozen
 dataclasses exposing ``trace_path``, ``chunks``, ``chunk_records``,
 ``skip`` and ``quarantine`` (see ``repro.trace.replay.ShardTask``), and
 ``runner(task)`` must be a picklable module-level callable.
-
-When constructed with a ``segments`` pool
-(:class:`repro.trace.shm.SegmentPool`) the supervisor also owns the
-shared-memory lifecycle: a shard's chunks are pre-decoded into a named
-segment just before its first launch, every attempt derived from that
-shard (retries, bisection probes, skip-set finals) reuses the same
-segment, the segment is unlinked when the shard settles, and
-``release_all()`` runs on every exit path of :meth:`ShardSupervisor.run`
--- so neither a ``ReplayError`` nor a ``KeyboardInterrupt`` can leak a
-segment into ``/dev/shm``.
 """
 
 from __future__ import annotations
@@ -67,9 +54,9 @@ QUARANTINE_POLICIES = ("strict", "degrade")
 
 
 class ReplayError(RuntimeError):
-    """A replay shard failed unrecoverably.
+    """A replay failed unrecoverably.
 
-    Carries the failing shard's trace path, chunk span and lifeguard so
+    Carries the failing task's trace path, chunks and lifeguard so
     callers (and operators reading logs) know exactly what was lost.
     """
 
@@ -88,30 +75,30 @@ class ReplayError(RuntimeError):
 
 @dataclass(frozen=True)
 class SupervisorPolicy:
-    """Knobs of the shard supervision loop."""
+    """Knobs of the replay supervision loop."""
 
-    #: Wall-clock budget per shard attempt; ``None`` disables timeouts.
+    #: Wall-clock budget per worker attempt; ``None`` disables timeouts.
     timeout_seconds: Optional[float] = 300.0
-    #: Attempts per shard (first run + retries) before bisection/fallback.
+    #: Attempts per task (first run + retries) before bisection/fallback.
     max_attempts: int = 3
-    #: Base delay before the first retry of a shard.
+    #: Base delay before the first retry of a task.
     backoff_seconds: float = 0.05
     #: Multiplier applied to the backoff for each further retry.
     backoff_multiplier: float = 2.0
-    #: Split repeatedly-failing multi-chunk shards to isolate poison chunks.
+    #: Split repeatedly-failing multi-chunk tasks to isolate poison chunks.
     bisect: bool = True
-    #: Replay a single-chunk shard in-process once its retries are spent.
+    #: Replay a task in-process once its retries are spent.
     #: Turn off when a poison chunk could take the parent down with it.
     in_process_fallback: bool = True
     #: Supervision loop poll interval.
     poll_seconds: float = 0.02
     #: Fractional jitter applied to each backoff delay, spreading the
-    #: retries of simultaneously-failing shards so they do not stampede a
-    #: shared resource (disk, segment pool, gateway worker slot) in
-    #: lockstep.  ``0.25`` means each delay lands uniformly in
+    #: retries of simultaneously-failing replays (say, gateway sessions) so
+    #: they do not stampede a shared resource (disk, gateway worker slot)
+    #: in lockstep.  ``0.25`` means each delay lands uniformly in
     #: ``[0.75x, 1.25x]`` of the exponential schedule.  The jitter is
     #: *seeded*: a fixed :attr:`jitter_seed` plus the caller's ``salt``
-    #: (shard identity) and the attempt number fully determine every
+    #: (task identity) and the attempt number fully determine every
     #: delay, so retry schedules are reproducible run after run.
     backoff_jitter: float = 0.0
     #: Seed anchoring the deterministic jitter sequence.
@@ -131,9 +118,9 @@ class SupervisorPolicy:
         return self.max_attempts
 
     def backoff_for(self, attempt: int, salt: int = 0) -> float:
-        """Delay before retry number ``attempt`` (1-based) of shard ``salt``.
+        """Delay before retry number ``attempt`` (1-based) of task ``salt``.
 
-        ``salt`` distinguishes shards retrying at the same attempt number:
+        ``salt`` distinguishes tasks retrying at the same attempt number:
         with jitter enabled, distinct salts draw distinct (but seeded,
         hence reproducible) delays from the same exponential base.
         """
@@ -150,7 +137,7 @@ class SupervisorPolicy:
 
 @dataclass(frozen=True)
 class ShardFailure:
-    """One failed shard attempt (picklable, for ReplayResult.failures)."""
+    """One failed worker attempt (picklable, for ReplayResult.failures)."""
 
     trace_path: str
     chunks: Tuple[int, ...]
@@ -176,10 +163,13 @@ class QuarantinedChunk:
 class SupervisorOutcome:
     """Everything a supervision run produced."""
 
-    results: List[object] = field(default_factory=list)
+    #: the task's result (from a worker, a final run after bisection or the
+    #: in-process fallback); ``None`` when ``degrade`` gave the task up.
+    #: Bisection probe results are never kept.
+    result: Optional[object] = None
     failures: List[ShardFailure] = field(default_factory=list)
-    #: supervisor-level quarantines (exhausted spans); worker-level
-    #: quarantines ride inside the shard results themselves
+    #: supervisor-level quarantines (exhausted task); worker-level
+    #: quarantines ride inside the task result itself
     quarantined: List[QuarantinedChunk] = field(default_factory=list)
     counters: Dict[str, int] = field(default_factory=dict)
 
@@ -212,7 +202,7 @@ def _child_main(runner, task, conn) -> None:
 
 
 class _Pending:
-    """A shard task queued for (re-)execution."""
+    """A task queued for (re-)execution."""
 
     __slots__ = ("task", "phase", "attempts", "ready_at", "group", "fallback_tried")
 
@@ -226,7 +216,7 @@ class _Pending:
 
 
 class _Running:
-    """A shard attempt currently executing in a worker process."""
+    """A task attempt currently executing in a worker process."""
 
     __slots__ = ("pending", "process", "conn", "started", "deadline")
 
@@ -239,7 +229,7 @@ class _Running:
 
 
 class _BisectGroup:
-    """Bookkeeping for one span being bisected to isolate poison chunks."""
+    """Bookkeeping for one task being bisected to isolate poison chunks."""
 
     __slots__ = ("base", "outstanding", "poison")
 
@@ -250,10 +240,10 @@ class _BisectGroup:
 
 
 def _shard_salt(task) -> int:
-    """Deterministic per-shard jitter salt (stable across processes/runs).
+    """Deterministic per-task jitter salt (stable across processes/runs).
 
     ``hash()`` is randomized per interpreter, so the salt is a CRC32 of
-    the shard's identity instead -- the same shard always draws the same
+    the task's identity instead -- the same task always draws the same
     jittered backoff schedule.
     """
     chunks = getattr(task, "chunks", ())
@@ -272,36 +262,27 @@ def _effective_chunks(task) -> List[Tuple[int, int]]:
 
 
 class ShardSupervisor:
-    """Run shard tasks across supervised worker processes.
+    """Run one task in supervised worker processes, one attempt at a time.
 
-    ``runner`` is executed in a child process per attempt; results are
-    collected in completion order (merging is order-insensitive).  The
-    supervisor guarantees no child process outlives :meth:`run` -- on any
-    exit path (success, :class:`ReplayError`, ``KeyboardInterrupt``) every
-    worker is terminated and joined.
+    ``runner`` is executed in a child process per attempt.  Probe results
+    are discarded; the task's own result (or its fallback's) lands in
+    :attr:`SupervisorOutcome.result`.  The supervisor guarantees no child
+    process outlives :meth:`run` -- on any exit path (success,
+    :class:`ReplayError`, ``KeyboardInterrupt``) every worker is
+    terminated and joined.
     """
 
     def __init__(
         self,
-        tasks: Sequence[object],
+        task: object,
         runner: Callable[[object], object],
         policy: Optional[SupervisorPolicy] = None,
-        max_parallel: int = 1,
         lifeguard: str = "",
-        segments=None,
     ) -> None:
-        self.tasks = list(tasks)
+        self.task = task
         self.runner = runner
         self.policy = policy or SupervisorPolicy()
-        self.max_parallel = max(1, max_parallel)
         self.lifeguard = lifeguard
-        #: Optional :class:`repro.trace.shm.SegmentPool`.  When set, each
-        #: shard's chunks are pre-decoded into a shared-memory segment at
-        #: first launch; retries, bisection probes and finals derived from
-        #: the shard reuse the same segment, and the supervisor unlinks it
-        #: when the shard settles -- with ``release_all`` as the backstop
-        #: on every exit path of :meth:`run`.
-        self.segments = segments
         self._mp = (
             multiprocessing.get_context(self.policy.start_method)
             if self.policy.start_method
@@ -314,8 +295,8 @@ class ShardSupervisor:
     # ------------------------------------------------------------------ driving
 
     def run(self) -> SupervisorOutcome:
-        """Execute every task; returns the outcome or raises ReplayError."""
-        self._queue = [_Pending(task) for task in self.tasks]
+        """Execute the task; returns the outcome or raises ReplayError."""
+        self._queue = [_Pending(self.task)]
         self._running = []
         self._outcome = SupervisorOutcome()
         try:
@@ -332,45 +313,38 @@ class ShardSupervisor:
                     time.sleep(self.policy.poll_seconds)
         finally:
             # Every exit path -- success, ReplayError, KeyboardInterrupt --
-            # must leave no child process and no shared-memory segment.
+            # must leave no child process behind.
             self._terminate_all()
-            if self.segments is not None:
-                self.segments.release_all()
-                for name, value in self.segments.counters().items():
-                    if value:
-                        self._outcome.counters[name] = value
         return self._outcome
 
     def _launch_ready(self) -> None:
+        if self._running:
+            return
         now = time.monotonic()
-        while len(self._running) < self.max_parallel:
-            index = next(
-                (i for i, p in enumerate(self._queue) if p.ready_at <= now), None
-            )
-            if index is None:
-                return
-            pending = self._queue.pop(index)
-            pending.task = self._prepare_task(pending.task)
-            parent_conn, child_conn = self._mp.Pipe(duplex=False)
-            process = self._mp.Process(
-                target=_child_main,
-                args=(self.runner, pending.task, child_conn),
-                daemon=True,
-            )
-            # The launch stamp is taken immediately before the process
-            # starts so a result's (received - launched) interval measures
-            # exactly spawn + task hand-off + compute + result return.
-            started = time.monotonic()
-            process.start()
-            child_conn.close()
-            deadline = (
-                None
-                if self.policy.timeout_seconds is None
-                else started + self.policy.timeout_seconds
-            )
-            if pending.phase == "probe":
-                self._outcome.bump("bisect_probes")
-            self._running.append(_Running(pending, process, parent_conn, started, deadline))
+        index = next((i for i, p in enumerate(self._queue) if p.ready_at <= now), None)
+        if index is None:
+            return
+        pending = self._queue.pop(index)
+        parent_conn, child_conn = self._mp.Pipe(duplex=False)
+        process = self._mp.Process(
+            target=_child_main,
+            args=(self.runner, pending.task, child_conn),
+            daemon=True,
+        )
+        # The launch stamp is taken immediately before the process
+        # starts so a result's (received - launched) interval measures
+        # exactly spawn + task hand-off + compute + result return.
+        started = time.monotonic()
+        process.start()
+        child_conn.close()
+        deadline = (
+            None
+            if self.policy.timeout_seconds is None
+            else started + self.policy.timeout_seconds
+        )
+        if pending.phase == "probe":
+            self._outcome.bump("bisect_probes")
+        self._running.append(_Running(pending, process, parent_conn, started, deadline))
 
     def _poll_running(self) -> bool:
         progressed = False
@@ -390,8 +364,8 @@ class ShardSupervisor:
                     result = message[1]
                     timing = getattr(result, "timing", None)
                     if timing is not None:
-                        # Per-shard hand-off/arrival stamps: what
-                        # _worker_timings turns into this shard's ipc_s.
+                        # Hand-off/arrival stamps: what _worker_timing
+                        # turns into the worker's ipc_s.
                         timing["mono_launched"] = running.started
                         timing["mono_received"] = received
                     self._on_success(running.pending, result)
@@ -445,36 +419,13 @@ class ShardSupervisor:
             running.conn.close()
         self._running = []
 
-    # ---------------------------------------------------------------- segments
-
-    def _prepare_task(self, task):
-        """Pre-decode a shard's chunks into a shared-memory segment.
-
-        Idempotent across a shard's retries/probes/finals (the pool keys on
-        the task's existing descriptor) and never fails the launch: any
-        pre-decode error degrades to the classic decode-in-worker path.
-        """
-        if self.segments is None:
-            return task
-        try:
-            return self.segments.prepare(task)
-        except Exception:
-            self._outcome.bump("shm_prepare_errors")
-            return task
-
-    def _release_segment(self, task) -> None:
-        """Unlink a settled shard's segment (no-op without a pool)."""
-        if self.segments is not None:
-            self.segments.release(task)
-
     # ------------------------------------------------------------------ events
 
     def _on_success(self, pending: _Pending, result) -> None:
         if pending.phase == "probe":
             self._probe_settled(pending.group)
         else:
-            self._outcome.results.append(result)
-            self._release_segment(pending.task)
+            self._outcome.result = result
 
     def _on_failure(
         self,
@@ -505,7 +456,7 @@ class ShardSupervisor:
         if not retryable:
             # Deterministic worker exception: retrying cannot help.
             raise ReplayError(
-                f"shard chunks {list(task.chunks)} of {task.trace_path} "
+                f"replay of chunks {list(task.chunks)} of {task.trace_path} "
                 f"failed: {detail}",
                 trace_path=task.trace_path,
                 chunks=task.chunks,
@@ -561,8 +512,8 @@ class ShardSupervisor:
         base = group.base
         task = base.task
         if not group.poison:
-            # Every probe survived individually: the span failure was flaky
-            # (or a resource interaction).  One final full-span round.
+            # Every probe survived individually: the failure was flaky (or a
+            # resource interaction).  One final full-task round.
             final = _Pending(task, phase="final")
             self._queue.append(final)
             return
@@ -576,10 +527,10 @@ class ShardSupervisor:
                 chunks=poison_chunks,
                 lifeguard=self.lifeguard,
             )
-        # Re-run the *full* span as one shard with the poison chunks
-        # skipped: the worker quarantines the skips itself, and the
-        # surviving chunks share a single lifeguard -- the same state
-        # grouping an in-worker corruption quarantine produces.
+        # Re-run the *full* task with the poison chunks skipped: the worker
+        # quarantines the skips itself, and the surviving chunks pass
+        # through a single lifeguard in order -- the same state an
+        # in-worker corruption quarantine produces.
         final_task = dataclasses.replace(
             task, skip=task.skip | frozenset(poison_chunks)
         )
@@ -592,8 +543,7 @@ class ShardSupervisor:
             self._outcome.bump("fallbacks_inprocess")
             started = time.monotonic()
             try:
-                self._outcome.results.append(self.runner(task))
-                self._release_segment(task)
+                self._outcome.result = self.runner(task)
                 return
             except OSError as exc:
                 self._outcome.failures.append(
@@ -610,7 +560,7 @@ class ShardSupervisor:
                 detail = f"in-process fallback also failed: {exc}"
             except Exception as exc:
                 raise ReplayError(
-                    f"shard chunks {list(task.chunks)} of {task.trace_path} "
+                    f"replay of chunks {list(task.chunks)} of {task.trace_path} "
                     f"failed in-process after worker retries: {exc}",
                     trace_path=task.trace_path,
                     chunks=task.chunks,
@@ -627,10 +577,9 @@ class ShardSupervisor:
                         detail=f"{kind} after {pending.attempts} attempt(s): {detail}",
                     )
                 )
-            self._release_segment(task)
             return
         raise ReplayError(
-            f"shard chunks {list(task.chunks)} of {task.trace_path} failed "
+            f"replay of chunks {list(task.chunks)} of {task.trace_path} failed "
             f"after {pending.attempts} attempt(s) ({kind}: {detail})",
             trace_path=task.trace_path,
             chunks=task.chunks,

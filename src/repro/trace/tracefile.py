@@ -11,9 +11,8 @@ File layout (all integers little-endian)::
                | u64 total_records | u64 instructions | u64 annotations | u64 raw_bytes
 
 Each chunk is an independently decodable unit: the record codec's delta
-chains are reset at every chunk boundary, so a reader (or a parallel replay
-worker) can seek straight to any chunk via the index without touching the
-bytes before it.  Chunks are closed when their raw payload reaches the
+chains are reset at every chunk boundary, so a reader can seek straight to
+any chunk via the index without touching the bytes before it.  Chunks are closed when their raw payload reaches the
 configured ``chunk_bytes`` target, so all chunks of a trace have roughly
 the same size (the last one may be short).
 
@@ -443,9 +442,9 @@ class TraceReader:
     def chunk_record_counts(self) -> Tuple[int, ...]:
         """Record count per chunk, in index order.
 
-        The sharding layers carry these counts on every
+        Supervised replay carries these counts on its
         :class:`~repro.trace.replay.ShardTask` so quarantine accounting
-        never needs to re-open the trace in the parent or the workers.
+        never needs to re-open the trace in the parent.
         """
         return tuple(info.records for info in self.chunks)
 

@@ -622,11 +622,6 @@ def build_fuzz_programs(spec: FuzzProgramSpec) -> List[Program]:
     return [_lower_thread(spec, thread_id) for thread_id in range(spec.threads)]
 
 
-def generate_fuzz_programs(seed: int, config: Optional[FuzzConfig] = None) -> List[Program]:
-    """Convenience: :func:`generate_spec` + :func:`build_fuzz_programs`."""
-    return build_fuzz_programs(generate_spec(seed, config))
-
-
 # ------------------------------------------------------------------ digests
 
 

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import glob
-import os
-
 import pytest
 
 from repro.isa.instructions import Cond, Imm, Mem, Reg
@@ -50,28 +47,3 @@ def copy_loop_program() -> Program:
 def copy_loop_trace(copy_loop_program):
     """Full record trace of the copy-loop program."""
     return Machine(copy_loop_program).trace()
-
-
-#: Where POSIX shared memory surfaces as files; every segment the replay
-#: transport creates carries :data:`repro.trace.shm.SEGMENT_PREFIX`.
-_SHM_GLOB = "/dev/shm/repro_shm_*"
-
-
-@pytest.fixture(autouse=True)
-def shm_leak_gate():
-    """Fail any test that leaks a replay shared-memory segment.
-
-    The segment lifecycle contract is that :class:`SegmentPool` unlinks
-    every segment on every supervisor exit path (success, ``ReplayError``,
-    ``KeyboardInterrupt``), so no test -- including the chaos and
-    fault-injection ones -- may leave one behind.  Checked per-test so a
-    leak is pinned to the test that caused it; the CI workflow re-checks
-    ``/dev/shm`` once more after the whole session as a backstop.
-    """
-    if not os.path.isdir("/dev/shm"):
-        yield
-        return
-    before = set(glob.glob(_SHM_GLOB))
-    yield
-    leaked = sorted(set(glob.glob(_SHM_GLOB)) - before)
-    assert not leaked, f"shared-memory segments leaked by this test: {leaked}"

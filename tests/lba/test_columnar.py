@@ -4,9 +4,9 @@ The conformance matrix proves the engine bit-identical over whole
 workload streams; these tests aim crafted record sequences at the
 run-grouping machinery itself -- runs of length one, long same-ordinal
 runs, runs spanning trace chunk boundaries and shadow pages, mixed-ordinal
-chunks, annotation rows splitting runs, addresses outside int64,
-memoryview-backed columns, and the scalar fallback paths.  Every case is
-compared with the per-record ``EventDispatcher.consume`` reference.
+chunks, annotation rows splitting runs, addresses outside int64, and the
+scalar fallback paths.  Every case is compared with the per-record
+``EventDispatcher.consume`` reference.
 """
 
 import os
@@ -325,22 +325,6 @@ def test_addresses_near_int64_match_consume(lifeguard):
     records.extend(_load_reg(base + 4 * i, i % 4) for i in range(run))
     for chunk_rows in (None, 40):
         _assert_identical(records, lifeguard, chunk_rows)
-
-
-@pytest.mark.parametrize("lifeguard", LIFEGUARDS)
-def test_memoryview_backed_columns_match_consume(lifeguard):
-    """Shared-memory style columns (``from_buffers``) dispatch identically."""
-    records = _same_ordinal_runs(n_blocks=2)
-    layout, parts = RecordColumns.from_records(records).to_buffers()
-    backing = bytearray(layout.nbytes)
-    for (_name, _typecode, offset, nbytes), part in zip(layout.fields, parts):
-        backing[offset:offset + nbytes] = memoryview(part).cast("B")
-    columns = RecordColumns.from_buffers(layout, backing)
-    try:
-        assert isinstance(columns.src_addr, memoryview)
-        _assert_matches(_reference(records, lifeguard), _columnar([columns], lifeguard))
-    finally:
-        columns.release()
 
 
 def test_hand_built_columns_get_runs_lazily():

@@ -5,7 +5,7 @@ inside ``asyncio.run`` and talks to it through :class:`GatewayClient`
 over a live socket -- the same wire path production clients use.  The
 replay-bearing tests assert the service's core determinism contract: the
 ``result`` section of a gateway report is bit-identical to an offline
-sharded-sequential replay of the same trace with the same worker count.
+:func:`~repro.trace.replay.replay_trace` of the same trace.
 """
 
 import asyncio
@@ -23,11 +23,10 @@ from repro.service.gateway import GatewayConfig, MonitoringGateway, report_docum
 from repro.service.protocol import MAX_HEADER_BYTES, ProtocolError, read_message
 from repro.service.session import SessionState
 from repro.service.store import SessionStore
-from repro.trace.replay import ParallelReplay, replay_trace
+from repro.trace.replay import replay_trace
 from repro.trace.supervisor import SupervisorPolicy
 from repro.trace.tracefile import TraceReader, TraceWriter
 
-WORKERS = 2
 POLICY = SupervisorPolicy(
     timeout_seconds=60.0, backoff_seconds=0.01, start_method="forkserver"
 )
@@ -42,9 +41,8 @@ def trace(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def baseline(trace):
-    """Offline sharded-sequential replay: the bit-identity reference."""
-    result = ParallelReplay(trace, CHAOS_LIFEGUARD, workers=WORKERS).run_sequential()
-    return report_document(result)["result"]
+    """Offline in-order replay: the bit-identity reference."""
+    return report_document(replay_trace(trace, CHAOS_LIFEGUARD))["result"]
 
 
 def _config(tmp_path, **overrides):
@@ -52,7 +50,6 @@ def _config(tmp_path, **overrides):
         store_dir=str(tmp_path / "store"),
         lifeguard=CHAOS_LIFEGUARD,
         pool_size=2,
-        workers_per_session=WORKERS,
         policy=POLICY,
         drain_grace=60.0,
         session_idle_timeout=60.0,

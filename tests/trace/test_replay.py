@@ -3,34 +3,32 @@
 The acceptance bar of the trace subsystem: a trace captured from a
 monitored workload, replayed through a fresh lifeguard, produces the
 identical error reports and delivered-event counts as the live run, and a
-parallel sharded replay matches the equivalent sequential sharded replay
-stat for stat.
+supervised replay (one worker process) matches :func:`replay_trace` stat
+for stat and report for report, in emission order.
 """
 
-import os
-
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.core.config import BASELINE_CONFIG, OPTIMIZED_CONFIG
+from repro.isa.instructions import Imm, Mem, Reg
 from repro.isa.machine import Machine
+from repro.isa.program import ProgramBuilder
+from repro.isa.registers import Register
+from repro.isa.threads import ThreadedMachine
 from repro.lba.platform import LBASystem
-from repro.lifeguards import AddrCheck, MemCheck, TaintCheck
+from repro.lifeguards import ALL_LIFEGUARDS, AddrCheck, MemCheck, TaintCheck
 from repro.lifeguards.base import MetadataMapper
-from repro.lifeguards.reports import merge_reports, report_counts
+from repro.lifeguards.reports import ErrorKind, report_counts
 from repro.faultinject.corrupt import flip_chunk_bytes
-from repro.trace.replay import (
-    MAX_DEFAULT_WORKERS,
-    MultiTraceReplay,
-    ParallelReplay,
-    _contiguous_spans,
-    default_workers,
-    replay_trace,
-)
+from repro.trace.replay import ParallelReplay, replay_trace
 from repro.trace.supervisor import ReplayError, SupervisorPolicy
 from repro.trace.tracefile import TraceFormatError, TraceReader, TraceWriter
 from repro.workloads import attacks, bugs
+from repro.workloads.generator import build_fuzz_programs, generate_spec
 from tests.conftest import build_copy_loop
+
+#: Supervision knobs for the supervised-replay tests (fast retry backoff).
+POLICY = SupervisorPolicy(timeout_seconds=120.0, backoff_seconds=0.01)
 
 
 def capture(tmp_path, program, lifeguard, config=OPTIMIZED_CONFIG, chunk_bytes=256):
@@ -97,129 +95,96 @@ class TestSequentialReplay:
         assert first.dispatch == second.dispatch
 
 
+def assert_same_replay(supervised, reference):
+    """Records, DispatchStats, AcceleratorStats and reports, in order."""
+    assert supervised.records == reference.records
+    assert supervised.dispatch == reference.dispatch
+    assert supervised.accelerator == reference.accelerator
+    assert supervised.reports == reference.reports
+
+
+def fuzz_trace(tmp_path, seed):
+    """Capture a fuzz program into a trace of small (2 KiB) chunks."""
+    path = tmp_path / f"fuzz{seed}.lbatrace"
+    records = ThreadedMachine(build_fuzz_programs(generate_spec(seed))).trace()
+    with TraceWriter(path, chunk_bytes=2048) as writer:
+        writer.extend(records)
+    return str(path)
+
+
+def leak_after_bad_load():
+    """``malloc 16; mov esi, eax; mov ebx, 1; add ebx, [esi+4096];
+    add ebx, [esi+4]; halt`` -- a load from unallocated heap, then a leak
+    that finalization reports last."""
+    b = ProgramBuilder("leak_after_bad_load")
+    b.malloc(Imm(16))
+    b.mov(Reg(Register.ESI), Reg(Register.EAX))
+    b.mov(Reg(Register.EBX), Imm(1))
+    b.add(Reg(Register.EBX), Mem(base=Register.ESI, disp=4096))
+    b.add(Reg(Register.EBX), Mem(base=Register.ESI, disp=4))
+    b.halt()
+    return b.build()
+
+
 class TestParallelReplay:
     def test_parallel_matches_sequential_sharded(self, tmp_path):
-        path, _ = capture(tmp_path, bugs.use_after_free(), AddrCheck(), chunk_bytes=128)
-        replay = ParallelReplay(path, AddrCheck, OPTIMIZED_CONFIG, workers=2)
-        assert len(replay.shards()) == 2
-        parallel = replay.run()
-        sequential = replay.run_sequential()
-        assert parallel.workers == 2
-        assert parallel.records == sequential.records
-        assert parallel.dispatch == sequential.dispatch
-        assert parallel.accelerator == sequential.accelerator
-        assert parallel.reports == sequential.reports
+        """The supervised worker reports exactly what ``replay_trace`` does.
 
-    def test_shards_partition_all_chunks(self, tmp_path):
-        path, _ = capture(tmp_path, build_copy_loop(64), AddrCheck(), chunk_bytes=128)
-        for workers in (1, 2, 3, 7):
-            replay = ParallelReplay(path, AddrCheck, workers=workers)
-            spans = replay.shards()
-            flattened = [index for span in spans for index in span]
-            assert flattened == list(range(replay.num_chunks))
-            assert all(span for span in spans)
+        Seed 0 is clean (a fresh lifeguard per chunk span invents
+        MemCheck/AddrCheck errors), seed 5 carries a LockSet race and seed 6
+        a TaintCheck violation that only state carried across every chunk
+        boundary detects.
+        """
+        for seed in (0, 5, 6):
+            path = fuzz_trace(tmp_path, seed)
+            with TraceReader(path) as reader:
+                assert reader.num_chunks > 1
+            for name in ALL_LIFEGUARDS:
+                supervised = ParallelReplay(path, name, policy=POLICY).run()
+                reference = replay_trace(path, name)
+                assert supervised.workers == 1
+                assert supervised.chunks == reference.chunks
+                assert_same_replay(supervised, reference)
+                if name in ("MemCheck", "AddrCheck") and seed == 0:
+                    assert supervised.reports == []
+        assert replay_trace(fuzz_trace(tmp_path, 5), "LockSet").reports
+        assert replay_trace(fuzz_trace(tmp_path, 6), "TaintCheck").reports
+
+    @pytest.mark.parametrize("lifeguard", ["MemCheck", "AddrCheck"])
+    def test_reports_keep_emission_order(self, tmp_path, lifeguard):
+        """No sort: the check reports come first, the leak found at
+        finalization last, exactly as ``replay_trace`` emits them."""
+        path = tmp_path / "leak.lbatrace"
+        with TraceWriter(path) as writer:
+            writer.extend(Machine(leak_after_bad_load()).trace())
+        supervised = ParallelReplay(str(path), lifeguard).run()
+        reference = replay_trace(str(path), lifeguard)
+        assert_same_replay(supervised, reference)
+        kinds = [report.kind for report in supervised.reports]
+        assert len(kinds) >= 2
+        assert kinds[-1] is ErrorKind.MEMORY_LEAK
+        assert ErrorKind.MEMORY_LEAK not in kinds[:-1]
 
     def test_single_worker_is_sequential(self, tmp_path):
         path, _ = capture(tmp_path, build_copy_loop(16), AddrCheck())
         replay = ParallelReplay(path, AddrCheck, OPTIMIZED_CONFIG, workers=1)
         result = replay.run()
         assert result.workers == 1
+        assert_same_replay(result, replay_trace(path, AddrCheck, OPTIMIZED_CONFIG))
 
     def test_worker_count_validation(self, tmp_path):
         path, _ = capture(tmp_path, build_copy_loop(8), AddrCheck())
-        for bad in (0, -1, -100):
-            with pytest.raises(ValueError, match="workers must be >= 1"):
+        for bad in (0, -1, 2, 4, None):
+            with pytest.raises(ValueError, match="workers must be 1"):
                 ParallelReplay(path, AddrCheck, workers=bad)
-
-    def test_default_worker_count_is_bounded_cpu_count(self, tmp_path):
-        path, _ = capture(tmp_path, build_copy_loop(8), AddrCheck())
-        replay = ParallelReplay(path, AddrCheck)
-        assert replay.workers == default_workers()
-        assert 1 <= replay.workers <= MAX_DEFAULT_WORKERS
-        assert replay.workers <= max(os.cpu_count() or 1, 1)
+        with pytest.raises(ValueError, match="no shared-memory transport"):
+            ParallelReplay(path, AddrCheck, shared_memory=True)
+        ParallelReplay(path, AddrCheck, workers=1, shared_memory=False)
 
     def test_unknown_lifeguard_name(self, tmp_path):
         path, _ = capture(tmp_path, build_copy_loop(8), AddrCheck())
         with pytest.raises(KeyError, match="unknown lifeguard"):
             replay_trace(path, "NotALifeguard")
-
-
-class TestContiguousSpans:
-    """Properties of the chunk partitioner every shard plan relies on."""
-
-    @given(num_chunks=st.integers(0, 500), workers=st.integers(1, 64))
-    @settings(max_examples=60, deadline=None)
-    def test_spans_partition_chunk_range_exactly(self, num_chunks, workers):
-        spans = _contiguous_spans(num_chunks, workers)
-        # Exact partition, order preserved: concatenating the spans yields
-        # range(num_chunks), so every chunk is replayed exactly once and
-        # chunk order (hence merge determinism) is preserved.
-        assert [index for span in spans for index in span] == list(range(num_chunks))
-
-    @given(num_chunks=st.integers(0, 500), workers=st.integers(1, 64))
-    @settings(max_examples=60, deadline=None)
-    def test_span_count_and_balance(self, num_chunks, workers):
-        spans = _contiguous_spans(num_chunks, workers)
-        # Never more spans than workers or chunks, never an empty span
-        # (workers > num_chunks collapses to one span per chunk), and the
-        # load is balanced to within one chunk.
-        assert len(spans) == min(workers, num_chunks)
-        assert all(spans)
-        if spans:
-            sizes = [len(span) for span in spans]
-            assert max(sizes) - min(sizes) <= 1
-
-    @given(num_chunks=st.integers(1, 500))
-    @settings(max_examples=30, deadline=None)
-    def test_each_span_is_contiguous(self, num_chunks):
-        for workers in (1, 2, 3, num_chunks, num_chunks + 7):
-            for span in _contiguous_spans(num_chunks, workers):
-                assert span == list(range(span[0], span[-1] + 1))
-
-    def test_empty_trace_yields_no_spans(self):
-        assert _contiguous_spans(0, 8) == []
-
-
-class TestMultiTraceReplay:
-    """Per-core trace sets (multi-core capture) replayed as one merged run."""
-
-    def _capture_set(self, tmp_path, programs):
-        paths = []
-        for core, program in enumerate(programs):
-            path = tmp_path / f"core{core}.lbatrace"
-            with TraceWriter(path, chunk_bytes=256) as writer:
-                writer.extend(Machine(program).trace())
-            paths.append(str(path))
-        return paths
-
-    def test_parallel_matches_sequential(self, tmp_path):
-        paths = self._capture_set(
-            tmp_path, [bugs.use_after_free(), bugs.double_free(), build_copy_loop(32)]
-        )
-        replay = MultiTraceReplay(paths, AddrCheck, OPTIMIZED_CONFIG, workers=2)
-        parallel = replay.run()
-        sequential = replay.run_sequential()
-        assert parallel.records == sequential.records
-        assert parallel.dispatch == sequential.dispatch
-        assert parallel.accelerator == sequential.accelerator
-        assert parallel.reports == sequential.reports
-        assert parallel.chunks == sum(replay.chunks_per_trace)
-
-    def test_merged_set_equals_per_file_merge(self, tmp_path):
-        """The set replay is the deterministic merge of per-file replays."""
-        paths = self._capture_set(tmp_path, [bugs.use_after_free(), bugs.double_free()])
-        combined = MultiTraceReplay(paths, AddrCheck, OPTIMIZED_CONFIG, workers=1).run()
-        individual = [replay_trace(path, AddrCheck, OPTIMIZED_CONFIG) for path in paths]
-        assert combined.records == sum(r.records for r in individual)
-        assert combined.reports == merge_reports(*[r.reports for r in individual])
-
-    def test_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="at least one trace"):
-            MultiTraceReplay([], AddrCheck)
-        paths = self._capture_set(tmp_path, [build_copy_loop(8)])
-        with pytest.raises(ValueError, match="workers must be >= 1"):
-            MultiTraceReplay(paths, AddrCheck, workers=0)
-        assert MultiTraceReplay(paths, AddrCheck).workers == default_workers()
 
 
 class TestEmptyTrace:
@@ -247,8 +212,8 @@ class TestEmptyTrace:
 
     def test_parallel_replay_of_empty_trace(self, tmp_path):
         path = self._empty_trace(tmp_path)
-        replay = ParallelReplay(path, AddrCheck, workers=4)
-        assert replay.shards() == []
+        replay = ParallelReplay(path, AddrCheck)
+        assert replay.num_chunks == 0
         result = replay.run()
         assert result.records == 0
         assert result.records_per_second == 0.0
@@ -257,7 +222,7 @@ class TestEmptyTrace:
     def test_supervised_replay_of_empty_trace(self, tmp_path):
         """An explicit policy forces the supervisor path even with no work."""
         result = ParallelReplay(
-            self._empty_trace(tmp_path), AddrCheck, workers=2,
+            self._empty_trace(tmp_path), AddrCheck,
             policy=SupervisorPolicy(timeout_seconds=5.0),
         ).run()
         assert result.records == 0
@@ -287,7 +252,7 @@ class TestQuarantine:
     def test_parallel_degrade_quarantines_exactly(self, tmp_path):
         path, chunk, lost, total = self._damaged_capture(tmp_path)
         result = ParallelReplay(
-            path, AddrCheck, OPTIMIZED_CONFIG, workers=2, quarantine="degrade"
+            path, AddrCheck, OPTIMIZED_CONFIG, quarantine="degrade"
         ).run()
         assert [c.chunk for c in result.skipped_chunks] == [chunk]
         assert result.skipped_chunks[0].reason == "corrupt"
@@ -298,26 +263,21 @@ class TestQuarantine:
 
     def test_parallel_degrade_matches_sequential_degrade(self, tmp_path):
         path, _chunk, _lost, _total = self._damaged_capture(tmp_path)
-        replay = ParallelReplay(
-            path, AddrCheck, OPTIMIZED_CONFIG, workers=2, quarantine="degrade"
-        )
-        parallel = replay.run()
-        sequential = replay.run_sequential()
-        assert parallel.records == sequential.records
-        assert parallel.dispatch == sequential.dispatch
-        assert parallel.reports == sequential.reports
-        assert [c.chunk for c in parallel.skipped_chunks] == [
-            c.chunk for c in sequential.skipped_chunks
-        ]
+        parallel = ParallelReplay(
+            path, AddrCheck, OPTIMIZED_CONFIG, quarantine="degrade"
+        ).run()
+        sequential = replay_trace(path, AddrCheck, OPTIMIZED_CONFIG, quarantine="degrade")
+        assert_same_replay(parallel, sequential)
+        assert parallel.skipped_chunks == sequential.skipped_chunks
 
     def test_parallel_strict_raises_replay_error(self, tmp_path):
         """A deterministic worker exception fails fast: no retry storm,
-        a ReplayError carrying the shard span and lifeguard, and no
-        leaked children (the supervisor's terminate-all teardown)."""
+        a ReplayError carrying the chunks and lifeguard, and no leaked
+        children (the supervisor's terminate-all teardown)."""
         path, chunk, _lost, _total = self._damaged_capture(tmp_path)
         with pytest.raises(ReplayError) as excinfo:
             ParallelReplay(
-                path, AddrCheck, OPTIMIZED_CONFIG, workers=2, quarantine="strict"
+                path, AddrCheck, OPTIMIZED_CONFIG, quarantine="strict"
             ).run()
         error = excinfo.value
         assert chunk in error.chunks
@@ -329,24 +289,6 @@ class TestQuarantine:
         path, chunk, _lost, _total = self._damaged_capture(tmp_path)
         with pytest.raises(TraceFormatError, match=f"chunk {chunk}"):
             replay_trace(path, AddrCheck, OPTIMIZED_CONFIG)
-
-    def test_multitrace_degrade_quarantines_per_file(self, tmp_path):
-        paths = []
-        for core, program in enumerate([bugs.use_after_free(), bugs.double_free()]):
-            path = tmp_path / f"core{core}.lbatrace"
-            with TraceWriter(path, chunk_bytes=256) as writer:
-                writer.extend(Machine(program).trace())
-            paths.append(str(path))
-        with TraceReader(paths[1]) as reader:
-            lost = reader.chunks[0].records
-        flip_chunk_bytes(paths[1], 0, seed=0)
-        result = MultiTraceReplay(
-            paths, AddrCheck, OPTIMIZED_CONFIG, workers=2, quarantine="degrade"
-        ).run()
-        assert [(c.trace_path, c.chunk) for c in result.skipped_chunks] == [
-            (paths[1], 0)
-        ]
-        assert result.skipped_records == lost
 
 
 class TestSupervisorExports:
@@ -361,17 +303,6 @@ class TestSupervisorExports:
 
 
 class TestReportMerging:
-    def test_merge_is_order_insensitive(self, tmp_path):
-        path, live = capture(tmp_path, bugs.use_after_free(), AddrCheck())
-        merged_forward = merge_reports(live.reports[: len(live.reports) // 2],
-                                       live.reports[len(live.reports) // 2:])
-        merged_reverse = merge_reports(live.reports[len(live.reports) // 2:],
-                                       live.reports[: len(live.reports) // 2])
-        assert merged_forward == merged_reverse
-        assert sorted(r.sort_key() for r in live.reports) == [
-            r.sort_key() for r in merged_forward
-        ]
-
     def test_report_counts(self, tmp_path):
         path, live = capture(tmp_path, bugs.use_after_free(), AddrCheck())
         counts = report_counts(live.reports)
