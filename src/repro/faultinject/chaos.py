@@ -101,7 +101,6 @@ def _policy(
     timeout: Optional[float] = 30.0,
     max_attempts: int = 3,
     fallback: bool = True,
-    bisect: bool = True,
 ) -> SupervisorPolicy:
     """Supervision knobs tightened for fast, bounded chaos runs."""
     return SupervisorPolicy(
@@ -109,9 +108,7 @@ def _policy(
         max_attempts=max_attempts,
         backoff_seconds=0.01,
         backoff_multiplier=2.0,
-        bisect=bisect,
         in_process_fallback=fallback,
-        poll_seconds=0.005,
     )
 
 

@@ -1,9 +1,10 @@
 """Deterministic worker-fault plans for supervised replay.
 
 A :class:`FaultPlan` is attached to replay work via
-``ShardTask.fault_plan`` and fired by the replay worker once per chunk
-read (:func:`repro.trace.replay._replay_shard`).  Each :class:`FaultSpec`
-names a *chunk index* and a fault kind:
+``ShardTask.fault_plan`` and fired once per chunk read by the one chunk
+loop, :func:`repro.trace.replay._replay_chunks`, which the supervised
+worker runs through :func:`repro.trace.replay._replay_shard`.  Each
+:class:`FaultSpec` names a *chunk index* and a fault kind:
 
 * ``sigkill`` -- the worker kills itself with ``SIGKILL`` (no cleanup, no
   exit message: the supervisor must detect the crash from the exit code);

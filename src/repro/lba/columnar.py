@@ -311,12 +311,6 @@ class ColumnarEngine:
             self._fold(columnar_cycles)
         return columnar_cycles + fallback_cycles
 
-    def consume_records(self, records) -> int:
-        """Columnar-consume an in-memory record sequence (test/bench helper)."""
-        from repro.trace.codec import RecordColumns
-
-        return self.consume_columns(RecordColumns.from_records(records))
-
     def _fold(self, columnar_cycles: int) -> None:
         """Fold the batched counters into the live stats objects."""
         # Expand the row-class counters: every counted row is one record

@@ -29,7 +29,6 @@ from repro.obs.pipeline import (
     REQUIRED_SERVICE_COUNTERS,
     collect_pipeline,
     collect_service,
-    collect_sharded_replay,
     snapshot_document,
     validate_snapshot,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "SpanTracer",
     "collect_pipeline",
     "collect_service",
-    "collect_sharded_replay",
     "disable",
     "enable",
     "observed",

@@ -92,6 +92,13 @@ class Histogram:
             "count": self.count,
         }
 
+    def merge(self, data: Dict[str, object]) -> None:
+        """Add another histogram's :meth:`as_dict`, over the same bounds."""
+        for index, count in enumerate(data["counts"]):
+            self.counts[index] += count
+        self.total += data["sum"]
+        self.count += data["count"]
+
 
 class MetricsRegistry:
     """Get-or-create store of named counters, gauges and histograms."""
@@ -133,6 +140,21 @@ class MetricsRegistry:
         for kind in (self._counters, self._gauges, self._histograms):
             if kind is not own and name in kind:
                 raise ValueError(f"metric name {name!r} already used with a different type")
+
+    def merge(self, snapshot: Dict[str, object]) -> "MetricsRegistry":
+        """Fold another registry's :meth:`snapshot` into this one.
+
+        Counters add, gauges take the snapshot's value, and histograms add
+        bucket by bucket (their bounds must match).  A supervised replay
+        worker's counters reach the parent's registry this way.
+        """
+        for name, value in snapshot.get("counters", {}).items():
+            self.counter(name).inc(value)
+        for name, value in snapshot.get("gauges", {}).items():
+            self.gauge(name).set(value)
+        for name, data in snapshot.get("histograms", {}).items():
+            self.histogram(name, data["bounds"]).merge(data)
+        return self
 
     # ------------------------------------------------------------------ export
 

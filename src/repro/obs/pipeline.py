@@ -151,17 +151,17 @@ class PipelineRecorder:
         registry.counter("dispatch.records_total").inc(total_records)
         registry.counter("dispatch.fallback_runs").inc(self.fallback_runs)
         registry.counter("dispatch.fallback_records").inc(self.fallback_records)
-        hist = registry.histogram("dispatch.run_length", self.run_length_hist.bounds)
-        _merge_histogram(hist, self.run_length_hist)
+        registry.histogram("dispatch.run_length", self.run_length_hist.bounds).merge(
+            self.run_length_hist.as_dict()
+        )
         if self.chunks_read:
             registry.counter("codec.chunks_read").inc(self.chunks_read)
             registry.counter("codec.bytes_stored").inc(self.bytes_stored)
             registry.counter("codec.bytes_raw").inc(self.bytes_raw)
             registry.counter("codec.records_decoded").inc(self.records_decoded)
-            chunk_hist = registry.histogram(
-                "codec.chunk_records", self.chunk_records_hist.bounds
+            registry.histogram("codec.chunk_records", self.chunk_records_hist.bounds).merge(
+                self.chunk_records_hist.as_dict()
             )
-            _merge_histogram(chunk_hist, self.chunk_records_hist)
         if self.chunks_written:
             registry.counter("capture.chunks_written").inc(self.chunks_written)
             registry.counter("capture.bytes_stored").inc(self.bytes_written_stored)
@@ -183,13 +183,6 @@ class PipelineRecorder:
         self.chunks_written = 0
         self.bytes_written_stored = 0
         self.bytes_written_raw = 0
-
-
-def _merge_histogram(target: Histogram, source: Histogram) -> None:
-    for index, count in enumerate(source.counts):
-        target.counts[index] += count
-    target.total += source.total
-    target.count += source.count
 
 
 # --------------------------------------------------------------------- collect
@@ -288,113 +281,6 @@ def collect_pipeline(
             registry.gauge("shadow.materialized_buffers").set(shadow.materialized_buffers())
     if recorder is not None:
         recorder.flush_to(registry)
-    return registry
-
-
-def shard_detail(accelerator=None, lifeguard=None) -> Dict[str, object]:
-    """Picklable counter detail of a supervised replay worker.
-
-    Worker processes have no access to the parent's registry, and the
-    :class:`ReplayResult` only carries the ``DispatchStats`` /
-    ``AcceleratorStats`` -- the IT / IF / M-TLB / mapper / shadow detail
-    lives in live objects that never cross the process boundary.  This
-    captures that detail as plain dicts of counter values; the parent folds
-    them in with :func:`collect_sharded_replay`.
-    """
-    from repro.core.stats import stats_as_dict
-
-    detail: Dict[str, object] = {}
-    if accelerator is not None:
-        if accelerator.it is not None:
-            detail["it"] = stats_as_dict(accelerator.it.stats)
-        if accelerator.idempotent_filter is not None:
-            detail["if"] = stats_as_dict(accelerator.idempotent_filter.stats)
-            detail["if_resident"] = accelerator.idempotent_filter.resident_entries()
-        if accelerator.mtlb is not None:
-            detail["mtlb"] = stats_as_dict(accelerator.mtlb.stats)
-            detail["mtlb_resident"] = accelerator.mtlb.resident_entries()
-    if lifeguard is not None:
-        mapper = lifeguard.mapper_stats()
-        if mapper is not None:
-            detail["mapper"] = stats_as_dict(mapper)
-        shadow = lifeguard.primary_map()
-        if shadow is not None:
-            detail["shadow"] = {
-                "fill_calls": getattr(shadow, "fill_calls", 0),
-                "fill_fast_elements": getattr(shadow, "fill_fast_elements", 0),
-                "writes": getattr(shadow, "writes", 0),
-                "reads": getattr(shadow, "reads", 0),
-            }
-            if hasattr(shadow, "materialized_buffers"):
-                detail["shadow_materialized"] = shadow.materialized_buffers()
-    return detail
-
-
-def collect_sharded_replay(registry: MetricsRegistry, result, details) -> MetricsRegistry:
-    """Fold a supervised replay's result and worker details into ``registry``.
-
-    ``result`` is the :class:`~repro.trace.replay.ReplayResult`; ``details``
-    are the worker's :func:`shard_detail` dicts (empty when the caller has
-    none).  Emits the same counter names as :func:`collect_pipeline`, so
-    snapshots from in-process and supervised replays share one schema.
-    """
-    for name in REQUIRED_ACCELERATOR_COUNTERS:
-        registry.counter(name)
-    for name in REQUIRED_REPLAY_COUNTERS:
-        registry.counter(name)
-    registry.counter("replay.chunks").inc(result.chunks)
-    registry.counter("replay.records").inc(result.records)
-    registry.gauge("replay.workers").set(result.workers)
-    # Supervision outcome: every fault counter the supervisor bumped, plus
-    # quarantine accounting (``replay.`` prefix keeps one flat namespace).
-    counters = getattr(result, "fault_counters", None) or {}
-    for name, value in counters.items():
-        registry.counter(f"replay.{name}").inc(value)
-    skipped = getattr(result, "skipped_chunks", None) or []
-    if skipped and "chunks_quarantined" not in counters:
-        registry.counter("replay.chunks_quarantined").inc(len(skipped))
-        registry.counter("replay.records_quarantined").inc(
-            sum(chunk.records for chunk in skipped)
-        )
-    disp = result.dispatch
-    registry.counter("dispatch.records_consumed").inc(disp.records_consumed)
-    registry.counter("dispatch.events_handled").inc(disp.events_handled)
-    registry.counter("dispatch.handler_instructions").inc(disp.handler_instructions)
-    registry.counter("dispatch.mapping_instructions").inc(disp.mapping_instructions)
-    registry.counter("dispatch.miss_handler_instructions").inc(
-        disp.miss_handler_instructions
-    )
-    registry.counter("dispatch.lifeguard_cycles").inc(disp.lifeguard_cycles)
-    acc = result.accelerator
-    registry.counter("accelerator.records_processed").inc(acc.records_processed)
-    registry.counter("accelerator.instruction_records").inc(acc.instruction_records)
-    registry.counter("accelerator.annotation_records").inc(acc.annotation_records)
-    registry.counter("accelerator.propagation_events_in").inc(acc.propagation_events_in)
-    registry.counter("accelerator.propagation_events_delivered").inc(
-        acc.propagation_events_delivered
-    )
-    registry.counter("accelerator.check_events_in").inc(acc.check_events_in)
-    registry.counter("accelerator.check_events_filtered").inc(acc.check_events_filtered)
-    registry.counter("accelerator.check_events_delivered").inc(acc.check_events_delivered)
-    registry.counter("accelerator.rare_events_delivered").inc(acc.rare_events_delivered)
-    if_resident = 0
-    mtlb_resident = 0
-    shadow_materialized = 0
-    for detail in details:
-        for prefix in ("it", "if", "mtlb", "mapper"):
-            for field, value in (detail.get(prefix) or {}).items():
-                registry.counter(f"{prefix}.{field}").inc(value)
-        for field, value in (detail.get("shadow") or {}).items():
-            registry.counter(f"shadow.{field}").inc(value)
-        if_resident += detail.get("if_resident", 0)
-        mtlb_resident += detail.get("mtlb_resident", 0)
-        shadow_materialized += detail.get("shadow_materialized", 0)
-    if any("if" in detail for detail in details):
-        registry.gauge("if.resident_entries").set(if_resident)
-    if any("mtlb" in detail for detail in details):
-        registry.gauge("mtlb.resident_entries").set(mtlb_resident)
-    if any("shadow_materialized" in detail for detail in details):
-        registry.gauge("shadow.materialized_buffers").set(shadow_materialized)
     return registry
 
 

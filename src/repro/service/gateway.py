@@ -50,11 +50,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core.stats import stats_as_dict
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.pipeline import (
-    collect_service,
-    collect_sharded_replay,
-    snapshot_document,
-)
+from repro.obs.pipeline import collect_service, snapshot_document
 from repro.service.protocol import (
     ProtocolError,
     chunk_crc,
@@ -189,7 +185,6 @@ def report_document(result: ReplayResult, session_id: str = "") -> dict:
             "skipped_records": result.skipped_records,
         },
         "supervision": {
-            "workers": result.workers,
             "fault_counters": dict(result.fault_counters),
             "failures": len(result.failures),
         },
@@ -611,9 +606,10 @@ class MonitoringGateway:
             session.meta.state = SessionState.SETTLED.value
             self.counters["sessions_settled"] += 1
             await self._save_meta(session)
-            # Fold the replay's pipeline counters into the service registry
-            # (loop thread only -- the registry is not thread-safe).
-            collect_sharded_replay(self.registry, result, [])
+            # Fold the replay's own counters (the worker's snapshot plus the
+            # supervision counters) into the service registry (loop thread
+            # only -- the registry is not thread-safe).
+            self.registry.merge(result.metrics)
             session.done.set()
 
     def _run_replay(self, session: _Session) -> ReplayResult:
@@ -624,6 +620,8 @@ class MonitoringGateway:
         replay = ParallelReplay(
             str(self.store.trace_path(session.session_id)),
             session.meta.extra.get("lifeguard") or self.config.lifeguard,
+            # Timing collection also brings the worker's metrics snapshot.
+            collect_timing=True,
             quarantine=session.meta.quarantine or self.config.quarantine,
             policy=self.config.policy,
             fault_plan=fault_plan,

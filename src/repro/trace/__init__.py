@@ -29,7 +29,6 @@ from repro.trace.replay import (
     ParallelReplay,
     ReplayResult,
     ShardTask,
-    replay_records,
     replay_trace,
 )
 from repro.trace.supervisor import (
@@ -67,7 +66,6 @@ __all__ = [
     "ParallelReplay",
     "ReplayResult",
     "ShardTask",
-    "replay_records",
     "replay_trace",
     "QUARANTINE_POLICIES",
     "QuarantinedChunk",

@@ -20,6 +20,14 @@ a trace whose worker keeps dying is bisected to isolate poison chunks, and
 every failure is recorded on the result.  Both return the same records,
 stats and reports, in emission order.
 
+Both run one chunk loop, :func:`_replay_chunks` (skip set, fault plan,
+quarantine, stage spans, timing): ``replay_trace`` calls it directly, and
+the supervised worker and the supervisor's in-process fallback call it
+through :func:`_replay_shard`.  The worker records its telemetry into a
+fresh registry and sends back that registry's snapshot, so with telemetry
+on a clean supervised replay's snapshot equals ``replay_trace``'s; the
+supervision counters (retries, crashes, bisections) are added to it.
+
 Damaged chunks are handled per the ``quarantine`` policy: ``strict``
 (default) raises :class:`~repro.trace.tracefile.TraceFormatError` /
 :class:`~repro.trace.supervisor.ReplayError` naming the chunk, while
@@ -31,6 +39,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple, Type, Union
@@ -42,7 +51,7 @@ from repro.lba.dispatch import DispatchStats, EventDispatcher
 from repro.lifeguards import ALL_LIFEGUARDS
 from repro.lifeguards.base import Lifeguard
 from repro.lifeguards.reports import ErrorReport
-from repro.obs.runtime import OBS
+from repro.obs.runtime import OBS, disable, enable
 from repro.trace.supervisor import (
     QUARANTINE_POLICIES,
     QuarantinedChunk,
@@ -56,6 +65,10 @@ from repro.trace.tracefile import TraceFormatError, TraceReader
 #: Exceptions that mean "this chunk's bytes are damaged" (as opposed to an
 #: environmental IO failure): eligible for quarantine under ``degrade``.
 _CHUNK_DAMAGE_ERRORS = (TraceFormatError, TraceCodecError)
+
+#: Held while :func:`_replay_shard` has swapped the process-wide telemetry
+#: state for its own.
+_TELEMETRY_SWAP = threading.Lock()
 
 LifeguardSpec = Union[str, Type[Lifeguard]]
 
@@ -94,7 +107,6 @@ class ReplayResult:
     lifeguard: str
     records: int
     chunks: int
-    workers: int
     dispatch: DispatchStats
     accelerator: AcceleratorStats
     reports: List[ErrorReport] = field(default_factory=list)
@@ -113,6 +125,10 @@ class ReplayResult:
     #: worker_errors, bisections, bisect_probes, fallbacks_inprocess,
     #: chunks_quarantined, records_quarantined).
     fault_counters: Dict[str, int] = field(default_factory=dict)
+    #: Metrics snapshot of a supervised replay that collected telemetry:
+    #: the worker's counters (what :func:`replay_trace` records under
+    #: telemetry) plus the ``replay.*`` supervision counters.
+    metrics: Optional[dict] = None
 
     @property
     def errors_detected(self) -> int:
@@ -145,27 +161,138 @@ def _validate_quarantine(policy: str) -> str:
     return policy
 
 
-def _finish_pipeline(
-    lifeguard: Lifeguard, accelerator: EventAccelerator, dispatcher: EventDispatcher
-) -> Tuple[DispatchStats, AcceleratorStats, List[ErrorReport]]:
-    """Finalize a consumed pipeline and collect its observable outcome."""
-    lifeguard.finalize()
-    return dispatcher.stats, accelerator.stats, list(lifeguard.reports)
+@dataclass(frozen=True)
+class ShardTask:
+    """Picklable unit of replay work: chunks of one trace, in order.
 
-
-def replay_records(
-    records, lifeguard: Lifeguard, config: Optional[SystemConfig] = None
-) -> Tuple[DispatchStats, AcceleratorStats, List[ErrorReport]]:
-    """Consume a record sequence through ``lifeguard``; returns the stats.
-
-    Flattens the records into columns and dispatches them through the
-    run-grouped columnar engine, which produces bit-identical stats,
-    cycles and reports to a per-record ``consume`` loop at a fraction of
-    the interpreter overhead.
+    :func:`replay_trace` and :class:`ParallelReplay` both describe the
+    whole trace with one task.  The frozen-dataclass shape is what lets the
+    supervisor derive bisection probes (halves, results discarded) and the
+    final whole-trace run with poison chunks skipped via
+    :func:`dataclasses.replace`.
     """
-    accelerator, dispatcher = build_pipeline(lifeguard, config)
-    ColumnarEngine(dispatcher).consume_records(records)
-    return _finish_pipeline(lifeguard, accelerator, dispatcher)
+
+    trace_path: str
+    lifeguard: str
+    config: Optional[SystemConfig]
+    #: Chunk indices this task replays, in order.
+    chunks: Tuple[int, ...]
+    #: Record count per chunk (parallel to ``chunks``) for quarantine
+    #: accounting without re-opening the trace in the parent.
+    chunk_records: Tuple[int, ...]
+    #: Return the worker's wall-time breakdown and telemetry snapshot.
+    collect_timing: bool = False
+    quarantine: str = "strict"
+    #: Chunks to quarantine without reading (poison chunks isolated by
+    #: bisection -- reading them is what killed the workers).
+    skip: FrozenSet[int] = frozenset()
+    #: Optional :class:`repro.faultinject.FaultPlan`, fired once per chunk
+    #: read; ``None`` in production.
+    fault_plan: Optional[object] = None
+
+
+@dataclass
+class _ShardResult:
+    """Picklable result of replaying one task's chunks through one lifeguard."""
+
+    records: int
+    dispatch: DispatchStats
+    accelerator: AcceleratorStats
+    reports: List[ErrorReport]
+    #: chunks this replay quarantined (damage found, or skip-set poison)
+    skipped: List[QuarantinedChunk] = field(default_factory=list)
+    #: wall-time breakdown of this task: the loop's setup/decode/dispatch
+    #: seconds, completed by the worker when timing collection is on
+    timing: Optional[dict] = None
+    #: the worker's :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`
+    #: (only when timing collection is on)
+    metrics: Optional[dict] = None
+
+
+def _replay_chunks(task: ShardTask, lifeguard: Lifeguard, reader: TraceReader) -> _ShardResult:
+    """The one chunk loop: replay ``task.chunks`` of ``reader``, in order.
+
+    Chunks in ``task.skip`` are quarantined without being read; the fault
+    plan (if any) fires before each read; under ``quarantine="degrade"`` a
+    damaged chunk is skipped and recorded instead of raising.  With
+    telemetry on, the loop adds the ``replay.*`` stage spans and collects
+    the pipeline's counters into ``OBS.registry``.  The result's ``timing``
+    holds the setup/decode/dispatch seconds.
+    """
+    start = time.perf_counter()
+    tracer = OBS.tracer if OBS.enabled else None
+    accelerator, dispatcher = build_pipeline(lifeguard, task.config)
+    engine = ColumnarEngine(dispatcher)
+    setup_s = time.perf_counter() - start
+    if tracer is not None:
+        tracer.add("replay.setup", "replay", start, setup_s)
+    decode_s = 0.0
+    dispatch_s = 0.0
+    skipped: List[QuarantinedChunk] = []
+    for index, records in zip(task.chunks, task.chunk_records):
+        if index in task.skip:
+            skipped.append(QuarantinedChunk(
+                trace_path=task.trace_path, chunk=index, records=records,
+                reason="poison", detail="isolated by span bisection",
+            ))
+            continue
+        if task.fault_plan is not None:
+            task.fault_plan.fire(index)
+        t_decode = time.perf_counter()
+        try:
+            columns = reader.read_chunk_columns(index)
+        except _CHUNK_DAMAGE_ERRORS as exc:
+            if task.quarantine != "degrade":
+                raise
+            skipped.append(QuarantinedChunk(
+                trace_path=task.trace_path, chunk=index, records=records,
+                reason="corrupt", detail=str(exc),
+            ))
+            continue
+        t_dispatch = time.perf_counter()
+        # One column-decoded chunk feeds one run-grouped columnar dispatch
+        # call (bit-identical to the scalar consume loop).  Dropping the
+        # columns before the next read keeps one decoded chunk alive, not two.
+        engine.consume_columns(columns)
+        del columns
+        t_done = time.perf_counter()
+        decode_s += t_dispatch - t_decode
+        dispatch_s += t_done - t_dispatch
+        if tracer is not None:
+            tracer.add("replay.decode", "replay", t_decode, t_dispatch - t_decode)
+            tracer.add("replay.dispatch", "replay", t_dispatch, t_done - t_dispatch)
+    t_finish = time.perf_counter()
+    lifeguard.finalize()
+    dispatch = dispatcher.stats
+    result = _ShardResult(
+        records=dispatch.records_consumed,
+        dispatch=dispatch,
+        accelerator=accelerator.stats,
+        reports=list(lifeguard.reports),
+        skipped=skipped,
+        timing={"setup_s": setup_s, "decode_s": decode_s, "dispatch_s": dispatch_s},
+    )
+    if tracer is not None:
+        tracer.add("replay.finish", "replay", t_finish, time.perf_counter() - t_finish)
+    if OBS.enabled and OBS.registry is not None:
+        from repro.obs.pipeline import collect_pipeline
+
+        registry = OBS.registry
+        registry.counter("replay.chunks").inc(len(task.chunks))
+        registry.counter("replay.records").inc(result.records)
+        if skipped:
+            registry.counter("replay.chunks_quarantined").inc(len(skipped))
+            registry.counter("replay.records_quarantined").inc(
+                sum(chunk.records for chunk in skipped)
+            )
+        collect_pipeline(
+            registry,
+            dispatcher=dispatcher,
+            accelerator=accelerator,
+            lifeguard=lifeguard,
+            recorder=OBS.recorder,
+        )
+    return result
 
 
 def replay_trace(
@@ -187,240 +314,69 @@ def replay_trace(
     """
     _validate_quarantine(quarantine)
     lifeguard_cls = _resolve_lifeguard(lifeguard)
-    instance = lifeguard_cls()
-    tracer = OBS.tracer if OBS.enabled else None
     start = time.perf_counter()
-    accelerator, dispatcher = build_pipeline(instance, config)
-    engine = ColumnarEngine(dispatcher)
-    if tracer is not None:
-        tracer.add("replay.setup", "replay", start, time.perf_counter() - start)
-    skipped: List[QuarantinedChunk] = []
     with TraceReader(trace_path) as reader:
-        chunks = reader.num_chunks
-        if tracer is None and quarantine == "strict":
-            for index in range(chunks):
-                # One column-decoded chunk feeds one run-grouped columnar
-                # dispatch call (bit-identical to the scalar consume loop).
-                engine.consume_columns(reader.read_chunk_columns(index))
-        else:
-            for index in range(chunks):
-                t_decode = time.perf_counter()
-                try:
-                    columns = reader.read_chunk_columns(index)
-                except _CHUNK_DAMAGE_ERRORS as exc:
-                    if quarantine != "degrade":
-                        raise
-                    skipped.append(QuarantinedChunk(
-                        trace_path=str(trace_path), chunk=index,
-                        records=reader.chunks[index].records,
-                        reason="corrupt", detail=str(exc),
-                    ))
-                    continue
-                t_dispatch = time.perf_counter()
-                if tracer is not None:
-                    tracer.add("replay.decode", "replay", t_decode, t_dispatch - t_decode)
-                engine.consume_columns(columns)
-                if tracer is not None:
-                    tracer.add(
-                        "replay.dispatch", "replay", t_dispatch,
-                        time.perf_counter() - t_dispatch,
-                    )
-    t_finish = time.perf_counter()
-    dispatch, accel, reports = _finish_pipeline(instance, accelerator, dispatcher)
-    if OBS.enabled:
-        if tracer is not None:
-            tracer.add("replay.finish", "replay", t_finish, time.perf_counter() - t_finish)
-        if OBS.registry is not None:
-            from repro.obs.pipeline import collect_pipeline
-
-            registry = OBS.registry
-            registry.counter("replay.chunks").inc(chunks)
-            registry.counter("replay.records").inc(dispatch.records_consumed)
-            if skipped:
-                registry.counter("replay.chunks_quarantined").inc(len(skipped))
-                registry.counter("replay.records_quarantined").inc(
-                    sum(chunk.records for chunk in skipped)
-                )
-            collect_pipeline(
-                registry,
-                dispatcher=dispatcher,
-                accelerator=accelerator,
-                lifeguard=instance,
-                recorder=OBS.recorder,
-            )
+        task = ShardTask(
+            trace_path=str(trace_path),
+            lifeguard=lifeguard_cls.name,
+            config=config,
+            chunks=tuple(range(reader.num_chunks)),
+            chunk_records=reader.chunk_record_counts(),
+            quarantine=quarantine,
+        )
+        shard = _replay_chunks(task, lifeguard_cls(), reader)
     return ReplayResult(
         lifeguard=lifeguard_cls.name,
-        records=dispatch.records_consumed,
-        chunks=chunks,
-        workers=1,
-        dispatch=dispatch,
-        accelerator=accel,
-        reports=reports,
+        records=shard.records,
+        chunks=len(task.chunks),
+        dispatch=shard.dispatch,
+        accelerator=shard.accelerator,
+        reports=shard.reports,
         wall_seconds=time.perf_counter() - start,
-        skipped_chunks=skipped,
+        skipped_chunks=shard.skipped,
     )
-
-
-
-
-# ------------------------------------------------------------------- supervised
-
-
-@dataclass(frozen=True)
-class ShardTask:
-    """Picklable unit of supervised replay work: chunks of one trace, in order.
-
-    :class:`ParallelReplay` hands the supervisor one task covering the
-    whole trace.  The frozen-dataclass shape is what lets the supervisor
-    derive bisection probes (halves, results discarded) and the final
-    whole-trace run with poison chunks skipped via
-    :func:`dataclasses.replace`.
-    """
-
-    trace_path: str
-    lifeguard: str
-    config: Optional[SystemConfig]
-    #: Chunk indices this task replays, in order.
-    chunks: Tuple[int, ...]
-    #: Record count per chunk (parallel to ``chunks``) for quarantine
-    #: accounting without re-opening the trace in the parent.
-    chunk_records: Tuple[int, ...]
-    collect_timing: bool = False
-    quarantine: str = "strict"
-    #: Chunks to quarantine without reading (poison chunks isolated by
-    #: bisection -- reading them is what killed the workers).
-    skip: FrozenSet[int] = frozenset()
-    #: Optional :class:`repro.faultinject.FaultPlan`, fired once per chunk
-    #: read; ``None`` in production.
-    fault_plan: Optional[object] = None
-
-
-@dataclass
-class _ShardResult:
-    """Picklable result of replaying one task's chunks through one lifeguard."""
-
-    records: int
-    dispatch: DispatchStats
-    accelerator: AcceleratorStats
-    reports: List[ErrorReport]
-    #: chunks this worker quarantined (damage found, or skip-set poison)
-    skipped: List[QuarantinedChunk] = field(default_factory=list)
-    #: wall-time breakdown of this task (only when timing collection is on)
-    timing: Optional[dict] = None
-    #: accelerator/mapper/shadow counter detail (only when collection is on):
-    #: the live IT/IF/M-TLB objects never cross the process boundary, so the
-    #: worker captures their counters as plain dicts for the parent registry
-    detail: Optional[dict] = None
 
 
 def _replay_shard(task: ShardTask) -> _ShardResult:
-    """Worker entry point: replay one task's chunks with a fresh lifeguard.
+    """Worker entry point: :func:`_replay_chunks` with a fresh lifeguard.
 
     Runs in a supervised child process (or in-process as the supervisor's
-    last-resort fallback).  Under ``quarantine="degrade"`` a damaged chunk
-    is skipped and recorded instead of raising; chunks in ``task.skip`` are
-    quarantined without being read at all.  When timing collection is on,
-    ``monotonic`` start/end are system-wide comparable on Linux, so the
-    parent can line the worker's lifetime up against its own clock; the
-    serialize cost is measured by pickling the result exactly as the IPC
-    return path will (the timing dict itself rides along un-measured).
+    last-resort fallback).  A forked worker inherits the parent's telemetry
+    state, counters so far included, so the loop records into a fresh
+    registry -- enabled only when timing collection is on -- and the
+    caller's state is restored afterwards.  The swap holds a lock, so two
+    in-process fallbacks on different threads (gateway sessions) cannot
+    restore each other's state.  With timing collection on, the
+    result carries that registry's snapshot and the wall-time breakdown;
+    the serialize cost is measured by pickling the result exactly as the
+    IPC return path will (the timing dict itself rides along un-measured).
     """
-    mono_start = time.monotonic()
     wall_start = time.perf_counter()
-    plan = task.fault_plan
-    degrade = task.quarantine == "degrade"
-    lifeguard = ALL_LIFEGUARDS[task.lifeguard]()
-    accelerator, dispatcher = build_pipeline(lifeguard, task.config)
-    engine = ColumnarEngine(dispatcher)
-    setup_s = time.perf_counter() - wall_start
-    decode_s = 0.0
-    dispatch_s = 0.0
-    skipped: List[QuarantinedChunk] = []
-    reader: Optional[TraceReader] = None
-    try:
-        for position, index in enumerate(task.chunks):
-            if index in task.skip:
-                skipped.append(QuarantinedChunk(
-                    trace_path=task.trace_path, chunk=index,
-                    records=task.chunk_records[position], reason="poison",
-                    detail="isolated by span bisection",
-                ))
-                continue
-            if plan is not None:
-                plan.fire(index)
-            t_decode = time.perf_counter()
-            try:
-                if reader is None:
-                    reader = TraceReader(task.trace_path)
-                columns = reader.read_chunk_columns(index)
-            except _CHUNK_DAMAGE_ERRORS as exc:
-                if not degrade:
-                    raise
-                skipped.append(QuarantinedChunk(
-                    trace_path=task.trace_path, chunk=index,
-                    records=task.chunk_records[position], reason="corrupt",
-                    detail=str(exc),
-                ))
-                continue
-            t_dispatch = time.perf_counter()
-            decode_s += t_dispatch - t_decode
-            # One column-decoded chunk feeds one columnar dispatch call.
-            engine.consume_columns(columns)
-            dispatch_s += time.perf_counter() - t_dispatch
-    finally:
-        if reader is not None:
-            reader.close()
-    dispatch, accel, reports = _finish_pipeline(lifeguard, accelerator, dispatcher)
-    result = _ShardResult(
-        records=dispatch.records_consumed,
-        dispatch=dispatch,
-        accelerator=accel,
-        reports=reports,
-        skipped=skipped,
-    )
+    with _TELEMETRY_SWAP:
+        previous = (OBS.enabled, OBS.registry, OBS.tracer, OBS.recorder)
+        disable()
+        if task.collect_timing:
+            enable()
+        try:
+            with TraceReader(task.trace_path) as reader:
+                result = _replay_chunks(task, ALL_LIFEGUARDS[task.lifeguard](), reader)
+            if task.collect_timing:
+                result.metrics = OBS.registry.snapshot()
+        finally:
+            OBS.enabled, OBS.registry, OBS.tracer, OBS.recorder = previous
     if not task.collect_timing:
+        result.timing = None
         return result
-    from repro.obs.pipeline import shard_detail
-
-    result.detail = shard_detail(accelerator, lifeguard)
     t_serialize = time.perf_counter()
     pickle.dumps(result)
-    serialize_s = time.perf_counter() - t_serialize
-    result.timing = {
-        "pid": os.getpid(),
-        "chunks": len(task.chunks),
-        "records": result.records,
-        "setup_s": setup_s,
-        "decode_s": decode_s,
-        "dispatch_s": dispatch_s,
-        "serialize_s": serialize_s,
-        "worker_wall_s": time.perf_counter() - wall_start,
-        "mono_start": mono_start,
-        "mono_end": time.monotonic(),
-    }
+    result.timing.update(
+        pid=os.getpid(),
+        chunks=len(task.chunks),
+        records=result.records,
+        serialize_s=time.perf_counter() - t_serialize,
+        worker_wall_s=time.perf_counter() - wall_start,
+    )
     return result
-
-
-def _worker_timing(timing: dict) -> dict:
-    """The worker's timing breakdown with its IPC attribution.
-
-    ``ipc_s`` is the slice of the worker's supervised lifetime it did not
-    spend computing: process spawn, task pickling, pipe wait and result
-    unpickling.  The supervisor stamps ``mono_launched`` (just before the
-    worker process starts) and ``mono_received`` (when its result arrives)
-    onto the timing dict, and the worker's own ``mono_start``/``mono_end``
-    bracket the compute.  A result produced by the in-process fallback has
-    no hand-off, so its ``ipc_s`` is 0.
-    """
-    timing = dict(timing)
-    launched = timing.pop("mono_launched", None)
-    received = timing.pop("mono_received", None)
-    if launched is not None and received is not None:
-        compute = timing.get("mono_end", 0.0) - timing.get("mono_start", 0.0)
-        timing["ipc_s"] = max(0.0, (received - launched) - compute)
-    else:
-        timing["ipc_s"] = 0.0
-    return timing
 
 
 class ParallelReplay:
@@ -485,7 +441,8 @@ class ParallelReplay:
             config=self.config,
             chunks=tuple(range(self.num_chunks)),
             chunk_records=self._chunk_records,
-            # Timing is on when requested explicitly or telemetry is enabled.
+            # Timing and the worker's snapshot are on when requested
+            # explicitly or telemetry is enabled.
             collect_timing=self.collect_timing or OBS.enabled,
             quarantine=self.quarantine,
             fault_plan=self.fault_plan,
@@ -504,27 +461,35 @@ class ParallelReplay:
         if skipped:
             counters["chunks_quarantined"] = len(skipped)
             counters["records_quarantined"] = sum(c.records for c in skipped)
-        result = ReplayResult(
+        if shard.timing is not None:
+            # What the worker did not spend computing: process spawn, task
+            # hand-off, pipe wait and result unpickling.
+            shard.timing["ipc_s"] = max(0.0, outcome.seconds - shard.timing["worker_wall_s"])
+        metrics = None
+        if task.collect_timing:
+            from repro.obs.metrics import MetricsRegistry
+
+            # The worker's snapshot, its ``replay.*`` counters raised to the
+            # result's fault counters: what only the supervisor saw (retries,
+            # crashes, bisections, chunks it gave up on) is added.
+            registry = MetricsRegistry().merge(shard.metrics or {})
+            for name, value in counters.items():
+                counter = registry.counter(f"replay.{name}")
+                counter.inc(value - counter.value)
+            metrics = registry.snapshot()
+            if OBS.enabled and OBS.registry is not None:
+                OBS.registry.merge(metrics)
+        return ReplayResult(
             lifeguard=self.lifeguard_cls.name,
             records=shard.records,
             chunks=self.num_chunks,
-            workers=1,
             dispatch=shard.dispatch,
             accelerator=shard.accelerator,
             reports=shard.reports,
             wall_seconds=elapsed,
-            worker_timings=[_worker_timing(shard.timing)] if shard.timing else [],
+            worker_timings=[shard.timing] if shard.timing else [],
             skipped_chunks=skipped,
             failures=list(outcome.failures),
             fault_counters=counters,
+            metrics=metrics,
         )
-        if OBS.enabled and OBS.registry is not None:
-            from repro.obs.pipeline import collect_sharded_replay
-
-            # The worker's registry (if any) dies with it, so its IT / IF /
-            # M-TLB / mapper / shadow counters travel back as the picklable
-            # ``detail`` dict on its result.
-            collect_sharded_replay(
-                OBS.registry, result, [shard.detail] if shard.detail else [],
-            )
-        return result

@@ -2,23 +2,24 @@
 allowed to crash, hang or report corruption -- and survive all three.
 
 The :class:`ShardSupervisor` runs one :class:`multiprocessing` process
-*per attempt*, one at a time, each reporting through its own pipe, under a
-supervision loop that provides:
+*per attempt*, one at a time, each reporting through its own pipe.  Each
+attempt waits on ``multiprocessing.connection.wait`` for the result pipe
+or the process sentinel, under the attempt timeout.  :meth:`ShardSupervisor.run`
+is straight-line code:
 
-* **per-attempt timeouts** -- a worker that exceeds
-  :attr:`SupervisorPolicy.timeout_seconds` is terminated and the task is
-  retried;
-* **bounded retry with exponential backoff** -- crashes (nonzero exit
-  without a result), timeouts and IO errors (``OSError`` from the reader)
-  are retried up to :attr:`SupervisorPolicy.max_attempts` times, waiting
+* **attempts with backoff** -- crashes (exit without a result), timeouts
+  (a worker exceeding :attr:`SupervisorPolicy.timeout_seconds` is
+  terminated) and IO errors (``OSError`` from the reader) are retried up
+  to :attr:`SupervisorPolicy.max_attempts` times, waiting
   ``backoff_seconds * backoff_multiplier**(attempt-1)`` between attempts;
 * **bisection** -- a multi-chunk task that keeps dying is split into
-  probe halves (results discarded) to isolate the poison chunk(s); the
-  full task is then re-run with the poison chunks skipped, so every
-  surviving chunk still passes through a single lifeguard, in order,
-  exactly like an in-worker quarantine would;
-* **graceful fallback** -- a task that exhausts its retries without
-  bisecting is replayed in-process as a last resort (disable via
+  probe halves, recursively, to isolate the poison chunk(s); probe
+  results are discarded;
+* **final run** -- the full task is re-run with the poison chunks
+  skipped, so every surviving chunk still passes through a single
+  lifeguard, in order, exactly like an in-worker quarantine would;
+* **graceful fallback** -- a task whose workers are spent is replayed
+  in-process as a last resort (disable via
   :attr:`SupervisorPolicy.in_process_fallback` when hunting poison chunks
   that would kill the parent too);
 * **structured failure records** -- every attempt that dies produces a
@@ -34,8 +35,9 @@ worker will fail identically on every attempt, so the supervisor raises
 
 The supervisor is generic over the task type: tasks must be frozen
 dataclasses exposing ``trace_path``, ``chunks``, ``chunk_records``,
-``skip`` and ``quarantine`` (see ``repro.trace.replay.ShardTask``), and
-``runner(task)`` must be a picklable module-level callable.
+``skip``, ``quarantine`` and ``collect_timing`` (see
+``repro.trace.replay.ShardTask``), and ``runner(task)`` must be a
+picklable module-level callable.
 """
 
 from __future__ import annotations
@@ -85,13 +87,9 @@ class SupervisorPolicy:
     backoff_seconds: float = 0.05
     #: Multiplier applied to the backoff for each further retry.
     backoff_multiplier: float = 2.0
-    #: Split repeatedly-failing multi-chunk tasks to isolate poison chunks.
-    bisect: bool = True
     #: Replay a task in-process once its retries are spent.
     #: Turn off when a poison chunk could take the parent down with it.
     in_process_fallback: bool = True
-    #: Supervision loop poll interval.
-    poll_seconds: float = 0.02
     #: Fractional jitter applied to each backoff delay, spreading the
     #: retries of simultaneously-failing replays (say, gateway sessions) so
     #: they do not stampede a shared resource (disk, gateway worker slot)
@@ -112,10 +110,11 @@ class SupervisorPolicy:
     start_method: Optional[str] = None
 
     def attempts_for(self, phase: str) -> int:
-        """Probes get one fewer attempt: they exist to fail fast."""
+        """Attempts a phase gets, at least one; probes get one fewer: they
+        exist to fail fast."""
         if phase == "probe":
             return max(1, self.max_attempts - 1)
-        return self.max_attempts
+        return max(1, self.max_attempts)
 
     def backoff_for(self, attempt: int, salt: int = 0) -> float:
         """Delay before retry number ``attempt`` (1-based) of task ``salt``.
@@ -172,6 +171,10 @@ class SupervisorOutcome:
     #: quarantines ride inside the task result itself
     quarantined: List[QuarantinedChunk] = field(default_factory=list)
     counters: Dict[str, int] = field(default_factory=dict)
+    #: wall seconds of the attempt that produced ``result``: worker spawn,
+    #: task hand-off, compute and result return (the in-process call for
+    #: a fallback result)
+    seconds: float = 0.0
 
     def bump(self, name: str, value: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + value
@@ -201,44 +204,6 @@ def _child_main(runner, task, conn) -> None:
         conn.close()
 
 
-class _Pending:
-    """A task queued for (re-)execution."""
-
-    __slots__ = ("task", "phase", "attempts", "ready_at", "group", "fallback_tried")
-
-    def __init__(self, task, phase: str = "work", group=None) -> None:
-        self.task = task
-        self.phase = phase
-        self.attempts = 0
-        self.ready_at = 0.0
-        self.group = group
-        self.fallback_tried = False
-
-
-class _Running:
-    """A task attempt currently executing in a worker process."""
-
-    __slots__ = ("pending", "process", "conn", "started", "deadline")
-
-    def __init__(self, pending, process, conn, started, deadline) -> None:
-        self.pending = pending
-        self.process = process
-        self.conn = conn
-        self.started = started
-        self.deadline = deadline
-
-
-class _BisectGroup:
-    """Bookkeeping for one task being bisected to isolate poison chunks."""
-
-    __slots__ = ("base", "outstanding", "poison")
-
-    def __init__(self, base: _Pending) -> None:
-        self.base = base
-        self.outstanding = 0
-        self.poison: List[Tuple[int, int]] = []  # (chunk, records)
-
-
 def _shard_salt(task) -> int:
     """Deterministic per-task jitter salt (stable across processes/runs).
 
@@ -261,15 +226,31 @@ def _effective_chunks(task) -> List[Tuple[int, int]]:
     ]
 
 
+def _stop(process, grace: float) -> None:
+    """Reap a worker: give it ``grace`` seconds to exit, then terminate it,
+    then kill it."""
+    if process.pid is None:  # never started
+        return
+    process.join(grace)
+    if process.is_alive():
+        process.terminate()
+        process.join(0.5)
+    if process.is_alive():
+        process.kill()
+        process.join(5)
+
+
 class ShardSupervisor:
     """Run one task in supervised worker processes, one attempt at a time.
 
-    ``runner`` is executed in a child process per attempt.  Probe results
-    are discarded; the task's own result (or its fallback's) lands in
-    :attr:`SupervisorOutcome.result`.  The supervisor guarantees no child
-    process outlives :meth:`run` -- on any exit path (success,
-    :class:`ReplayError`, ``KeyboardInterrupt``) every worker is
-    terminated and joined.
+    ``runner`` is executed in a child process per attempt.  :meth:`run` is
+    straight-line: attempts with backoff; then, for a multi-chunk task,
+    recursive bisection whose probe results are discarded; then a final
+    whole-task run that skips the poison chunks; then the in-process
+    fallback.  The task's own result lands in
+    :attr:`SupervisorOutcome.result`.  No child process outlives its
+    attempt: on every exit path (success, :class:`ReplayError`,
+    ``KeyboardInterrupt``) the worker is terminated and joined.
     """
 
     def __init__(
@@ -283,167 +264,120 @@ class ShardSupervisor:
         self.runner = runner
         self.policy = policy or SupervisorPolicy()
         self.lifeguard = lifeguard
+        start_method = self.policy.start_method
         self._mp = (
-            multiprocessing.get_context(self.policy.start_method)
-            if self.policy.start_method
-            else multiprocessing
+            multiprocessing.get_context(start_method) if start_method else multiprocessing
         )
-        self._queue: List[_Pending] = []
-        self._running: List[_Running] = []
+        if start_method == "forkserver":
+            # Import the runner's module once, in the fork server, so each
+            # worker forks with the package loaded instead of importing it
+            # again on every attempt.  Python 3.11's fork server ignores the
+            # parent's ``sys.path``: the preload takes effect only where
+            # ``repro`` is importable from the environment (``PYTHONPATH``
+            # or an install), and is skipped otherwise.
+            self._mp.set_forkserver_preload([runner.__module__])
         self._outcome = SupervisorOutcome()
-
-    # ------------------------------------------------------------------ driving
 
     def run(self) -> SupervisorOutcome:
         """Execute the task; returns the outcome or raises ReplayError."""
-        self._queue = [_Pending(self.task)]
-        self._running = []
         self._outcome = SupervisorOutcome()
-        try:
-            while self._queue or self._running:
-                self._launch_ready()
-                if not self._running:
-                    # Everything queued is backing off; sleep to the nearest.
-                    now = time.monotonic()
-                    wake = min(p.ready_at for p in self._queue)
-                    time.sleep(min(max(wake - now, 0.0), 0.25) or self.policy.poll_seconds)
-                    continue
-                progressed = self._poll_running()
-                if not progressed:
-                    time.sleep(self.policy.poll_seconds)
-        finally:
-            # Every exit path -- success, ReplayError, KeyboardInterrupt --
-            # must leave no child process behind.
-            self._terminate_all()
+        task = self.task
+        if self._attempts(task, "work"):
+            return self._outcome
+        effective = _effective_chunks(task)
+        if len(effective) > 1:
+            self._outcome.bump("bisections")
+            poison = sorted(chunk for chunk, _records in self._bisect(task, effective))
+            if poison and task.quarantine != "degrade":
+                raise ReplayError(
+                    f"poison chunk(s) {poison} of {task.trace_path} isolated "
+                    f"by span bisection (worker died on every attempt); re-run with "
+                    f"quarantine='degrade' to skip them",
+                    trace_path=task.trace_path,
+                    chunks=poison,
+                    lifeguard=self.lifeguard,
+                )
+            # Re-run the *full* task with the poison chunks skipped (none
+            # when every probe survived: the failure was flaky): the worker
+            # quarantines the skips itself, and the surviving chunks pass
+            # through a single lifeguard in order -- the same state an
+            # in-worker corruption quarantine produces.
+            task = dataclasses.replace(task, skip=task.skip | frozenset(poison))
+            if self._attempts(task, "final"):
+                return self._outcome
+        self._give_up(task)
         return self._outcome
 
-    def _launch_ready(self) -> None:
-        if self._running:
-            return
-        now = time.monotonic()
-        index = next((i for i, p in enumerate(self._queue) if p.ready_at <= now), None)
-        if index is None:
-            return
-        pending = self._queue.pop(index)
-        parent_conn, child_conn = self._mp.Pipe(duplex=False)
+    def _attempts(self, task, phase: str) -> bool:
+        """Run ``task`` until a worker succeeds or the phase's attempts are
+        spent, backing off between attempts; True on success."""
+        for attempt in range(1, self.policy.attempts_for(phase) + 1):
+            if attempt > 1:
+                self._outcome.bump("worker_retries")
+                time.sleep(self.policy.backoff_for(attempt - 1, salt=_shard_salt(task)))
+            if phase == "probe":
+                self._outcome.bump("bisect_probes")
+            if self._attempt(task, phase, attempt):
+                return True
+        return False
+
+    def _attempt(self, task, phase: str, attempt: int) -> bool:
+        """One worker process; True when it returned a result.
+
+        A result of the task itself (not a probe's) lands on the outcome
+        with the attempt's seconds; a failure is recorded, and raises
+        :class:`ReplayError` when the worker's exception is deterministic.
+        """
+        from multiprocessing.connection import wait
+
+        receiver, sender = self._mp.Pipe(duplex=False)
         process = self._mp.Process(
-            target=_child_main,
-            args=(self.runner, pending.task, child_conn),
-            daemon=True,
+            target=_child_main, args=(self.runner, task, sender), daemon=True,
         )
-        # The launch stamp is taken immediately before the process
-        # starts so a result's (received - launched) interval measures
-        # exactly spawn + task hand-off + compute + result return.
+        grace = 0.0
         started = time.monotonic()
-        process.start()
-        child_conn.close()
-        deadline = (
-            None
-            if self.policy.timeout_seconds is None
-            else started + self.policy.timeout_seconds
-        )
-        if pending.phase == "probe":
-            self._outcome.bump("bisect_probes")
-        self._running.append(_Running(pending, process, parent_conn, started, deadline))
-
-    def _poll_running(self) -> bool:
-        progressed = False
-        now = time.monotonic()
-        for running in list(self._running):
+        try:
+            process.start()
+            sender.close()
+            ready = wait([receiver, process.sentinel], self.policy.timeout_seconds)
             message = None
-            if running.conn.poll(0):
-                try:
-                    message = running.conn.recv()
-                except EOFError:
-                    message = None
-            if message is not None:
-                received = time.monotonic()
-                self._reap(running)
-                progressed = True
-                if message[0] == "ok":
-                    result = message[1]
-                    timing = getattr(result, "timing", None)
-                    if timing is not None:
-                        # Hand-off/arrival stamps: what _worker_timing
-                        # turns into the worker's ipc_s.
-                        timing["mono_launched"] = running.started
-                        timing["mono_received"] = received
-                    self._on_success(running.pending, result)
-                else:
-                    _tag, type_name, text, retryable = message
-                    self._on_failure(
-                        running.pending, "error", f"{type_name}: {text}",
-                        now - running.started, retryable=retryable,
-                    )
-            elif not running.process.is_alive():
-                self._reap(running)
-                progressed = True
-                self._on_failure(
-                    running.pending, "crash",
-                    f"worker exited with code {running.process.exitcode} "
-                    "before reporting a result",
-                    now - running.started,
-                )
-            elif running.deadline is not None and now >= running.deadline:
-                self._kill(running)
-                self._reap(running, join=False)
-                progressed = True
-                self._on_failure(
-                    running.pending, "timeout",
-                    f"worker exceeded the {self.policy.timeout_seconds:.3g}s "
-                    "attempt timeout and was terminated",
-                    now - running.started,
-                )
-        return progressed
-
-    def _reap(self, running: _Running, join: bool = True) -> None:
-        self._running.remove(running)
-        if join:
-            running.process.join(timeout=5)
-            if running.process.is_alive():
-                self._kill(running)
-        running.conn.close()
-
-    def _kill(self, running: _Running) -> None:
-        process = running.process
-        if process.is_alive():
-            process.terminate()
-            process.join(timeout=0.5)
-        if process.is_alive():
-            process.kill()
-            process.join(timeout=5)
-
-    def _terminate_all(self) -> None:
-        for running in list(self._running):
-            self._kill(running)
-            running.conn.close()
-        self._running = []
-
-    # ------------------------------------------------------------------ events
-
-    def _on_success(self, pending: _Pending, result) -> None:
-        if pending.phase == "probe":
-            self._probe_settled(pending.group)
+            if ready:
+                # The worker reported or died: let it exit on its own.
+                grace = 5.0
+                if receiver.poll(0):
+                    try:
+                        message = receiver.recv()
+                    except EOFError:
+                        pass
+            elapsed = time.monotonic() - started
+        finally:
+            _stop(process, grace)
+            receiver.close()
+        retryable = True
+        if message is not None and message[0] == "ok":
+            if phase != "probe":
+                self._outcome.result = message[1]
+                self._outcome.seconds = elapsed
+            return True
+        if message is not None:
+            _tag, type_name, text, retryable = message
+            kind, detail = "error", f"{type_name}: {text}"
+        elif ready:
+            kind = "crash"
+            detail = f"worker exited with code {process.exitcode} before reporting a result"
         else:
-            self._outcome.result = result
-
-    def _on_failure(
-        self,
-        pending: _Pending,
-        kind: str,
-        detail: str,
-        elapsed: float,
-        retryable: bool = True,
-    ) -> None:
-        task = pending.task
-        pending.attempts += 1
+            kind = "timeout"
+            detail = (
+                f"worker exceeded the {self.policy.timeout_seconds:.3g}s "
+                "attempt timeout and was terminated"
+            )
         self._outcome.failures.append(
             ShardFailure(
                 trace_path=task.trace_path,
                 chunks=tuple(task.chunks),
-                attempt=pending.attempts,
+                attempt=attempt,
                 kind=kind,
-                phase=pending.phase,
+                phase=phase,
                 detail=detail,
                 elapsed=round(elapsed, 6),
             )
@@ -462,95 +396,43 @@ class ShardSupervisor:
                 chunks=task.chunks,
                 lifeguard=self.lifeguard,
             )
-        if pending.attempts < self.policy.attempts_for(pending.phase):
-            self._outcome.bump("worker_retries")
-            pending.ready_at = time.monotonic() + self.policy.backoff_for(
-                pending.attempts, salt=_shard_salt(task)
-            )
-            self._queue.append(pending)
-            return
-        self._exhausted(pending, kind, detail)
+        return False
 
-    # -------------------------------------------------------------- exhaustion
-
-    def _exhausted(self, pending: _Pending, kind: str, detail: str) -> None:
-        effective = _effective_chunks(pending.task)
-        if pending.phase == "probe":
-            group = pending.group
-            if len(effective) > 1:
-                self._enqueue_probe_halves(group, effective)
-            else:
-                group.poison.extend(effective)
-            self._probe_settled(group)
-            return
-        if pending.phase == "work" and self.policy.bisect and len(effective) > 1:
-            self._outcome.bump("bisections")
-            group = _BisectGroup(pending)
-            self._enqueue_probe_halves(group, effective)
-            return
-        self._give_up(pending, kind, detail)
-
-    def _enqueue_probe_halves(
-        self, group: _BisectGroup, effective: List[Tuple[int, int]]
-    ) -> None:
+    def _bisect(self, task, effective: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+        """Probe each half of ``effective`` and recurse into the halves whose
+        workers keep dying; returns the poison (chunk, records) pairs."""
+        poison: List[Tuple[int, int]] = []
         middle = len(effective) // 2
         for half in (effective[:middle], effective[middle:]):
-            probe_task = dataclasses.replace(
-                group.base.task,
+            probe = dataclasses.replace(
+                task,
                 chunks=tuple(chunk for chunk, _records in half),
                 chunk_records=tuple(records for _chunk, records in half),
                 skip=frozenset(),
                 collect_timing=False,
             )
-            group.outstanding += 1
-            self._queue.append(_Pending(probe_task, phase="probe", group=group))
+            if not self._attempts(probe, "probe"):
+                poison += self._bisect(task, half) if len(half) > 1 else half
+        return poison
 
-    def _probe_settled(self, group: _BisectGroup) -> None:
-        group.outstanding -= 1
-        if group.outstanding > 0:
-            return
-        base = group.base
-        task = base.task
-        if not group.poison:
-            # Every probe survived individually: the failure was flaky (or a
-            # resource interaction).  One final full-task round.
-            final = _Pending(task, phase="final")
-            self._queue.append(final)
-            return
-        poison_chunks = sorted(chunk for chunk, _records in group.poison)
-        if task.quarantine != "degrade":
-            raise ReplayError(
-                f"poison chunk(s) {poison_chunks} of {task.trace_path} isolated "
-                f"by span bisection (worker died on every attempt); re-run with "
-                f"quarantine='degrade' to skip them",
-                trace_path=task.trace_path,
-                chunks=poison_chunks,
-                lifeguard=self.lifeguard,
-            )
-        # Re-run the *full* task with the poison chunks skipped: the worker
-        # quarantines the skips itself, and the surviving chunks pass
-        # through a single lifeguard in order -- the same state an
-        # in-worker corruption quarantine produces.
-        final_task = dataclasses.replace(
-            task, skip=task.skip | frozenset(poison_chunks)
-        )
-        self._queue.append(_Pending(final_task, phase="final"))
-
-    def _give_up(self, pending: _Pending, kind: str, detail: str) -> None:
-        task = pending.task
-        if self.policy.in_process_fallback and not pending.fallback_tried:
-            pending.fallback_tried = True
+    def _give_up(self, task) -> None:
+        """Workers are spent: replay in-process, else quarantine the task's
+        chunks (``degrade``) or raise :class:`ReplayError`."""
+        last = self._outcome.failures[-1]
+        detail = last.detail
+        if self.policy.in_process_fallback:
             self._outcome.bump("fallbacks_inprocess")
             started = time.monotonic()
             try:
                 self._outcome.result = self.runner(task)
+                self._outcome.seconds = time.monotonic() - started
                 return
             except OSError as exc:
                 self._outcome.failures.append(
                     ShardFailure(
                         trace_path=task.trace_path,
                         chunks=tuple(task.chunks),
-                        attempt=pending.attempts + 1,
+                        attempt=last.attempt + 1,
                         kind="error",
                         phase="fallback",
                         detail=f"{type(exc).__name__}: {exc}",
@@ -574,13 +456,13 @@ class ShardSupervisor:
                         chunk=chunk,
                         records=records,
                         reason="exhausted",
-                        detail=f"{kind} after {pending.attempts} attempt(s): {detail}",
+                        detail=f"{last.kind} after {last.attempt} attempt(s): {detail}",
                     )
                 )
             return
         raise ReplayError(
             f"replay of chunks {list(task.chunks)} of {task.trace_path} failed "
-            f"after {pending.attempts} attempt(s) ({kind}: {detail})",
+            f"after {last.attempt} attempt(s) ({last.kind}: {detail})",
             trace_path=task.trace_path,
             chunks=task.chunks,
             lifeguard=self.lifeguard,

@@ -337,41 +337,13 @@ class TraceReader:
         Returns a byte source for the decoders: the decompressed buffer for
         zlib chunks, or a zero-copy ``memoryview`` over the read buffer for
         uncompressed chunks (no ``bytes`` slicing/copying on the decode
-        path).
+        path).  With telemetry on, it also records the read and decompress
+        spans and the chunk's byte counts.
         """
         if not 0 <= index < len(self.chunks):
             raise IndexError(f"chunk {index} out of range (trace has {len(self.chunks)})")
         chunk = self.chunks[index]
-        if OBS.enabled:
-            return self._chunk_payload_observed(chunk, index)
-        self._file.seek(chunk.offset)
-        stored = self._file.read(chunk.stored_len)
-        if len(stored) < chunk.stored_len:
-            raise TraceFormatError(f"{self.path}: chunk {index} truncated on disk")
-        if chunk.crc is not None:
-            actual = zlib.crc32(stored) & 0xFFFFFFFF
-            if actual != chunk.crc:
-                raise TraceFormatError(
-                    f"{self.path}: chunk {index} CRC mismatch "
-                    f"(stored {chunk.crc:#010x}, computed {actual:#010x})"
-                )
-        if self.compressed:
-            try:
-                raw = zlib.decompress(stored)
-            except zlib.error as exc:
-                raise TraceFormatError(f"{self.path}: chunk {index} corrupt: {exc}") from exc
-        else:
-            raw = memoryview(stored)
-        if len(raw) != chunk.raw_len:
-            raise TraceFormatError(
-                f"{self.path}: chunk {index} raw size mismatch "
-                f"({len(raw)} != {chunk.raw_len})"
-            )
-        return raw
-
-    def _chunk_payload_observed(self, chunk, index: int):
-        """Telemetry twin of :meth:`_chunk_payload`: spans + byte counters."""
-        tracer = OBS.tracer
+        tracer = OBS.tracer if OBS.enabled else None
         start = time.perf_counter()
         self._file.seek(chunk.offset)
         stored = self._file.read(chunk.stored_len)
@@ -401,7 +373,7 @@ class TraceReader:
                 f"{self.path}: chunk {index} raw size mismatch "
                 f"({len(raw)} != {chunk.raw_len})"
             )
-        if OBS.recorder is not None:
+        if OBS.enabled and OBS.recorder is not None:
             OBS.recorder.record_chunk_read(chunk.stored_len, chunk.raw_len)
         return raw
 
@@ -421,22 +393,19 @@ class TraceReader:
         row.  Raises the same :class:`TraceFormatError` on corruption.
         """
         raw = self._chunk_payload(index)
-        if not OBS.enabled:
-            try:
-                return decode_record_columns(raw, self.chunks[index].records)
-            except TraceCodecError as exc:
-                raise TraceFormatError(f"{self.path}: chunk {index} corrupt: {exc}") from exc
+        records = self.chunks[index].records
         start = time.perf_counter()
         try:
-            columns = decode_record_columns(raw, self.chunks[index].records)
+            columns = decode_record_columns(raw, records)
         except TraceCodecError as exc:
             raise TraceFormatError(f"{self.path}: chunk {index} corrupt: {exc}") from exc
-        if OBS.tracer is not None:
-            OBS.tracer.add(
-                "codec.decode_columns", "codec", start, time.perf_counter() - start
-            )
-        if OBS.recorder is not None:
-            OBS.recorder.record_chunk_decoded(self.chunks[index].records)
+        if OBS.enabled:
+            if OBS.tracer is not None:
+                OBS.tracer.add(
+                    "codec.decode_columns", "codec", start, time.perf_counter() - start
+                )
+            if OBS.recorder is not None:
+                OBS.recorder.record_chunk_decoded(records)
         return columns
 
     def chunk_record_counts(self) -> Tuple[int, ...]:

@@ -7,6 +7,7 @@ suite CI runs via ``python -m repro.faultinject``.
 """
 
 import json
+import os
 
 import pytest
 
@@ -17,6 +18,12 @@ from repro.trace.tracefile import TraceReader
 #: One full-suite run per module: the scenarios are independent (each
 #: gets its own trace copy / claim dir) so a single document covers all.
 CHAOS_SEED = 0
+#: Seed-0 supervision and service counters of every scenario that reports
+#: them: retries, crashes, timeouts, bisection probes and quarantine
+#: accounting pin the supervisor's behaviour, not just its invariants.
+GOLDEN_COUNTERS = os.path.join(
+    os.path.dirname(__file__), "golden", "chaos_seed0_counters.json"
+)
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +45,16 @@ def test_report_document_shape(chaos_report):
     assert chaos_report["trace"]["records"] > 0
     assert len(chaos_report["scenarios"]) == len(SCENARIOS)
     json.dumps(chaos_report)  # CI uploads this: must be JSON-able
+
+
+def test_counters_match_golden(chaos_report):
+    counters = {}
+    for scenario in chaos_report["scenarios"]:
+        for key in ("counters", "victim_counters"):
+            if key in scenario["detail"]:
+                counters[scenario["name"]] = scenario["detail"][key]
+    with open(GOLDEN_COUNTERS) as handle:
+        assert counters == json.load(handle)
 
 
 def test_chaos_trace_is_deterministic(tmp_path):

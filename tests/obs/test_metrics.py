@@ -105,6 +105,30 @@ class TestRegistry:
         registry.counter("a").inc(1)
         assert registry.snapshot() == registry.snapshot()
 
+    def test_merge_folds_a_snapshot(self):
+        """Counters and histograms add, gauges take the merged value."""
+        source = MetricsRegistry()
+        source.counter("c").inc(3)
+        source.gauge("g").set(7)
+        for value in (1, 3, 9):
+            source.histogram("h", (1, 4)).observe(value)
+        snapshot = source.snapshot()
+        assert MetricsRegistry().merge(snapshot).snapshot() == snapshot
+        target = MetricsRegistry()
+        target.counter("c").inc(1)
+        target.gauge("g").set(1)
+        target.histogram("h", (1, 4)).observe(2)
+        merged = target.merge(snapshot).snapshot()
+        assert merged["counters"] == {"c": 4}
+        assert merged["gauges"] == {"g": 7}
+        assert merged["histograms"]["h"] == {
+            "bounds": [1, 4], "counts": [1, 2, 1], "sum": 15, "count": 4,
+        }
+        mismatched = MetricsRegistry()
+        mismatched.histogram("h", (1, 2))
+        with pytest.raises(ValueError):
+            mismatched.merge(snapshot)
+
 
 class TestPrometheus:
     def test_rendering(self):

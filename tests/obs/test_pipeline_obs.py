@@ -1,5 +1,8 @@
 """End-to-end telemetry: enabled replay snapshots, spans, bit-identity."""
 
+import shutil
+import sys
+import threading
 import time
 from collections import Counter
 
@@ -18,12 +21,15 @@ from repro.obs import (
     validate_snapshot,
 )
 from repro.core.events import EVENT_TYPES, AnnotationRecord, EventType, InstructionRecord
+from repro.faultinject.corrupt import flip_chunk_bytes
+from repro.faultinject.plan import FaultPlan
 from repro.lba.columnar import ColumnarEngine
 from repro.lifeguards import ALL_LIFEGUARDS
 from repro.obs.pipeline import PipelineRecorder
 from repro.trace.codec import RecordColumns
 from repro.trace.replay import ParallelReplay, build_pipeline, replay_trace
-from repro.trace.tracefile import TraceWriter
+from repro.trace.supervisor import SupervisorPolicy
+from repro.trace.tracefile import TraceReader, TraceWriter
 
 
 def _synthetic_records(count):
@@ -157,28 +163,80 @@ def test_sharded_replay_collects_accelerator_counters(trace_path):
     assert counters["mtlb.lookups"] > 0
     assert counters["replay.records"] == result.records
     assert counters["dispatch.records_consumed"] == result.records
-    assert document["gauges"]["replay.workers"] == 1
 
 
 def test_sharded_and_sequential_accelerator_counters_agree(trace_path):
-    """A supervised replay's snapshot carries exactly ``replay_trace``'s
-    accelerator, mapper and shadow counters."""
+    """A clean supervised replay's snapshot is exactly ``replay_trace``'s:
+    every counter, gauge and histogram, codec and dispatch-run census
+    included."""
 
     def snapshot(run):
         with observed() as obs:
             run()
-            document = snapshot_document(obs.registry)
-        return {
-            name: value
-            for section in ("counters", "gauges")
-            for name, value in document[section].items()
-            if name.split(".")[0] in ("it", "if", "mtlb", "mapper", "shadow")
-        }
+            return snapshot_document(obs.registry)
 
     sequential = snapshot(lambda: replay_trace(trace_path, "MemCheck"))
     supervised = snapshot(lambda: ParallelReplay(trace_path, "MemCheck").run())
-    assert sequential["it.events_seen"] > 0 and sequential["mapper.translations"] > 0
+    counters = sequential["counters"]
+    assert counters["it.events_seen"] > 0 and counters["mapper.translations"] > 0
+    assert counters["codec.chunks_read"] > 1 and counters["dispatch.runs_total"] > 0
+    assert sequential["histograms"]["dispatch.run_length"]["count"] > 0
     assert supervised == sequential
+
+
+def test_supervised_snapshot_carries_supervision_counters(trace_path, tmp_path):
+    """A faulty supervised replay's ``replay.*`` counters are its result's
+    fault counters: the worker's quarantine plus the supervisor's crash
+    and retry."""
+    path = str(tmp_path / "damaged.lbatrace")
+    shutil.copyfile(trace_path, path)
+    flip_chunk_bytes(path, 1, seed=0)
+    plan = FaultPlan.single(str(tmp_path), "sigkill", 0)
+    with observed() as obs:
+        result = ParallelReplay(
+            path, "MemCheck", quarantine="degrade", fault_plan=plan,
+            policy=SupervisorPolicy(backoff_seconds=0.01),
+        ).run()
+        counters = obs.registry.snapshot()["counters"]
+    assert [chunk.chunk for chunk in result.skipped_chunks] == [1]
+    assert set(result.fault_counters) == {
+        "worker_crashes", "worker_retries", "chunks_quarantined", "records_quarantined",
+    }
+    for name, value in result.fault_counters.items():
+        assert counters[f"replay.{name}"] == value > 0, name
+    assert result.metrics["counters"] == counters
+
+
+def test_concurrent_in_process_runs_restore_telemetry(trace_path):
+    """In-process runs of the worker entry on several threads (gateway
+    sessions falling back at once) each get their own snapshot and leave
+    the process-wide telemetry state as they found it."""
+    from repro.trace.replay import ShardTask, _replay_shard
+
+    with TraceReader(trace_path) as reader:
+        counts = reader.chunk_record_counts()
+    task = ShardTask(
+        trace_path=trace_path, lifeguard="MemCheck", config=None,
+        chunks=tuple(range(len(counts))), chunk_records=counts, collect_timing=True,
+    )
+    expected = _replay_shard(task).metrics
+    results = []
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=lambda: results.append(_replay_shard(task).metrics))
+            for _ in range(6)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * len(threads)
+    assert OBS.enabled is False and OBS.registry is None and OBS.tracer is None
 
 
 def test_worker_timings_absent_by_default(trace_path):

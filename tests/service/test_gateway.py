@@ -17,6 +17,7 @@ import pytest
 from repro.core.events import EventType, InstructionRecord
 from repro.faultinject.chaos import CHAOS_LIFEGUARD, build_chaos_trace
 from repro.faultinject.corrupt import flip_chunk_bytes
+from repro.obs import observed
 from repro.obs.pipeline import validate_snapshot
 from repro.service.client import GatewayClient, GatewayError, upload_trace
 from repro.service.gateway import GatewayConfig, MonitoringGateway, report_document
@@ -360,10 +361,16 @@ class TestProbesAndMetrics:
             counters = snapshot["counters"]
             assert counters["service.sessions_settled"] == 1
             assert counters["service.bytes_received"] > 0
-            # Replay pipeline counters are folded into the same snapshot.
+            # Replay pipeline counters are folded into the same snapshot,
+            # the accelerators' own included.
             assert counters["replay.records"] > 0
             assert counters["dispatch.records_consumed"] > 0
+            for name in ("if.lookups", "mtlb.lookups", "mapper.translations"):
+                assert counters[name] == reference[name] > 0, name
 
+        with observed() as obs:
+            replay_trace(trace, CHAOS_LIFEGUARD)
+            reference = obs.registry.snapshot()["counters"]
         _run(_config(tmp_path), body)
 
     def test_idle_sessions_are_reaped(self, tmp_path):
