@@ -14,7 +14,7 @@ from repro.core.events import (
     Record,
 )
 from repro.core.etct import ETCT, ETCTEntry, InvalidationPolicy
-from repro.core.inheritance_tracking import InheritanceTracker, ITAction, ITState
+from repro.core.inheritance_tracking import InheritanceTracker, ITState
 from repro.core.idempotent_filter import IdempotentFilter
 from repro.core.mtlb import LMAConfig, MetadataTLB, MTLBStats
 from repro.core.accelerator import AcceleratorConfig, AcceleratorStats, EventAccelerator
@@ -29,7 +29,6 @@ __all__ = [
     "ETCTEntry",
     "InvalidationPolicy",
     "InheritanceTracker",
-    "ITAction",
     "ITState",
     "IdempotentFilter",
     "LMAConfig",

@@ -93,7 +93,6 @@ class MTLBConfig:
 
     enabled: bool = True
     num_entries: int = 64
-    lookup_latency_cycles: int = 1
     #: instruction cost charged to the software miss handler (lma_fill path)
     miss_handler_instructions: int = 20
 
@@ -108,8 +107,6 @@ class LogBufferConfig:
 
     size_bytes: int = 64 * 1024
     bytes_per_record: float = 1.0
-    #: cache-line record buffer used at each end to batch log traffic
-    line_bytes: int = 64
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:

@@ -231,8 +231,7 @@ class InstructionRecord(NamedTuple):
 
     Conceptually matches the paper's record: program counter, instruction
     type, input/output operand identifiers and any data addresses.  The
-    compressed on-wire size is modelled separately by
-    :mod:`repro.lba.record`.
+    compressed on-wire form is :mod:`repro.trace.codec`'s.
 
     Tuple-backed for throughput: the consumer pipeline constructs one of
     these per retired instruction, so creation cost dominates the decode

@@ -28,14 +28,12 @@ The implementation follows the design of Figure 5:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.config import ITConfig
 from repro.core.events import (
     EVENT_TYPES,
-    F_DEST_REG,
-    F_SRC_ADDR,
     DeliveredEvent,
     EventType,
     InstructionRecord,
@@ -48,14 +46,6 @@ class ITState(enum.Enum):
     CLEAR = "clear"
     ADDR = "addr"
     IN_LIFEGUARD = "in_lifeguard"
-
-
-class ITAction(enum.Enum):
-    """What the IT hardware decided to do with an incoming propagation event."""
-
-    DISCARD = "discard"
-    DELIVER = "deliver"
-    TRANSFORM = "transform"
 
 
 @dataclass(slots=True)
@@ -238,72 +228,6 @@ class InheritanceTracker:
         if not delivered:
             self.stats.events_discarded += 1
         return delivered
-
-    # ------------------------------------------------------------------ run application
-    #
-    # Columnar twins of the absorbing transitions: the columnar dispatch
-    # engine (repro.lba.columnar) feeds homogeneous record runs straight
-    # from the decoded columns to these methods.  Only transitions that can
-    # never deliver an event are run-applied -- the table updates and the
-    # seen/discarded counters are exactly what a per-record process() loop
-    # over the run would produce, with the loop constants hoisted and the
-    # stats folded once per run.
-
-    def absorb_noop_run(self, count: int) -> None:
-        """Run-apply ``reg_self``/``mem_self``: discard ``count`` events unchanged."""
-        self.stats.events_seen += count
-        self.stats.events_discarded += count
-
-    def absorb_clear_run(self, flags, dest_regs, lo: int, hi: int) -> None:
-        """Run-apply ``imm_to_reg`` rows ``[lo, hi)``: clear each destination.
-
-        Rows of one run share a presence bitmap (the columnar grouping
-        key), so field presence is tested once for the whole span.
-        """
-        if flags[lo] & F_DEST_REG:
-            table = self._table
-            num_regs = len(table)
-            addr_state = ITState.ADDR
-            clear_state = ITState.CLEAR
-            for row in range(lo, hi):
-                reg = dest_regs[row]
-                if reg < num_regs:
-                    entry = table[reg]
-                    if entry.state is addr_state:
-                        self._addr_count -= 1
-                    entry.state = clear_state
-                    entry.address = None
-                    entry.size = 0
-        count = hi - lo
-        self.stats.events_seen += count
-        self.stats.events_discarded += count
-
-    def absorb_mem_to_reg_run(self, flags, dest_regs, src_addrs, sizes,
-                              lo: int, hi: int) -> None:
-        """Run-apply ``mem_to_reg`` rows ``[lo, hi)``: record the inheritances.
-
-        The hardware absorbs every load's inheritance without delivering
-        anything, so a whole run collapses to table writes plus one batched
-        stats update.  Rows of one run share a presence bitmap, so field
-        presence is tested once for the whole span.
-        """
-        present = F_DEST_REG | F_SRC_ADDR
-        if flags[lo] & present == present:
-            table = self._table
-            num_regs = len(table)
-            addr_state = ITState.ADDR
-            for row in range(lo, hi):
-                reg = dest_regs[row]
-                if reg < num_regs:
-                    entry = table[reg]
-                    if entry.state is not addr_state:
-                        self._addr_count += 1
-                        entry.state = addr_state
-                    entry.address = src_addrs[row]
-                    entry.size = sizes[row] or 1
-        count = hi - lo
-        self.stats.events_seen += count
-        self.stats.events_discarded += count
 
     def flush_all_addr_registers(self, record: InstructionRecord) -> List[DeliveredEvent]:
         """Flush every register in the ``addr`` state (used before ``other`` events

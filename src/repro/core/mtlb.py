@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.core.config import MTLBConfig
 
@@ -167,53 +167,6 @@ class MetadataTLB:
             (address >> self._offset_bits) & self._l2_mask
         ) * self._element_size
         return metadata_address, hit
-
-    def lma_run(self, start: int, stop: int, step: int, out_addresses) -> Tuple[int, int]:
-        """Execute ``lma`` for every ``step``-th address in ``[start, stop)``.
-
-        The batch-translation twin of calling :meth:`lma` in a loop: CAM
-        state, LRU order, fills, miss-handler invocations and statistics
-        are identical, but the geometry shifts, the CAM dict and the stats
-        counters are hoisted out of the loop and folded once.  Each
-        resulting metadata address is appended to ``out_addresses`` in
-        order.  Returns ``(translations, misses)``.
-        """
-        if self.lma_config_register is None:
-            self._require_config()
-        entries = self._entries
-        l1_shift = self._l1_shift
-        offset_bits = self._offset_bits
-        l2_mask = self._l2_mask
-        element_size = self._element_size
-        append = out_addresses.append
-        move_to_end = entries.move_to_end
-        translations = 0
-        misses = 0
-        try:
-            for app_address in range(start, stop, step):
-                translations += 1
-                address = app_address & 0xFFFF_FFFF
-                level1 = address >> l1_shift
-                chunk_start = entries.get(level1)
-                if chunk_start is not None:
-                    move_to_end(level1)
-                else:
-                    misses += 1
-                    if self.miss_handler is None:
-                        raise MTLBMiss(
-                            f"M-TLB miss for {app_address:#x} with no miss handler"
-                        )
-                    chunk_start = self.miss_handler(app_address)
-                    self.lma_fill(app_address, chunk_start)
-                append(chunk_start + ((address >> offset_bits) & l2_mask) * element_size)
-        finally:
-            # Fold even when a miss raises (no handler): every attempted
-            # lookup stays counted, exactly as the scalar lma() loop would.
-            stats = self.stats
-            stats.lookups += translations
-            stats.misses += misses
-            stats.hits += translations - misses
-        return translations, misses
 
     # ------------------------------------------------------------------ inspection
 

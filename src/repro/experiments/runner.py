@@ -233,18 +233,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="record-to-lifeguard-core routing policy for --cores")
     parser.add_argument("--core-sweep", action="store_true",
                         help="run a core-count scaling sweep up to --cores and exit")
-    parser.add_argument("--fuzz", metavar="A:B", default=None,
-                        help="run the differential-fuzzing oracle on a seed range "
-                             "(delegates to `python -m repro.fuzz --seeds A:B`) and "
-                             "exit; a sanity gate before long experiment runs")
-    parser.add_argument("--serve", metavar="STORE_DIR", default=None,
-                        help="run the multi-tenant monitoring gateway against "
-                             "STORE_DIR instead of the offline experiments "
-                             "(delegates to `python -m repro.service serve`; "
-                             "--quarantine carries over)")
-    parser.add_argument("--serve-port", type=int, default=0,
-                        help="TCP port for --serve (0 = ephemeral, printed "
-                             "on stdout)")
     parser.add_argument("--metrics-out", metavar="FILE", default=None,
                         help="enable pipeline telemetry and write the metrics "
                              "snapshot (JSON) to FILE when the run finishes")
@@ -254,19 +242,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.cores < 1:
         parser.error("--cores must be >= 1")
-    if args.fuzz is not None:
-        from repro.fuzz.cli import main as fuzz_main
-
-        return fuzz_main(["--seeds", args.fuzz, "-q"])
-    if args.serve is not None:
-        from repro.service.cli import main as service_main
-
-        return service_main([
-            "serve", "--store", args.serve,
-            "--port", str(args.serve_port),
-            "--quarantine", args.quarantine,
-        ])
-
     telemetry = args.metrics_out is not None or args.trace_out is not None
     if telemetry:
         from repro.obs import enable

@@ -34,7 +34,6 @@ from repro.fuzz.shrink import (
     load_repro,
     replay_repro,
     save_repro,
-    shrink_case,
     shrink_spec,
 )
 from repro.workloads.generator import (
@@ -70,7 +69,6 @@ __all__ = [
     "run_case",
     "run_seed",
     "save_repro",
-    "shrink_case",
     "shrink_spec",
     "spec_digest",
 ]

@@ -142,6 +142,8 @@ class _RecordLegOutcome:
     accelerator: object
     mapper: object
     state: object
+    #: IT, Idempotent-Filter and M-TLB counters (``None`` when disabled)
+    hardware_stats: tuple
     reports: List
 
 
@@ -162,6 +164,10 @@ def _finish(lifeguard, accelerator, dispatcher, cycles) -> _RecordLegOutcome:
         accelerator=accelerator.stats,
         mapper=lifeguard.mapper_stats(),
         state=accelerator.state_signature(),
+        hardware_stats=tuple(
+            None if unit is None else unit.stats
+            for unit in (accelerator.it, accelerator.idempotent_filter, accelerator.mtlb)
+        ),
         reports=list(lifeguard.reports),
     )
 
@@ -202,6 +208,9 @@ def _compare_record_leg(seed: int, leg: str, name: str,
             f"MapperStats diverge: {other.mapper} vs {reference.mapper}")
     _expect(other.state == reference.state, seed, leg, name,
             "internal accelerator state (IT/IF/M-TLB) diverges")
+    _expect(other.hardware_stats == reference.hardware_stats, seed, leg, name,
+            f"IT/IF/M-TLB stats diverge: {other.hardware_stats} vs "
+            f"{reference.hardware_stats}")
 
 
 def _check_detection(seed: int, leg: str, name: str, manifest: BugManifest,

@@ -136,21 +136,6 @@ def oracle_failure_predicate(
     return predicate
 
 
-def shrink_case(
-    case: FuzzCase,
-    predicate: Optional[Predicate] = None,
-    engines: Sequence[str] = DEFAULT_ENGINES,
-    lifeguards: Optional[Sequence[str]] = None,
-    cores: Sequence[int] = DEFAULT_CORES,
-    max_rounds: int = 8,
-    match: Optional[FuzzFailure] = None,
-) -> FuzzCase:
-    """Minimise a failing case (same-leg oracle-failure predicate by default)."""
-    if predicate is None:
-        predicate = oracle_failure_predicate(engines, lifeguards, cores, match=match)
-    return FuzzCase.from_spec(shrink_spec(case.spec, predicate, max_rounds=max_rounds))
-
-
 # ------------------------------------------------------------------ repro files
 
 

@@ -4,8 +4,10 @@ Wraps the application machine (single- or multi-threaded) and, for each
 record it emits, computes the application-core cycle cost of the retiring
 instruction (1 cycle base for the in-order core plus instruction-fetch and
 data-access latencies through the core's private caches and the shared L2)
-and the exact compressed log bytes written (sized by the binary codec in
-stream context).  The resulting ``(record, app_cycles)`` stream feeds the
+and the exact compressed log bytes written.  The bytes are counted by the
+trace codec itself: the producer encodes each record once, in stream
+context, into a reused scratch buffer, so its delta chains cost what the
+wire format would.  The resulting ``(record, app_cycles)`` stream feeds the
 coupling model.
 
 The producer can additionally *tee* every record it emits into a
@@ -26,7 +28,7 @@ from repro.cache.hierarchy import AccessType, MemoryHierarchy
 from repro.core.events import AnnotationRecord, EventType, InstructionRecord
 from repro.isa.machine import Machine
 from repro.isa.threads import ThreadedMachine
-from repro.lba.record import RecordSizer
+from repro.trace.codec import RecordEncoder
 
 Record = Union[InstructionRecord, AnnotationRecord]
 ApplicationMachine = Union[Machine, ThreadedMachine]
@@ -136,7 +138,8 @@ class LogProducer:
         self.trace_writer = trace_writer
         self.core_index = core_index
         self.stats = ProducerStats()
-        self._sizer = RecordSizer()
+        self._encoder = RecordEncoder()
+        self._scratch = bytearray()
 
     def _record_cost(self, record: Record) -> int:
         # Exact-type check first: instruction records are the common case.
@@ -170,7 +173,9 @@ class LogProducer:
         stats = self.stats
         stats.records += 1
         stats.app_cycles += cost
-        stats.log_bytes += self._sizer.size(record)
+        scratch = self._scratch
+        scratch.clear()
+        stats.log_bytes += self._encoder.encode_into(scratch, record)
         if self.trace_writer is not None:
             self.trace_writer.append(record)
         return cost

@@ -9,21 +9,21 @@ bitmap into runs, and handing each run to the one step registered for its
 ordinal:
 
 * a propagation step applies its Inheritance-Tracking transition row by
-  row straight from the columns; runs with no check events to interleave
-  are absorbed by the tracker itself
-  (:meth:`InheritanceTracker.absorb_mem_to_reg_run` and friends).  Every
-  register flush -- a store conflicting with an inherited range, a check
-  that reads an ``addr``-state register, a ``dest_mem op= reg`` source --
-  goes through one ``_flush_register``;
+  row straight from the columns, interleaved with the row's check events.
+  Every register flush -- a store conflicting with an inherited range, a
+  check that reads an ``addr``-state register, a ``dest_mem op= reg``
+  source -- goes through one ``_flush_register``;
 * checking events are classified once per run (the presence bitmap is
   uniform), their Idempotent-Filter keys are built from the columns and
   probed through :meth:`IdempotentFilter.lookup_insert`, and delivered
   events go through per-lifeguard span fast paths
   (:meth:`repro.lifeguards.base.Lifeguard.columnar_handlers`) that skip
   :class:`DeliveredEvent` construction;
-* annotation records, and ``other`` events while IT is on (they flush
-  the whole IT table), fall back to the scalar
-  :meth:`EventDispatcher.consume`, row by row, inside the same pass.
+* annotation records, propagation events while IT is off, and ``other``
+  events while IT is on (they flush the whole IT table) fall back to the
+  scalar :meth:`EventDispatcher.consume`, row by row, inside the same
+  pass.  Every replay with the default configuration turns IT on for the
+  lifeguards that register propagation handlers.
 
 Bit-identity contract: for any column set, ``consume_columns(columns)``
 leaves the dispatcher, accelerator, IT, IF, M-TLB, mapper and lifeguard in
@@ -68,8 +68,8 @@ from repro.core.events import (
     F_IS_STORE,
     F_SRC_ADDR,
     F_SRC_REG,
-    EVENT_TYPES,
     NUM_EVENT_TYPES,
+    PROPAGATION_ORDINAL_MASK,
     DeliveredEvent,
     EventType,
 )
@@ -89,7 +89,6 @@ _ORD_MEM_TO_MEM = EventType.MEM_TO_MEM.ordinal
 _ORD_DEST_REG_OP_REG = EventType.DEST_REG_OP_REG.ordinal
 _ORD_DEST_REG_OP_MEM = EventType.DEST_REG_OP_MEM.ordinal
 _ORD_DEST_MEM_OP_REG = EventType.DEST_MEM_OP_REG.ordinal
-_ORD_OTHER = EventType.OTHER.ordinal
 
 #: Presence pair a mem_to_reg inheritance needs.
 _DREG_SADDR = F_DEST_REG | F_SRC_ADDR
@@ -202,6 +201,12 @@ class ColumnarEngine:
 
         steps: List[Optional[object]] = [self._step_checks_only] * NUM_EVENT_TYPES
         if self.accelerator.uses_propagation:
+            # Propagation rows with IT off, and ``other`` rows with IT on
+            # (they flush the whole IT table), are rare: the scalar fallback
+            # keeps the engine small without a measurable cost.
+            for ordinal in range(NUM_EVENT_TYPES):
+                if (PROPAGATION_ORDINAL_MASK >> ordinal) & 1:
+                    steps[ordinal] = None
             if self.it is not None:
                 steps[_ORD_IMM_TO_REG] = self._step_imm_to_reg
                 steps[_ORD_IMM_TO_MEM] = self._step_imm_to_mem
@@ -214,17 +219,6 @@ class ColumnarEngine:
                 steps[_ORD_DEST_REG_OP_REG] = self._step_dest_reg_op_reg
                 steps[_ORD_DEST_REG_OP_MEM] = self._step_dest_reg_op_mem
                 steps[_ORD_DEST_MEM_OP_REG] = self._step_dest_mem_op_reg
-                # ``other`` flushes the whole IT table and is rare: scalar
-                # fallback keeps the engine small without a measurable cost.
-                steps[_ORD_OTHER] = None
-            else:
-                for ordinal in (
-                    _ORD_IMM_TO_REG, _ORD_IMM_TO_MEM, _ORD_REG_SELF,
-                    _ORD_MEM_SELF, _ORD_REG_TO_REG, _ORD_REG_TO_MEM,
-                    _ORD_MEM_TO_REG, _ORD_MEM_TO_MEM, _ORD_DEST_REG_OP_REG,
-                    _ORD_DEST_REG_OP_MEM, _ORD_DEST_MEM_OP_REG, _ORD_OTHER,
-                ):
-                    steps[ordinal] = self._step_prop_no_it
         self._steps = steps
 
     # ------------------------------------------------------------------ main entry
@@ -277,7 +271,6 @@ class ColumnarEngine:
         self._c_handler_instr = 0
         self._c_mapping_instr = 0
         self._c_miss_instr = 0
-        self._c_it_seen = 0
         self._c_it_discarded = 0
         self._c_it_delivered = 0
         self._c_it_transformed = 0
@@ -314,11 +307,11 @@ class ColumnarEngine:
     def _fold(self, columnar_cycles: int) -> None:
         """Fold the batched counters into the live stats objects."""
         # Expand the row-class counters: every counted row is one record
-        # with one propagation event in; "seen" rows additionally passed
-        # through IT, "seen_delivered" rows were always delivered by it.
-        prop_rows = (
-            self._c_rows_absorbed + self._c_rows_seen + self._c_rows_seen_delivered
-        )
+        # with one propagation event in, which passed through IT; IT always
+        # discarded "absorbed" rows and always delivered "seen_delivered"
+        # rows, and decided "seen" rows one by one.
+        absorbed = self._c_rows_absorbed
+        prop_rows = absorbed + self._c_rows_seen + self._c_rows_seen_delivered
         acc_stats = self.accelerator.stats
         n = self._c_records + prop_rows
         acc_stats.records_processed += n
@@ -338,10 +331,8 @@ class ColumnarEngine:
         it = self.it
         if it is not None:
             it_stats = it.stats
-            it_stats.events_seen += (
-                self._c_it_seen + self._c_rows_seen + self._c_rows_seen_delivered
-            )
-            it_stats.events_discarded += self._c_it_discarded
+            it_stats.events_seen += prop_rows
+            it_stats.events_discarded += absorbed + self._c_it_discarded
             it_stats.events_delivered += self._c_it_delivered + self._c_rows_seen_delivered
             it_stats.events_transformed += self._c_it_transformed
             it_stats.conflict_flushes += self._c_it_conflict
@@ -822,31 +813,22 @@ class ColumnarEngine:
 
     def _step_checks_only(self, cols, i, j, f) -> int:
         """Rows whose ordinal carries no propagation event (or lifeguard)."""
-        n = j - i
-        self._c_records += n
-        if not f & self._check_mask:
-            return 0
-        ctx = self._check_ctx(f)
-        if ctx is None:
-            return 0
-        self._c_check_in += ctx[0] * n
-        check_row = self._check_row
-        cycles = 0
-        for k in range(i, j):
-            cycles += check_row(cols, k, f, ctx)
-        return cycles
+        self._c_records += j - i
+        return self._check_rows(cols, i, j, f)
 
     def _step_discard(self, cols, i, j, f) -> int:
         """``reg_self`` / ``mem_self``: IT absorbs every event unchanged."""
-        n = j - i
-        self._c_rows_absorbed += n
-        self.it.absorb_noop_run(n)
+        self._c_rows_absorbed += j - i
+        return self._check_rows(cols, i, j, f)
+
+    def _check_rows(self, cols, i, j, f) -> int:
+        """Filter and deliver the check events of rows ``[i, j)``."""
         if not f & self._check_mask:
             return 0
         ctx = self._check_ctx(f)
         if ctx is None:
             return 0
-        self._c_check_in += ctx[0] * n
+        self._c_check_in += ctx[0] * (j - i)
         check_row = self._check_row
         cycles = 0
         for k in range(i, j):
@@ -857,56 +839,40 @@ class ColumnarEngine:
         """``imm_to_reg``: clear the destination's inheritance, discard."""
         n = j - i
         self._c_rows_absorbed += n
-        it = self.it
+        set_clear = self.it._set_clear
+        has_dreg = f & F_DEST_REG
+        dest_reg_col = cols.dest_reg
         ctx = self._check_ctx(f) if f & self._check_mask else None
-        if ctx is None:
-            it.absorb_clear_run(cols.flags, cols.dest_reg, i, j)
-            return 0
-        # Interleave row by row: a check flush must observe the clears of
-        # all earlier rows (and only those).
-        self._c_check_in += ctx[0] * n
+        if ctx is not None:
+            self._c_check_in += ctx[0] * n
+        # Row by row: a check flush must observe the clears of all earlier
+        # rows (and only those).
         check_row = self._check_row
         cycles = 0
         for k in range(i, j):
-            it.absorb_clear_run(cols.flags, cols.dest_reg, k, k + 1)
-            cycles += check_row(cols, k, f, ctx)
+            set_clear(dest_reg_col[k] if has_dreg else None)
+            if ctx is not None:
+                cycles += check_row(cols, k, f, ctx)
         return cycles
 
     def _step_mem_to_reg(self, cols, i, j, f) -> int:
         """``mem_to_reg``: record the inheritance (never delivered)."""
         n = j - i
         self._c_rows_absorbed += n
-        it = self.it
+        inherits = f & _DREG_SADDR == _DREG_SADDR
+        set_addr = self.it._set_addr
+        dest_reg_col = cols.dest_reg
+        src_addr_col = cols.src_addr
+        size_col = cols.size
         ctx = self._check_ctx(f) if f & self._check_mask else None
-        if ctx is None:
-            it.absorb_mem_to_reg_run(
-                cols.flags, cols.dest_reg, cols.src_addr, cols.size, i, j
-            )
-            return 0
-        self._c_it_seen += n
-        self._c_it_discarded += n
-        self._c_check_in += ctx[0] * n
-        cycles = 0
+        if ctx is not None:
+            self._c_check_in += ctx[0] * n
         check_row = self._check_row
-        if f & _DREG_SADDR == _DREG_SADDR:
-            table_it = it._table
-            num_regs = len(table_it)
-            addr_state = ITState.ADDR
-            dest_regs = cols.dest_reg
-            src_addrs = cols.src_addr
-            sizes = cols.size
-            for k in range(i, j):
-                reg = dest_regs[k]
-                if reg < num_regs:
-                    entry = table_it[reg]
-                    if entry.state is not addr_state:
-                        it._addr_count += 1
-                        entry.state = addr_state
-                    entry.address = src_addrs[k]
-                    entry.size = sizes[k] or 1
-                cycles += check_row(cols, k, f, ctx)
-        else:
-            for k in range(i, j):
+        cycles = 0
+        for k in range(i, j):
+            if inherits:
+                set_addr(dest_reg_col[k], src_addr_col[k], size_col[k])
+            if ctx is not None:
                 cycles += check_row(cols, k, f, ctx)
         return cycles
 
@@ -1176,7 +1142,6 @@ class ColumnarEngine:
         self._c_rows_seen += n
         it = self.it
         table_it = it._table
-        num_regs = len(table_it)
         clear_state = ITState.CLEAR
         addr_state = ITState.ADDR
         has_sreg = f & F_SRC_REG
@@ -1187,6 +1152,7 @@ class ColumnarEngine:
         tid_col = cols.thread_id
         entry_drr = self._entry_drr
         entry_drm = self._entry_drm
+        set_clear = it._set_clear
         # The span fast path reports with a None address; only rows without
         # a destination address match that (the overwhelmingly common case
         # for register-destination operations).
@@ -1213,7 +1179,7 @@ class ColumnarEngine:
                     src_entry = table_it[sreg]
                     ev_addr = src_entry.address
                     ev_size = src_entry.size
-                    self._set_clear(dreg, num_regs)
+                    set_clear(dreg)
                     if entry_drm is not None:
                         prop_delivered += 1
                         if fast_drm is not None:
@@ -1242,7 +1208,7 @@ class ColumnarEngine:
                         if entry_drr is not None
                         else None
                     )
-                    self._set_clear(dreg, num_regs)
+                    set_clear(dreg)
                     if entry_drr is not None:
                         prop_delivered += 1
                         cycles += self._dispatch(entry_drr, event)
@@ -1258,8 +1224,7 @@ class ColumnarEngine:
         """``dest_reg op= mem``: always delivered, destination cleared."""
         n = j - i
         self._c_rows_seen_delivered += n
-        table_it = self.it._table
-        num_regs = len(table_it)
+        set_clear = self.it._set_clear
         has_sreg = f & F_SRC_REG
         has_dreg = f & F_DEST_REG
         has_saddr = f & F_SRC_ADDR
@@ -1286,7 +1251,7 @@ class ColumnarEngine:
                 if entry_drm is not None and fast_drm is None
                 else None
             )
-            self._set_clear(dreg, num_regs)
+            set_clear(dreg)
             if entry_drm is not None:
                 self._c_prop_delivered += 1
                 if fast_drm is not None:
@@ -1355,38 +1320,3 @@ class ColumnarEngine:
             if check_ctx is not None:
                 cycles += check_row(cols, k, f, check_ctx)
         return cycles
-
-    def _step_prop_no_it(self, cols, i, j, f) -> int:
-        """Propagation rows with IT disabled: deliver unfiltered if registered."""
-        n = j - i
-        self._c_rows_absorbed += n
-        entry = self._registered(cols.ordinal[i])
-        check_ctx = self._check_ctx(f) if f & self._check_mask else None
-        if entry is None and check_ctx is None:
-            return 0
-        if check_ctx is not None:
-            self._c_check_in += check_ctx[0] * n
-        etype = EVENT_TYPES[cols.ordinal[i]] if entry is not None else None
-        check_row = self._check_row
-        cycles = 0
-        for k in range(i, j):
-            if entry is not None:
-                self._c_prop_delivered += 1
-                cycles += self._dispatch(entry, self._event_from_row(cols, k, f, etype))
-            if check_ctx is not None:
-                cycles += check_row(cols, k, f, check_ctx)
-        return cycles
-
-    # ------------------------------------------------------------------ IT micro-ops
-
-    def _set_clear(self, reg, num_regs) -> None:
-        """Inline twin of ``InheritanceTracker._set_clear``."""
-        if reg is None or reg >= num_regs:
-            return
-        it = self.it
-        entry = it._table[reg]
-        if entry.state is ITState.ADDR:
-            it._addr_count -= 1
-        entry.state = ITState.CLEAR
-        entry.address = None
-        entry.size = 0

@@ -135,44 +135,13 @@ class MetadataMapper:
     def translate_span(self, start: int, stop: int, step: int) -> None:
         """Translate every ``step``-th address in ``[start, stop)``.
 
-        The batch twin of calling :meth:`translate` in a loop, used by the
-        lifeguards' columnar span handlers: the M-TLB runs its batched
-        ``lma_run`` (same CAM state, fills and miss-handler order), the
-        software path hoists the map lookup, and the mapper/usage counters
-        are folded once -- every observable side effect is identical to the
-        scalar loop.
+        Used by the lifeguards' columnar span handlers for multi-byte
+        accesses: a plain :meth:`translate` loop, so every counter, usage
+        record and M-TLB state change is the scalar one.
         """
-        if start >= stop:
-            return
-        stats = self.stats
-        usage = self._usage
-        mtlb = self.mtlb
-        if mtlb is not None:
-            translations, misses = mtlb.lma_run(
-                start, stop, step, usage.metadata_addresses
-            )
-            stats.translations += translations
-            stats.mtlb_misses += misses
-            stats.mtlb_hits += translations - misses
-            usage.translations += translations
-            usage.mtlb_misses += misses
-            return
-        translate_map = self.shadow_map.translate
-        append = usage.metadata_addresses.append
-        count = 0
-        if self._software_two_level:
-            level1_index = self.shadow_map.level1_index
-            for address in range(start, stop, step):
-                count += 1
-                metadata_address = translate_map(address)
-                append(LEVEL1_TABLE_BASE + level1_index(address) * 4)
-                append(metadata_address)
-        else:
-            for address in range(start, stop, step):
-                count += 1
-                append(translate_map(address))
-        stats.translations += count
-        usage.translations += count
+        translate = self.translate
+        for address in range(start, stop, step):
+            translate(address)
 
     # ------------------------------------------------------------------ event scoping
 

@@ -212,7 +212,7 @@ class MemCheck(Lifeguard):
                 new = element | mask if initialized else element & ~mask
                 write_element(probe, new)
             probe = upper
-        # One translation per element for cost purposes (batched M-TLB run).
+        # One translation per element for cost purposes.
         self.mapper().translate_span(address, end, per_element)
 
     def _range_bits_missing(self, address: int, size: int, span_masks) -> bool:

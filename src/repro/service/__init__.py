@@ -8,7 +8,7 @@ uploads from thousands of clients, applies the bounded-buffer coupling
 *per client* as backpressure, replays each committed trace in one
 supervised columnar replay worker that sees every chunk in order (a
 bounded pool of sessions replays at once), and persists every trace and
-report to an indexed on-disk store
+report to an on-disk store
 (:class:`~repro.service.store.SessionStore`) -- engineered for failure
 first: per-session state machines with idempotent resume, admission
 control with load shedding, strict/degrade quarantine of damaged uploads,

@@ -4,7 +4,7 @@ One long-running asyncio process accepts chunked trace uploads from many
 concurrent clients and runs each committed trace through the supervised
 columnar replay stack (:class:`~repro.trace.replay.ParallelReplay`: one
 worker process per session replays every chunk in order), persisting
-traces and reports to an indexed :class:`~repro.service.store.SessionStore`.
+traces and reports to a :class:`~repro.service.store.SessionStore`.
 
 Resilience model, layer by layer:
 
@@ -332,7 +332,6 @@ class MonitoringGateway:
             return_exceptions=True,
         )
         self._pool_tasks.clear()
-        self.store.write_index([s.meta for s in self.sessions.values()])
         self._replay_executor.shutdown(wait=False)
         self._io_executor.shutdown(wait=False)
 
@@ -350,7 +349,6 @@ class MonitoringGateway:
                 await self._recover_committed(meta)
                 continue
             await self._recover_accepting(meta)
-        self.store.write_index(self.store.scan())
 
     async def _recover_committed(self, meta: SessionMeta) -> None:
         """An interrupted replay: re-audit, repair if damaged, re-run or fail."""

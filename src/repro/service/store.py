@@ -1,4 +1,4 @@
-"""Indexed on-disk store for gateway sessions.
+"""On-disk store for gateway sessions.
 
 Layout under the store root::
 
@@ -7,7 +7,6 @@ Layout under the store root::
         upload.part     -- raw trace bytes appended chunk by chunk
         trace.lbatrace  -- upload.part renamed here on commit (after fsync)
         report.json     -- final replay report, written atomically
-    index.json          -- advisory listing, rebuilt by the recovery scan
 
 Durability rules the gateway's crash-recovery contract depends on:
 
@@ -233,22 +232,3 @@ class SessionStore:
                     )
                 )
         return metas
-
-    def write_index(self, metas: List[SessionMeta]) -> Path:
-        """Advisory store-wide index; rebuilt by every recovery scan."""
-        document = {
-            "generated_at": time.time(),
-            "sessions": [
-                {
-                    "session_id": meta.session_id,
-                    "state": meta.state,
-                    "chunks_received": meta.chunks_received,
-                    "bytes_received": meta.bytes_received,
-                    "reason": meta.reason,
-                }
-                for meta in sorted(metas, key=lambda m: m.session_id)
-            ],
-        }
-        path = self.root / "index.json"
-        _atomic_write(path, json.dumps(document, sort_keys=True, indent=2).encode())
-        return path

@@ -136,14 +136,6 @@ class RecordEncoder:
         self._last_pc = 0
         self._last_addr = 0
 
-    def state(self) -> Tuple[int, int]:
-        """Snapshot of the delta chains, for speculative encoding."""
-        return (self._last_pc, self._last_addr)
-
-    def set_state(self, state: Tuple[int, int]) -> None:
-        """Restore a snapshot taken with :meth:`state`."""
-        self._last_pc, self._last_addr = state
-
     def encode(self, record: Record) -> bytes:
         """Serialize one record and advance the delta state."""
         out = bytearray()
@@ -165,14 +157,6 @@ class RecordEncoder:
         else:
             raise TraceCodecError(f"cannot encode {type(record).__name__}")
         return len(out) - before
-
-    def measure(self, record: Record) -> int:
-        """Exact encoded size of ``record`` *without* advancing the state."""
-        saved = self.state()
-        try:
-            return len(self.encode(record))
-        finally:
-            self.set_state(saved)
 
     # ------------------------------------------------------------------ internals
 

@@ -108,42 +108,3 @@ class TestTranslation:
         for _ in range(3):
             mtlb.lma(0x0900_0000)
         assert mtlb.stats.miss_rate == pytest.approx(1 / 3)
-
-
-class TestLMARun:
-    """Batched translation must mirror a scalar lma() loop exactly."""
-
-    def test_lma_run_matches_scalar_loop(self):
-        def handler(app_address):
-            return 0x6000_0000 + (app_address & 0xFFFF_C000)
-
-        scalar = MetadataTLB(MTLBConfig(num_entries=4))
-        scalar.lma_config(LMAConfig(16, 14, 1), miss_handler=handler)
-        batched = MetadataTLB(MTLBConfig(num_entries=4))
-        batched.lma_config(LMAConfig(16, 14, 1), miss_handler=handler)
-
-        start, stop, step = 0x0900_0000, 0x0900_0000 + 64 * 4096, 4096
-        expected = [scalar.lma(address)[0] for address in range(start, stop, step)]
-        out = []
-        translations, misses = batched.lma_run(start, stop, step, out)
-        assert out == expected
-        assert translations == len(expected)
-        assert misses == scalar.stats.misses
-        assert batched.stats == scalar.stats
-        assert batched._entries == scalar._entries
-
-    def test_lma_run_miss_without_handler_counts_attempts(self):
-        mtlb = MetadataTLB(MTLBConfig(num_entries=4))
-        mtlb.lma_config(LMAConfig(16, 14, 1))
-        mtlb.lma_fill(0x0900_0000, 0x6000_0000)
-        fills = mtlb.stats.fills
-        out = []
-        with pytest.raises(MTLBMiss):
-            # first address hits the filled entry, the second (new level-1
-            # index) misses with no handler installed
-            mtlb.lma_run(0x0900_0000, 0x0900_0000 + 2 * (1 << 16), 1 << 16, out)
-        assert len(out) == 1
-        assert mtlb.stats.lookups == 2
-        assert mtlb.stats.hits == 1
-        assert mtlb.stats.misses == 1
-        assert mtlb.stats.fills == fills

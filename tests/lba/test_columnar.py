@@ -96,13 +96,17 @@ def _columnar(chunks, lifeguard_name):
 
 
 def _assert_matches(ref, col):
-    """Reports, stats, cycles, mapper counters and IT/IF/M-TLB state agree."""
+    """Reports, stats, cycles, mapper counters and IT/IF/M-TLB state and counters agree."""
     assert col[2].stats.diff(ref[2].stats) == {}
     assert col[1].stats == ref[1].stats
     assert col[3] == ref[3]
     assert col[0].reports == ref[0].reports
     assert col[0].mapper_stats() == ref[0].mapper_stats()
     assert col[1].state_signature() == ref[1].state_signature()
+    for unit in ("it", "idempotent_filter", "mtlb"):
+        ref_unit, col_unit = getattr(ref[1], unit), getattr(col[1], unit)
+        if ref_unit is not None:
+            assert col_unit.stats == ref_unit.stats, unit
 
 
 def _assert_identical(records, lifeguard_name, chunk_rows=None):

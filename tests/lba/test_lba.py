@@ -1,23 +1,22 @@
-"""Tests for the LBA substrate: records, buffer, timing coupling, platform."""
+"""Tests for the LBA substrate: record sizes, timing coupling, platform."""
 
 import pytest
 
-from repro.core.config import BASELINE_CONFIG, OPTIMIZED_CONFIG, LogBufferConfig, SystemConfig
-from repro.core.events import AnnotationRecord, EventType, InstructionRecord
+from repro.core.config import BASELINE_CONFIG, OPTIMIZED_CONFIG, SystemConfig
+from repro.core.events import EventType, InstructionRecord
 from repro.isa.machine import Machine
-from repro.lba.log_buffer import LogBuffer
 from repro.lba.capture import LogProducer
 from repro.lba.platform import LBASystem, run_unmonitored
-from repro.lba.record import RecordSizer, encoded_record_size
 from repro.lba.timing import CouplingModel
 from repro.lifeguards import AddrCheck, MemCheck, TaintCheck
+from repro.trace.codec import RecordEncoder
 from tests.conftest import build_copy_loop
 
 
 class TestRecordSize:
     def test_sizes_are_exact_integers(self):
         record = InstructionRecord(pc=1, event_type=EventType.REG_TO_REG, dest_reg=0, src_reg=1)
-        size = encoded_record_size(record)
+        size = len(RecordEncoder().encode(record))
         assert isinstance(size, int)
         assert 1 <= size <= 8
 
@@ -25,75 +24,23 @@ class TestRecordSize:
         plain = InstructionRecord(pc=1, event_type=EventType.REG_TO_REG)
         memory = InstructionRecord(pc=1, event_type=EventType.MEM_TO_MEM,
                                    dest_addr=1, src_addr=2, size=4)
-        assert encoded_record_size(memory) > encoded_record_size(plain)
+        assert len(RecordEncoder().encode(memory)) > len(RecordEncoder().encode(plain))
 
     def test_stream_sizes_exploit_redundancy(self):
         # Consecutive records of a loop (small pc/address deltas) must cost
-        # less in stream context than sized stand-alone.
+        # less in stream context than encoded stand-alone.
         records = [
             InstructionRecord(pc=0x4000_0000 + 4 * i, event_type=EventType.MEM_TO_REG,
                               dest_reg=1, src_addr=0x0900_0000 + 4 * i, size=4, is_load=True)
             for i in range(64)
         ]
-        sizer = RecordSizer()
-        stream_bytes = sum(sizer.size(record) for record in records)
-        standalone_bytes = sum(encoded_record_size(record) for record in records)
+        encoder = RecordEncoder()
+        stream_bytes = sum(len(encoder.encode(record)) for record in records)
+        standalone_bytes = sum(len(RecordEncoder().encode(record)) for record in records)
         assert stream_bytes < standalone_bytes
         # Steady-state loop records cost 6 bytes; only the first (cold
         # delta chains) costs more.
         assert stream_bytes / len(records) <= 6.5
-
-    def test_measure_does_not_advance_stream(self):
-        sizer = RecordSizer()
-        record = InstructionRecord(pc=0x1234, event_type=EventType.REG_TO_REG, dest_reg=2)
-        peeked = sizer.measure(record)
-        assert sizer.measure(record) == peeked
-        assert sizer.size(record) == peeked
-        # After committing, the same pc costs less (delta chain advanced).
-        assert sizer.measure(record) < peeked
-
-
-class TestLogBuffer:
-    def test_push_pop_fifo(self):
-        buffer = LogBuffer(LogBufferConfig(size_bytes=1024))
-        records = [InstructionRecord(pc=i, event_type=EventType.REG_TO_REG) for i in range(5)]
-        for record in records:
-            assert buffer.push(record)
-        assert [buffer.pop().pc for _ in range(5)] == [0, 1, 2, 3, 4]
-
-    def test_full_buffer_rejects_and_counts_stall(self):
-        buffer = LogBuffer(LogBufferConfig(size_bytes=16))
-        record = AnnotationRecord(EventType.MALLOC, address=1, size=1)
-        pushed = 0
-        while buffer.push(record):
-            pushed += 1
-        assert pushed >= 1
-        assert buffer.occupancy_bytes <= 16
-        assert buffer.stats.producer_stalls == 1
-        # A rejected push must not advance the stream state: popping one
-        # record frees exactly enough room to push the same record again.
-        assert buffer.pop() is not None
-        assert buffer.push(record)
-
-    def test_occupancy_is_exact_integer_bytes(self):
-        buffer = LogBuffer()
-        buffer.push(InstructionRecord(pc=0x100, event_type=EventType.REG_TO_REG, dest_reg=1))
-        assert isinstance(buffer.occupancy_bytes, int)
-        assert isinstance(buffer.stats.bytes_pushed, int)
-        assert isinstance(buffer.stats.high_water_bytes, int)
-        assert buffer.occupancy_bytes == buffer.stats.bytes_pushed
-
-    def test_empty_pop_counts_stall(self):
-        buffer = LogBuffer()
-        assert buffer.pop() is None
-        assert buffer.stats.consumer_stalls == 1
-
-    def test_occupancy_tracking(self):
-        buffer = LogBuffer()
-        buffer.push(InstructionRecord(pc=0, event_type=EventType.REG_TO_REG))
-        assert buffer.occupancy_bytes > 0
-        buffer.pop()
-        assert buffer.occupancy_bytes == 0
 
 
 class TestCouplingModel:

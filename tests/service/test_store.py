@@ -127,21 +127,6 @@ class TestRecoveryScan:
         (meta,) = store.scan()
         assert meta.state == SessionState.FAILED.value
 
-    def test_write_index(self, store):
-        store.create("s-1")
-        meta = store.load_meta("s-1")
-        meta.state = SessionState.SETTLED.value
-        path = store.write_index([meta])
-        document = json.loads(path.read_text())
-        assert document["sessions"] == [
-            {
-                "session_id": "s-1",
-                "state": "settled",
-                "chunks_received": 0,
-                "bytes_received": 0,
-                "reason": "",
-            }
-        ]
 
     def test_foreign_entries_ignored(self, store, tmp_path):
         store.create("s-1")

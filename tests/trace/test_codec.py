@@ -154,14 +154,6 @@ class TestPropertyStyle:
             out.append(record)
         assert out == records
 
-    def test_measure_matches_encode(self):
-        rng = random.Random(7)
-        encoder = RecordEncoder()
-        for _ in range(200):
-            record = _random_record(rng)
-            measured = encoder.measure(record)
-            assert measured == len(encoder.encode(record))
-
 
 class TestBatchDecode:
     def test_decode_many_matches_stepwise_decode(self):
