@@ -4,16 +4,11 @@ Measures the consumer pipeline stage by stage -- codec encode/decode
 (object and columnar), shadow-map writes and fills, per-record vs
 columnar dispatch, and end-to-end trace replay -- and writes the
 results to ``BENCH_hotpath.json`` so the perf trajectory is tracked
-in-repo from PR 2 onward.
-
-``--multicore`` runs the multi-core scaling suite instead, recording the
-live multi-core platform's simulated slowdown at 1/2/4 core pairs into
-``BENCH_multicore.json``.
+in-repo.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/run_benchmarks.py              # hot path
-    PYTHONPATH=src python benchmarks/run_benchmarks.py --multicore  # scaling
     PYTHONPATH=src python benchmarks/run_benchmarks.py --smoke      # CI smoke
     PYTHONPATH=src python benchmarks/run_benchmarks.py --quick --check
     PYTHONPATH=src python benchmarks/run_benchmarks.py --output out.json
@@ -43,7 +38,7 @@ for _path in (os.path.join(_ROOT, "src"), _ROOT):
         sys.path.insert(0, _path)
 
 from repro.core.events import AnnotationRecord, EventType, InstructionRecord
-from repro.experiments.harness import capture_trace, core_scaling_sweep
+from repro.experiments.harness import capture_trace
 from repro.lba.columnar import ColumnarEngine
 from repro.lifeguards import ALL_LIFEGUARDS
 from repro.memory.shadow import TwoLevelShadowMap
@@ -312,45 +307,6 @@ def run(smoke=False, scale=1.0, quick=False):
     }
 
 
-#: Core counts of every multi-core scaling curve.
-SCALING_POINTS = (1, 2, 4)
-
-
-def run_multicore(smoke=False, scale=1.0):
-    """Multi-core scaling suite: live platform core-count curves."""
-    live = {}
-    for workload, lifeguard in (("mcf", "MemCheck"), ("pbzip2", "LockSet")):
-        rows = core_scaling_sweep(
-            workload, lifeguard, cores_list=SCALING_POINTS,
-            scale=0.3 if smoke else scale,
-        )
-        base_finish = rows[0]["lifeguard_finish_cycles"]
-        for row in rows:
-            row["sim_speedup"] = round(base_finish / row["lifeguard_finish_cycles"], 3)
-        live[f"{workload}_{lifeguard}"] = {
-            "workload": workload,
-            "lifeguard": lifeguard,
-            "curve": rows,
-        }
-    return {
-        "benchmark": "multicore",
-        "mode": "smoke" if smoke else "full",
-        "scaling_points": list(SCALING_POINTS),
-        "host_cpus": os.cpu_count(),
-        "live_scaling": live,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-    }
-
-
-def _print_multicore(results):
-    for entry in results["live_scaling"].values():
-        print(f"  live platform ({entry['workload']}, {entry['lifeguard']}):")
-        for row in entry["curve"]:
-            print(f"    {row['cores']} cores  slowdown {row['slowdown']:>6.2f}x  "
-                  f"sim speedup {row['sim_speedup']:>5.2f}x")
-
-
 def check_regression(results, committed):
     """Fail (return non-zero) if a replay stage regressed past the tolerance.
 
@@ -405,30 +361,23 @@ def main(argv=None):
         help="workload scale for the captured mcf trace in full mode (default 1.0)",
     )
     parser.add_argument(
-        "--multicore", action="store_true",
-        help="run the multi-core scaling suite (BENCH_multicore.json) instead",
-    )
-    parser.add_argument(
         "--output", default=None,
-        help="where to write the JSON results (default: repo-root "
-             "BENCH_hotpath.json, or BENCH_multicore.json with --multicore)",
+        help="where to write the JSON results (default: repo-root BENCH_hotpath.json)",
     )
     args = parser.parse_args(argv)
-    if args.check and (args.multicore or args.smoke):
-        # --check compares the hotpath replay stages against the committed
-        # full-mode baseline: the multicore suite has no such stages and
-        # smoke numbers are not comparable, so both combinations would
-        # either no-op or always fail.
-        parser.error("--check requires the hotpath suite in full or --quick mode")
-    default_name = "BENCH_multicore.json" if args.multicore else "BENCH_hotpath.json"
+    if args.check and args.smoke:
+        # --check compares the replay stages against the committed
+        # full-mode baseline; smoke numbers are not comparable, so the
+        # combination would always fail.
+        parser.error("--check requires full or --quick mode")
     if args.output:
         output = args.output
-    elif args.smoke or (args.quick and not args.multicore):
+    elif args.smoke or args.quick:
         # Don't let a lower-fidelity run silently replace the committed
         # baseline at the repo root.
-        output = os.path.join(tempfile.gettempdir(), default_name)
+        output = os.path.join(tempfile.gettempdir(), "BENCH_hotpath.json")
     else:
-        output = os.path.join(_ROOT, default_name)
+        output = os.path.join(_ROOT, "BENCH_hotpath.json")
 
     committed = None
     if args.check:
@@ -442,10 +391,7 @@ def main(argv=None):
             print(f"benchmark check: cannot read baseline {baseline_path}: {exc}")
             return 1
 
-    if args.multicore:
-        results = run_multicore(smoke=args.smoke, scale=args.scale)
-    else:
-        results = run(smoke=args.smoke, scale=args.scale, quick=args.quick)
+    results = run(smoke=args.smoke, scale=args.scale, quick=args.quick)
 
     # Telemetry sidecars ride next to the BENCH file, not inside it: the
     # BENCH JSON stays a small tracked trajectory while the sidecars hold
@@ -469,9 +415,6 @@ def main(argv=None):
     print(f"wrote {output}")
     if metrics_snapshot is not None:
         print(f"wrote {base}.metrics.json (+ {base}.trace.json)")
-    if args.multicore:
-        _print_multicore(results)
-        return 0
     width = max(len(stage) for stage in results["stages"])
     for stage, rate in sorted(results["stages"].items()):
         unit = results["units"][stage]

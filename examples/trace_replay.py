@@ -2,7 +2,7 @@
 """Capture a monitored run once, then replay it many times.
 
 The LBA premise is a *log*: the application core streams compressed records
-to lifeguard cores.  This example makes the log tangible:
+to the lifeguard core.  This example makes the log tangible:
 
 1. run a toy request-processing server live under TAINTCHECK while teeing
    every record into a chunked, zlib-compressed trace file;

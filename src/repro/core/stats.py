@@ -1,25 +1,13 @@
 """Shared helpers for the integer-counter statistics dataclasses.
 
-The multi-core platform's lifeguard cores produce homogeneous stats objects
-(:class:`DispatchStats`, :class:`AcceleratorStats`, ...) that merge by
-field-wise summation; this is the single definition of that merge.
+Field-wise export and comparison of any counter dataclass
+(:class:`DispatchStats`, :class:`AcceleratorStats`, ...), for JSON output
+and for conformance checks that name the counters that diverged.
 """
 
 from __future__ import annotations
 
 import dataclasses
-
-
-def sum_stats(cls, items):
-    """Field-wise sum of homogeneous integer-stats dataclasses."""
-    merged = cls()
-    for stats_field in dataclasses.fields(cls):
-        setattr(
-            merged,
-            stats_field.name,
-            sum(getattr(item, stats_field.name) for item in items),
-        )
-    return merged
 
 
 def stats_as_dict(stats):

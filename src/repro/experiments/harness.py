@@ -10,13 +10,10 @@ lifeguard without re-running the ISA machine.
 from __future__ import annotations
 
 import os
-import time
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from repro.core.config import SystemConfig
 from repro.lba.capture import iter_machine_records
-from repro.lba.multicore import MultiCoreLBASystem, MultiCoreResult
 from repro.lba.platform import LBASystem, MonitoringResult
 from repro.lifeguards import (
     ALL_LIFEGUARDS,
@@ -28,7 +25,7 @@ from repro.lifeguards import (
 )
 from repro.lifeguards.base import Lifeguard
 from repro.trace.tracefile import TraceStats, TraceWriter
-from repro.workloads.base import Workload, get_workload, workload_names
+from repro.workloads.base import get_workload, workload_names
 
 #: Technique stacks applied one by one, per lifeguard (the bars of Figure 11).
 #: Each entry is ``(label, lma, it, idempotent_filter)``.
@@ -95,88 +92,6 @@ def lifeguard_classes(names: Optional[Sequence[str]] = None) -> List[Type[Lifegu
     if names is None:
         return list(ALL_LIFEGUARDS.values())
     return [ALL_LIFEGUARDS[name] for name in names]
-
-
-# ------------------------------------------------------------------- multicore
-
-
-def build_multicore_machine(workload: Workload, cores: int):
-    """Build a workload machine spread over ``cores`` application cores.
-
-    Multithreaded workloads get one worker thread per core (at least their
-    default two) unless an explicit ``threads`` was set on the workload;
-    single-threaded workloads always run on one application core.  The
-    passed workload is never mutated: widening the thread count
-    instantiates a fresh workload of the same class.
-    """
-    if workload.multithreaded and workload.threads is None:
-        workload = type(workload)(
-            scale=workload.scale, threads=max(workload.default_threads, cores)
-        )
-    return workload.build_machine(num_cores=cores)
-
-
-def run_multicore(
-    lifeguard_cls: Type[Lifeguard],
-    benchmark: str,
-    config: Optional[SystemConfig] = None,
-    cores: int = 1,
-    shard_policy: str = "address",
-    scale: float = 1.0,
-    threads: Optional[int] = None,
-    config_label: str = "",
-) -> MultiCoreResult:
-    """Run one (lifeguard, benchmark) combination on the multi-core platform."""
-    workload = get_workload(benchmark, scale=scale, threads=threads)
-    machine = build_multicore_machine(workload, cores)
-    system = MultiCoreLBASystem(
-        machine,
-        lifeguard_cls,
-        config or SystemConfig(),
-        num_cores=cores,
-        shard_policy=shard_policy,
-        workload_name=benchmark,
-    )
-    return system.run(config_label or f"{cores}-core")
-
-
-def core_scaling_sweep(
-    benchmark: str,
-    lifeguard: Union[str, Type[Lifeguard]],
-    cores_list: Sequence[int] = (1, 2, 4),
-    config: Optional[SystemConfig] = None,
-    shard_policy: str = "address",
-    scale: float = 1.0,
-) -> List[Dict[str, float]]:
-    """Run a core-count scaling sweep; one row of metrics per core count.
-
-    Each row records the simulated slowdown, the per-shard-max lifeguard
-    finish time (the quantity that shrinks as consumption spreads over more
-    lifeguard cores), forwarding overhead and the measured wall seconds.
-    """
-    lifeguard_cls = ALL_LIFEGUARDS[lifeguard] if isinstance(lifeguard, str) else lifeguard
-    rows: List[Dict[str, float]] = []
-    for cores in cores_list:
-        start = time.perf_counter()
-        result = run_multicore(
-            lifeguard_cls, benchmark, config, cores=cores,
-            shard_policy=shard_policy, scale=scale,
-        )
-        wall = time.perf_counter() - start
-        timing = result.merged.timing
-        rows.append(
-            {
-                "cores": cores,
-                "records": timing.records,
-                "slowdown": round(result.slowdown, 4),
-                "lifeguard_finish_cycles": timing.lifeguard_finish_cycles,
-                "lifeguard_busy_cycles": timing.lifeguard_busy_cycles,
-                "errors": len(result.reports),
-                "forwarded_records": result.stats.forwarded_records,
-                "wall_seconds": round(wall, 4),
-            }
-        )
-    return rows
 
 
 # --------------------------------------------------------------- trace capture

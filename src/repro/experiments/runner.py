@@ -12,11 +12,9 @@ chunked trace files, then re-analysed repeatedly without re-running them::
     repro-experiments --capture-traces traces/          # bank the workloads
     repro-experiments --replay-traces traces/
 
-Multi-core platform (N application cores streaming per-core logs to N
-lifeguard cores through a shard router)::
-
-    repro-experiments --cores 4                  # multi-core report
-    repro-experiments --cores 8 --core-sweep     # scaling curve 1..8 cores
+Every live number comes from the dual-core platform
+(:class:`repro.lba.platform.LBASystem`): one application core, one
+lifeguard core.
 """
 
 from __future__ import annotations
@@ -35,13 +33,7 @@ from repro.experiments.figure11 import format_figure11, run_figure11
 from repro.experiments.figure12 import format_figure12, run_figure12
 from repro.experiments.figure13 import format_figure13, run_figure13
 from repro.experiments.figure14 import format_figure14, run_figure14
-from repro.experiments.harness import (
-    capture_trace,
-    core_scaling_sweep,
-    lifeguard_classes,
-    run_multicore,
-    trace_path_for,
-)
+from repro.experiments.harness import capture_trace, trace_path_for
 from repro.trace.replay import replay_trace
 from repro.trace.supervisor import QUARANTINE_POLICIES
 from repro.workloads.base import workload_names
@@ -96,76 +88,6 @@ def replay_all(
                 f"{result.errors_detected:>3} errors  "
                 f"{result.records_per_second:>12,.0f} rec/s{quarantined}"
             )
-    return lines
-
-
-def multicore_report(
-    cores: int,
-    shard_policy: str = "address",
-    quick: bool = False,
-    scale: float = 1.0,
-    lifeguards: Optional[Sequence[str]] = None,
-) -> List[str]:
-    """Run every lifeguard on the multi-core platform; returns report lines."""
-    lines = [
-        f"multi-core platform: {cores} application + {cores} lifeguard cores "
-        f"(shard policy: {shard_policy})"
-    ]
-    if cores > 1:
-        lines.append(
-            "  note: sharded monitoring gives each lifeguard core a private "
-            "metadata view (shared-state annotations are broadcast), so "
-            "stateful lifeguards' reports are per-shard approximations; "
-            "N=1 reproduces the dual-core reports exactly"
-        )
-    lines.append("")
-    for lifeguard_cls in lifeguard_classes(lifeguards):
-        multithreaded = lifeguard_cls.name == "LockSet"
-        benchmarks = (
-            list(QUICK_MT if multithreaded else QUICK_SPEC)
-            if quick
-            else workload_names(multithreaded=multithreaded)
-        )
-        for benchmark in benchmarks:
-            result = run_multicore(
-                lifeguard_cls, benchmark, cores=cores,
-                shard_policy=shard_policy, scale=scale,
-            )
-            timing = result.merged.timing
-            lines.append(
-                f"  {benchmark:<12} {lifeguard_cls.name:<18} "
-                f"slowdown {result.slowdown:>6.2f}x  "
-                f"{timing.records:>8} records  "
-                f"{result.stats.forwarded_records:>6} forwarded  "
-                f"{len(result.reports):>3} errors"
-            )
-    return lines
-
-
-def core_sweep_report(
-    cores_list: Sequence[int],
-    benchmark: str = "mcf",
-    lifeguard: str = "MemCheck",
-    shard_policy: str = "address",
-    scale: float = 1.0,
-) -> List[str]:
-    """Core-count scaling sweep over one (benchmark, lifeguard) pair."""
-    lines = [
-        f"core-count scaling sweep: {benchmark} under {lifeguard} "
-        f"(shard policy: {shard_policy})",
-        "",
-        f"  {'cores':>5} {'records':>9} {'slowdown':>9} {'lg finish cycles':>17} "
-        f"{'forwarded':>10} {'wall s':>8}",
-    ]
-    for row in core_scaling_sweep(
-        benchmark, lifeguard, cores_list=cores_list,
-        shard_policy=shard_policy, scale=scale,
-    ):
-        lines.append(
-            f"  {row['cores']:>5} {row['records']:>9} {row['slowdown']:>9.2f} "
-            f"{row['lifeguard_finish_cycles']:>17,} {row['forwarded_records']:>10} "
-            f"{row['wall_seconds']:>8.2f}"
-        )
     return lines
 
 
@@ -226,13 +148,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="damaged-chunk policy for --replay-traces: 'strict' "
                              "fails on the first corrupt chunk, 'degrade' skips "
                              "it and reports exact record accounting")
-    parser.add_argument("--cores", type=int, default=1,
-                        help="application/lifeguard core pairs; >1 runs the "
-                             "multi-core platform report instead of the figures")
-    parser.add_argument("--shard-policy", choices=("address", "thread"), default="address",
-                        help="record-to-lifeguard-core routing policy for --cores")
-    parser.add_argument("--core-sweep", action="store_true",
-                        help="run a core-count scaling sweep up to --cores and exit")
     parser.add_argument("--metrics-out", metavar="FILE", default=None,
                         help="enable pipeline telemetry and write the metrics "
                              "snapshot (JSON) to FILE when the run finishes")
@@ -240,8 +155,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="enable pipeline telemetry and write the stage spans "
                              "as Chrome trace-event JSON (Perfetto-loadable) to FILE")
     args = parser.parse_args(argv)
-    if args.cores < 1:
-        parser.error("--cores must be >= 1")
     telemetry = args.metrics_out is not None or args.trace_out is not None
     if telemetry:
         from repro.obs import enable
@@ -255,17 +168,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     elif args.replay_traces:
         sections = ["\n".join(replay_all(args.replay_traces, lifeguards=args.lifeguards,
                                          quarantine=args.quarantine))]
-    elif args.core_sweep:
-        cores_list = [c for c in (1, 2, 4, 8, 16) if c <= max(args.cores, 1)]
-        if cores_list[-1] != args.cores:
-            cores_list.append(args.cores)
-        sections = ["\n".join(core_sweep_report(cores_list,
-                                                shard_policy=args.shard_policy,
-                                                scale=args.scale))]
-    elif args.cores > 1:
-        sections = ["\n".join(multicore_report(args.cores,
-                                               shard_policy=args.shard_policy,
-                                               quick=args.quick, scale=args.scale))]
     else:
         sections = run_all(quick=args.quick, scale=args.scale)
     report = "\n\n" + "\n\n".join(sections) + "\n"

@@ -2,14 +2,16 @@
 
 Machine-generated scenario coverage with a ground-truth oracle: seeded,
 structurally diverse (optionally multithreaded, optionally buggy) programs
-from :mod:`repro.workloads.generator` are pushed through *every* dispatch
-engine the platform offers -- the per-record loop, the run-grouped
-columnar engine, offline trace replay, the full live platform and the
-multi-core platform -- and
-the oracle asserts that they agree bit for bit (reports, statistics,
-cycles, and the internal accelerator state: IT table, Idempotent-Filter
-sets with LRU order, M-TLB CAM), that every injected bug class is detected
-by its matching lifeguard, and that clean seeds stay completely silent.
+from :mod:`repro.workloads.generator` are pushed through every dispatch
+engine the platform offers -- the per-record loop (the reference), the
+run-grouped columnar engine, offline trace replay and the live platform.
+The oracle asserts that every leg reports what the reference reports, in
+order, with equal dispatch and accelerator statistics (the live leg, which
+also models the cache hierarchy, leaves out lifeguard cycles); the
+columnar leg must also match the internal accelerator state (IT table,
+Idempotent-Filter sets with LRU order, M-TLB CAM).  Against ground truth,
+every injected bug class must be detected by its matching lifeguard, and
+on a clean seed the reference, and so every leg, must stay silent.
 
 Entry points:
 
@@ -22,7 +24,6 @@ Entry points:
 """
 
 from repro.fuzz.oracle import (
-    DEFAULT_CORES,
     DEFAULT_ENGINES,
     CaseResult,
     FuzzCase,
@@ -53,7 +54,6 @@ __all__ = [
     "BUG_CLASSES",
     "BugManifest",
     "CaseResult",
-    "DEFAULT_CORES",
     "DEFAULT_ENGINES",
     "FuzzCase",
     "FuzzConfig",

@@ -4,8 +4,7 @@ Runs seed blocks through the engine-pairing oracle, minimises failures by
 instruction-window bisection, and emits replayable repro files:
 
 * ``python -m repro.fuzz --seeds 0:25`` -- the tier-1 block;
-* ``python -m repro.fuzz --seeds 0:500 --shrink --verify-determinism``
-  -- the nightly block (failing seeds are shrunk and written to
+* ``python -m repro.fuzz --seeds 0:500 --shrink`` -- the nightly block (failing seeds are shrunk and written to
   ``--repro-dir``);
 * ``python -m repro.fuzz --replay fuzz-repros/seed_42.json`` -- re-run a
   stored repro deterministically (add ``--describe`` to print the stored
@@ -24,7 +23,6 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from repro.fuzz.oracle import (
-    DEFAULT_CORES,
     DEFAULT_ENGINES,
     FuzzCase,
     FuzzFailure,
@@ -54,13 +52,6 @@ def _parse_seeds(text: str) -> List[int]:
         raise argparse.ArgumentTypeError(f"bad seed list {text!r}") from None
 
 
-def _parse_cores(text: str) -> List[int]:
-    cores = [int(part) for part in text.split(",") if part]
-    if not cores or any(core < 1 for core in cores):
-        raise argparse.ArgumentTypeError(f"bad core list {text!r}")
-    return cores
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.fuzz",
@@ -75,8 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--lifeguards", nargs="+", choices=sorted(ALL_LIFEGUARDS),
                         default=None, metavar="NAME",
                         help="lifeguards to check (default: all five)")
-    parser.add_argument("--cores", type=_parse_cores, default=list(DEFAULT_CORES),
-                        metavar="N,N,...", help="multi-core leg core counts (default 1,2,4)")
     parser.add_argument("--shrink", action="store_true",
                         help="minimise failing seeds by op-window bisection before "
                              "writing their repro files")
@@ -85,9 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: fuzz-repros)")
     parser.add_argument("--replay", metavar="FILE", default=None,
                         help="replay one stored repro file instead of a seed block")
-    parser.add_argument("--verify-determinism", action="store_true",
-                        help="run every sharded multi-core configuration twice "
-                             "(nightly mode)")
     parser.add_argument("--inject-faults", action="store_true",
                         help="also damage a copy of each seed's round-trip "
                              "trace and require degrade-mode replay to "
@@ -150,8 +136,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _describe_repro(args.replay)
         try:
             result = replay_repro(args.replay, engines=args.engines,
-                                  lifeguards=args.lifeguards, cores=args.cores,
-                                  verify_determinism=args.verify_determinism)
+                                  lifeguards=args.lifeguards)
         except FuzzFailure as failure:
             print(f"REPLAY FAIL {args.replay}: {failure}")
             timing = _format_leg_seconds(failure.leg_seconds)
@@ -181,7 +166,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         seed_started = time.perf_counter()
         try:
             result = run_case(case, engines=args.engines, lifeguards=args.lifeguards,
-                              cores=args.cores, verify_determinism=args.verify_determinism,
                               inject_faults=args.inject_faults)
         except Exception as error:
             if isinstance(error, FuzzFailure):
@@ -200,8 +184,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             spec = case.spec
             if args.shrink:
                 predicate = oracle_failure_predicate(
-                    args.engines, args.lifeguards, args.cores, match=failure,
-                    verify_determinism=args.verify_determinism)
+                    args.engines, args.lifeguards, match=failure)
                 try:
                     spec = shrink_spec(spec, predicate)
                     print(f"  shrunk seed {seed}: {case.spec.total_ops()} -> "

@@ -13,13 +13,10 @@ it through every consumption path of the platform and asserts agreement:
   counters and the *internal* accelerator state via
   :meth:`EventAccelerator.state_signature` (IT table, Idempotent-Filter
   sets with LRU order, M-TLB CAM with LRU order);
-* **full-system legs**: the live dual-core :class:`LBASystem` run (whose
-  reports, event counts and mapper counters must match the reference;
-  cycle totals legitimately differ because the live run models the shared
-  cache hierarchy), the multi-core platform at N=1 (bit-identical to the
-  live run, the anchor the conformance matrix enforces), and sharded
-  multi-core runs at N>1 (clean seeds must stay silent; shard-exact bug
-  classes must still be detected);
+* **full-system leg**: the live dual-core :class:`LBASystem` run, whose
+  reports, event counts and mapper counters must match the reference
+  (cycle totals legitimately differ because the live run models the shared
+  cache hierarchy);
 * **ground truth**: the spec's :class:`BugManifest` -- every detector
   lifeguard must report one of the expected kinds, and a clean seed must
   produce zero reports from *every* lifeguard on *every* leg.
@@ -40,8 +37,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import SystemConfig
 from repro.lba.columnar import ColumnarEngine
-from repro.lba.platform import LBASystem, MonitoringResult
-from repro.lba.multicore import MultiCoreLBASystem
+from repro.lba.platform import LBASystem
 from repro.lifeguards import ALL_LIFEGUARDS
 from repro.faultinject.corrupt import flip_chunk_bytes
 from repro.trace.codec import RecordColumns, TraceCodecError
@@ -63,24 +59,7 @@ DEFAULT_ENGINES = (
     "columnar",
     "trace_replay",
     "live",
-    "multicore",
 )
-
-#: Core counts for the multi-core leg (1 anchors bit-identity to the live
-#: run; 2 and 4 exercise address-sharded monitoring).
-DEFAULT_CORES = (1, 2, 4)
-
-#: Lifeguards whose entire detection state is per-address (heap-block
-#: tables, accessibility bits, per-word lockset records, with the
-#: establishing annotations broadcast to every shard).  Address sharding
-#: keeps that state exact, so *these* lifeguards must stay silent on clean
-#: seeds at any core count.  Register-inheritance lifeguards (MemCheck,
-#: TaintCheck*) are per-shard approximations under N>1 -- a stale IT flush
-#: on the thread-routed shard can mark a register uninitialised/tainted
-#: from metadata another shard owns -- so the oracle does not assert their
-#: silence there (see the sharding note in :mod:`repro.lba.multicore`).
-_SHARD_EXACT_LIFEGUARDS = frozenset({"AddrCheck", "LockSet"})
-
 
 
 class FuzzFailure(AssertionError):
@@ -234,9 +213,7 @@ def run_case(
     case: FuzzCase,
     engines: Sequence[str] = DEFAULT_ENGINES,
     lifeguards: Optional[Sequence[str]] = None,
-    cores: Sequence[int] = DEFAULT_CORES,
     workdir: Optional[str] = None,
-    verify_determinism: bool = False,
     inject_faults: bool = False,
 ) -> CaseResult:
     """Run one fuzz case through the engine matrix; raise on any divergence.
@@ -246,12 +223,8 @@ def run_case(
         engines: subset of :data:`DEFAULT_ENGINES` to run.  ``consume`` is
             always run (it is the reference every other leg compares to).
         lifeguards: lifeguard names (default: all five).
-        cores: core counts for the ``multicore`` leg.
         workdir: directory for the trace-replay leg's temporary trace files
             (a throwaway temporary directory by default).
-        verify_determinism: run every sharded (N>1) multi-core configuration
-            twice and require bit-identical merged results (the nightly
-            block enables this; it doubles the multi-core cost).
         inject_faults: also round-trip the record stream through a
             *deliberately damaged* trace copy and require degrade-mode
             replay to quarantine exactly the damaged chunk (and strict
@@ -380,7 +353,6 @@ def run_case(
                 _expect(_timed(leg, _strict_raises), seed, leg, name,
                         "strict replay of the damaged trace did not raise")
 
-            live: Optional[MonitoringResult] = None
             if "live" in engines:
                 live = _timed("live", lambda: LBASystem(
                     _machine(case.spec),
@@ -404,52 +376,6 @@ def run_case(
                 _expect(live.producer.records == len(records), seed, "live", name,
                         f"live producer saw {live.producer.records} records, "
                         f"captured stream has {len(records)}")
-
-            if "multicore" in engines:
-                for num_cores in cores:
-                    multicore = _timed("multicore", lambda: MultiCoreLBASystem(
-                        _machine(case.spec),
-                        lifeguard_cls,
-                        SystemConfig(),
-                        num_cores=num_cores,
-                        workload_name=f"fuzz_{seed}",
-                    ).run())
-                    leg = f"multicore[{num_cores}]"
-                    _expect(multicore.stats.records == len(records), seed, leg, name,
-                            f"routed {multicore.stats.records} records, "
-                            f"stream has {len(records)}")
-                    if num_cores == 1:
-                        if live is not None:
-                            _expect(multicore.merged == live, seed, leg, name,
-                                    "N=1 multi-core result is not bit-identical "
-                                    "to the dual-core LBASystem run")
-                        else:
-                            _expect(multicore.reports == reference.reports, seed, leg, name,
-                                    "N=1 multi-core reports diverge")
-                        _check_detection(seed, leg, name, manifest, multicore.reports)
-                    elif manifest.is_clean:
-                        if name in _SHARD_EXACT_LIFEGUARDS:
-                            _expect(not multicore.reports, seed, leg, name,
-                                    f"clean seed produced {len(multicore.reports)} "
-                                    f"sharded report(s)")
-                    elif manifest.shard_exact and name in manifest.detectors:
-                        _expect(
-                            any(r.kind.value in manifest.kinds for r in multicore.reports),
-                            seed, leg, name,
-                            f"shard-exact bug {manifest.bug} missed under "
-                            f"{num_cores}-way address sharding",
-                        )
-                    if verify_determinism and num_cores > 1:
-                        again = _timed("multicore", lambda: MultiCoreLBASystem(
-                            _machine(case.spec),
-                            lifeguard_cls,
-                            SystemConfig(),
-                            num_cores=num_cores,
-                            workload_name=f"fuzz_{seed}",
-                        ).run())
-                        _expect(again.merged == multicore.merged, seed, leg, name,
-                                "sharded run is not deterministic "
-                                "(two identical runs diverged)")
     except FuzzFailure as failure:
         failure.leg_seconds = {
             leg: round(seconds, 6) for leg, seconds in leg_seconds.items()
@@ -466,9 +392,7 @@ def run_seed(
     seed: int,
     engines: Sequence[str] = DEFAULT_ENGINES,
     lifeguards: Optional[Sequence[str]] = None,
-    cores: Sequence[int] = DEFAULT_CORES,
     config: Optional[FuzzConfig] = None,
-    verify_determinism: bool = False,
     inject_faults: bool = False,
 ) -> CaseResult:
     """Convenience: build the case for ``seed`` and run the oracle."""
@@ -476,7 +400,5 @@ def run_seed(
         FuzzCase.from_seed(seed, config),
         engines=engines,
         lifeguards=lifeguards,
-        cores=cores,
-        verify_determinism=verify_determinism,
         inject_faults=inject_faults,
     )

@@ -26,7 +26,6 @@ from dataclasses import replace
 from typing import Callable, Optional, Sequence, Tuple
 
 from repro.fuzz.oracle import (
-    DEFAULT_CORES,
     DEFAULT_ENGINES,
     CaseResult,
     FuzzCase,
@@ -100,9 +99,7 @@ def shrink_spec(spec: FuzzProgramSpec, predicate: Predicate,
 def oracle_failure_predicate(
     engines: Sequence[str] = DEFAULT_ENGINES,
     lifeguards: Optional[Sequence[str]] = None,
-    cores: Sequence[int] = DEFAULT_CORES,
     match: Optional[FuzzFailure] = None,
-    verify_determinism: bool = False,
 ) -> Predicate:
     """Predicate: "the differential oracle still fails on this spec".
 
@@ -111,16 +108,13 @@ def oracle_failure_predicate(
     almost never what shrinking wants: dropping a bug-injection op makes
     the manifest's detection assertion fail too, so an unpinned shrink can
     happily trade the original engine divergence for that unrelated
-    failure and minimise the reproducer away.  ``verify_determinism`` must
-    mirror the run that produced the original failure, or determinism-only
-    failures (leg ``multicore[N]`` double-runs) can never reproduce.
+    failure and minimise the reproducer away.
     """
 
     def predicate(spec: FuzzProgramSpec) -> bool:
         try:
             run_case(FuzzCase.from_spec(spec), engines=engines,
-                     lifeguards=lifeguards, cores=cores,
-                     verify_determinism=verify_determinism)
+                     lifeguards=lifeguards)
         except FuzzFailure as failure:
             if match is None:
                 return True
@@ -197,15 +191,6 @@ def replay_repro(
     path: str,
     engines: Sequence[str] = DEFAULT_ENGINES,
     lifeguards: Optional[Sequence[str]] = None,
-    cores: Sequence[int] = DEFAULT_CORES,
-    verify_determinism: bool = False,
 ) -> CaseResult:
-    """Load a repro file and run the oracle on it (raises on divergence).
-
-    Mirror the flags of the run that produced the repro -- in particular,
-    replaying a determinism failure (leg ``multicore[N]`` from a
-    ``--verify-determinism`` run) needs ``verify_determinism=True`` or the
-    double-run check that caught it never executes.
-    """
-    return run_case(load_repro(path), engines=engines, lifeguards=lifeguards,
-                    cores=cores, verify_determinism=verify_determinism)
+    """Load a repro file and run the oracle on it (raises on divergence)."""
+    return run_case(load_repro(path), engines=engines, lifeguards=lifeguards)

@@ -90,13 +90,6 @@ class ThreadedMachine:
             switches (deterministic interleave).
         address_space: shared memory (created if omitted).
         allocator: shared heap allocator (created if omitted).
-        num_cores: number of application cores the threads are pinned to
-            (``sched_setaffinity`` analogue).  Thread ``t`` runs on core
-            ``t % num_cores``; with more than one core the scheduler
-            interleaves the cores' run queues so that each round advances
-            one quantum per core before any core advances a second thread,
-            modelling the cores running concurrently.  ``num_cores=1``
-            reproduces the classic single-application-core round-robin.
     """
 
     def __init__(
@@ -106,15 +99,11 @@ class ThreadedMachine:
         address_space: Optional[AddressSpace] = None,
         allocator: Optional[HeapAllocator] = None,
         input_provider: Optional[Callable[[int], bytes]] = None,
-        num_cores: int = 1,
     ) -> None:
         if not programs:
             raise ValueError("at least one thread program is required")
         if quantum <= 0:
             raise ValueError("quantum must be positive")
-        if num_cores < 1:
-            raise ValueError("num_cores must be >= 1")
-        self.num_cores = num_cores
         self.memory = address_space or AddressSpace()
         layout = self.memory.layout
         self.allocator = allocator or HeapAllocator(layout.heap_base, DEFAULT_HEAP_SIZE)
@@ -133,36 +122,6 @@ class ThreadedMachine:
             for thread_id, program in enumerate(programs)
         ]
         self.stats = ThreadedStats()
-
-    # ------------------------------------------------------------------ scheduling
-
-    def core_of(self, thread_id: int) -> int:
-        """Application core the given thread is pinned to."""
-        return thread_id % self.num_cores
-
-    def _schedule_round(self) -> List[Machine]:
-        """Runnable threads in this round's deterministic dispatch order.
-
-        With one core this is plain round-robin over the runnable threads
-        (the historical order).  With several cores each core owns the run
-        queue of the threads pinned to it, and the round interleaves the
-        queues core by core -- every core dispatches its first runnable
-        thread before any core dispatches its second -- so the interleave
-        matches cores executing concurrently at quantum granularity.
-        """
-        runnable = [machine for machine in self.threads if not machine.halted]
-        if self.num_cores == 1:
-            return runnable
-        queues: List[List[Machine]] = [[] for _ in range(self.num_cores)]
-        for machine in runnable:
-            queues[self.core_of(machine.thread_id)].append(machine)
-        order: List[Machine] = []
-        depth = max((len(queue) for queue in queues), default=0)
-        for position in range(depth):
-            for queue in queues:
-                if position < len(queue):
-                    order.append(queue[position])
-        return order
 
     # ------------------------------------------------------------------ driving
 
@@ -190,7 +149,7 @@ class ThreadedMachine:
 
         exited: set[int] = set()
         while True:
-            runnable = self._schedule_round()
+            runnable = [machine for machine in self.threads if not machine.halted]
             if not runnable:
                 break
             progress = False

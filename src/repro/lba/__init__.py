@@ -12,21 +12,16 @@ functional model: the coupling model bounds it in records
 (``LogBufferConfig.capacity_records``) and derives the producer and
 consumer stalls from that bound.
 
-:mod:`repro.lba.multicore` scales the same pipeline out to N application
-cores streaming per-core logs to N lifeguard cores through a shard router.
+:class:`LBASystem` is the one live platform: one application core paired
+with one lifeguard core, as in the paper.  Offline replay of a captured
+trace (:func:`repro.trace.replay.replay_trace`) reports what the live run
+reports on the same records.
 """
 
 from repro.lba.capture import LogProducer, ProducerStats, iter_machine_records
 from repro.lba.dispatch import EventDispatcher, DispatchStats
 from repro.lba.timing import CouplingModel, TimingBreakdown
 from repro.lba.platform import LBASystem, MonitoringResult
-from repro.lba.multicore import (
-    MultiCoreLBASystem,
-    MultiCoreResult,
-    MultiCoreStats,
-    ShardOutcome,
-    ShardRouter,
-)
 
 __all__ = [
     "LogProducer",
@@ -38,9 +33,4 @@ __all__ = [
     "TimingBreakdown",
     "LBASystem",
     "MonitoringResult",
-    "MultiCoreLBASystem",
-    "MultiCoreResult",
-    "MultiCoreStats",
-    "ShardOutcome",
-    "ShardRouter",
 ]

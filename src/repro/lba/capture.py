@@ -71,9 +71,9 @@ def iter_machine_records(
     """Yield the raw record stream of an application machine.
 
     This is the machine-driving half of :meth:`LogProducer.stream`, usable
-    on its own by consumers that do their own cost accounting or need none
-    (the multi-core platform routes each record to a per-core log channel;
-    offline capture writes each record straight into a trace file).
+    on its own by consumers that need no cost accounting (offline capture
+    writes each record straight into a trace file; the sequential reference
+    feeds each record to ``EventDispatcher.consume``).
     ``ThreadedMachine`` handles its own interleaving; it is run to
     completion and its buffered trace replayed (traces are modest --
     reduced inputs -- so buffering the multithreaded case is acceptable).
@@ -118,10 +118,9 @@ class LogProducer:
             method (typically a :class:`repro.trace.tracefile.TraceWriter`);
             every emitted record is appended to it, capturing the run as a
             replayable trace.
-        core_index: which core of ``hierarchy`` this producer's fetch/data
-            accesses go through.  The dual-core platform uses core 0; the
-            multi-core platform creates one producer per application core,
-            each charging its own private L1s.
+
+    Fetch and data accesses go through the private caches of
+    :data:`APPLICATION_CORE` in ``hierarchy``.
     """
 
     def __init__(
@@ -130,13 +129,11 @@ class LogProducer:
         hierarchy: Optional[MemoryHierarchy] = None,
         max_instructions: int = 5_000_000,
         trace_writer: Optional["TraceWriterLike"] = None,
-        core_index: int = APPLICATION_CORE,
     ) -> None:
         self.machine = machine
         self.hierarchy = hierarchy
         self.max_instructions = max_instructions
         self.trace_writer = trace_writer
-        self.core_index = core_index
         self.stats = ProducerStats()
         self._encoder = RecordEncoder()
         self._scratch = bytearray()
@@ -151,23 +148,21 @@ class LogProducer:
         if hierarchy is None:
             return 1 + (1 if record.is_load else 0) + (1 if record.is_store else 0)
         access = hierarchy.access
-        core = self.core_index
-        cycles = access(core, record.pc, _INSTRUCTION_FETCH, 4)
+        cycles = access(APPLICATION_CORE, record.pc, _INSTRUCTION_FETCH, 4)
         if record.is_load and record.src_addr is not None:
-            cycles += access(core, record.src_addr, _DATA_READ, record.size or 4)
+            cycles += access(APPLICATION_CORE, record.src_addr, _DATA_READ, record.size or 4)
         if record.is_store and record.dest_addr is not None:
-            cycles += access(core, record.dest_addr, _DATA_WRITE, record.size or 4)
+            cycles += access(APPLICATION_CORE, record.dest_addr, _DATA_WRITE, record.size or 4)
         return cycles
 
     def account(self, record: Record) -> int:
-        """Account one record through this producer's log channel.
+        """Account one record the application core retired.
 
-        Computes the application-core cycle cost (charging this core's
-        caches), updates the channel statistics and exact log-byte count,
+        Computes the application-core cycle cost (charging that core's
+        caches), updates the producer statistics and exact log-byte count,
         tees the record into the trace writer if one is attached, and
         returns the cost.  :meth:`stream` calls this for every record the
-        machine emits; the multi-core platform calls it directly for the
-        records routed to this core's channel.
+        machine emits.
         """
         cost = self._record_cost(record)
         stats = self.stats

@@ -74,12 +74,10 @@ class EventDispatcher:
         lifeguard: Lifeguard,
         accelerator: EventAccelerator,
         hierarchy: Optional[MemoryHierarchy] = None,
-        core_index: int = LIFEGUARD_CORE,
     ) -> None:
         self.lifeguard = lifeguard
         self.accelerator = accelerator
         self.hierarchy = hierarchy
-        self.core_index = core_index
         self.stats = DispatchStats()
         self._lma_enabled = accelerator.mtlb is not None
         self._translation = metadata_translation_cost("two-level", self._lma_enabled)
@@ -117,9 +115,10 @@ class EventDispatcher:
 
             event_cycles = NLBA_CYCLES + instructions + mapping_instr + miss_instr
             if hierarchy is not None:
-                core_index = self.core_index
                 for metadata_address in usage.metadata_addresses:
-                    event_cycles += hierarchy.access(core_index, metadata_address, _DATA_READ, 4)
+                    event_cycles += hierarchy.access(
+                        LIFEGUARD_CORE, metadata_address, _DATA_READ, 4
+                    )
             else:
                 event_cycles += len(usage.metadata_addresses)
             cycles += event_cycles

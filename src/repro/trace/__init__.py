@@ -1,7 +1,7 @@
 """Trace subsystem: binary log serialization, chunked trace files, replay.
 
 The paper's premise is that the monitored core streams a *compressed log*
-of retired instructions to lifeguard cores.  This subpackage makes those
+of retired instructions to the lifeguard core.  This subpackage makes those
 log bytes real:
 
 * :mod:`repro.trace.codec` -- a lossless binary record codec (varint +

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, List, Optional, Sequence, Type, Union
+from typing import Dict, List, Type, Union
 
 from repro.isa.machine import Machine
 from repro.isa.program import Program
@@ -25,10 +25,6 @@ class Workload(ABC):
             to the "reduced input" sizes used by the simulation study
             (tens of thousands of dynamic instructions); experiments may
             scale up for the profiling study or down for fast unit tests.
-        threads: number of worker threads for multithreaded workloads
-            (default 2, the paper's setup).  Single-threaded workloads
-            ignore it; multithreaded workloads whose sharing pattern
-            generalises build one thread program per worker.
     """
 
     #: workload name as it appears in figures (e.g. ``"bzip2"``)
@@ -37,21 +33,13 @@ class Workload(ABC):
     multithreaded: bool = False
     #: one-line description of what the synthetic program models
     description: str = ""
-    #: worker-thread count used when ``threads`` is not given
-    default_threads: int = 2
+    #: worker threads of a multithreaded workload (the paper's setup)
+    num_threads: int = 2
 
-    def __init__(self, scale: float = 1.0, threads: Optional[int] = None) -> None:
+    def __init__(self, scale: float = 1.0) -> None:
         if scale <= 0:
             raise ValueError("scale must be positive")
-        if threads is not None and threads < 1:
-            raise ValueError("threads must be >= 1")
         self.scale = scale
-        self.threads = threads
-
-    @property
-    def num_threads(self) -> int:
-        """Worker-thread count of this instance (multithreaded workloads)."""
-        return self.threads if self.threads is not None else self.default_threads
 
     def iterations(self, base: int, minimum: int = 1) -> int:
         """Scale a loop trip count."""
@@ -61,17 +49,11 @@ class Workload(ABC):
     def build_programs(self) -> List[Program]:
         """Build the program(s): one entry per application thread."""
 
-    def build_machine(self, num_cores: int = 1) -> ApplicationMachine:
-        """Instantiate a fresh machine ready to run this workload.
-
-        Args:
-            num_cores: application cores the threads are pinned to
-                (multithreaded workloads only; the default single core
-                reproduces the classic dual-core LBA setup).
-        """
+    def build_machine(self) -> ApplicationMachine:
+        """Instantiate a fresh machine ready to run this workload."""
         programs = self.build_programs()
         if self.multithreaded:
-            return ThreadedMachine(programs, num_cores=num_cores)
+            return ThreadedMachine(programs)
         if len(programs) != 1:
             raise ValueError(f"single-threaded workload {self.name} built {len(programs)} programs")
         return Machine(programs[0])
@@ -89,12 +71,12 @@ def register_multithreaded(cls: Type[Workload]) -> Type[Workload]:
     return cls
 
 
-def get_workload(name: str, scale: float = 1.0, threads: Optional[int] = None) -> Workload:
+def get_workload(name: str, scale: float = 1.0) -> Workload:
     """Instantiate a registered workload by name."""
     if name in SPEC_WORKLOADS:
-        return SPEC_WORKLOADS[name](scale=scale, threads=threads)
+        return SPEC_WORKLOADS[name](scale=scale)
     if name in MULTITHREADED_WORKLOADS:
-        return MULTITHREADED_WORKLOADS[name](scale=scale, threads=threads)
+        return MULTITHREADED_WORKLOADS[name](scale=scale)
     raise KeyError(f"unknown workload {name!r}")
 
 

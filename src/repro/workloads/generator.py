@@ -297,20 +297,16 @@ class BugManifest:
 
     ``detectors`` are the lifeguards that must report at least one error of
     a kind in ``kinds``; a clean manifest (``bug == ""``) asserts that
-    *every* lifeguard stays completely silent.  ``shard_exact`` records
-    whether detection survives address-sharded multi-core monitoring
-    (register-inheritance-dependent bugs may be missed when the
-    establishing access and the erring use route to different shards);
-    ``halts_early`` marks bugs whose injected instruction wild-jumps, so
-    the program halts mid-run and e.g. leak reports from skipped frees are
-    expected from non-matching lifeguards.
+    *every* lifeguard stays completely silent.  ``halts_early`` marks bugs
+    whose injected instruction wild-jumps, so the program halts mid-run and
+    e.g. leak reports from skipped frees are expected from non-matching
+    lifeguards.
     """
 
     bug: str = ""
     thread: int = 0
     detectors: Tuple[str, ...] = ()
     kinds: Tuple[str, ...] = ()
-    shard_exact: bool = True
     halts_early: bool = False
 
     @property
@@ -319,18 +315,13 @@ class BugManifest:
 
 
 #: bug class -> (detecting lifeguards, acceptable ErrorKind values,
-#:               shard-exact under address sharding, halts the thread early)
+#:               halts the thread early)
 _BUG_GROUND_TRUTH = {
-    "use_after_free": (("AddrCheck", "MemCheck"), ("invalid_access",), True, False),
-    "overflow": (("AddrCheck", "MemCheck"), ("invalid_access",), True, False),
-    "unlocked_shared_write": (("LockSet",), ("data_race",), True, False),
-    "taint_to_jump": (
-        ("TaintCheck", "TaintCheckDetailed"),
-        ("taint_violation",),
-        False,
-        True,
-    ),
-    "uninitialized_read": (("MemCheck",), ("uninitialized_use",), False, False),
+    "use_after_free": (("AddrCheck", "MemCheck"), ("invalid_access",), False),
+    "overflow": (("AddrCheck", "MemCheck"), ("invalid_access",), False),
+    "unlocked_shared_write": (("LockSet",), ("data_race",), False),
+    "taint_to_jump": (("TaintCheck", "TaintCheckDetailed"), ("taint_violation",), True),
+    "uninitialized_read": (("MemCheck",), ("uninitialized_use",), False),
 }
 
 
@@ -338,13 +329,12 @@ def manifest_for(spec: FuzzProgramSpec) -> BugManifest:
     """Derive the ground-truth manifest of a spec (pure, shrink-stable)."""
     if not spec.bug:
         return BugManifest()
-    detectors, kinds, shard_exact, halts = _BUG_GROUND_TRUTH[spec.bug]
+    detectors, kinds, halts = _BUG_GROUND_TRUTH[spec.bug]
     return BugManifest(
         bug=spec.bug,
         thread=spec.bug_thread,
         detectors=detectors,
         kinds=kinds,
-        shard_exact=shard_exact,
         halts_early=halts,
     )
 

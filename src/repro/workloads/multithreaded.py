@@ -1,12 +1,9 @@
 """Multithreaded workloads for the LOCKSET study (Table 3 analogues).
 
 Each workload models the sharing pattern of one of the paper's five
-multithreaded benchmarks with two worker threads by default (the paper pins
-both to the application core; here they are interleaved deterministically by
-:class:`repro.isa.threads.ThreadedMachine`).  Every sharing pattern
-generalises to N workers via the ``threads`` constructor argument, which the
-multi-core platform uses to spread real interleaved work across application
-cores.  Shared data and locks live at
+multithreaded benchmarks with two worker threads (the paper pins both to
+the application core; here they are interleaved deterministically by
+:class:`repro.isa.threads.ThreadedMachine`).  Shared data and locks live at
 fixed addresses in the global-data segment so that both thread programs can
 name them; private working memory is heap-allocated per thread.
 

@@ -1,11 +1,13 @@
 """Tier-1 differential-fuzzing block plus oracle mutation smoke tests.
 
-Every seed of the tier-1 block runs all five engine legs: per-record
-``consume`` (reference), the columnar engine, a trace-file round-trip
-replay, the live dual-core platform, and the multi-core platform at N in
-{1, 2, 4} -- asserting bit-identical reports/stats/cycles (and internal
-IT/IF/M-TLB state for the columnar leg), manifest-driven bug detection,
-and clean-seed silence.
+Every seed of the tier-1 block runs all four engine legs: per-record
+``consume`` (the reference), the columnar engine, a trace-file round-trip
+replay and the live dual-core platform.  Each leg must report what the
+reference reports, in order, with equal dispatch and accelerator
+statistics (the live leg leaves out lifeguard cycles, which include its
+cache latencies); the columnar leg must also match the internal IT/IF/M-TLB
+state.  Each seed must also meet its bug manifest: an injected bug is
+detected, and a clean seed leaves the reference, and so every leg, silent.
 
 The mutation tests prove the oracle has teeth: a deliberately broken
 dispatch path must be *caught* as a :class:`FuzzFailure`, not slip

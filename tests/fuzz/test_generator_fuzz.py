@@ -120,7 +120,7 @@ class TestSpecStructure:
         assert race.detectors == ("LockSet",)
         assert race.kinds == ("data_race",)
         taint = manifest_for(generate_spec(6))
-        assert taint.halts_early and not taint.shard_exact
+        assert taint.halts_early
 
     def test_spec_dict_round_trip(self):
         spec = generate_spec(13)

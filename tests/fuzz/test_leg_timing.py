@@ -28,10 +28,10 @@ def test_repro_file_carries_leg_seconds(tmp_path):
 def test_describe_repro_prints_leg_timing(tmp_path, capsys):
     case = FuzzCase.from_seed(0)
     path = save_repro(str(tmp_path / "seed_0.json"), case,
-                      leg_seconds={"consume": 1.5, "multicore": 4.0})
+                      leg_seconds={"consume": 1.5, "live": 4.0})
     assert _describe_repro(path) == 0
     out = capsys.readouterr().out
-    assert "leg wall time: multicore 4.00s, consume 1.50s" in out
+    assert "leg wall time: live 4.00s, consume 1.50s" in out
 
 
 def test_format_leg_seconds_sorts_slowest_first():

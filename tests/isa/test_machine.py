@@ -308,6 +308,30 @@ class TestThreads:
         assert any(isinstance(r, AnnotationRecord) and r.event_type is EventType.THREAD_CREATE
                    for r in trace)
 
+    def test_round_robin_gives_each_live_thread_one_quantum_per_round(self):
+        def adds(tid, count):
+            b = ProgramBuilder(f"t{tid}")
+            for _ in range(count):
+                b.add(Reg(Register.EAX), Imm(1))
+            b.halt()
+            return b.build()
+
+        # 3, 6 and 9 instructions each (HALT included), quantum 3.
+        tm = ThreadedMachine([adds(0, 2), adds(1, 5), adds(2, 8)], quantum=3)
+        order = [
+            r.thread_id if isinstance(r, InstructionRecord) else (r.event_type, r.thread_id)
+            for r in tm.trace()
+        ]
+        create, exit_ = EventType.THREAD_CREATE, EventType.THREAD_EXIT
+        assert order == (
+            [(create, 1), (create, 2)]
+            + [0] * 3 + [(exit_, 0)] + [1] * 3 + [2] * 3   # round 1
+            + [1] * 3 + [(exit_, 1)] + [2] * 3             # round 2: thread 0 has left
+            + [2] * 3 + [(exit_, 2)]                       # round 3
+        )
+        assert tm.stats.context_switches == 6
+        assert tm.stats.instructions == 18
+
     def test_lock_contention_blocks_until_release(self):
         def holder():
             b = ProgramBuilder("holder")

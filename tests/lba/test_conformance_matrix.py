@@ -1,26 +1,25 @@
 """Differential conformance matrix: every lifeguard × every workload.
 
-Three legs check every cell of the matrix bit for bit, each against its
-reference:
+Three legs check every cell of the matrix against the per-record dispatch
+loop (``EventDispatcher.consume``) over the same cached record stream:
 
 * the run-grouped columnar engine (``ColumnarEngine.consume_columns``
-  over a structure-of-arrays flattening of the record stream) against
-  the per-record dispatch loop (``EventDispatcher.consume``),
+  over a structure-of-arrays flattening of the record stream),
 * the same engine with a cache hierarchy attached, where
   ``consume_columns`` dispatches the column batch record by record
   through ``consume``, against a ``consume`` loop over the same
   hierarchy (cache-latency charging and cache statistics included),
-* the multi-core platform at N=1 against the classic dual-core
-  :meth:`LBASystem.run` (which drives the per-record loop through the
-  full timing model).
+* the live platform, :meth:`LBASystem.run`, which runs the workload's
+  machine afresh and drives each record through the producer, the cache
+  hierarchy and the coupling model.
 
-"Agree" means identical error reports, identical lifeguard cycle counts
-and identical statistics -- :class:`DispatchStats`,
-:class:`AcceleratorStats`, and for the two columnar legs additionally the
-*internal* accelerator state (IT table, Idempotent-Filter contents and
-LRU order, M-TLB CAM and counters, mapper counters); for the full-system
-leg the complete :class:`MonitoringResult` including the timing
-breakdown, producer statistics (exact log bytes) and mapper counters.
+For the two columnar legs "agree" means identical error reports,
+identical lifeguard cycle counts and identical statistics --
+:class:`DispatchStats`, :class:`AcceleratorStats`, mapper counters and
+the *internal* accelerator state (IT table, Idempotent-Filter contents
+and LRU order, M-TLB CAM and counters).  The live leg must produce the
+same reports in order, the same record count and the same statistics
+except lifeguard cycles, which include the live run's cache latencies.
 
 The matrix spans all five lifeguards and *every* registered workload
 (the full SPEC-analogue suite plus the multithreaded Table 3 suite), so
@@ -36,10 +35,9 @@ import pytest
 
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.core.config import SystemConfig
-from repro.lba.capture import LogProducer
+from repro.lba.capture import iter_machine_records
 from repro.lba.columnar import ColumnarEngine
 from repro.lba.dispatch import EventDispatcher
-from repro.lba.multicore import MultiCoreLBASystem
 from repro.lba.platform import LBASystem
 from repro.lifeguards import ALL_LIFEGUARDS
 from repro.trace.codec import RecordColumns
@@ -61,8 +59,8 @@ def record_streams():
 
     def build(name):
         if name not in streams:
-            producer = LogProducer(get_workload(name, scale=SCALE).build_machine(), None)
-            streams[name] = [record for record, _cost in producer.stream()]
+            machine = get_workload(name, scale=SCALE).build_machine()
+            streams[name] = list(iter_machine_records(machine))
         return streams[name]
 
     return build
@@ -181,25 +179,23 @@ def test_columnar_dispatch_matches_per_record(record_streams, lifeguard, workloa
 
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("lifeguard", LIFEGUARDS)
-def test_multicore_single_core_matches_dual_core(lifeguard, workload):
-    """The N=1 multi-core platform reproduces ``LBASystem.run`` bit for bit."""
-    lifeguard_cls = ALL_LIFEGUARDS[lifeguard]
-    reference = LBASystem(
+def test_live_platform_matches_per_record(record_streams, lifeguard, workload):
+    """``LBASystem.run`` reports what a ``consume`` loop over its records reports.
+
+    The live run charges cache latencies to the lifeguard core, so only
+    ``lifeguard_cycles`` may differ; every other counter, the mapper
+    counters and the reports in order must be equal.
+    """
+    records = record_streams(workload)
+    per = _run_per_record(records, lifeguard)
+    live = LBASystem(
         get_workload(workload, scale=SCALE).build_machine(),
-        lifeguard_cls(),
+        ALL_LIFEGUARDS[lifeguard](),
         SystemConfig(),
         workload_name=workload,
     ).run()
-    multicore = MultiCoreLBASystem(
-        get_workload(workload, scale=SCALE).build_machine(),
-        lifeguard_cls,
-        SystemConfig(),
-        num_cores=1,
-        workload_name=workload,
-    ).run()
-    # MonitoringResult is a dataclass: this compares the timing breakdown
-    # (all cycle counts), dispatch/accelerator/producer/mapper statistics,
-    # the slowdown and the full report list in order.
-    assert multicore.merged == reference
-    assert multicore.stats.forwarded_records == 0
-    assert multicore.stats.records == reference.producer.records
+    assert live.reports == per[0].reports
+    assert live.dispatch.diff(per[2].stats, ignore=("lifeguard_cycles",)) == {}
+    assert live.accelerator == per[1].stats
+    assert live.mapper == per[0].mapper_stats()
+    assert live.producer.records == len(records)

@@ -1,5 +1,8 @@
 """Tests for the LBA substrate: record sizes, timing coupling, platform."""
 
+import dataclasses
+import random
+
 import pytest
 
 from repro.core.config import BASELINE_CONFIG, OPTIMIZED_CONFIG, SystemConfig
@@ -7,7 +10,7 @@ from repro.core.events import EventType, InstructionRecord
 from repro.isa.machine import Machine
 from repro.lba.capture import LogProducer
 from repro.lba.platform import LBASystem, run_unmonitored
-from repro.lba.timing import CouplingModel
+from repro.lba.timing import CouplingModel, TimingBreakdown
 from repro.lifeguards import AddrCheck, MemCheck, TaintCheck
 from repro.trace.codec import RecordEncoder
 from tests.conftest import build_copy_loop
@@ -43,7 +46,69 @@ class TestRecordSize:
         assert stream_bytes / len(records) <= 6.5
 
 
+def reference_coupling(costs, capacity):
+    """The bounded-buffer recurrence over whole lists, stall by stall.
+
+    ``costs`` holds ``(app_cost, lifeguard_cost, syscall_barrier)`` per
+    record.  Record ``i`` starts producing once record ``i - 1`` is produced,
+    record ``i - capacity`` is consumed (buffer full) and, at a system call,
+    record ``i - 1`` is consumed; it starts being consumed once it is
+    produced and record ``i - 1`` is consumed.
+    """
+    produce, consume = [], []
+    breakdown = TimingBreakdown(records=len(costs))
+    for i, (app, lifeguard, barrier) in enumerate(costs):
+        previous_produce = produce[i - 1] if i else 0
+        previous_consume = consume[i - 1] if i else 0
+        start = previous_produce
+        if i >= capacity and consume[i - capacity] > start:
+            breakdown.producer_stall_cycles += consume[i - capacity] - start
+            start = consume[i - capacity]
+        if barrier and previous_consume > start:
+            breakdown.syscall_stall_cycles += previous_consume - start
+            start = previous_consume
+        produce.append(start + app)
+        begin = max(previous_consume, produce[i])
+        breakdown.consumer_stall_cycles += begin - previous_consume
+        consume.append(begin + lifeguard)
+        breakdown.app_alone_cycles += app
+        breakdown.lifeguard_busy_cycles += lifeguard
+    breakdown.app_finish_cycles = produce[-1]
+    breakdown.lifeguard_finish_cycles = consume[-1]
+    return breakdown
+
+
 class TestCouplingModel:
+    # 1 and 2 keep the buffer full; 1024 exceeds the drive, so it never fills.
+    @pytest.mark.parametrize("capacity", [1, 2, 8, 1024])
+    def test_matches_reference_recurrence(self, capacity):
+        """A seeded 500-record drive equals the reference in every field."""
+        rng = random.Random(5)
+        costs = [
+            (rng.randrange(1, 20), rng.randrange(0, 30), rng.random() < 0.05)
+            for _ in range(500)
+        ]
+        model = CouplingModel(capacity)
+        for app, lifeguard, barrier in costs:
+            model.observe(app, lifeguard, syscall_barrier=barrier)
+        expected = reference_coupling(costs, capacity)
+        assert dataclasses.asdict(model.finish()) == dataclasses.asdict(expected)
+
+    def test_capacity_must_be_positive(self):
+        with pytest.raises(ValueError, match="capacity"):
+            CouplingModel(0)
+
+    def test_syscall_barrier_drains_lifeguard_backlog(self):
+        model = CouplingModel(buffer_capacity_records=8)
+        model.observe(app_cost=1, lifeguard_cost=100)   # the lifeguard falls far behind
+        model.observe(app_cost=1, lifeguard_cost=1)
+        model.observe(app_cost=1, lifeguard_cost=1, syscall_barrier=True)
+        breakdown = model.finish()
+        # The barrier waited for the whole backlog (the lifeguard finishes
+        # record 1 at cycle 102), not just for the last record.
+        assert breakdown.syscall_stall_cycles == 100
+        assert breakdown.app_finish_cycles == 103
+
     def test_fast_lifeguard_tracks_application(self):
         model = CouplingModel(buffer_capacity_records=1000)
         for _ in range(100):

@@ -8,8 +8,11 @@ pass them.  These digests pin the live platform's own numbers.
 * ``DUAL_CORE``: one :meth:`LBASystem.run` per (lifeguard, Figure-11
   technique stack) pair of :data:`TECHNIQUE_STACKS`, on ``bzip2`` and
   ``gcc`` (``pbzip2`` for LockSet) at scale 0.3.
-* ``MULTI_CORE``: :meth:`MultiCoreLBASystem.run` at two cores, with the
-  lifeguard's full technique stack.
+* ``THREADED``: the other multithreaded workloads, which ``DUAL_CORE``
+  leaves out: LockSet under every technique stack on ``blast``,
+  ``pbunzip2``, ``water_nq`` and ``zchaff``, and MemCheck under its full
+  stack on all five, so the interleave of
+  :class:`repro.isa.threads.ThreadedMachine` is pinned on each of them.
 * ``SMALL_CACHES``: dual-core runs with caches small enough to evict and
   write back, which the Table 2 caches never do at this scale.
 
@@ -34,14 +37,12 @@ import hashlib
 import pytest
 
 from repro.core.config import CacheConfig, MemoryHierarchyConfig
-from repro.experiments.harness import TECHNIQUE_STACKS, build_multicore_machine, make_config
-from repro.lba.multicore import MultiCoreLBASystem
+from repro.experiments.harness import TECHNIQUE_STACKS, make_config
 from repro.lba.platform import LBASystem
-from repro.lifeguards import ALL_LIFEGUARDS, LockSet
-from repro.workloads.base import get_workload
+from repro.lifeguards import ALL_LIFEGUARDS, LockSet, MemCheck
+from repro.workloads.base import MULTITHREADED_WORKLOADS, get_workload
 
 SCALE = 0.3
-CORES = 2
 SMALL_HIERARCHY = MemoryHierarchyConfig(
     l1i=CacheConfig(1024, 64, 2, 1),
     l1d=CacheConfig(1024, 64, 2, 1),
@@ -80,9 +81,24 @@ DUAL_CORE = {
     ('LockSet', 'LMA+IF', 'pbzip2'): "91e105454381aaa8360de81ab41ef1dae7580e0ab0cf76e9a96ffc009a0d224d",
 }
 
-MULTI_CORE = {
-    ('MemCheck', 'mcf'): "a2731a1ca089da30ab82092d8490aa126fadb9e6586d4ef9957150114be68ea6",
-    ('LockSet', 'pbzip2'): "faa9d886f139008e5902439a49e4a32615888a25fcc09ccf8c8e825caac73e2b",
+THREADED = {
+    ('LockSet', 'BASE', 'blast'): "befff81b656c6b6dc40f49842c72ea05b4fb513edbd079269ebbb0f81ba77148",
+    ('LockSet', 'LMA', 'blast'): "52dffdc8fe0f95977509936c418525e4db2da8d9408bdee2c2c99d371f8630cc",
+    ('LockSet', 'LMA+IF', 'blast'): "52dffdc8fe0f95977509936c418525e4db2da8d9408bdee2c2c99d371f8630cc",
+    ('LockSet', 'BASE', 'pbunzip2'): "b80314c69765ae91b29186bf77f5c86c227bd9b930332d02f83d9033f2f07052",
+    ('LockSet', 'LMA', 'pbunzip2'): "c263230c4b94ba1a148b3dc0a96ad41bababf0a6d199752d66f209e73cc25a63",
+    ('LockSet', 'LMA+IF', 'pbunzip2'): "ea7bcad12ef3fc82fdb801bf532285bad00d94b4949d4b233c99fc4a821f125b",
+    ('LockSet', 'BASE', 'water_nq'): "f4e265f1f8380154aa733d054d39da89beaff6a97fe545c6717c2d396c96fc02",
+    ('LockSet', 'LMA', 'water_nq'): "156aaf2f9e825067c729dd8255645fcb0e8c85001d0e8f1b0e0223bad5b32b25",
+    ('LockSet', 'LMA+IF', 'water_nq'): "156aaf2f9e825067c729dd8255645fcb0e8c85001d0e8f1b0e0223bad5b32b25",
+    ('LockSet', 'BASE', 'zchaff'): "5329f9ec2c12faf23917652454fc7bf718819de15ad4e5615ca20ee36f4985d1",
+    ('LockSet', 'LMA', 'zchaff'): "8f1e75d4777fd65018863f6d45b6a2b0b43c277b59dba65f8e77966a12783dfc",
+    ('LockSet', 'LMA+IF', 'zchaff'): "a4c80e87986f136ba4eab459758634e3839e7ceaba5b7e31c5922f5c5868267f",
+    ('MemCheck', 'LMA+IT+IF', 'blast'): "1527215f8113a8b279dac21eb86e72ac00a79d585afc6fd0410bdc53ce60d268",
+    ('MemCheck', 'LMA+IT+IF', 'pbunzip2'): "e36075a1725075828b6894806c03c325bc51155278a790fb77860f1353442712",
+    ('MemCheck', 'LMA+IT+IF', 'pbzip2'): "a450e6a470a358999b74b5a4fdae3a006716503ab1993ebdac6f267be8dab52a",
+    ('MemCheck', 'LMA+IT+IF', 'water_nq'): "85a47c8aa994d979c6bf174a604f514df69c9099359aa908fab1e9f6cb0006b3",
+    ('MemCheck', 'LMA+IT+IF', 'zchaff'): "41fb0bcfb0ccb7f147fc98d63357efb8a84be81670cc636be934e1b524780b22",
 }
 
 SMALL_CACHES = {
@@ -98,6 +114,16 @@ def dual_core_cases():
         for program in programs:
             for label, *_techniques in stacks:
                 yield lifeguard, label, program
+
+
+def threaded_cases():
+    """``(lifeguard, stack label, program)`` of every pinned threaded run."""
+    for program in MULTITHREADED_WORKLOADS:
+        if program != "pbzip2":
+            for label, *_techniques in TECHNIQUE_STACKS[LockSet.name]:
+                yield LockSet.name, label, program
+    for program in MULTITHREADED_WORKLOADS:
+        yield MemCheck.name, TECHNIQUE_STACKS[MemCheck.name][-1][0], program
 
 
 def stable(value):
@@ -154,25 +180,6 @@ def dual_core_digest(lifeguard: str, label: str, program: str, hierarchy=None) -
     return digest((monitoring_state(result), hierarchy_state(system.hierarchy)))
 
 
-def multi_core_digest(lifeguard: str, program: str) -> str:
-    label = TECHNIQUE_STACKS[lifeguard][-1][0]
-    machine = build_multicore_machine(get_workload(program, scale=SCALE), CORES)
-    system = MultiCoreLBASystem(
-        machine, ALL_LIFEGUARDS[lifeguard], technique_config(lifeguard, label),
-        num_cores=CORES, workload_name=program,
-    )
-    result = system.run(label)
-    shards = tuple(
-        stable((shard.index, shard.timing, shard.dispatch, shard.accelerator,
-                shard.mapper, shard.reports, shard.forwarded_records))
-        for shard in result.shards
-    )
-    return digest((
-        monitoring_state(result.merged), shards, stable(result.producers),
-        stable(result.stats), hierarchy_state(system.hierarchy),
-    ))
-
-
 def test_every_technique_stack_is_pinned():
     assert set(DUAL_CORE) == set(dual_core_cases())
     assert len(DUAL_CORE) == 29
@@ -185,9 +192,16 @@ def test_dual_core_run_matches_golden_digest(lifeguard, label, program):
     assert dual_core_digest(lifeguard, label, program) == DUAL_CORE[lifeguard, label, program]
 
 
-@pytest.mark.parametrize("lifeguard,program", sorted(MULTI_CORE), ids="-".join)
-def test_multi_core_run_matches_golden_digest(lifeguard, program):
-    assert multi_core_digest(lifeguard, program) == MULTI_CORE[lifeguard, program]
+def test_every_threaded_workload_is_pinned():
+    assert set(THREADED) == set(threaded_cases())
+    assert len(THREADED) == 17
+
+
+@pytest.mark.parametrize(
+    "lifeguard,label,program", sorted(THREADED), ids="-".join
+)
+def test_threaded_run_matches_golden_digest(lifeguard, label, program):
+    assert dual_core_digest(lifeguard, label, program) == THREADED[lifeguard, label, program]
 
 
 @pytest.mark.parametrize(
@@ -202,9 +216,9 @@ if __name__ == "__main__":  # pragma: no cover - digest refresh helper
     print("DUAL_CORE = {")
     for case in dual_core_cases():
         print(f"    {case!r}: \"{dual_core_digest(*case)}\",")
-    print("}\n\nMULTI_CORE = {")
-    for case in (("MemCheck", "mcf"), ("LockSet", "pbzip2")):
-        print(f"    {case!r}: \"{multi_core_digest(*case)}\",")
+    print("}\n\nTHREADED = {")
+    for case in threaded_cases():
+        print(f"    {case!r}: \"{dual_core_digest(*case)}\",")
     print("}\n\nSMALL_CACHES = {")
     for case in (("MemCheck", "BASE", "gcc"), ("TaintCheck", "LMA+IT", "bzip2")):
         print(f"    {case!r}: \"{dual_core_digest(*case, SMALL_HIERARCHY)}\",")
