@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Design-space exploration: the profiling study of Section 7.3 in miniature.
 
-Replays a few benchmark traces through the stand-alone IT, IF and M-TLB
-models and prints how the reductions and miss rates move as the hardware
-parameters change (filter entries/associativity, M-TLB level-1 bits), plus
-the per-benchmark flexible level-1 bit choice of Figure 14(b).
+Replays a few benchmark traces through the accelerator (IT under
+TAINTCHECK's ETCT, IF under ADDRCHECK's) and a stand-alone M-TLB, and
+prints how the reductions and miss rates move as the hardware parameters
+change (filter entries, M-TLB level-1 bits), plus the per-benchmark
+flexible level-1 bit choice of Figure 14(b).
 
 Run with::
 
@@ -16,10 +17,11 @@ import sys
 from repro.analysis import (
     Profiler,
     choose_flexible_level1_bits,
-    if_reduction,
-    it_reduction,
     mtlb_miss_rate,
+    sweep_if_design_space,
+    sweep_it_reduction,
 )
+from repro.analysis.sweeps import IF_ENTRY_SWEEP
 
 BENCHMARKS = ["bzip2", "gcc", "mcf", "twolf"]
 
@@ -29,19 +31,15 @@ def main():
     profiler = Profiler()
 
     print("=== Inheritance Tracking: update events removed (Figure 13a) ===")
-    for name in BENCHMARKS:
-        result = it_reduction(name, profiler.trace(name, scale))
-        print(f"  {name:8s} {result.reduction:6.1%}  "
-              f"({result.delivered_with_it} of {result.delivered_without_it} events survive)")
+    for name, reduction in sweep_it_reduction(profiler, BENCHMARKS, scale).items():
+        print(f"  {name:8s} {reduction:6.1%}")
 
     print("\n=== Idempotent Filter: checks removed vs filter size (Figure 13b) ===")
-    print(f"  {'entries':>8s}" + "".join(f"{e:>8d}" for e in (8, 16, 32, 64, 128, 256)))
+    print(f"  {'entries':>8s}" + "".join(f"{e:>8d}" for e in IF_ENTRY_SWEEP))
     for name in BENCHMARKS:
-        row = [
-            if_reduction(name, profiler.trace(name, scale), num_entries=entries).reduction
-            for entries in (8, 16, 32, 64, 128, 256)
-        ]
-        print(f"  {name:>8s}" + "".join(f"{value:8.0%}" for value in row))
+        row = sweep_if_design_space(profiler, "AddrCheck", [name], entries=IF_ENTRY_SWEEP,
+                                    associativities=(0,), scale=scale)[0]
+        print(f"  {name:>8s}" + "".join(f"{row[e]:8.0%}" for e in IF_ENTRY_SWEEP))
 
     print("\n=== M-TLB: miss rate vs level-1 bits, 64 entries (Figure 14a) ===")
     print(f"  {'bits':>8s}" + "".join(f"{bits:>8d}" for bits in (20, 16, 12, 8)))

@@ -1,18 +1,24 @@
-"""Profiling-study models (the PIN-based analysis of Section 7.3).
+"""Profiling-study sweeps (the PIN-based analysis of Section 7.3).
 
 The paper complements its timing simulations with a profiling study: the
 benchmark binaries are instrumented with PIN, the resulting event streams
-are fed to stand-alone software models of the three mechanisms, and the
-design space (filter sizes, associativities, M-TLB geometries) is explored
-by replaying the same streams with different parameters.  This subpackage
-is the exact analogue: :class:`repro.analysis.profiler.Profiler` extracts the
-dynamic event stream of a workload once, and the IT / IF / M-TLB models
-replay it under different configurations.
+are replayed through the three mechanisms, and the design space (filter
+sizes, associativities, M-TLB geometries) is explored by replaying the same
+streams with different parameters.  :class:`repro.analysis.profiler.Profiler`
+extracts the dynamic record stream of a workload once; the sweeps replay it:
+
+* IT (Figure 13(a)): through :class:`repro.core.accelerator.EventAccelerator`
+  on TaintCheck's ETCT with IT off and on.  The reduction's base is the
+  update events delivered with IT off, as in Figure 12.
+* IF (Figure 13(b)/(c)): through the accelerator on AddrCheck's ETCT for
+  panel (b) and LockSet's for (c).  The base is every check event the
+  lifeguard registers, all of which are delivered with the filter off.
+* M-TLB (Figure 14): through a stand-alone
+  :class:`repro.core.mtlb.MetadataTLB` that translates every memory
+  reference, as the paper's PIN study does.
 """
 
-from repro.analysis.profiler import Profiler, TraceSummary
-from repro.analysis.it_model import ITReductionResult, it_reduction
-from repro.analysis.if_model import IFReductionResult, if_reduction
+from repro.analysis.profiler import Profiler
 from repro.analysis.mtlb_model import (
     MTLBMissResult,
     choose_flexible_level1_bits,
@@ -27,11 +33,6 @@ from repro.analysis.sweeps import (
 
 __all__ = [
     "Profiler",
-    "TraceSummary",
-    "ITReductionResult",
-    "it_reduction",
-    "IFReductionResult",
-    "if_reduction",
     "MTLBMissResult",
     "choose_flexible_level1_bits",
     "mtlb_miss_rate",

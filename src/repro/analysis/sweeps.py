@@ -1,17 +1,26 @@
-"""Design-space sweep drivers for the profiling study (Section 7.3)."""
+"""Design-space sweeps for the profiling study (Section 7.3).
+
+IT and IF reductions come from :class:`repro.core.accelerator.EventAccelerator`
+itself: each profiled record list is replayed through an accelerator built on
+one lifeguard's own ETCT, with the M-TLB off and no handler invoked, and the
+reduction is read from its counters.  The live figures read the same
+counters, so Figure 12 and Figure 13 report one number per mechanism.
+"""
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.analysis.if_model import IFReductionResult, if_reduction
-from repro.analysis.it_model import ITReductionResult, it_reduction
-from repro.analysis.mtlb_model import (
-    MTLBMissResult,
-    choose_flexible_level1_bits,
-    mtlb_miss_rate,
+from repro.analysis.mtlb_model import choose_flexible_level1_bits, mtlb_miss_rate
+from repro.analysis.profiler import Profiler, Record
+from repro.core.accelerator import (
+    AcceleratorConfig,
+    AcceleratorStats,
+    EventAccelerator,
+    update_event_reduction,
 )
-from repro.analysis.profiler import Profiler
+from repro.core.config import IFConfig, ITConfig, MTLBConfig
+from repro.lifeguards import ALL_LIFEGUARDS, AddrCheck, TaintCheck
 from repro.workloads.base import workload_names
 
 #: Filter-entry counts swept in Figure 13(b)/(c).
@@ -28,21 +37,48 @@ def _benchmarks(benchmarks: Optional[Sequence[str]]) -> List[str]:
     return list(benchmarks) if benchmarks else workload_names(multithreaded=False)
 
 
+def _accelerate(
+    lifeguard: str, records: List[Record], it: bool, idempotent_filter: IFConfig
+) -> AcceleratorStats:
+    """Replay ``records`` through an accelerator on ``lifeguard``'s own ETCT."""
+    accelerator = EventAccelerator(
+        ALL_LIFEGUARDS[lifeguard]().etct,
+        AcceleratorConfig(
+            it=ITConfig(enabled=it),
+            idempotent_filter=idempotent_filter,
+            mtlb=MTLBConfig(enabled=False),
+        ),
+    )
+    process = accelerator.process
+    for record in records:
+        process(record)
+    return accelerator.stats
+
+
 def sweep_it_reduction(
     profiler: Profiler,
     benchmarks: Optional[Sequence[str]] = None,
     scale: float = 1.0,
-) -> List[ITReductionResult]:
-    """Figure 13(a): IT update-event reduction per benchmark."""
-    return [
-        it_reduction(name, profiler.trace(name, scale))
-        for name in _benchmarks(benchmarks)
-    ]
+) -> Dict[str, float]:
+    """Figure 13(a): ``{benchmark: update-event reduction}`` under TaintCheck.
+
+    Each benchmark's records run through TaintCheck's ETCT with IT off and
+    on; the reduction is :func:`update_event_reduction` of the two runs.
+    """
+    no_filter = IFConfig(enabled=False)
+    reductions: Dict[str, float] = {}
+    for name in _benchmarks(benchmarks):
+        records = profiler.trace(name, scale)
+        reductions[name] = update_event_reduction(
+            _accelerate(TaintCheck.name, records, it=False, idempotent_filter=no_filter),
+            _accelerate(TaintCheck.name, records, it=True, idempotent_filter=no_filter),
+        )
+    return reductions
 
 
 def sweep_if_design_space(
     profiler: Profiler,
-    policy: str = "combined",
+    lifeguard: str = AddrCheck.name,
     benchmarks: Optional[Sequence[str]] = None,
     entries: Iterable[int] = IF_ENTRY_SWEEP,
     associativities: Iterable[int] = IF_ASSOCIATIVITY_SWEEP,
@@ -50,8 +86,11 @@ def sweep_if_design_space(
 ) -> Dict[int, Dict[int, float]]:
     """Figure 13(b)/(c): average IF reduction vs entries and associativity.
 
+    The filter keys, check categories and invalidations are those of
+    ``lifeguard``'s ETCT (AddrCheck for panel (b), LockSet for (c)); each
+    cell is the mean of ``check_event_reduction`` over the benchmarks.
     Returns ``{associativity: {entries: average reduction}}`` with
-    associativity ``0`` meaning fully associative, averaged over benchmarks.
+    associativity ``0`` meaning fully associative.
     """
     names = _benchmarks(benchmarks)
     results: Dict[int, Dict[int, float]] = {}
@@ -61,11 +100,11 @@ def sweep_if_design_space(
             ways = num_entries if associativity == 0 else associativity
             if ways > num_entries or num_entries % ways:
                 continue
+            config = IFConfig(num_entries=num_entries, associativity=associativity)
             reductions = [
-                if_reduction(
-                    name, profiler.trace(name, scale),
-                    num_entries=num_entries, associativity=associativity, policy=policy,
-                ).reduction
+                _accelerate(
+                    lifeguard, profiler.trace(name, scale), it=False, idempotent_filter=config
+                ).check_event_reduction
                 for name in names
             ]
             per_entries[num_entries] = sum(reductions) / len(reductions)

@@ -78,14 +78,6 @@ class ITStats:
     conflict_flushes: int = 0
     other_flushes: int = 0
 
-    @property
-    def reduction(self) -> float:
-        """Fraction of incoming propagation events not delivered to the lifeguard."""
-        if not self.events_seen:
-            return 0.0
-        delivered = self.events_delivered + self.events_transformed
-        return 1.0 - delivered / self.events_seen
-
 
 class InheritanceTracker:
     """Unary Inheritance Tracking hardware model."""

@@ -297,31 +297,29 @@ class BugManifest:
 
     ``detectors`` are the lifeguards that must report at least one error of
     a kind in ``kinds``; a clean manifest (``bug == ""``) asserts that
-    *every* lifeguard stays completely silent.  ``halts_early`` marks bugs
-    whose injected instruction wild-jumps, so the program halts mid-run and
-    e.g. leak reports from skipped frees are expected from non-matching
-    lifeguards.
+    *every* lifeguard stays completely silent.  On a buggy case the other
+    lifeguards' reports are unconstrained: the injected wild jump of
+    ``taint_to_jump``, for one, halts the program before its frees, so
+    leak reports may follow.
     """
 
     bug: str = ""
     thread: int = 0
     detectors: Tuple[str, ...] = ()
     kinds: Tuple[str, ...] = ()
-    halts_early: bool = False
 
     @property
     def is_clean(self) -> bool:
         return not self.bug
 
 
-#: bug class -> (detecting lifeguards, acceptable ErrorKind values,
-#:               halts the thread early)
+#: bug class -> (detecting lifeguards, acceptable ErrorKind values)
 _BUG_GROUND_TRUTH = {
-    "use_after_free": (("AddrCheck", "MemCheck"), ("invalid_access",), False),
-    "overflow": (("AddrCheck", "MemCheck"), ("invalid_access",), False),
-    "unlocked_shared_write": (("LockSet",), ("data_race",), False),
-    "taint_to_jump": (("TaintCheck", "TaintCheckDetailed"), ("taint_violation",), True),
-    "uninitialized_read": (("MemCheck",), ("uninitialized_use",), False),
+    "use_after_free": (("AddrCheck", "MemCheck"), ("invalid_access",)),
+    "overflow": (("AddrCheck", "MemCheck"), ("invalid_access",)),
+    "unlocked_shared_write": (("LockSet",), ("data_race",)),
+    "taint_to_jump": (("TaintCheck", "TaintCheckDetailed"), ("taint_violation",)),
+    "uninitialized_read": (("MemCheck",), ("uninitialized_use",)),
 }
 
 
@@ -329,14 +327,8 @@ def manifest_for(spec: FuzzProgramSpec) -> BugManifest:
     """Derive the ground-truth manifest of a spec (pure, shrink-stable)."""
     if not spec.bug:
         return BugManifest()
-    detectors, kinds, halts = _BUG_GROUND_TRUTH[spec.bug]
-    return BugManifest(
-        bug=spec.bug,
-        thread=spec.bug_thread,
-        detectors=detectors,
-        kinds=kinds,
-        halts_early=halts,
-    )
+    detectors, kinds = _BUG_GROUND_TRUTH[spec.bug]
+    return BugManifest(bug=spec.bug, thread=spec.bug_thread, detectors=detectors, kinds=kinds)
 
 
 # ------------------------------------------------------------------ generation

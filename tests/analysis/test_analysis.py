@@ -1,12 +1,10 @@
-"""Tests for the profiling-study models (IT / IF / M-TLB sweeps)."""
+"""Tests for the profiling-study sweeps (IT / IF through the accelerator, M-TLB model)."""
 
 import pytest
 
 from repro.analysis import (
     Profiler,
     choose_flexible_level1_bits,
-    if_reduction,
-    it_reduction,
     mtlb_miss_rate,
     sweep_if_design_space,
     sweep_it_reduction,
@@ -28,54 +26,46 @@ class TestProfiler:
         second = profiler.trace("bzip2", SCALE)
         assert first is second
 
-    def test_summary_statistics(self, profiler):
-        summary = profiler.summary("bzip2", SCALE)
-        assert summary.instructions > 1000
-        assert 0.1 < summary.memory_access_fraction < 0.9
-        assert summary.propagation_events > 0
-        assert summary.memory_footprint_pages > 0
 
-
-class TestITModel:
+class TestITSweep:
     def test_reduction_in_valid_range(self, profiler):
-        for name in BENCHMARKS:
-            result = it_reduction(name, profiler.trace(name, SCALE))
-            assert 0.0 < result.reduction < 1.0
-            assert result.delivered_with_it <= result.delivered_without_it
+        reductions = sweep_it_reduction(profiler, BENCHMARKS, scale=SCALE)
+        assert all(0.0 < r < 1.0 for r in reductions.values())
 
     def test_reduction_matches_paper_band(self, profiler):
-        reductions = [
-            it_reduction(name, profiler.trace(name, SCALE)).reduction for name in BENCHMARKS
-        ]
+        reductions = sweep_it_reduction(profiler, BENCHMARKS, scale=SCALE)
         # the paper reports 35.8%-82.0%; allow a wider tolerance for the
         # synthetic workloads but insist on a substantial reduction
-        assert all(r > 0.25 for r in reductions)
+        assert all(r > 0.25 for r in reductions.values())
+
+    def test_sweep_covers_requested_benchmarks(self, profiler):
+        assert list(sweep_it_reduction(profiler, BENCHMARKS, scale=SCALE)) == BENCHMARKS
 
 
-class TestIFModel:
+def _if_cell(profiler, lifeguard, benchmark, entries=32, associativity=0):
+    """One fully-associative (by default) cell of a one-benchmark IF sweep."""
+    sweep = sweep_if_design_space(profiler, lifeguard, [benchmark], entries=(entries,),
+                                  associativities=(associativity,), scale=SCALE)
+    return sweep[associativity][entries]
+
+
+class TestIFSweep:
     def test_more_entries_never_reduce_effectiveness(self, profiler):
-        trace = profiler.trace("gcc", SCALE)
-        small = if_reduction("gcc", trace, num_entries=8, associativity=0).reduction
-        large = if_reduction("gcc", trace, num_entries=256, associativity=0).reduction
+        small = _if_cell(profiler, "AddrCheck", "gcc", entries=8)
+        large = _if_cell(profiler, "AddrCheck", "gcc", entries=256)
         assert large >= small - 0.02
 
-    def test_combined_policy_at_least_as_effective_as_separate(self, profiler):
-        trace = profiler.trace("bzip2", SCALE)
-        combined = if_reduction("bzip2", trace, 32, 0, "combined").reduction
-        separate = if_reduction("bzip2", trace, 32, 0, "separate").reduction
+    def test_combined_categorisation_at_least_as_effective_as_separate(self, profiler):
+        combined = _if_cell(profiler, "AddrCheck", "bzip2")
+        separate = _if_cell(profiler, "LockSet", "bzip2")
         assert combined >= separate - 0.02
 
     def test_32_entry_filter_is_effective(self, profiler):
-        trace = profiler.trace("twolf", SCALE)
-        assert if_reduction("twolf", trace, 32, 0, "combined").reduction > 0.3
-
-    def test_invalid_policy_rejected(self, profiler):
-        with pytest.raises(ValueError):
-            if_reduction("bzip2", profiler.trace("bzip2", SCALE), policy="bogus")
+        assert _if_cell(profiler, "AddrCheck", "twolf") > 0.3
 
     def test_sweep_structure(self, profiler):
         sweep = sweep_if_design_space(
-            profiler, "combined", ["bzip2"], entries=(8, 32), associativities=(0, 4), scale=SCALE
+            profiler, "AddrCheck", ["bzip2"], entries=(8, 32), associativities=(0, 4), scale=SCALE
         )
         assert set(sweep) == {0, 4}
         assert set(sweep[0]) == {8, 32}
@@ -102,7 +92,3 @@ class TestMTLBModel:
         comparison = sweep_mtlb_flexible_vs_fixed(profiler, ["mcf"], entries=(16,), scale=SCALE)
         data = comparison["mcf"]
         assert data["flexible"][16] <= data["fixed"][16] + 1e-9
-
-    def test_it_sweep_covers_requested_benchmarks(self, profiler):
-        results = sweep_it_reduction(profiler, BENCHMARKS, scale=SCALE)
-        assert [r.workload for r in results] == BENCHMARKS

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.accelerator import AcceleratorConfig, EventAccelerator
+from repro.core.accelerator import AcceleratorConfig, EventAccelerator, update_event_reduction
 from repro.core.config import (
     BASELINE_CONFIG,
     OPTIMIZED_CONFIG,
@@ -178,9 +178,15 @@ class TestAcceleratorPipeline:
     def test_reduction_statistics(self):
         etct, _ = _etct_with(EventType.MEM_LOAD, EventType.MEM_TO_REG,
                              cacheable={EventType.MEM_LOAD})
+        without_it = EventAccelerator(etct, AcceleratorConfig(it=ITConfig(enabled=False)))
         acc = EventAccelerator(etct, AcceleratorConfig())
         record = _instruction(EventType.MEM_TO_REG, dest_reg=0, src_addr=0x80, size=4, is_load=True)
         for _ in range(4):
+            without_it.process(record)
             acc.process(record)
-        assert acc.stats.update_event_reduction == 1.0
+        assert without_it.stats.propagation_events_delivered == 4
+        assert acc.stats.propagation_events_delivered == 0
+        assert update_event_reduction(without_it.stats, acc.stats) == 1.0
+        # nothing delivered without IT: nothing to reduce
+        assert update_event_reduction(acc.stats, acc.stats) == 0.0
         assert 0.0 < acc.stats.check_event_reduction < 1.0

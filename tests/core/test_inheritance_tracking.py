@@ -206,4 +206,6 @@ class TestFigure4Example:
     def test_reduction_statistic(self, it):
         for _ in range(10):
             it.process(record(EventType.MEM_TO_REG, dest_reg=0, src_addr=0x100, size=4))
-        assert it.stats.reduction == 1.0
+        assert it.stats.events_seen == 10
+        assert it.stats.events_discarded == 10
+        assert it.stats.events_delivered == it.stats.events_transformed == 0

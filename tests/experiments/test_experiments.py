@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.profiler import Profiler
+from repro.analysis import Profiler, sweep_if_design_space, sweep_it_reduction
 from repro.experiments.figure02 import format_figure02, run_figure02
 from repro.experiments.figure10 import format_figure10, run_figure10
 from repro.experiments.figure11 import format_figure11, run_figure11
@@ -110,6 +110,38 @@ class TestFigure12:
     def test_formatting(self, result):
         text = format_figure12(result)
         assert "Figure 12" in text and "MemCheck" in text
+
+
+class TestCrossFigureAgreement:
+    """Figures 12 and 13 report one reduction per mechanism, per benchmark.
+
+    Figure 12 reads IT and IF from its live BASE and OPT runs; Figure 13
+    replays the profiled records through each lifeguard's accelerator.  On
+    the same program at the same scale the two must agree exactly.
+    """
+
+    @pytest.fixture(scope="class")
+    def figure12(self):
+        return run_figure12(lifeguards=["TaintCheck", "AddrCheck", "LockSet"],
+                            benchmarks=SPEC_SUBSET, scale=SCALE)
+
+    @pytest.fixture(scope="class")
+    def profiler(self):
+        return Profiler()
+
+    def test_it_reduction_equals_figure13a(self, figure12, profiler):
+        assert figure12.it_update_reduction["TaintCheck"] == sweep_it_reduction(
+            profiler, SPEC_SUBSET, scale=SCALE
+        )
+
+    @pytest.mark.parametrize("lifeguard", ["AddrCheck", "LockSet"])
+    def test_if_reduction_equals_32_entry_fully_associative_cell(
+        self, figure12, profiler, lifeguard
+    ):
+        for benchmark in SPEC_SUBSET:
+            sweep = sweep_if_design_space(profiler, lifeguard, [benchmark], entries=(32,),
+                                          associativities=(0,), scale=SCALE)
+            assert figure12.if_check_reduction[lifeguard][benchmark] == sweep[0][32]
 
 
 class TestFigures13And14:
