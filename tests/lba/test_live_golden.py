@@ -16,8 +16,8 @@ pass them.  These digests pin the live platform's own numbers.
 * ``SMALL_CACHES``: dual-core runs with caches small enough to evict and
   write back, which the Table 2 caches never do at this scale.
 
-Each digest covers the timing breakdown, the dispatch, producer (log bytes
-included), accelerator and mapper statistics, the reports, the
+Each digest covers the timing breakdown, the producer's record counts, the
+dispatch, accelerator and mapper statistics, the reports, the
 :class:`CacheStats` of every cache in the hierarchy and its
 ``memory_accesses``.  Values are hashed field by field through ``repr``,
 with enums by value, so the digests do not depend on Python's ``hash()``.
@@ -50,60 +50,60 @@ SMALL_HIERARCHY = MemoryHierarchyConfig(
 )
 
 DUAL_CORE = {
-    ('AddrCheck', 'BASE', 'bzip2'): "9682df32fdefc64597d2a48c28d0831844c74a968ba7328776616af25287f9ce",
-    ('AddrCheck', 'LMA', 'bzip2'): "39363a3442a7305dd85a369f6bca2f92cc1c8c55112bb275a36ff3339eb06e0b",
-    ('AddrCheck', 'LMA+IF', 'bzip2'): "ecd6a14d479268b1c1f3f251c37962fc8d6bd3bb959b35230e5f38a97d2dad97",
-    ('AddrCheck', 'BASE', 'gcc'): "e7c4a5147d9b7e53246042c8e089bbf85b58154f63a023b557adb9b9c999f389",
-    ('AddrCheck', 'LMA', 'gcc'): "89e0a3dbae21caaf94ee143cf01df77d5d708009fdb2d7a98c1106052982c15a",
-    ('AddrCheck', 'LMA+IF', 'gcc'): "f6f796ffbe0fd5aa7990f1080f661118ae9ad16f2e7bba31b7676a4bf42b7654",
-    ('MemCheck', 'BASE', 'bzip2'): "c80ac75bed1e2f66393445370cca245098daf9c973305852440e5109f07724d4",
-    ('MemCheck', 'LMA', 'bzip2'): "e7f2473684d63853524b978345a2c893c6f58b0775be57a4ec5c9ab2ac6a9833",
-    ('MemCheck', 'LMA+IT', 'bzip2'): "afe1d3309dfd61013270e17cf80fcec5bd0dfeb9a46804bf609159e377566750",
-    ('MemCheck', 'LMA+IT+IF', 'bzip2'): "b00fa4c10a1d3bff7a9fa5cb2d73c277ceb5bea29f71ad181367ac1de161e683",
-    ('MemCheck', 'BASE', 'gcc'): "22f1bf32bfa80b82c56f9126a569ac763a5279632ed9640e78a9948def4e2ee7",
-    ('MemCheck', 'LMA', 'gcc'): "471049d8622cc464a97a006ab3e1829bc508c9538a2ae5d08612128f60ff4e99",
-    ('MemCheck', 'LMA+IT', 'gcc'): "973f524052c22b83f77adefae3c6ed69488f61f75aa469ac3b8e14becf3d2bba",
-    ('MemCheck', 'LMA+IT+IF', 'gcc'): "6a57de5f4c6c9d649fd5b67e56c2f17a37da41b4f62465a1cb9b1a63545aad6a",
-    ('TaintCheck', 'BASE', 'bzip2'): "4af2e8bf69bffd73b3d3e0cf46914576d8c0487d79722113345dd74046e97255",
-    ('TaintCheck', 'LMA', 'bzip2'): "a4f8d2a38c27f5c30f7fc7fa1c5d4bd107524af4ff2e5ea92c5e4c919a148238",
-    ('TaintCheck', 'LMA+IT', 'bzip2'): "f4e6f4ab41af92f113a8301c3a306bb3ffe4d14cc3b9a9020aa1ba370850645d",
-    ('TaintCheck', 'BASE', 'gcc'): "acf29b376c968749a2ee2b393d50adb4823eedd1cca5b6276616ef7abf302c81",
-    ('TaintCheck', 'LMA', 'gcc'): "b9cac2dd5317d70ecfd9850c75c9c1803db056e2527770526fb9e99793decaf5",
-    ('TaintCheck', 'LMA+IT', 'gcc'): "44580c47969bd1d1474096750088557197431f564cbce42c3c6600429a858315",
-    ('TaintCheckDetailed', 'BASE', 'bzip2'): "d7162bdf3089fb12f11981a7704243348aa51df71d19c2848bfab149a8cbb349",
-    ('TaintCheckDetailed', 'LMA', 'bzip2'): "21e2891ad29ef6020dca6ff924740b5c3ec51ee0625d54030aba913e036012d8",
-    ('TaintCheckDetailed', 'LMA+IT', 'bzip2'): "a596ba0a906e4c214d7e4cc79d25cf1c37d718d053df6e0e6990bb429225702f",
-    ('TaintCheckDetailed', 'BASE', 'gcc'): "5dce869e198e730f5f70ba52d62d01ca977c10e9d325316774efca5e54bf2e1c",
-    ('TaintCheckDetailed', 'LMA', 'gcc'): "83910647339c8eb0ea09aef0a3b4b50c66a32b3ce17160d4efe08e17c30b1b02",
-    ('TaintCheckDetailed', 'LMA+IT', 'gcc'): "9ffe91481f87210f10d03284767f2e8697d40f5a5de6bea00c66886c31b61b91",
-    ('LockSet', 'BASE', 'pbzip2'): "a5fac33ae62e5da4f927f38fda04b8382beaf06a1feeeb37482909b0c2e7dbbe",
-    ('LockSet', 'LMA', 'pbzip2'): "e5b69918ec4807c65c2f4586e980853f6a5216ac5284991ae9c9984373fc236d",
-    ('LockSet', 'LMA+IF', 'pbzip2'): "91e105454381aaa8360de81ab41ef1dae7580e0ab0cf76e9a96ffc009a0d224d",
+    ('AddrCheck', 'BASE', 'bzip2'): "9816f38ebcfe4781c71b283aa3f0539db1bc05b872bbe85872494a0ebc83a6b8",
+    ('AddrCheck', 'LMA', 'bzip2'): "6d2e27a215f116b29b3bd5831af3c4b322ed598fc8d486916fbee4bbbf30bd54",
+    ('AddrCheck', 'LMA+IF', 'bzip2'): "d2136d5d0b293a7d851b04c4413aafe9c6995af80b309677aa10ab5e17b40704",
+    ('AddrCheck', 'BASE', 'gcc'): "949e405b80afeb5a0eec1d11dd445b7b665ae7c6ed93754e726dd8ff90f3f54e",
+    ('AddrCheck', 'LMA', 'gcc'): "e257b0148c8acd9b43a0396fca513289dadbb51204b09b794351597f72476d24",
+    ('AddrCheck', 'LMA+IF', 'gcc'): "262028eec475ed018d9bd6a927796949436ab8f5d0fa1a61c41d6fa7bafbdf5a",
+    ('MemCheck', 'BASE', 'bzip2'): "b9989beb55309836b19d09191bfc825421c068da43e5cce594100866e98bc7a8",
+    ('MemCheck', 'LMA', 'bzip2'): "1fc237f792d85e78d8a0f0e948ff48f0396a978591ed50e2d969d107f85fcefc",
+    ('MemCheck', 'LMA+IT', 'bzip2'): "e74ae6394d576f62bbcdef7ed50e1d0ace3241309bd4103435d782d22e0b0b6b",
+    ('MemCheck', 'LMA+IT+IF', 'bzip2'): "7860c9db6e6e6d7dad47ecb3787e22f5d7745fa0ea3703e2d1795d2353385f98",
+    ('MemCheck', 'BASE', 'gcc'): "47f8550fcbe9f3374c6b0ca7944ef9bf69b6dcbcff5926827bb4a65b74a5ffae",
+    ('MemCheck', 'LMA', 'gcc'): "76e26c3bbe8b2181e63817c6ef3055120451e04201be2666b6e8323569f09e31",
+    ('MemCheck', 'LMA+IT', 'gcc'): "c2e2222838ffd0b2d13a7964d21b11d6bf7f6ea3a0192f678fbd65b648398b4f",
+    ('MemCheck', 'LMA+IT+IF', 'gcc'): "3bc3f62ef49c0eba314580661ba4cd6946a1cdb973f44b965242ae8b5a97f50c",
+    ('TaintCheck', 'BASE', 'bzip2'): "6a6524d337b4f526eb2f7a88585636de6cba660fd600b5de7d63138c1f49c8d8",
+    ('TaintCheck', 'LMA', 'bzip2'): "64fe60a82c2580f0c5dc7b859ecd233b65d6a716f3903f306598681e54fca030",
+    ('TaintCheck', 'LMA+IT', 'bzip2'): "722bbacd9b07b8a4c693781c9133c272ca81ceabb31e42dd391876f6714be2b4",
+    ('TaintCheck', 'BASE', 'gcc'): "9fe8b5fc6b80e269f0c218e6899840413a49137220e129cfbb9adaa952a2c28f",
+    ('TaintCheck', 'LMA', 'gcc'): "15893b9cbfb321bf4fc283ee538411c42b40821fadb2a2bb0763bd3ab004adef",
+    ('TaintCheck', 'LMA+IT', 'gcc'): "959fd0a4fdc9786469c009065f2ced896f40fd0a29d8d89689cc22328752bc5d",
+    ('TaintCheckDetailed', 'BASE', 'bzip2'): "b50b886f2fa8e274d0308823a65bc5957da61f4b9434589237dc8e223c5f1303",
+    ('TaintCheckDetailed', 'LMA', 'bzip2'): "2e6302f3207e59265ef32958b8bfa7239526304c9216ecdc06e93125ba67e055",
+    ('TaintCheckDetailed', 'LMA+IT', 'bzip2'): "272673fda2abaae92ed34bebbd1bd5045868808c6fd953e185970bc2814f5592",
+    ('TaintCheckDetailed', 'BASE', 'gcc'): "a5b430ea01e15df80f49560402177d20bd673ff280fb7f8a51b4449c3375eff1",
+    ('TaintCheckDetailed', 'LMA', 'gcc'): "5aec511d9c0ba966e4ca31b64278c71de5bb912b00f3a7ef56b0e429c1da8327",
+    ('TaintCheckDetailed', 'LMA+IT', 'gcc'): "60eaf7b226d2207162993ae9d28a1b54ed2183fe9398079f8c3be516ba686e6c",
+    ('LockSet', 'BASE', 'pbzip2'): "e04162c22800eebbda82731d23125f791a889a189f0b686f82d30093b712dfb0",
+    ('LockSet', 'LMA', 'pbzip2'): "604d0388cd160d82c540582beb2c1230b9df61513e0d3789948dcff9d70f3477",
+    ('LockSet', 'LMA+IF', 'pbzip2'): "75687cb8ae201c87b7daa45b8d1627699a83d60b0e83d1a810bda463cc243714",
 }
 
 THREADED = {
-    ('LockSet', 'BASE', 'blast'): "befff81b656c6b6dc40f49842c72ea05b4fb513edbd079269ebbb0f81ba77148",
-    ('LockSet', 'LMA', 'blast'): "52dffdc8fe0f95977509936c418525e4db2da8d9408bdee2c2c99d371f8630cc",
-    ('LockSet', 'LMA+IF', 'blast'): "52dffdc8fe0f95977509936c418525e4db2da8d9408bdee2c2c99d371f8630cc",
-    ('LockSet', 'BASE', 'pbunzip2'): "b80314c69765ae91b29186bf77f5c86c227bd9b930332d02f83d9033f2f07052",
-    ('LockSet', 'LMA', 'pbunzip2'): "c263230c4b94ba1a148b3dc0a96ad41bababf0a6d199752d66f209e73cc25a63",
-    ('LockSet', 'LMA+IF', 'pbunzip2'): "ea7bcad12ef3fc82fdb801bf532285bad00d94b4949d4b233c99fc4a821f125b",
-    ('LockSet', 'BASE', 'water_nq'): "f4e265f1f8380154aa733d054d39da89beaff6a97fe545c6717c2d396c96fc02",
-    ('LockSet', 'LMA', 'water_nq'): "156aaf2f9e825067c729dd8255645fcb0e8c85001d0e8f1b0e0223bad5b32b25",
-    ('LockSet', 'LMA+IF', 'water_nq'): "156aaf2f9e825067c729dd8255645fcb0e8c85001d0e8f1b0e0223bad5b32b25",
-    ('LockSet', 'BASE', 'zchaff'): "5329f9ec2c12faf23917652454fc7bf718819de15ad4e5615ca20ee36f4985d1",
-    ('LockSet', 'LMA', 'zchaff'): "8f1e75d4777fd65018863f6d45b6a2b0b43c277b59dba65f8e77966a12783dfc",
-    ('LockSet', 'LMA+IF', 'zchaff'): "a4c80e87986f136ba4eab459758634e3839e7ceaba5b7e31c5922f5c5868267f",
-    ('MemCheck', 'LMA+IT+IF', 'blast'): "1527215f8113a8b279dac21eb86e72ac00a79d585afc6fd0410bdc53ce60d268",
-    ('MemCheck', 'LMA+IT+IF', 'pbunzip2'): "e36075a1725075828b6894806c03c325bc51155278a790fb77860f1353442712",
-    ('MemCheck', 'LMA+IT+IF', 'pbzip2'): "a450e6a470a358999b74b5a4fdae3a006716503ab1993ebdac6f267be8dab52a",
-    ('MemCheck', 'LMA+IT+IF', 'water_nq'): "85a47c8aa994d979c6bf174a604f514df69c9099359aa908fab1e9f6cb0006b3",
-    ('MemCheck', 'LMA+IT+IF', 'zchaff'): "41fb0bcfb0ccb7f147fc98d63357efb8a84be81670cc636be934e1b524780b22",
+    ('LockSet', 'BASE', 'blast'): "a19ace38e10a38eb19b17d700f589d4e36e65e8bb8d5f502e231669cf39e24f6",
+    ('LockSet', 'LMA', 'blast'): "5efca887eec63a0d23ae44082e3fa3ea2bdd592119fda2f041c1bad9e77a178f",
+    ('LockSet', 'LMA+IF', 'blast'): "5efca887eec63a0d23ae44082e3fa3ea2bdd592119fda2f041c1bad9e77a178f",
+    ('LockSet', 'BASE', 'pbunzip2'): "d6ea881c25a84b850cf14aa295aafbff236d4da07e6a4118eff7c70f6027bb9d",
+    ('LockSet', 'LMA', 'pbunzip2'): "c460a3c9b0737fc285c5613105179afa324c37b9c5811efc2a69e811a1b04762",
+    ('LockSet', 'LMA+IF', 'pbunzip2'): "bee0fbe688e8bd56f6ce176c655e2f9375f8855270cba03ecc2930a6fdfe1256",
+    ('LockSet', 'BASE', 'water_nq'): "62680e7519ef93cb5658842b8e598861188a1a3eaaa5e1f1366d6b2d3f3cd17c",
+    ('LockSet', 'LMA', 'water_nq'): "fea0ad295923564bd8f0837e27d7210126e02f080a5099591b049905b92a1326",
+    ('LockSet', 'LMA+IF', 'water_nq'): "fea0ad295923564bd8f0837e27d7210126e02f080a5099591b049905b92a1326",
+    ('LockSet', 'BASE', 'zchaff'): "e6a811f8ad61ffb9721b788ef582ca4b79b49b49247059777e6227d9ae67f9bc",
+    ('LockSet', 'LMA', 'zchaff'): "f033d81b30028d9e2420f9efc16fdd9c58f6a45333db085bc0d313aca54d577e",
+    ('LockSet', 'LMA+IF', 'zchaff'): "2fe1813adceb1d34bddd0253dce1cf25816ba9aca8c4e7ac3ff66f8e20f3de26",
+    ('MemCheck', 'LMA+IT+IF', 'blast'): "9c9542c41da8f08e5c82221f331a0868419d73028ad3372ee7ea3c53a5647de6",
+    ('MemCheck', 'LMA+IT+IF', 'pbzip2'): "f53e8c86fea84c92c63a1194ef6746694e3d2f12b856fa43ef8523184fb02e09",
+    ('MemCheck', 'LMA+IT+IF', 'pbunzip2'): "3fd7d8f846370d7386ee5917ce1e7b40bfbeb2caf730cdd7f744d41dfb1a471a",
+    ('MemCheck', 'LMA+IT+IF', 'water_nq'): "886ac5e70ffe67b3ed304fd53b55f06e96a92be572cccba22bd8163e1cea27dc",
+    ('MemCheck', 'LMA+IT+IF', 'zchaff'): "26b5ab16aa61916b19b6574b4dc71e8a1976a9dc61c6ed41164668e925c11d19",
 }
 
 SMALL_CACHES = {
-    ('MemCheck', 'BASE', 'gcc'): "17790f1ba71db25cd7751ee45bc7762167058b48d44f55e1ac782429ee306853",
-    ('TaintCheck', 'LMA+IT', 'bzip2'): "aa1417eea50c68acf35b46c48b4ae506085a777c152ce7406e83ac407150c3b5",
+    ('MemCheck', 'BASE', 'gcc'): "3b6aa7f98646b5fc72abd63a7aa096a33c08fad90a059c14e39dcffd6ef35d96",
+    ('TaintCheck', 'LMA+IT', 'bzip2'): "9810e440a2f6046bd67efbc0763e6bb285b0a4d3c618f2ecd4e7661c56dd8f33",
 }
 
 
@@ -152,10 +152,18 @@ def hierarchy_state(hierarchy):
     )
 
 
+def producer_state(producer):
+    """The producer's record counts.  Its summed application cycles are
+    ``TimingBreakdown.app_alone_cycles``, which ``result.timing`` pins."""
+    return tuple(
+        (name, getattr(producer, name)) for name in ("records", "instructions", "annotations")
+    )
+
+
 def monitoring_state(result):
     return stable((
-        result.timing, result.dispatch, result.producer, result.accelerator,
-        result.mapper, result.reports,
+        result.timing, result.dispatch, producer_state(result.producer),
+        result.accelerator, result.mapper, result.reports,
     ))
 
 
