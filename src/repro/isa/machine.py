@@ -7,6 +7,19 @@ The machine executes a :class:`repro.isa.program.Program` against a shared
 :class:`repro.core.events.AnnotationRecord` objects for the rare high-level
 events).  The emitted stream is the input to the LBA log capture layer.
 
+Each program is decoded once, when the first machine is built on it, into a
+table with one handler per static instruction (:func:`decode`).  A handler
+is specialised for its opcode and operand kinds, with everything static
+bound at decode time: register numbers, displacement and scale, access
+size, the resolved branch target, the event type and the static record
+fields.  This is quickening applied to a fixed program (Brunthaler,
+"Efficient Interpretation Using Quickening", DLS 2010).
+:meth:`Machine.step` is one indexed call into the table; the handler
+executes its instruction, moves the machine to its next instruction,
+counts it and returns its records.  A form the machine rejects (say, an
+immediate destination) decodes to a handler that raises
+:class:`MachineError` when it executes.
+
 Faulty behaviour of the *monitored program* (double frees, out-of-bounds
 accesses to unallocated heap memory, reads of uninitialised data, tainted
 jump targets) is deliberately allowed to proceed functionally -- detecting
@@ -15,27 +28,21 @@ it is the lifeguard's job, not the machine's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+import operator
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.events import AnnotationRecord, EventType, InstructionRecord
-from repro.isa.instructions import (
-    Cond,
-    Imm,
-    Instruction,
-    Mem,
-    Opcode,
-    Operand,
-    Reg,
-    SyscallKind,
-)
+from repro.isa.instructions import Cond, Imm, Instruction, Mem, Opcode, Operand, Reg, SyscallKind
 from repro.isa.program import INSTRUCTION_BYTES, Program
 from repro.isa.registers import Register, RegisterFile, WORD_MASK
-from repro.memory.address_space import AddressSpace, SegmentLayout
+from repro.memory.address_space import AddressSpace
 from repro.memory.allocator import AllocationError, HeapAllocator
 
 Record = Union[InstructionRecord, AnnotationRecord]
 RecordObserver = Callable[[Record], None]
+#: A decoded instruction: executes it on a machine and returns its records.
+Handler = Callable[["Machine"], List[Record]]
 
 #: Default heap size given to machines that create their own allocator.
 DEFAULT_HEAP_SIZE = 64 * 1024 * 1024
@@ -57,21 +64,9 @@ class ExecutionLimitExceeded(MachineError):
 
 @dataclass
 class MachineStats:
-    """Aggregate execution statistics for one machine/thread."""
+    """Execution statistics of one machine (or of all threads of one run)."""
 
     instructions: int = 0
-    loads: int = 0
-    stores: int = 0
-    annotations: int = 0
-    mallocs: int = 0
-    frees: int = 0
-    syscalls: int = 0
-    branches_taken: int = 0
-
-
-def _signed32(value: int) -> int:
-    value &= WORD_MASK
-    return value - (1 << 32) if value & 0x8000_0000 else value
 
 
 def _default_input_provider(size: int) -> bytes:
@@ -117,6 +112,8 @@ class Machine:
         self.halted = False
         self.blocked = False
         self._index = 0
+        self._regs = self.registers.values
+        self._handlers = decode(program)
         stack_top = layout.stack_top - thread_id * (stack_size + 4096)
         self.stack_base = stack_top - stack_size
         self.registers.write(Register.ESP, stack_top)
@@ -156,392 +153,9 @@ class Machine:
         Returns an empty list without advancing when the thread is blocked on
         a lock held by another thread, or when the program has halted.
         """
-        index = self._index
-        program = self.program
-        if self.halted or index >= len(program.instructions):
-            self.halted = True
+        if self.halted:
             return []
-        instruction = program.instructions[index]
-        pc = program.code_base + index * INSTRUCTION_BYTES
-        self.registers.eip = pc
-        handler = _REGULAR_DISPATCH.get(instruction.opcode)
-        if handler is not None:
-            self._index = index + 1
-            self.stats.instructions += 1
-            return handler(self, instruction, pc)
-
-        if instruction.opcode is Opcode.LOCK and self.lock_manager is not None:
-            lock_addr = self._operand_value(instruction.operands[0])
-            if not self.lock_manager.try_acquire(lock_addr, self.thread_id):
-                self.blocked = True
-                return []
-            self.blocked = False
-            self._index = index + 1
-            self.stats.instructions += 1
-            self.stats.annotations += 1
-            return [
-                AnnotationRecord(
-                    EventType.LOCK, address=lock_addr, thread_id=self.thread_id, pc=pc
-                )
-            ]
-
-        self._index = index + 1
-        self.stats.instructions += 1
-        return self._execute_annotation(instruction, pc)
-
-    # -------------------------------------------------------------- operand access
-
-    def effective_address(self, operand: Mem) -> int:
-        """Compute the effective address of a memory operand."""
-        address = operand.disp
-        if operand.base is not None:
-            address += self.registers.read(operand.base)
-        if operand.index is not None:
-            address += self.registers.read(operand.index) * operand.scale
-        return address & WORD_MASK
-
-    def _operand_value(self, operand: Operand) -> int:
-        kind = type(operand)
-        if kind is Reg:
-            return self.registers.read(operand.reg)
-        if kind is Imm:
-            return operand.value & WORD_MASK
-        if kind is Mem:
-            return self.memory.read_uint(self.effective_address(operand), operand.size)
-        raise MachineError(f"unsupported operand {operand!r}")
-
-    def _write_operand(self, operand: Operand, value: int) -> None:
-        kind = type(operand)
-        if kind is Reg:
-            self.registers.write(operand.reg, value)
-        elif kind is Mem:
-            self.memory.write_uint(self.effective_address(operand), value, operand.size)
-        else:
-            raise MachineError(f"cannot write to operand {operand!r}")
-
-    # -------------------------------------------------------------- regular opcodes
-
-    def _record(
-        self,
-        pc: int,
-        event_type: EventType,
-        *,
-        dest: Optional[Operand] = None,
-        src: Optional[Operand] = None,
-        dest_addr: Optional[int] = None,
-        src_addr: Optional[int] = None,
-        size: int = 0,
-        is_load: bool = False,
-        is_store: bool = False,
-        is_cond_test: bool = False,
-        is_indirect_jump: bool = False,
-        immediate: Optional[int] = None,
-    ) -> InstructionRecord:
-        # Register ids go into the record as plain ints (``int()`` of a
-        # Register member), never as enum members.
-        dest_reg = src_reg = base_reg = index_reg = mem_operand = None
-        dest_kind = type(dest)
-        if dest_kind is Reg:
-            dest_reg = int(dest.reg)
-        elif dest_kind is Mem:
-            mem_operand = dest
-        src_kind = type(src)
-        if src_kind is Reg:
-            src_reg = int(src.reg)
-        elif src_kind is Mem and mem_operand is None:
-            mem_operand = src
-        if mem_operand is not None:
-            if mem_operand.base is not None:
-                base_reg = int(mem_operand.base)
-            if mem_operand.index is not None:
-                index_reg = int(mem_operand.index)
-        if is_load:
-            self.stats.loads += 1
-        if is_store:
-            self.stats.stores += 1
-        return InstructionRecord(
-            pc, event_type, dest_reg, src_reg, dest_addr, src_addr, size, is_load,
-            is_store, base_reg, index_reg, is_cond_test, is_indirect_jump,
-            self.thread_id, immediate,
-        )
-
-    def _exec_mov(self, instruction: Instruction, pc: int) -> List[Record]:
-        dest, src = instruction.dest, instruction.src
-        value = self._operand_value(src)
-        self._write_operand(dest, value)
-        dest_kind, src_kind = type(dest), type(src)
-        if dest_kind is Reg and src_kind is Imm:
-            return [self._record(pc, EventType.IMM_TO_REG, dest=dest, immediate=src.value)]
-        if dest_kind is Mem and src_kind is Imm:
-            addr = self.effective_address(dest)
-            return [
-                self._record(
-                    pc, EventType.IMM_TO_MEM, dest=dest, dest_addr=addr,
-                    size=dest.size, is_store=True, immediate=src.value,
-                )
-            ]
-        if dest_kind is Reg and src_kind is Reg:
-            return [self._record(pc, EventType.REG_TO_REG, dest=dest, src=src)]
-        if dest_kind is Mem and src_kind is Reg:
-            addr = self.effective_address(dest)
-            return [
-                self._record(
-                    pc, EventType.REG_TO_MEM, dest=dest, src=src, dest_addr=addr,
-                    size=dest.size, is_store=True,
-                )
-            ]
-        if dest_kind is Reg and src_kind is Mem:
-            addr = self.effective_address(src)
-            return [
-                self._record(
-                    pc, EventType.MEM_TO_REG, dest=dest, src=src, src_addr=addr,
-                    size=src.size, is_load=True,
-                )
-            ]
-        if dest_kind is Mem and src_kind is Mem:
-            daddr = self.effective_address(dest)
-            saddr = self.effective_address(src)
-            return [
-                self._record(
-                    pc, EventType.MEM_TO_MEM, dest=dest, src=src, dest_addr=daddr,
-                    src_addr=saddr, size=dest.size, is_load=True, is_store=True,
-                )
-            ]
-        raise MachineError(f"unsupported mov operands {instruction.operands!r}")
-
-    def _exec_movs(self, instruction: Instruction, pc: int) -> List[Record]:
-        count = instruction.count
-        src_addr = self.registers.read(Register.ESI)
-        dest_addr = self.registers.read(Register.EDI)
-        self.memory.copy(dest_addr, src_addr, count)
-        self.registers.write(Register.ESI, src_addr + count)
-        self.registers.write(Register.EDI, dest_addr + count)
-        return [
-            self._record(
-                pc, EventType.MEM_TO_MEM, dest_addr=dest_addr, src_addr=src_addr,
-                size=count, is_load=True, is_store=True,
-            )
-        ]
-
-    def _exec_lea(self, instruction: Instruction, pc: int) -> List[Record]:
-        dest, src = instruction.dest, instruction.src
-        assert isinstance(dest, Reg) and isinstance(src, Mem)
-        self.registers.write(dest.reg, self.effective_address(src))
-        # Address arithmetic produces a "clean" value: model as imm_to_reg.
-        return [self._record(pc, EventType.IMM_TO_REG, dest=dest)]
-
-    def _exec_alu(self, instruction: Instruction, pc: int) -> List[Record]:
-        dest, src = instruction.dest, instruction.src
-        opcode = instruction.opcode
-        lhs = self._operand_value(dest)
-        rhs = self._operand_value(src)
-        result = _ALU_OPS[opcode](lhs, rhs) & WORD_MASK
-        self._write_operand(dest, result)
-        self.registers.last_compare = _signed32(result)
-        dest_kind, src_kind = type(dest), type(src)
-        if dest_kind is Reg and src_kind is Imm:
-            return [self._record(pc, EventType.REG_SELF, dest=dest, immediate=src.value)]
-        if dest_kind is Mem and src_kind is Imm:
-            addr = self.effective_address(dest)
-            return [
-                self._record(
-                    pc, EventType.MEM_SELF, dest=dest, dest_addr=addr, size=dest.size,
-                    is_load=True, is_store=True, immediate=src.value,
-                )
-            ]
-        if dest_kind is Reg and src_kind is Reg:
-            return [self._record(pc, EventType.DEST_REG_OP_REG, dest=dest, src=src)]
-        if dest_kind is Reg and src_kind is Mem:
-            addr = self.effective_address(src)
-            return [
-                self._record(
-                    pc, EventType.DEST_REG_OP_MEM, dest=dest, src=src, src_addr=addr,
-                    size=src.size, is_load=True,
-                )
-            ]
-        if dest_kind is Mem and src_kind is Reg:
-            addr = self.effective_address(dest)
-            return [
-                self._record(
-                    pc, EventType.DEST_MEM_OP_REG, dest=dest, src=src, dest_addr=addr,
-                    size=dest.size, is_load=True, is_store=True,
-                )
-            ]
-        raise MachineError(f"unsupported ALU operands {instruction.operands!r}")
-
-    def _exec_shift(self, instruction: Instruction, pc: int) -> List[Record]:
-        dest, src = instruction.dest, instruction.src
-        assert isinstance(src, Imm)
-        value = self._operand_value(dest)
-        amount = src.value & 31
-        result = (value << amount) if instruction.opcode is Opcode.SHL else (value >> amount)
-        self._write_operand(dest, result & WORD_MASK)
-        if isinstance(dest, Reg):
-            return [self._record(pc, EventType.REG_SELF, dest=dest, immediate=src.value)]
-        addr = self.effective_address(dest)
-        return [
-            self._record(
-                pc, EventType.MEM_SELF, dest=dest, dest_addr=addr, size=dest.size,
-                is_load=True, is_store=True, immediate=src.value,
-            )
-        ]
-
-    def _exec_compare(self, instruction: Instruction, pc: int) -> List[Record]:
-        a, b = instruction.operands
-        lhs = self._operand_value(a)
-        rhs = self._operand_value(b)
-        if instruction.opcode is Opcode.CMP:
-            self.registers.last_compare = _signed32(lhs) - _signed32(rhs)
-        else:  # TEST
-            self.registers.last_compare = _signed32(lhs & rhs)
-        src_addr = None
-        size = 0
-        is_load = False
-        mem = a if isinstance(a, Mem) else (b if isinstance(b, Mem) else None)
-        if mem is not None:
-            src_addr = self.effective_address(mem)
-            size = mem.size
-            is_load = True
-        src = a if isinstance(a, Reg) else (b if isinstance(b, Reg) else None)
-        return [
-            self._record(
-                pc, EventType.COND_TEST, src=src, src_addr=src_addr, size=size,
-                is_load=is_load, is_cond_test=True,
-            )
-        ]
-
-    def _exec_push(self, instruction: Instruction, pc: int) -> List[Record]:
-        src = instruction.operands[0]
-        value = self._operand_value(src)
-        esp = (self.registers.read(Register.ESP) - 4) & WORD_MASK
-        self.registers.write(Register.ESP, esp)
-        self.memory.write_uint(esp, value, 4)
-        if isinstance(src, Reg):
-            return [
-                self._record(pc, EventType.REG_TO_MEM, src=src, dest_addr=esp, size=4, is_store=True)
-            ]
-        if isinstance(src, Imm):
-            return [
-                self._record(
-                    pc, EventType.IMM_TO_MEM, dest_addr=esp, size=4, is_store=True,
-                    immediate=src.value,
-                )
-            ]
-        saddr = self.effective_address(src)
-        return [
-            self._record(
-                pc, EventType.MEM_TO_MEM, src=src, dest_addr=esp, src_addr=saddr, size=4,
-                is_load=True, is_store=True,
-            )
-        ]
-
-    def _exec_pop(self, instruction: Instruction, pc: int) -> List[Record]:
-        dest = instruction.operands[0]
-        assert isinstance(dest, Reg)
-        esp = self.registers.read(Register.ESP)
-        value = self.memory.read_uint(esp, 4)
-        self.registers.write(dest.reg, value)
-        self.registers.write(Register.ESP, (esp + 4) & WORD_MASK)
-        return [
-            self._record(pc, EventType.MEM_TO_REG, dest=dest, src_addr=esp, size=4, is_load=True)
-        ]
-
-    def _exec_jmp(self, instruction: Instruction, pc: int) -> List[Record]:
-        self._index = self.program.index_of_label(instruction.target)
-        self.stats.branches_taken += 1
-        return [self._record(pc, EventType.CONTROL)]
-
-    def _exec_jcc(self, instruction: Instruction, pc: int) -> List[Record]:
-        if self.registers.last_compare is None:
-            raise MachineError("conditional jump before any compare")
-        if _evaluate_cond(instruction.cond, self.registers.last_compare):
-            self._index = self.program.index_of_label(instruction.target)
-            self.stats.branches_taken += 1
-        return [self._record(pc, EventType.CONTROL)]
-
-    def _exec_jmp_indirect(self, instruction: Instruction, pc: int) -> List[Record]:
-        src = instruction.operands[0]
-        target = self._operand_value(src)
-        self._jump_to_address(target)
-        self.stats.branches_taken += 1
-        src_addr = self.effective_address(src) if isinstance(src, Mem) else None
-        return [
-            self._record(
-                pc, EventType.INDIRECT_JUMP,
-                src=src if isinstance(src, Reg) else None,
-                src_addr=src_addr, size=src.size if isinstance(src, Mem) else 0,
-                is_load=isinstance(src, Mem), is_indirect_jump=True,
-            )
-        ]
-
-    def _exec_call(self, instruction: Instruction, pc: int) -> List[Record]:
-        esp = (self.registers.read(Register.ESP) - 4) & WORD_MASK
-        self.registers.write(Register.ESP, esp)
-        return_pc = pc + INSTRUCTION_BYTES
-        self.memory.write_uint(esp, return_pc, 4)
-        self._index = self.program.index_of_label(instruction.target)
-        self.stats.branches_taken += 1
-        return [
-            self._record(
-                pc, EventType.IMM_TO_MEM, dest_addr=esp, size=4, is_store=True,
-                immediate=return_pc,
-            )
-        ]
-
-    def _exec_call_indirect(self, instruction: Instruction, pc: int) -> List[Record]:
-        src = instruction.operands[0]
-        target = self._operand_value(src)
-        esp = (self.registers.read(Register.ESP) - 4) & WORD_MASK
-        self.registers.write(Register.ESP, esp)
-        self.memory.write_uint(esp, pc + INSTRUCTION_BYTES, 4)
-        self._jump_to_address(target)
-        self.stats.branches_taken += 1
-        src_addr = self.effective_address(src) if isinstance(src, Mem) else None
-        return [
-            self._record(
-                pc, EventType.INDIRECT_JUMP,
-                src=src if isinstance(src, Reg) else None,
-                src_addr=src_addr, dest_addr=esp, size=4,
-                is_load=isinstance(src, Mem), is_store=True, is_indirect_jump=True,
-            )
-        ]
-
-    def _exec_ret(self, instruction: Instruction, pc: int) -> List[Record]:
-        esp = self.registers.read(Register.ESP)
-        target = self.memory.read_uint(esp, 4)
-        self.registers.write(Register.ESP, (esp + 4) & WORD_MASK)
-        self._jump_to_address(target)
-        self.stats.branches_taken += 1
-        return [
-            self._record(
-                pc, EventType.INDIRECT_JUMP, src_addr=esp, size=4, is_load=True,
-                is_indirect_jump=True,
-            )
-        ]
-
-    def _exec_xchg(self, instruction: Instruction, pc: int) -> List[Record]:
-        a, b = instruction.operands
-        va, vb = self._operand_value(a), self._operand_value(b)
-        self._write_operand(a, vb)
-        self._write_operand(b, va)
-        mem = a if isinstance(a, Mem) else (b if isinstance(b, Mem) else None)
-        addr = self.effective_address(mem) if mem is not None else None
-        return [
-            self._record(
-                pc, EventType.OTHER,
-                dest=a if isinstance(a, Reg) else None,
-                src=b if isinstance(b, Reg) else None,
-                dest_addr=addr, size=mem.size if mem is not None else 0,
-                is_load=mem is not None, is_store=mem is not None,
-            )
-        ]
-
-    def _exec_nop(self, instruction: Instruction, pc: int) -> List[Record]:
-        return [self._record(pc, EventType.CONTROL)]
-
-    def _exec_halt(self, instruction: Instruction, pc: int) -> List[Record]:
-        self.halted = True
-        return [self._record(pc, EventType.CONTROL)]
+        return self._handlers[self._index](self)
 
     def _jump_to_address(self, target: int) -> None:
         offset = target - self.program.code_base
@@ -554,105 +168,6 @@ class Machine:
             return
         self._index = index
 
-    # -------------------------------------------------------------- annotations
-
-    def _execute_annotation(self, instruction: Instruction, pc: int) -> List[Record]:
-        self.stats.annotations += 1
-        opcode = instruction.opcode
-        if opcode is Opcode.MALLOC:
-            size = self._operand_value(instruction.operands[0])
-            try:
-                block = self.allocator.malloc(size)
-            except AllocationError as exc:
-                raise Trap(str(exc)) from exc
-            self.registers.write(Register.EAX, block.address)
-            self.stats.mallocs += 1
-            return [
-                AnnotationRecord(
-                    EventType.MALLOC, address=block.address, size=size,
-                    thread_id=self.thread_id, pc=pc,
-                )
-            ]
-        if opcode is Opcode.FREE:
-            address = self._operand_value(instruction.operands[0])
-            size = 0
-            try:
-                block = self.allocator.free(address)
-                size = block.size
-            except AllocationError:
-                # Invalid/double free: the program proceeds; the lifeguard flags it.
-                pass
-            self.stats.frees += 1
-            return [
-                AnnotationRecord(
-                    EventType.FREE, address=address, size=size,
-                    thread_id=self.thread_id, pc=pc,
-                )
-            ]
-        if opcode is Opcode.REALLOC:
-            old_address = self._operand_value(instruction.operands[0])
-            new_size = self._operand_value(instruction.operands[1])
-            try:
-                old_block, new_block = self.allocator.realloc(old_address, new_size)
-            except AllocationError as exc:
-                raise Trap(str(exc)) from exc
-            copy_size = min(old_block.size, new_size)
-            self.memory.copy(new_block.address, old_address, copy_size)
-            self.registers.write(Register.EAX, new_block.address)
-            return [
-                AnnotationRecord(
-                    EventType.REALLOC, address=new_block.address, size=new_size,
-                    thread_id=self.thread_id, pc=pc, payload=old_address,
-                )
-            ]
-        if opcode is Opcode.LOCK:
-            address = self._operand_value(instruction.operands[0])
-            if self.lock_manager is not None:
-                self.lock_manager.try_acquire(address, self.thread_id)
-            return [
-                AnnotationRecord(EventType.LOCK, address=address, thread_id=self.thread_id, pc=pc)
-            ]
-        if opcode is Opcode.UNLOCK:
-            address = self._operand_value(instruction.operands[0])
-            if self.lock_manager is not None:
-                self.lock_manager.release(address, self.thread_id)
-            return [
-                AnnotationRecord(EventType.UNLOCK, address=address, thread_id=self.thread_id, pc=pc)
-            ]
-        if opcode is Opcode.SYSCALL:
-            return self._exec_syscall(instruction, pc)
-        if opcode is Opcode.PRINTF:
-            fmt_operand = instruction.operands[0]
-            fmt_address = (
-                self.effective_address(fmt_operand)
-                if isinstance(fmt_operand, Mem)
-                else self._operand_value(fmt_operand)
-            )
-            return [
-                AnnotationRecord(
-                    EventType.PRINTF, address=fmt_address, thread_id=self.thread_id, pc=pc,
-                )
-            ]
-        raise MachineError(f"unimplemented annotation opcode {opcode}")
-
-    def _exec_syscall(self, instruction: Instruction, pc: int) -> List[Record]:
-        buf = self._operand_value(instruction.operands[0])
-        length = self._operand_value(instruction.operands[1])
-        kind = instruction.syscall or SyscallKind.OTHER
-        self.stats.syscalls += 1
-        if kind in (SyscallKind.READ, SyscallKind.RECV):
-            data = self.input_provider(length)[:length]
-            if data:
-                self.memory.write(buf, data)
-            event = EventType.SYSCALL_READ if kind is SyscallKind.READ else EventType.SYSCALL_RECV
-        elif kind is SyscallKind.WRITE:
-            event = EventType.SYSCALL_WRITE
-        else:
-            event = EventType.SYSCALL_OTHER
-        return [
-            AnnotationRecord(event, address=buf, size=length, thread_id=self.thread_id, pc=pc)
-        ]
-
 
 class LockManagerProtocol:
     """Interface expected from lock managers (see :mod:`repro.isa.threads`)."""
@@ -664,54 +179,867 @@ class LockManagerProtocol:
         raise NotImplementedError
 
 
-def _evaluate_cond(cond: Cond, compare: int) -> bool:
-    if cond is Cond.EQ:
-        return compare == 0
-    if cond is Cond.NE:
-        return compare != 0
-    if cond is Cond.LT:
-        return compare < 0
-    if cond is Cond.LE:
-        return compare <= 0
-    if cond is Cond.GT:
-        return compare > 0
-    if cond is Cond.GE:
-        return compare >= 0
-    raise MachineError(f"unknown condition {cond}")
+# ---------------------------------------------------------------------- decoding
+#
+# Handlers build their records positionally with ``tuple.__new__``, in
+# InstructionRecord's field order: pc, event_type, dest_reg, src_reg,
+# dest_addr, src_addr, size, is_load, is_store, base_reg, index_reg,
+# is_cond_test, is_indirect_jump, thread_id, immediate.  A record with no
+# dynamic field is built once, at decode time, for thread 0.
 
+_new_record = tuple.__new__
+_SIGN_BIT = 0x8000_0000
+_WRAP = 1 << 32
+_ESP = int(Register.ESP)
+_ESI = int(Register.ESI)
+_EDI = int(Register.EDI)
+_EAX = int(Register.EAX)
 
 _ALU_OPS = {
-    Opcode.ADD: lambda a, b: a + b,
-    Opcode.SUB: lambda a, b: a - b,
-    Opcode.AND: lambda a, b: a & b,
-    Opcode.OR: lambda a, b: a | b,
-    Opcode.XOR: lambda a, b: a ^ b,
-    Opcode.MUL: lambda a, b: a * b,
+    Opcode.ADD: operator.add,
+    Opcode.SUB: operator.sub,
+    Opcode.AND: operator.and_,
+    Opcode.OR: operator.or_,
+    Opcode.XOR: operator.xor,
+    Opcode.MUL: operator.mul,
+}
+#: Each condition, tested against the last compare result and 0.
+_CONDITIONS = {
+    Cond.EQ: operator.eq,
+    Cond.NE: operator.ne,
+    Cond.LT: operator.lt,
+    Cond.LE: operator.le,
+    Cond.GT: operator.gt,
+    Cond.GE: operator.ge,
+}
+#: The event of each system call kind; any other kind is ``syscall_other``.
+_SYSCALL_EVENTS = {
+    SyscallKind.READ: EventType.SYSCALL_READ,
+    SyscallKind.RECV: EventType.SYSCALL_RECV,
+    SyscallKind.WRITE: EventType.SYSCALL_WRITE,
 }
 
-_REGULAR_DISPATCH = {
-    Opcode.MOV: Machine._exec_mov,
-    Opcode.MOVS: Machine._exec_movs,
-    Opcode.LEA: Machine._exec_lea,
-    Opcode.ADD: Machine._exec_alu,
-    Opcode.SUB: Machine._exec_alu,
-    Opcode.AND: Machine._exec_alu,
-    Opcode.OR: Machine._exec_alu,
-    Opcode.XOR: Machine._exec_alu,
-    Opcode.MUL: Machine._exec_alu,
-    Opcode.SHL: Machine._exec_shift,
-    Opcode.SHR: Machine._exec_shift,
-    Opcode.CMP: Machine._exec_compare,
-    Opcode.TEST: Machine._exec_compare,
-    Opcode.PUSH: Machine._exec_push,
-    Opcode.POP: Machine._exec_pop,
-    Opcode.JMP: Machine._exec_jmp,
-    Opcode.JCC: Machine._exec_jcc,
-    Opcode.JMP_INDIRECT: Machine._exec_jmp_indirect,
-    Opcode.CALL: Machine._exec_call,
-    Opcode.CALL_INDIRECT: Machine._exec_call_indirect,
-    Opcode.RET: Machine._exec_ret,
-    Opcode.XCHG: Machine._exec_xchg,
-    Opcode.NOP: Machine._exec_nop,
-    Opcode.HALT: Machine._exec_halt,
+
+def _signed32(value: int) -> int:
+    value &= WORD_MASK
+    return value - _WRAP if value & _SIGN_BIT else value
+
+
+def _cmp(lhs: int, rhs: int) -> int:
+    return _signed32(lhs) - _signed32(rhs)
+
+
+def _test(lhs: int, rhs: int) -> int:
+    return _signed32(lhs & rhs)
+
+
+def _for_thread(record: InstructionRecord, thread_id: int) -> InstructionRecord:
+    """A decode-time record (built for thread 0) as retired by ``thread_id``."""
+    return _new_record(InstructionRecord, (*record[:13], thread_id, record[14]))
+
+
+def _check_readable(*operands: Optional[Operand]) -> None:
+    for operand in operands:
+        if type(operand) not in (Reg, Imm, Mem):
+            raise MachineError(f"unsupported operand {operand!r}")
+
+
+def _check_writable(*operands: Optional[Operand]) -> None:
+    for operand in operands:
+        if type(operand) not in (Reg, Mem):
+            raise MachineError(f"cannot write to operand {operand!r}")
+
+
+def _address_registers(mem: Mem) -> Tuple[Optional[int], Optional[int]]:
+    """The ``base_reg`` and ``index_reg`` a record names for ``mem``."""
+    base = None if mem.base is None else int(mem.base)
+    index = None if mem.index is None else int(mem.index)
+    return base, index
+
+
+def _address(mem: Mem) -> Callable[[List[int]], int]:
+    """``mem``'s effective address as a function of the register values,
+    specialised for the registers it names."""
+    base, index = _address_registers(mem)
+    scale, disp = mem.scale, mem.disp
+    if index is None:
+        if base is None:
+            return lambda regs: disp & WORD_MASK
+        return lambda regs: (regs[base] + disp) & WORD_MASK
+    if base is None:
+        return lambda regs: (regs[index] * scale + disp) & WORD_MASK
+    return lambda regs: (regs[base] + regs[index] * scale + disp) & WORD_MASK
+
+
+def _reader(operand: Optional[Operand]) -> Callable[["Machine"], int]:
+    """``operand``'s value as a function of the machine, for the rare forms."""
+    _check_readable(operand)
+    if type(operand) is Reg:
+        register = int(operand.reg)
+        return lambda m: m._regs[register]
+    if type(operand) is Imm:
+        value = operand.value & WORD_MASK
+        return lambda m: value
+    address, size = _address(operand), operand.size
+    return lambda m: m.memory.read_uint(address(m._regs), size)
+
+
+def _moves_address(mem: Mem, register: int) -> bool:
+    """Whether writing ``register`` moves ``mem``'s effective address.
+
+    An instruction that writes such a register records the address computed
+    after its write, not the one it accessed: the capture defect of ROADMAP
+    item 1.  The records stay byte-identical to the goldens that pin it, so
+    every form that can hit it decides this here, at decode time, and
+    reproduces the defect in one branch marked "capture defect"; the fix
+    deletes those branches.
+    """
+    return register == mem.base or register == mem.index
+
+
+def _decode_mov(instruction: Instruction, pc: int, nxt: int, program: Program) -> Handler:
+    dest, src = instruction.dest, instruction.src
+    _check_readable(src)
+    _check_writable(dest)
+    if type(dest) is Reg:
+        d = int(dest.reg)
+        if type(src) is Imm:
+            value = src.value & WORD_MASK
+            record = InstructionRecord(pc, EventType.IMM_TO_REG, dest_reg=d, immediate=src.value)
+
+            def mov_reg_imm(m: Machine) -> List[Record]:
+                m._regs[d] = value
+                m._index = nxt
+                m.stats.instructions += 1
+                return [record] if not m.thread_id else [_for_thread(record, m.thread_id)]
+
+            return mov_reg_imm
+        if type(src) is Reg:
+            s = int(src.reg)
+            record = InstructionRecord(pc, EventType.REG_TO_REG, dest_reg=d, src_reg=s)
+
+            def mov_reg_reg(m: Machine) -> List[Record]:
+                regs = m._regs
+                regs[d] = regs[s]
+                m._index = nxt
+                m.stats.instructions += 1
+                return [record] if not m.thread_id else [_for_thread(record, m.thread_id)]
+
+            return mov_reg_reg
+        address_of = _address(src)
+        size = src.size
+        base_reg, index_reg = _address_registers(src)
+        event = EventType.MEM_TO_REG
+        moves = _moves_address(src, d)
+
+        def mov_reg_mem(m: Machine) -> List[Record]:
+            regs = m._regs
+            address = address_of(regs)
+            regs[d] = m.memory.read_uint(address, size) & WORD_MASK
+            if moves:  # capture defect: the record takes the moved address
+                address = address_of(regs)
+            m._index = nxt
+            m.stats.instructions += 1
+            return [_new_record(InstructionRecord, (
+                pc, event, d, None, None, address, size, True, False,
+                base_reg, index_reg, False, False, m.thread_id, None))]
+
+        return mov_reg_mem
+
+    address_of = _address(dest)
+    size = dest.size
+    base_reg, index_reg = _address_registers(dest)
+    if type(src) is Mem:
+        source = _address(src)
+        source_size = src.size
+        event = EventType.MEM_TO_MEM
+
+        def mov_mem_mem(m: Machine) -> List[Record]:
+            regs = m._regs
+            memory = m.memory
+            src_address = source(regs)
+            address = address_of(regs)
+            memory.write_uint(address, memory.read_uint(src_address, source_size), size)
+            m._index = nxt
+            m.stats.instructions += 1
+            return [_new_record(InstructionRecord, (
+                pc, event, None, None, address, src_address, size, True, True,
+                base_reg, index_reg, False, False, m.thread_id, None))]
+
+        return mov_mem_mem
+    if type(src) is Reg:
+        s = int(src.reg)
+        event = EventType.REG_TO_MEM
+
+        def mov_mem_reg(m: Machine) -> List[Record]:
+            regs = m._regs
+            address = address_of(regs)
+            m.memory.write_uint(address, regs[s], size)
+            m._index = nxt
+            m.stats.instructions += 1
+            return [_new_record(InstructionRecord, (
+                pc, event, None, s, address, None, size, False, True,
+                base_reg, index_reg, False, False, m.thread_id, None))]
+
+        return mov_mem_reg
+    value, immediate = src.value & WORD_MASK, src.value
+    event = EventType.IMM_TO_MEM
+
+    def mov_mem_imm(m: Machine) -> List[Record]:
+        address = address_of(m._regs)
+        m.memory.write_uint(address, value, size)
+        m._index = nxt
+        m.stats.instructions += 1
+        return [_new_record(InstructionRecord, (
+            pc, event, None, None, address, None, size, False, True,
+            base_reg, index_reg, False, False, m.thread_id, immediate))]
+
+    return mov_mem_imm
+
+
+def _decode_lea(instruction: Instruction, pc: int, nxt: int, program: Program) -> Handler:
+    dest, src = instruction.dest, instruction.src
+    if type(dest) is not Reg or type(src) is not Mem:
+        raise MachineError(f"lea needs a register and a memory operand, got {instruction.operands!r}")
+    d = int(dest.reg)
+    address = _address(src)
+    # Address arithmetic produces a "clean" value: model as imm_to_reg.
+    record = InstructionRecord(pc, EventType.IMM_TO_REG, dest_reg=d)
+
+    def lea(m: Machine) -> List[Record]:
+        regs = m._regs
+        regs[d] = address(regs)
+        m._index = nxt
+        m.stats.instructions += 1
+        return [record] if not m.thread_id else [_for_thread(record, m.thread_id)]
+
+    return lea
+
+
+def _decode_movs(instruction: Instruction, pc: int, nxt: int, program: Program) -> Handler:
+    count = instruction.count
+    event = EventType.MEM_TO_MEM
+
+    def movs(m: Machine) -> List[Record]:
+        regs = m._regs
+        src_address, dest_address = regs[_ESI], regs[_EDI]
+        m.memory.copy(dest_address, src_address, count)
+        regs[_ESI] = (src_address + count) & WORD_MASK
+        regs[_EDI] = (dest_address + count) & WORD_MASK
+        m._index = nxt
+        m.stats.instructions += 1
+        return [_new_record(InstructionRecord, (
+            pc, event, None, None, dest_address, src_address, count, True, True,
+            None, None, False, False, m.thread_id, None))]
+
+    return movs
+
+
+def _decode_alu(instruction: Instruction, pc: int, nxt: int, program: Program) -> Handler:
+    dest, src = instruction.dest, instruction.src
+    _check_readable(dest, src)
+    _check_writable(dest)
+    op = _ALU_OPS[instruction.opcode]
+    if type(dest) is Reg:
+        d = int(dest.reg)
+        if type(src) is Imm:
+            record = InstructionRecord(pc, EventType.REG_SELF, dest_reg=d, immediate=src.value)
+            value = src.value & WORD_MASK
+
+            def alu_reg_imm(m: Machine) -> List[Record]:
+                regs = m._regs
+                result = op(regs[d], value) & WORD_MASK
+                regs[d] = result
+                m.registers.last_compare = result - _WRAP if result & _SIGN_BIT else result
+                m._index = nxt
+                m.stats.instructions += 1
+                return [record] if not m.thread_id else [_for_thread(record, m.thread_id)]
+
+            return alu_reg_imm
+        if type(src) is Reg:
+            s = int(src.reg)
+            record = InstructionRecord(pc, EventType.DEST_REG_OP_REG, dest_reg=d, src_reg=s)
+
+            def alu_reg_reg(m: Machine) -> List[Record]:
+                regs = m._regs
+                result = op(regs[d], regs[s]) & WORD_MASK
+                regs[d] = result
+                m.registers.last_compare = result - _WRAP if result & _SIGN_BIT else result
+                m._index = nxt
+                m.stats.instructions += 1
+                return [record] if not m.thread_id else [_for_thread(record, m.thread_id)]
+
+            return alu_reg_reg
+        address_of = _address(src)
+        size = src.size
+        base_reg, index_reg = _address_registers(src)
+        event = EventType.DEST_REG_OP_MEM
+        moves = _moves_address(src, d)
+
+        def alu_reg_mem(m: Machine) -> List[Record]:
+            regs = m._regs
+            address = address_of(regs)
+            result = op(regs[d], m.memory.read_uint(address, size)) & WORD_MASK
+            regs[d] = result
+            m.registers.last_compare = result - _WRAP if result & _SIGN_BIT else result
+            if moves:  # capture defect: the record takes the moved address
+                address = address_of(regs)
+            m._index = nxt
+            m.stats.instructions += 1
+            return [_new_record(InstructionRecord, (
+                pc, event, d, None, None, address, size, True, False,
+                base_reg, index_reg, False, False, m.thread_id, None))]
+
+        return alu_reg_mem
+    if type(src) is Mem:
+        raise MachineError(f"unsupported ALU operands {instruction.operands!r}")
+    # op [m], reg and op [m], imm
+    address_of = _address(dest)
+    size = dest.size
+    base_reg, index_reg = _address_registers(dest)
+    read_src = _reader(src)
+    if type(src) is Reg:
+        event, src_reg, immediate = EventType.DEST_MEM_OP_REG, int(src.reg), None
+    else:
+        event, src_reg, immediate = EventType.MEM_SELF, None, src.value
+
+    def alu_mem(m: Machine) -> List[Record]:
+        memory = m.memory
+        address = address_of(m._regs)
+        result = op(memory.read_uint(address, size), read_src(m)) & WORD_MASK
+        memory.write_uint(address, result, size)
+        m.registers.last_compare = result - _WRAP if result & _SIGN_BIT else result
+        m._index = nxt
+        m.stats.instructions += 1
+        return [_new_record(InstructionRecord, (
+            pc, event, None, src_reg, address, None, size, True, True,
+            base_reg, index_reg, False, False, m.thread_id, immediate))]
+
+    return alu_mem
+
+
+def _decode_shift(instruction: Instruction, pc: int, nxt: int, program: Program) -> Handler:
+    dest, src = instruction.dest, instruction.src
+    if type(src) is not Imm:
+        raise MachineError(f"shift amount must be an immediate, got {src!r}")
+    _check_readable(dest)
+    _check_writable(dest)
+    shift = operator.lshift if instruction.opcode is Opcode.SHL else operator.rshift
+    amount = src.value & 31
+    if type(dest) is Reg:
+        d = int(dest.reg)
+        record = InstructionRecord(pc, EventType.REG_SELF, dest_reg=d, immediate=src.value)
+
+        def shift_reg(m: Machine) -> List[Record]:
+            regs = m._regs
+            regs[d] = shift(regs[d], amount) & WORD_MASK
+            m._index = nxt
+            m.stats.instructions += 1
+            return [record] if not m.thread_id else [_for_thread(record, m.thread_id)]
+
+        return shift_reg
+    address_of = _address(dest)
+    size = dest.size
+    base_reg, index_reg = _address_registers(dest)
+    event, immediate = EventType.MEM_SELF, src.value
+
+    def shift_mem(m: Machine) -> List[Record]:
+        memory = m.memory
+        address = address_of(m._regs)
+        memory.write_uint(address, shift(memory.read_uint(address, size), amount) & WORD_MASK, size)
+        m._index = nxt
+        m.stats.instructions += 1
+        return [_new_record(InstructionRecord, (
+            pc, event, None, None, address, None, size, True, True,
+            base_reg, index_reg, False, False, m.thread_id, immediate))]
+
+    return shift_mem
+
+
+def _decode_compare(instruction: Instruction, pc: int, nxt: int, program: Program) -> Handler:
+    a, b = instruction.dest, instruction.src
+    _check_readable(a, b)
+    src_reg = int(a.reg) if type(a) is Reg else int(b.reg) if type(b) is Reg else None
+    is_cmp = instruction.opcode is Opcode.CMP
+    if is_cmp and type(a) is Reg and type(b) is Imm:
+        register, rhs = int(a.reg), _signed32(b.value)
+        record = InstructionRecord(pc, EventType.COND_TEST, src_reg=register, is_cond_test=True)
+
+        def cmp_reg_imm(m: Machine) -> List[Record]:
+            lhs = m._regs[register]
+            m.registers.last_compare = (lhs - _WRAP if lhs & _SIGN_BIT else lhs) - rhs
+            m._index = nxt
+            m.stats.instructions += 1
+            return [record] if not m.thread_id else [_for_thread(record, m.thread_id)]
+
+        return cmp_reg_imm
+    read_a, read_b = _reader(a), _reader(b)
+    compare = _cmp if is_cmp else _test
+    mem = a if type(a) is Mem else b if type(b) is Mem else None
+    if mem is None:
+        record = InstructionRecord(pc, EventType.COND_TEST, src_reg=src_reg, is_cond_test=True)
+
+        def compare_operands(m: Machine) -> List[Record]:
+            m.registers.last_compare = compare(read_a(m), read_b(m))
+            m._index = nxt
+            m.stats.instructions += 1
+            return [record] if not m.thread_id else [_for_thread(record, m.thread_id)]
+
+        return compare_operands
+    address_of, size = _address(mem), mem.size
+    event = EventType.COND_TEST
+
+    def compare_mem(m: Machine) -> List[Record]:
+        m.registers.last_compare = compare(read_a(m), read_b(m))
+        m._index = nxt
+        m.stats.instructions += 1
+        return [_new_record(InstructionRecord, (
+            pc, event, None, src_reg, None, address_of(m._regs), size, True, False,
+            None, None, True, False, m.thread_id, None))]
+
+    return compare_mem
+
+
+def _decode_push(instruction: Instruction, pc: int, nxt: int, program: Program) -> Handler:
+    src = instruction.dest
+    _check_readable(src)
+    if type(src) is Mem:
+        address_of, size = _address(src), src.size
+        base_reg, index_reg = _address_registers(src)
+        event = EventType.MEM_TO_MEM
+        moves = _moves_address(src, _ESP)
+
+        def push_mem(m: Machine) -> List[Record]:
+            regs = m._regs
+            src_address = address_of(regs)
+            value = m.memory.read_uint(src_address, size)
+            esp = (regs[_ESP] - 4) & WORD_MASK
+            regs[_ESP] = esp
+            m.memory.write_uint(esp, value, 4)
+            if moves:  # capture defect: the record takes the moved address
+                src_address = address_of(regs)
+            m._index = nxt
+            m.stats.instructions += 1
+            return [_new_record(InstructionRecord, (
+                pc, event, None, None, esp, src_address, 4, True, True,
+                base_reg, index_reg, False, False, m.thread_id, None))]
+
+        return push_mem
+    read = _reader(src)
+    if type(src) is Reg:
+        event, src_reg, immediate = EventType.REG_TO_MEM, int(src.reg), None
+    else:
+        event, src_reg, immediate = EventType.IMM_TO_MEM, None, src.value
+
+    def push(m: Machine) -> List[Record]:
+        regs = m._regs
+        value = read(m)
+        esp = (regs[_ESP] - 4) & WORD_MASK
+        regs[_ESP] = esp
+        m.memory.write_uint(esp, value, 4)
+        m._index = nxt
+        m.stats.instructions += 1
+        return [_new_record(InstructionRecord, (
+            pc, event, None, src_reg, esp, None, 4, False, True,
+            None, None, False, False, m.thread_id, immediate))]
+
+    return push
+
+
+def _decode_pop(instruction: Instruction, pc: int, nxt: int, program: Program) -> Handler:
+    dest = instruction.dest
+    if type(dest) is not Reg:
+        raise MachineError(f"pop needs a register operand, got {dest!r}")
+    d = int(dest.reg)
+    event = EventType.MEM_TO_REG
+
+    def pop(m: Machine) -> List[Record]:
+        regs = m._regs
+        esp = regs[_ESP]
+        regs[d] = m.memory.read_uint(esp, 4)
+        regs[_ESP] = (esp + 4) & WORD_MASK
+        m._index = nxt
+        m.stats.instructions += 1
+        return [_new_record(InstructionRecord, (
+            pc, event, d, None, None, esp, 4, True, False,
+            None, None, False, False, m.thread_id, None))]
+
+    return pop
+
+
+def _decode_jmp(instruction: Instruction, pc: int, nxt: int, program: Program) -> Handler:
+    target = program.index_of_label(instruction.target)
+    record = InstructionRecord(pc, EventType.CONTROL)
+
+    def jmp(m: Machine) -> List[Record]:
+        m._index = target
+        m.stats.instructions += 1
+        return [record] if not m.thread_id else [_for_thread(record, m.thread_id)]
+
+    return jmp
+
+
+def _decode_jcc(instruction: Instruction, pc: int, nxt: int, program: Program) -> Handler:
+    taken = _CONDITIONS.get(instruction.cond)
+    if taken is None:
+        raise MachineError(f"unknown condition {instruction.cond}")
+    target = program.index_of_label(instruction.target)
+    record = InstructionRecord(pc, EventType.CONTROL)
+
+    def jcc(m: Machine) -> List[Record]:
+        compare = m.registers.last_compare
+        if compare is None:
+            raise MachineError("conditional jump before any compare")
+        m._index = target if taken(compare, 0) else nxt
+        m.stats.instructions += 1
+        return [record] if not m.thread_id else [_for_thread(record, m.thread_id)]
+
+    return jcc
+
+
+def _decode_indirect(instruction: Instruction, pc: int, nxt: int, program: Program) -> Handler:
+    """``jmp_indirect`` and ``call_indirect`` through a register, memory or
+    immediate operand."""
+    src = instruction.dest
+    read = _reader(src)
+    src_reg = int(src.reg) if type(src) is Reg else None
+    is_mem = type(src) is Mem
+    address_of = _address(src) if is_mem else None
+    event = EventType.INDIRECT_JUMP
+    if instruction.opcode is Opcode.JMP_INDIRECT:
+        size = src.size if is_mem else 0
+
+        def jmp_indirect(m: Machine) -> List[Record]:
+            m._index = nxt
+            m._jump_to_address(read(m))
+            m.stats.instructions += 1
+            src_address = address_of(m._regs) if is_mem else None
+            return [_new_record(InstructionRecord, (
+                pc, event, None, src_reg, None, src_address, size, is_mem, False,
+                None, None, False, True, m.thread_id, None))]
+
+        return jmp_indirect
+    return_pc = pc + INSTRUCTION_BYTES
+    moves = is_mem and _moves_address(src, _ESP)
+
+    def call_indirect(m: Machine) -> List[Record]:
+        regs = m._regs
+        src_address = address_of(regs) if is_mem else None
+        target = read(m)
+        esp = (regs[_ESP] - 4) & WORD_MASK
+        regs[_ESP] = esp
+        m.memory.write_uint(esp, return_pc, 4)
+        m._index = nxt
+        m._jump_to_address(target)
+        if moves:  # capture defect: the record takes the moved address
+            src_address = address_of(regs)
+        m.stats.instructions += 1
+        return [_new_record(InstructionRecord, (
+            pc, event, None, src_reg, esp, src_address, 4, is_mem, True,
+            None, None, False, True, m.thread_id, None))]
+
+    return call_indirect
+
+
+def _decode_call(instruction: Instruction, pc: int, nxt: int, program: Program) -> Handler:
+    target = program.index_of_label(instruction.target)
+    return_pc = pc + INSTRUCTION_BYTES
+    event = EventType.IMM_TO_MEM
+
+    def call(m: Machine) -> List[Record]:
+        regs = m._regs
+        esp = (regs[_ESP] - 4) & WORD_MASK
+        regs[_ESP] = esp
+        m.memory.write_uint(esp, return_pc, 4)
+        m._index = target
+        m.stats.instructions += 1
+        return [_new_record(InstructionRecord, (
+            pc, event, None, None, esp, None, 4, False, True,
+            None, None, False, False, m.thread_id, return_pc))]
+
+    return call
+
+
+def _decode_ret(instruction: Instruction, pc: int, nxt: int, program: Program) -> Handler:
+    event = EventType.INDIRECT_JUMP
+
+    def ret(m: Machine) -> List[Record]:
+        regs = m._regs
+        esp = regs[_ESP]
+        target = m.memory.read_uint(esp, 4)
+        regs[_ESP] = (esp + 4) & WORD_MASK
+        m._index = nxt
+        m._jump_to_address(target)
+        m.stats.instructions += 1
+        return [_new_record(InstructionRecord, (
+            pc, event, None, None, None, esp, 4, True, False,
+            None, None, False, True, m.thread_id, None))]
+
+    return ret
+
+
+def _decode_xchg(instruction: Instruction, pc: int, nxt: int, program: Program) -> Handler:
+    a, b = instruction.dest, instruction.src
+    _check_readable(a, b)
+    _check_writable(a, b)
+    dest_reg = int(a.reg) if type(a) is Reg else None
+    src_reg = int(b.reg) if type(b) is Reg else None
+    event = EventType.OTHER
+    if type(a) is Reg and type(b) is Reg:
+        record = InstructionRecord(pc, event, dest_reg=dest_reg, src_reg=src_reg)
+
+        def xchg_regs(m: Machine) -> List[Record]:
+            regs = m._regs
+            regs[dest_reg], regs[src_reg] = regs[src_reg], regs[dest_reg]
+            m._index = nxt
+            m.stats.instructions += 1
+            return [record] if not m.thread_id else [_for_thread(record, m.thread_id)]
+
+        return xchg_regs
+    mem = a if type(a) is Mem else b
+    address_of, size = _address(mem), mem.size
+    if type(a) is Mem and type(b) is Mem:
+        other_address_of, other_size = _address(b), b.size
+
+        def xchg_mems(m: Machine) -> List[Record]:
+            regs = m._regs
+            memory = m.memory
+            address, other = address_of(regs), other_address_of(regs)
+            value, other_value = memory.read_uint(address, size), memory.read_uint(other, other_size)
+            memory.write_uint(address, other_value, size)
+            memory.write_uint(other, value, other_size)
+            m._index = nxt
+            m.stats.instructions += 1
+            return [_new_record(InstructionRecord, (
+                pc, event, None, None, address, None, size, True, True,
+                None, None, False, False, m.thread_id, None))]
+
+        return xchg_mems
+    r = dest_reg if dest_reg is not None else src_reg
+    moves = _moves_address(mem, r)
+    register_first = type(a) is Reg
+
+    def xchg_reg_mem(m: Machine) -> List[Record]:
+        regs = m._regs
+        memory = m.memory
+        address = recorded = address_of(regs)
+        register_value = regs[r]
+        regs[r] = memory.read_uint(address, size) & WORD_MASK
+        if moves:
+            # Capture defect: the record takes the moved address, and so does
+            # the memory write when the register is the first operand.
+            recorded = address_of(regs)
+            if register_first:
+                address = recorded
+        memory.write_uint(address, register_value, size)
+        m._index = nxt
+        m.stats.instructions += 1
+        return [_new_record(InstructionRecord, (
+            pc, event, dest_reg, src_reg, recorded, None, size, True, True,
+            None, None, False, False, m.thread_id, None))]
+
+    return xchg_reg_mem
+
+
+def _decode_nop(instruction: Instruction, pc: int, nxt: int, program: Program) -> Handler:
+    record = InstructionRecord(pc, EventType.CONTROL)
+    halts = instruction.opcode is Opcode.HALT
+
+    def nop(m: Machine) -> List[Record]:
+        m._index = nxt
+        m.stats.instructions += 1
+        if halts:
+            m.halted = True
+        return [record] if not m.thread_id else [_for_thread(record, m.thread_id)]
+
+    return nop
+
+
+# ------------------------------------------------------------------ annotations
+
+
+def _decode_heap(instruction: Instruction, pc: int, nxt: int, program: Program) -> Handler:
+    """``malloc``, ``free`` and ``realloc``."""
+    opcode = instruction.opcode
+    read = _reader(instruction.dest)
+    if opcode is Opcode.MALLOC:
+
+        def malloc(m: Machine) -> List[Record]:
+            m._index = nxt
+            m.stats.instructions += 1
+            size = read(m)
+            try:
+                block = m.allocator.malloc(size)
+            except AllocationError as exc:
+                raise Trap(str(exc)) from exc
+            m._regs[_EAX] = block.address & WORD_MASK
+            return [AnnotationRecord(
+                EventType.MALLOC, address=block.address, size=size, thread_id=m.thread_id, pc=pc,
+            )]
+
+        return malloc
+    if opcode is Opcode.FREE:
+
+        def free(m: Machine) -> List[Record]:
+            m._index = nxt
+            m.stats.instructions += 1
+            address = read(m)
+            size = 0
+            try:
+                size = m.allocator.free(address).size
+            except AllocationError:
+                # Invalid/double free: the program proceeds; the lifeguard flags it.
+                pass
+            return [AnnotationRecord(
+                EventType.FREE, address=address, size=size, thread_id=m.thread_id, pc=pc,
+            )]
+
+        return free
+    read_size = _reader(instruction.src)
+
+    def realloc(m: Machine) -> List[Record]:
+        m._index = nxt
+        m.stats.instructions += 1
+        old_address, new_size = read(m), read_size(m)
+        try:
+            old_block, new_block = m.allocator.realloc(old_address, new_size)
+        except AllocationError as exc:
+            raise Trap(str(exc)) from exc
+        m.memory.copy(new_block.address, old_address, min(old_block.size, new_size))
+        m._regs[_EAX] = new_block.address & WORD_MASK
+        return [AnnotationRecord(
+            EventType.REALLOC, address=new_block.address, size=new_size,
+            thread_id=m.thread_id, pc=pc, payload=old_address,
+        )]
+
+    return realloc
+
+
+def _decode_lock(instruction: Instruction, pc: int, nxt: int, program: Program) -> Handler:
+    """``lock`` and ``unlock``.  With a lock manager, a ``lock`` the thread
+    cannot take blocks: it neither advances nor counts."""
+    read = _reader(instruction.dest)
+    if instruction.opcode is Opcode.UNLOCK:
+
+        def unlock(m: Machine) -> List[Record]:
+            m._index = nxt
+            m.stats.instructions += 1
+            address = read(m)
+            if m.lock_manager is not None:
+                m.lock_manager.release(address, m.thread_id)
+            return [AnnotationRecord(EventType.UNLOCK, address=address, thread_id=m.thread_id, pc=pc)]
+
+        return unlock
+
+    def lock(m: Machine) -> List[Record]:
+        address = read(m)
+        if m.lock_manager is not None:
+            if not m.lock_manager.try_acquire(address, m.thread_id):
+                m.blocked = True
+                return []
+            m.blocked = False
+        m._index = nxt
+        m.stats.instructions += 1
+        return [AnnotationRecord(EventType.LOCK, address=address, thread_id=m.thread_id, pc=pc)]
+
+    return lock
+
+
+def _decode_syscall(instruction: Instruction, pc: int, nxt: int, program: Program) -> Handler:
+    read_buffer, read_length = _reader(instruction.dest), _reader(instruction.src)
+    kind = instruction.syscall
+    event = _SYSCALL_EVENTS.get(kind, EventType.SYSCALL_OTHER)
+    fills_buffer = kind in (SyscallKind.READ, SyscallKind.RECV)
+
+    def syscall(m: Machine) -> List[Record]:
+        m._index = nxt
+        m.stats.instructions += 1
+        buffer, length = read_buffer(m), read_length(m)
+        if fills_buffer:
+            data = m.input_provider(length)[:length]
+            if data:
+                m.memory.write(buffer, data)
+        return [AnnotationRecord(event, address=buffer, size=length, thread_id=m.thread_id, pc=pc)]
+
+    return syscall
+
+
+def _decode_printf(instruction: Instruction, pc: int, nxt: int, program: Program) -> Handler:
+    fmt = instruction.dest
+    # The format string's address: a memory operand names it, a register or
+    # an immediate holds it.
+    address_of = _address(fmt) if type(fmt) is Mem else None
+    read = None if address_of is not None else _reader(fmt)
+
+    def printf(m: Machine) -> List[Record]:
+        m._index = nxt
+        m.stats.instructions += 1
+        address = address_of(m._regs) if read is None else read(m)
+        return [AnnotationRecord(EventType.PRINTF, address=address, thread_id=m.thread_id, pc=pc)]
+
+    return printf
+
+
+# -------------------------------------------------------------------- the table
+
+_DECODERS: Dict[Opcode, Callable[[Instruction, int, int, Program], Handler]] = {
+    Opcode.MOV: _decode_mov,
+    Opcode.MOVS: _decode_movs,
+    Opcode.LEA: _decode_lea,
+    **{opcode: _decode_alu for opcode in _ALU_OPS},
+    Opcode.SHL: _decode_shift,
+    Opcode.SHR: _decode_shift,
+    Opcode.CMP: _decode_compare,
+    Opcode.TEST: _decode_compare,
+    Opcode.PUSH: _decode_push,
+    Opcode.POP: _decode_pop,
+    Opcode.JMP: _decode_jmp,
+    Opcode.JCC: _decode_jcc,
+    Opcode.JMP_INDIRECT: _decode_indirect,
+    Opcode.CALL: _decode_call,
+    Opcode.CALL_INDIRECT: _decode_indirect,
+    Opcode.RET: _decode_ret,
+    Opcode.XCHG: _decode_xchg,
+    Opcode.NOP: _decode_nop,
+    Opcode.HALT: _decode_nop,
+    Opcode.MALLOC: _decode_heap,
+    Opcode.FREE: _decode_heap,
+    Opcode.REALLOC: _decode_heap,
+    Opcode.LOCK: _decode_lock,
+    Opcode.UNLOCK: _decode_lock,
+    Opcode.SYSCALL: _decode_syscall,
+    Opcode.PRINTF: _decode_printf,
 }
+
+
+def _rejected(error: MachineError) -> Handler:
+    """The handler of a form the machine rejects: it raises when it runs."""
+
+    def rejected(m: Machine) -> List[Record]:
+        raise MachineError(*error.args)
+
+    return rejected
+
+
+def _past_the_end(m: Machine) -> List[Record]:
+    """Running off the end of the program halts it without a record."""
+    m.halted = True
+    return []
+
+
+def decode(program: Program) -> Tuple[Handler, ...]:
+    """``program``'s handler table: one handler per instruction, then one for
+    running off its end.  Decoded once per program, on first use, and kept
+    on the program."""
+    if program._handlers is None:
+        handlers = []
+        for index, instruction in enumerate(program.instructions):
+            pc = program.code_base + index * INSTRUCTION_BYTES
+            try:
+                handler = _DECODERS[instruction.opcode](instruction, pc, index + 1, program)
+            except MachineError as error:
+                handler = _rejected(error)
+            handlers.append(handler)
+        handlers.append(_past_the_end)
+        program._handlers = tuple(handlers)
+    return program._handlers

@@ -49,6 +49,9 @@ class Program:
                     raise ValueError(f"duplicate label {instruction.label!r}")
                 self.labels[instruction.label] = index
         self._validate_targets()
+        #: The handler table :func:`repro.isa.machine.decode` builds when the
+        #: first machine is built on this program.
+        self._handlers: Optional[tuple] = None
 
     def _validate_targets(self) -> None:
         for instruction in self.instructions:

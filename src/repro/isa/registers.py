@@ -30,30 +30,30 @@ NUM_GPRS = len(Register)
 
 
 class RegisterFile:
-    """A 32-bit register file plus instruction pointer and compare flags.
+    """A 32-bit register file plus the result of the last compare.
 
-    Values live in a list indexed by register number, so an access is a
-    plain list index: operands are checked to name a :class:`Register`
-    once, when they are built, not on every access.
+    Values live in :attr:`values`, a list indexed by register number, so an
+    access is a plain list index: operands are checked to name a
+    :class:`Register` once, when they are built, not on every access.  The
+    machine's decoded handlers index :attr:`values` directly.
     """
 
     def __init__(self) -> None:
-        self._values: List[int] = [0] * NUM_GPRS
-        self.eip = 0
+        self.values: List[int] = [0] * NUM_GPRS
         #: result of the last CMP/TEST as a signed difference (None before any compare)
         self.last_compare: int | None = None
 
     def read(self, reg: Register) -> int:
         """Read a register as an unsigned 32-bit value."""
-        return self._values[reg]
+        return self.values[reg]
 
     def write(self, reg: Register, value: int) -> None:
         """Write a register, truncating to 32 bits."""
-        self._values[reg] = value & WORD_MASK
+        self.values[reg] = value & WORD_MASK
 
     def items(self) -> Iterator[tuple[Register, int]]:
         """Iterate over ``(register, value)`` pairs."""
-        return zip(Register, self._values)
+        return zip(Register, self.values)
 
     def snapshot(self) -> Dict[str, int]:
         """Return a name→value snapshot (useful in tests and debugging)."""

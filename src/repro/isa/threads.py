@@ -11,7 +11,6 @@ fixed quantum.  Lock contention blocks a thread until the holder releases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.events import AnnotationRecord, EventType
@@ -64,19 +63,6 @@ class LockManager:
         return self._owners.get(address)
 
 
-@dataclass
-class ThreadedStats:
-    """Aggregate statistics of a threaded run."""
-
-    instructions: int = 0
-    context_switches: int = 0
-    per_thread: Dict[int, MachineStats] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.per_thread is None:
-            self.per_thread = {}
-
-
 class DeadlockError(MachineError):
     """Raised when every unfinished thread is blocked on a lock."""
 
@@ -121,7 +107,8 @@ class ThreadedMachine:
             )
             for thread_id, program in enumerate(programs)
         ]
-        self.stats = ThreadedStats()
+        #: instructions retired by all threads together
+        self.stats = MachineStats()
 
     # ------------------------------------------------------------------ driving
 
@@ -129,7 +116,7 @@ class ThreadedMachine:
         self,
         observer: Optional[RecordObserver] = None,
         max_instructions: int = 10_000_000,
-    ) -> ThreadedStats:
+    ) -> MachineStats:
         """Interleave all threads to completion.
 
         Emits ``THREAD_CREATE`` annotations for every thread beyond the first
@@ -176,10 +163,8 @@ class ThreadedMachine:
                     exited.add(machine.thread_id)
                     emit(AnnotationRecord(EventType.THREAD_EXIT, thread_id=machine.thread_id))
                 self.stats.instructions += executed
-                self.stats.context_switches += 1
             if not progress:
                 raise DeadlockError("all runnable threads are blocked on locks")
-        self.stats.per_thread = {m.thread_id: m.stats for m in self.threads}
         return self.stats
 
     def trace(self, max_instructions: int = 10_000_000) -> List[Record]:

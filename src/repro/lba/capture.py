@@ -3,17 +3,17 @@
 Wraps the application machine (single- or multi-threaded) and, for each
 record it emits, computes the application-core cycle cost of the retiring
 instruction (1 cycle base for the in-order core plus instruction-fetch and
-data-access latencies through the core's private caches and the shared L2)
-and the exact compressed log bytes written.  The bytes are counted by the
-trace codec itself: the producer encodes each record once, in stream
-context, into a reused scratch buffer, so its delta chains cost what the
-wire format would.  The resulting ``(record, app_cycles)`` stream feeds the
-coupling model.
+data-access latencies through the core's private caches and the shared L2).
+The resulting ``(record, app_cycles)`` stream feeds the coupling model,
+which sizes the log buffer in records
+(``LogBufferConfig.capacity_records``), so the live path encodes nothing.
 
 The producer can additionally *tee* every record it emits into a
 :class:`repro.trace.tracefile.TraceWriter`, capturing a *live* monitored
 run as a chunked trace file that can later be replayed offline without
-re-executing the ISA machine.  Offline capture with no live run
+re-executing the ISA machine.  The tee is the only encoder on this path:
+``ProducerStats.log_bytes`` adds up the raw bytes it wrote, and stays 0 when
+no writer is attached.  Offline capture with no live run
 (:func:`repro.experiments.harness.capture_trace`) needs none of the
 producer's cost accounting: it writes :func:`iter_machine_records` straight
 into the writer, so each record is encoded once.
@@ -28,7 +28,6 @@ from repro.cache.hierarchy import AccessType, MemoryHierarchy
 from repro.core.events import AnnotationRecord, EventType, InstructionRecord
 from repro.isa.machine import Machine
 from repro.isa.threads import ThreadedMachine
-from repro.trace.codec import RecordEncoder
 
 Record = Union[InstructionRecord, AnnotationRecord]
 ApplicationMachine = Union[Machine, ThreadedMachine]
@@ -98,10 +97,14 @@ def iter_machine_records(
 
 @dataclass
 class ProducerStats:
-    """Aggregate producer-side statistics (log bytes are exact integers)."""
+    """Aggregate producer-side statistics.
+
+    ``log_bytes`` is the raw (uncompressed) bytes the trace writer encoded
+    for the teed records, 0 when no writer is attached.  Application cycles
+    are summed by the coupling model (``TimingBreakdown.app_alone_cycles``).
+    """
 
     records: int = 0
-    app_cycles: int = 0
     log_bytes: int = 0
     instructions: int = 0
     annotations: int = 0
@@ -135,8 +138,6 @@ class LogProducer:
         self.max_instructions = max_instructions
         self.trace_writer = trace_writer
         self.stats = ProducerStats()
-        self._encoder = RecordEncoder()
-        self._scratch = bytearray()
 
     def _record_cost(self, record: Record) -> int:
         # Exact-type check first: instruction records are the common case.
@@ -159,20 +160,15 @@ class LogProducer:
         """Account one record the application core retired.
 
         Computes the application-core cycle cost (charging that core's
-        caches), updates the producer statistics and exact log-byte count,
-        tees the record into the trace writer if one is attached, and
-        returns the cost.  :meth:`stream` calls this for every record the
-        machine emits.
+        caches), counts the record, tees it into the trace writer if one is
+        attached (adding the raw bytes the writer encoded to
+        ``log_bytes``), and returns the cost.  :meth:`stream` calls this for
+        every record the machine emits.
         """
         cost = self._record_cost(record)
-        stats = self.stats
-        stats.records += 1
-        stats.app_cycles += cost
-        scratch = self._scratch
-        scratch.clear()
-        stats.log_bytes += self._encoder.encode_into(scratch, record)
+        self.stats.records += 1
         if self.trace_writer is not None:
-            self.trace_writer.append(record)
+            self.stats.log_bytes += self.trace_writer.append(record)
         return cost
 
     def stream(self) -> Iterator[Tuple[Record, int]]:

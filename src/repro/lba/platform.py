@@ -21,7 +21,7 @@ from repro.cache.hierarchy import MemoryHierarchy
 from repro.core.accelerator import AcceleratorConfig, AcceleratorStats, EventAccelerator
 from repro.core.config import SystemConfig
 from repro.core.events import AnnotationRecord, EventType, InstructionRecord
-from repro.isa.machine import Machine, MachineStats
+from repro.isa.machine import Machine
 from repro.isa.threads import ThreadedMachine
 from repro.lba.capture import LogProducer, ProducerStats
 from repro.lba.dispatch import DispatchStats, EventDispatcher

@@ -61,8 +61,6 @@ class AddressSpace:
     def __init__(self, layout: SegmentLayout | None = None) -> None:
         self.layout = layout or SegmentLayout()
         self._pages: Dict[int, bytearray] = {}
-        self.bytes_written = 0
-        self.bytes_read = 0
 
     # -- low-level byte access ------------------------------------------------
 
@@ -77,7 +75,6 @@ class AddressSpace:
     def read(self, address: int, size: int) -> bytes:
         """Read ``size`` bytes starting at ``address``."""
         self._check_range(address, size)
-        self.bytes_read += size
         out = bytearray(size)
         offset = 0
         while offset < size:
@@ -93,7 +90,6 @@ class AddressSpace:
     def write(self, address: int, data: bytes) -> None:
         """Write ``data`` starting at ``address``."""
         self._check_range(address, len(data))
-        self.bytes_written += len(data)
         offset = 0
         size = len(data)
         while offset < size:
@@ -114,7 +110,6 @@ class AddressSpace:
         """
         offset = address & PAGE_OFFSET_MASK
         if 0 <= address <= ADDRESS_MASK and 0 < size <= PAGE_SIZE - offset:
-            self.bytes_read += size
             page = self._pages.get(address >> PAGE_SHIFT)
             if page is None:
                 return 0
@@ -129,7 +124,6 @@ class AddressSpace:
         value &= (1 << (8 * size)) - 1
         offset = address & PAGE_OFFSET_MASK
         if 0 <= address <= ADDRESS_MASK and 0 < size <= PAGE_SIZE - offset:
-            self.bytes_written += size
             page = self._page_for(address, create=True)
             page[offset : offset + size] = value.to_bytes(size, "little")
             return

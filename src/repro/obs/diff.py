@@ -15,8 +15,11 @@ import os
 from typing import Dict, List, Optional, Tuple
 
 #: (numerator, denominator, label) hit-rate triples surfaced by bench diffs.
+#: IT has none: its reduction compares a run with IT against one without
+#: (``core.accelerator.update_event_reduction``), which one snapshot cannot
+#: hold, and a discard rate over every event IT saw would be a second,
+#: larger number (it counts the self events no configuration delivers).
 _HIT_RATES: Tuple[Tuple[str, str, str], ...] = (
-    ("it.events_discarded", "it.events_seen", "IT discard rate"),
     ("if.hits", "if.lookups", "IF hit rate"),
     ("mtlb.hits", "mtlb.lookups", "M-TLB hit rate"),
 )

