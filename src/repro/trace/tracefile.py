@@ -110,6 +110,12 @@ class TraceStats:
 class TraceWriter:
     """Streams records into a chunked trace file.
 
+    A capture replaces any file at ``path`` with a new file (a symlink at
+    ``path`` is replaced, not followed), so a reader that still holds the
+    old trace open keeps reading the old trace.  The writer never fsyncs;
+    :func:`repair_trace` (``python -m repro.trace verify --repair``) is the
+    durable path, with its temp file, fsync and ``os.replace``.
+
     Usable as a context manager; :meth:`close` finalizes the chunk in
     flight, appends the index and patches the header's index offset.
     """
@@ -130,6 +136,11 @@ class TraceWriter:
         self._chunk = bytearray()
         self._chunk_records = 0
         self._chunks: List[ChunkInfo] = []
+        # Create anew, don't truncate: on ext4 a truncate waits for the old file's write to disk.
+        try:
+            os.unlink(self.path)
+        except FileNotFoundError:
+            pass
         self._file = open(self.path, "wb")
         self._closed = False
         flags = _FLAG_ZLIB if compress else 0

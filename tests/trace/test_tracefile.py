@@ -6,10 +6,12 @@ import struct
 import pytest
 
 from repro.core.events import AnnotationRecord, EventType, InstructionRecord
+from repro.experiments.harness import capture_trace
 from repro.trace.tracefile import (
     TraceFormatError,
     TraceReader,
     TraceWriter,
+    verify_trace,
 )
 from tests.trace.test_codec import _random_record
 
@@ -157,3 +159,35 @@ class TestErrorPaths:
         writer.close()
         with pytest.raises(ValueError, match="closed"):
             writer.append(AnnotationRecord(EventType.MALLOC, address=1, size=1))
+
+
+class TestRewrite:
+    """A capture replaces any file at its path with a new file."""
+
+    def test_open_reader_keeps_the_trace_a_rewrite_replaces(self, tmp_path):
+        path = tmp_path / "op.lbatrace"
+        fresh = tmp_path / "fresh.lbatrace"
+        capture_trace("mcf", path, scale=0.5, chunk_bytes=4096)
+        capture_trace("gzip", fresh, scale=0.5, chunk_bytes=4096)
+        old_size = path.stat().st_size
+        with TraceReader(path) as old:
+            assert old.num_chunks > 1
+            capture_trace("gzip", path, scale=0.5, chunk_bytes=4096)
+            assert path.stat().st_size < old_size
+            # read_chunk checks each chunk's CRC before decoding it.
+            decoded = sum(len(old.read_chunk(index)) for index in range(old.num_chunks))
+            assert decoded == old.num_records
+        assert verify_trace(path).ok
+        assert path.read_bytes() == fresh.read_bytes()
+
+    def test_symlink_at_path_is_replaced_not_followed(self, tmp_path):
+        target = tmp_path / "target.bin"
+        target.write_bytes(b"not a trace")
+        path = tmp_path / "link.lbatrace"
+        path.symlink_to(target)
+        records = _sample_records(50)
+        _write_trace(path, records)
+        assert not path.is_symlink()
+        assert target.read_bytes() == b"not a trace"
+        with TraceReader(path) as reader:
+            assert list(reader) == records
