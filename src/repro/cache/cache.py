@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.config import CacheConfig
 
@@ -32,7 +32,13 @@ class CacheStats:
 
 
 class Cache:
-    """A single level of set-associative, write-back, write-allocate cache."""
+    """A single level of set-associative, write-back, write-allocate cache.
+
+    The cache remembers its most recently used line, which is always
+    resident and most recently used in its set.  An access that repeats
+    that line (most instruction fetches do) counts a hit, and marks the
+    line dirty on a write, without touching the set's LRU order.
+    """
 
     def __init__(self, config: CacheConfig, name: str = "cache") -> None:
         self.config = config
@@ -45,6 +51,10 @@ class Cache:
         self._ways = config.associativity
         # per-set ordered dict: tag -> dirty flag; ordering is LRU (oldest first)
         self._sets: Dict[int, OrderedDict[int, bool]] = {}
+        # The most recently used line and its set.  ``None`` equals no line
+        # number (``address // line_bytes`` is negative for a negative address).
+        self._mru_line: Optional[int] = None
+        self._mru_set: Optional[OrderedDict[int, bool]] = None
 
     def _index_and_tag(self, address: int) -> Tuple[int, int]:
         line = address // self._line_bytes
@@ -60,10 +70,18 @@ class Cache:
         stats.accesses += 1
         line = address // self._line_bytes
         num_sets = self._num_sets
+        if line == self._mru_line:
+            stats.hits += 1
+            if is_write:
+                # Re-assigning a present key keeps its place in the LRU order.
+                self._mru_set[line // num_sets] = True
+            return True
         tag = line // num_sets
         lines = self._sets.get(line % num_sets)
         if lines is None:
             lines = self._sets[line % num_sets] = OrderedDict()
+        self._mru_line = line
+        self._mru_set = lines
         dirty = lines.get(tag)
         if dirty is not None:
             stats.hits += 1
@@ -90,8 +108,6 @@ class Cache:
         line_bytes = self._line_bytes
         first = address // line_bytes
         last = (address + size - 1) // line_bytes if size > 0 else first
-        if last == first:
-            return 0 if self.access(address, is_write) else 1
         misses = 0
         for line in range(first, last + 1):
             if not self.access(line * line_bytes, is_write):
@@ -106,6 +122,8 @@ class Cache:
     def invalidate_all(self) -> None:
         """Drop every resident line (used when reconfiguring between runs)."""
         self._sets.clear()
+        self._mru_line = None
+        self._mru_set = None
 
     def resident_lines(self) -> int:
         """Number of lines currently resident."""

@@ -62,13 +62,19 @@ class MemoryHierarchy:
         """Perform an access and return its latency in cycles.
 
         A miss in the L1 probes the shared L2 once, at ``address``, even
-        when the access spans more than one L1 line.
+        when the access spans more than one L1 line.  An access within one
+        line (almost all of them) is a single :meth:`Cache.access`.
         """
         caches = self._cores[core_id]
         is_write = access_type is _DATA_WRITE
         l1 = caches.l1i if access_type is _INSTRUCTION_FETCH else caches.l1d
-        latency = l1.config.latency_cycles
-        if not l1.access_range(address, size, is_write):
+        config = l1.config
+        latency = config.latency_cycles
+        line_bytes = config.line_bytes
+        if address % line_bytes + size <= line_bytes:
+            if l1.access(address, is_write):
+                return latency
+        elif not l1.access_range(address, size, is_write):
             return latency
         latency += self._l2_latency
         if self.l2.access(address, is_write):

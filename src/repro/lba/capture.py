@@ -1,12 +1,16 @@
 """Producer-side log capture.
 
-Wraps the application machine (single- or multi-threaded) and, for each
-record it emits, computes the application-core cycle cost of the retiring
-instruction (1 cycle base for the in-order core plus instruction-fetch and
-data-access latencies through the core's private caches and the shared L2).
-The resulting ``(record, app_cycles)`` stream feeds the coupling model,
-which sizes the log buffer in records
-(``LogBufferConfig.capacity_records``), so the live path encodes nothing.
+Wraps the application machine (single- or multi-threaded).
+:func:`iter_machine_records` yields the records it emits, and
+:meth:`LogProducer.account` prices each one on the application core (1
+cycle base for the in-order core plus instruction-fetch and data-access
+latencies through the core's private caches and the shared L2).  The live
+loop (:meth:`repro.lba.platform.LBASystem.run`) calls the two itself, one
+call each per record, and hands each cost to the coupling model, which
+sizes the log buffer in records (``LogBufferConfig.capacity_records``), so
+the live path encodes nothing.  :meth:`LogProducer.stream` yields the same
+``(record, app_cycles)`` pairs for callers that want the priced stream on
+its own.
 
 The producer can additionally *tee* every record it emits into a
 :class:`repro.trace.tracefile.TraceWriter`, capturing a *live* monitored
@@ -111,7 +115,7 @@ class ProducerStats:
 
 
 class LogProducer:
-    """Streams ``(record, app_cycle_cost)`` pairs from an application machine.
+    """Prices the records of an application machine on the application core.
 
     Args:
         machine: the application machine to run.
@@ -139,12 +143,27 @@ class LogProducer:
         self.trace_writer = trace_writer
         self.stats = ProducerStats()
 
-    def _record_cost(self, record: Record) -> int:
+    def account(self, record: Record) -> int:
+        """Account one record the application core retired; return its cost.
+
+        Counts the record, tees it into the trace writer if one is attached
+        (adding the raw bytes the writer encoded to ``log_bytes``), and
+        prices it on the application core: an annotation costs its wrapped
+        routine's cycles; an instruction costs its fetch plus its data
+        accesses through that core's caches (1 cycle each, plus 1 per load
+        and store, without a hierarchy).  :meth:`LBASystem.run
+        <repro.lba.platform.LBASystem.run>` calls this for every record the
+        machine emits, and so does :meth:`stream`.
+        """
+        stats = self.stats
+        stats.records += 1
+        if self.trace_writer is not None:
+            stats.log_bytes += self.trace_writer.append(record)
         # Exact-type check first: instruction records are the common case.
         if type(record) is not InstructionRecord and isinstance(record, AnnotationRecord):
-            self.stats.annotations += 1
+            stats.annotations += 1
             return _ANNOTATION_APP_CYCLES.get(record.event_type, 50)
-        self.stats.instructions += 1
+        stats.instructions += 1
         hierarchy = self.hierarchy
         if hierarchy is None:
             return 1 + (1 if record.is_load else 0) + (1 if record.is_store else 0)
@@ -156,23 +175,14 @@ class LogProducer:
             cycles += access(APPLICATION_CORE, record.dest_addr, _DATA_WRITE, record.size or 4)
         return cycles
 
-    def account(self, record: Record) -> int:
-        """Account one record the application core retired.
-
-        Computes the application-core cycle cost (charging that core's
-        caches), counts the record, tees it into the trace writer if one is
-        attached (adding the raw bytes the writer encoded to
-        ``log_bytes``), and returns the cost.  :meth:`stream` calls this for
-        every record the machine emits.
-        """
-        cost = self._record_cost(record)
-        self.stats.records += 1
-        if self.trace_writer is not None:
-            self.stats.log_bytes += self.trace_writer.append(record)
-        return cost
-
     def stream(self) -> Iterator[Tuple[Record, int]]:
-        """Yield ``(record, app_cycles)`` pairs until the program halts."""
+        """Yield ``(record, app_cycles)`` pairs until the program halts.
+
+        For callers that want the priced stream on its own
+        (:func:`repro.lba.platform.run_unmonitored`, tests).  The live loop
+        does not use it: it iterates :func:`iter_machine_records` and calls
+        :meth:`account` itself, saving a generator resume per record.
+        """
         account = self.account
         for record in iter_machine_records(self.machine, self.max_instructions):
             yield record, account(record)

@@ -23,6 +23,7 @@ from repro.core.config import SystemConfig
 from repro.core.events import AnnotationRecord, EventType, InstructionRecord
 from repro.isa.machine import Machine
 from repro.isa.threads import ThreadedMachine
+import repro.lba.capture as capture
 from repro.lba.capture import LogProducer, ProducerStats
 from repro.lba.dispatch import DispatchStats, EventDispatcher
 from repro.lba.timing import CouplingModel, TimingBreakdown
@@ -103,10 +104,22 @@ class LBASystem:
         return self.config.gated_for(self.lifeguard)
 
     def run(self, config_label: str = "") -> MonitoringResult:
-        """Run the monitored program to completion and return the result."""
+        """Run the monitored program to completion and return the result.
+
+        Each record the application machine emits is priced on the
+        application core (``LogProducer.account``), consumed on the
+        lifeguard core (``EventDispatcher.consume``) and fed to the
+        coupling model (``CouplingModel.observe``): one call per layer per
+        record.
+        """
+        producer = self.producer
+        account = producer.account
         consume = self.dispatcher.consume
         observe = self.coupling.observe
-        for record, app_cost in self.producer.stream():
+        # Looked up on the module, so a wrapper installed there (the
+        # benchmark's layer tracer) sees the machine's record stream.
+        for record in capture.iter_machine_records(producer.machine, producer.max_instructions):
+            app_cost = account(record)
             lifeguard_cost = consume(record)
             barrier = (
                 type(record) is not InstructionRecord

@@ -55,6 +55,14 @@ class TestCache:
         cache.invalidate_all()
         assert cache.resident_lines() == 0
 
+    def test_first_access_to_a_negative_line_misses(self):
+        # A new or invalidated cache remembers no line, not even line -1.
+        cache = self.make()
+        assert cache.access(-1) is False
+        cache.invalidate_all()
+        assert cache.access(-64) is False
+        assert cache.stats.misses == 2
+
     def test_miss_rate(self):
         cache = self.make()
         cache.access(0x0)
@@ -154,6 +162,9 @@ class ReferenceCache:
         entries, tag = self._locate(address)
         return any(entry_tag == tag for entry_tag, _dirty in entries)
 
+    def invalidate_all(self):
+        self.sets = [[] for _ in range(self.num_sets)]
+
     def resident_lines(self):
         return sum(len(entries) for entries in self.sets)
 
@@ -191,21 +202,54 @@ def _address(line_bytes, line, delta):
     return max(0, line * line_bytes + delta)
 
 
+#: What an op does: access a line drawn from ``LINES``, access the last
+#: line the previous access touched (its cache's most recently used line
+#: when both go to the same cache) at offset ``delta`` modulo the line
+#: size, or call ``invalidate_all()`` (cache streams only).
+FRESH, REPEAT, INVALIDATE = "fresh", "repeat", "invalidate"
 #: Addresses cluster on a few dozen lines, often near a line end (a negative
 #: delta from a line start); sizes include 0 and negatives.
 LINES = st.integers(0, 40)
 DELTAS = st.one_of(st.integers(-4, 3), st.integers(0, 63))
 SIZES = st.one_of(st.integers(-3, 0), st.integers(1, 130))
-#: (line, delta, size, is_write, through access_range)
+#: Four accesses in ten repeat the previous line; one cache op in twenty
+#: invalidates the cache.
+ACCESS_KINDS = st.sampled_from((FRESH,) * 6 + (REPEAT,) * 4)
+CACHE_KINDS = st.sampled_from((FRESH,) * 11 + (REPEAT,) * 8 + (INVALIDATE,))
+#: (what, line, delta, size, is_write, through access_range)
 CACHE_OPS = st.lists(
-    st.tuples(LINES, DELTAS, SIZES, st.booleans(), st.booleans()), min_size=1, max_size=100
-)
-#: (line, delta, size, access type, core)
-HIERARCHY_OPS = st.lists(
-    st.tuples(LINES, DELTAS, SIZES, st.sampled_from(list(AccessType)), st.integers(0, 1)),
+    st.tuples(CACHE_KINDS, LINES, DELTAS, SIZES, st.booleans(), st.booleans()),
     min_size=1,
     max_size=100,
 )
+#: (what, line, delta, size, access type, core)
+HIERARCHY_OPS = st.lists(
+    st.tuples(
+        ACCESS_KINDS, LINES, DELTAS, SIZES, st.sampled_from(list(AccessType)), st.integers(0, 1)
+    ),
+    min_size=1,
+    max_size=100,
+)
+
+
+def _op_address(line_bytes, what, line, delta, previous):
+    """The address an op accesses, given the last line the previous access touched."""
+    if what == REPEAT:
+        return previous * line_bytes + delta % line_bytes
+    return _address(line_bytes, line, delta)
+
+
+def _last_line(line_bytes, address, size):
+    """The last line ``[address, address + size)`` touches (of ``address`` if size <= 0)."""
+    return (address + max(size, 1) - 1) // line_bytes
+
+
+def _flush(cache, num_sets, ways, line_bytes):
+    """Fill every set with lines no op touched, evicting (and writing back)
+    every resident line, so that the dirty bits show in ``writebacks``."""
+    for index in range(num_sets):
+        for way in range(ways):
+            cache.access(((1000 + way) * num_sets + index) * line_bytes)
 
 
 def _geometry_id(config):
@@ -216,23 +260,38 @@ def _geometry_id(config):
 @settings(max_examples=50, deadline=None)
 @given(ops=CACHE_OPS)
 def test_cache_matches_reference_model(config, ops):
+    """Every result and statistic matches after each op, including repeats
+    of the most recently used line and ``invalidate_all()``; then the
+    resident lines match, and so do their dirty bits."""
     cache, model = Cache(config), ReferenceCache(config)
+    line_bytes = config.line_bytes
     touched = set()
-    for line, delta, size, is_write, ranged in ops:
-        address = _address(config.line_bytes, line, delta)
+    previous = 0
+    for what, line, delta, size, is_write, ranged in ops:
+        if what == INVALIDATE:
+            cache.invalidate_all()
+            model.invalidate_all()
+            assert cache.resident_lines() == 0
+            continue
+        address = _op_address(line_bytes, what, line, delta, previous)
         end = address + max(size, 1) - 1
-        touched.update(range(address, end, config.line_bytes))
+        touched.update(range(address, end, line_bytes))
         touched.add(end)
         if ranged:
             assert cache.access_range(address, size, is_write) == model.access_range(
                 address, size, is_write)
+            previous = _last_line(line_bytes, address, size)
         else:
             assert cache.access(address, is_write) is model.access(address, is_write)
+            previous = address // line_bytes
         assert cache.stats == model.stats
     assert cache.resident_lines() == model.resident_lines()
     for address in sorted(touched):
-        for probe in (address, address + config.line_bytes * model.num_sets):
+        for probe in (address, address + line_bytes * model.num_sets):
             assert cache.contains(probe) == model.contains(probe)
+    for each in (cache, model):
+        _flush(each, model.num_sets, model.ways, line_bytes)
+    assert cache.stats == model.stats
 
 
 @pytest.mark.parametrize("config", GEOMETRIES, ids=_geometry_id)
@@ -264,10 +323,12 @@ def test_hierarchy_matches_reference_model(config, ops):
     ] + [
         (hierarchy.core(core).l1d, model.l1[core, "d"]) for core in range(2)
     ] + [(hierarchy.l2, model.l2)]
-    for line, delta, size, kind, core in ops:
-        address = _address(config.line_bytes, line, delta)
+    previous = 0
+    for what, line, delta, size, kind, core in ops:
+        address = _op_address(config.line_bytes, what, line, delta, previous)
         assert hierarchy.access(core, address, kind, size) == model.access(
             core, address, kind, size)
+        previous = _last_line(config.line_bytes, address, size)
         assert probes == model.l2_probes
         assert hierarchy.memory_accesses == model.memory_accesses
         for cache, reference in caches:

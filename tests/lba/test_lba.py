@@ -9,10 +9,12 @@ from repro.core.config import BASELINE_CONFIG, OPTIMIZED_CONFIG, SystemConfig
 from repro.core.events import EventType, InstructionRecord
 from repro.isa.machine import Machine
 from repro.lba.capture import LogProducer
+from repro.lba.dispatch import EventDispatcher
 from repro.lba.platform import LBASystem, run_unmonitored
 from repro.lba.timing import CouplingModel, TimingBreakdown
-from repro.lifeguards import AddrCheck, MemCheck, TaintCheck
+from repro.lifeguards import AddrCheck, LockSet, MemCheck, TaintCheck
 from repro.trace.codec import RecordEncoder
+from repro.workloads.base import get_workload
 from tests.conftest import build_copy_loop
 
 
@@ -189,3 +191,38 @@ class TestPlatform:
         cycles = run_unmonitored(Machine(build_copy_loop(32)))
         monitored = LBASystem(Machine(build_copy_loop(32)), AddrCheck(), OPTIMIZED_CONFIG).run()
         assert cycles == pytest.approx(monitored.timing.app_alone_cycles, rel=0.05)
+
+
+class TestLiveAccounting:
+    """The live loop makes one call per layer per record.
+
+    The benchmark's layer tracer wraps these methods on their classes, so
+    a loop that bypasses one (or calls it twice) would move its time to
+    another layer without any simulated number changing.
+    """
+
+    @pytest.mark.parametrize(
+        "program, lifeguard_cls", [("gzip", MemCheck), ("pbzip2", LockSet)]
+    )
+    def test_each_layer_runs_once_per_record(self, monkeypatch, program, lifeguard_cls):
+        calls = {}
+        for cls, name in (
+            (LogProducer, "account"),
+            (EventDispatcher, "consume"),
+            (CouplingModel, "observe"),
+        ):
+            original = getattr(cls, name)
+            calls[name] = 0
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+        machine = get_workload(program, scale=0.3).build_machine()
+        result = LBASystem(machine, lifeguard_cls(), OPTIMIZED_CONFIG).run()
+        records = result.producer.records
+        assert records > 0
+        assert calls == {"account": records, "consume": records, "observe": records}
+        assert result.dispatch.records_consumed == records
+        assert result.timing.records == records
