@@ -1,7 +1,7 @@
 """Hot-path throughput benchmarks with a tracked JSON trajectory.
 
 Measures the consumer pipeline stage by stage -- codec encode/decode
-(object and columnar), shadow-map writes and fills, per-record vs
+(reference and columnar), shadow-map writes and fills, per-record vs
 columnar dispatch, and end-to-end trace replay -- and writes the
 results to ``BENCH_hotpath.json`` so the perf trajectory is tracked
 in-repo.
@@ -46,7 +46,6 @@ from repro.trace.codec import (
     RecordColumns,
     RecordDecoder,
     decode_record_columns,
-    decode_records,
     encode_records,
 )
 from repro.obs import observed, snapshot_document
@@ -61,7 +60,6 @@ from repro.trace.tracefile import TraceReader, TraceWriter
 #: against the previous run.
 BASELINE_PRE_PR = {
     "codec_encode": 558_609,
-    "codec_decode_batch": 165_460,
     "shadow_write": 1_206_519,
     "shadow_fill_bytes": 5_676_075,
     "replay_TaintCheck": 79_899,
@@ -131,11 +129,6 @@ def bench_codec(records, repeats):
     stages = {}
     elapsed, data = _best_of(repeats, lambda: encode_records(records))
     stages["codec_encode"] = round(len(records) / elapsed)
-
-    elapsed, _ = _best_of(
-        repeats, lambda: decode_records(data, expected_count=len(records))
-    )
-    stages["codec_decode_batch"] = round(len(records) / elapsed)
 
     def per_record_decode():
         decoder = RecordDecoder()

@@ -19,7 +19,7 @@ def flip_chunk_bytes(path, chunk: int, seed: int = 0, flips: int = 8) -> List[in
 
     Returns the absolute file offsets that were flipped.  The damage is
     confined to the stored chunk bytes, so the header/index still parse
-    and only that chunk fails its CRC (or codec decode for v1 traces).
+    and only that chunk fails its CRC.
     """
     with TraceReader(path) as reader:
         info = reader.chunks[chunk]

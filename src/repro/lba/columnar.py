@@ -94,7 +94,7 @@ _ORD_DEST_MEM_OP_REG = EventType.DEST_MEM_OP_REG.ordinal
 _DREG_SADDR = F_DEST_REG | F_SRC_ADDR
 
 #: Event types the per-lifeguard span fast paths may cover, in the slot
-#: order the engine binds them (see ``_refresh``).
+#: order the engine binds them (see ``_snapshot``).
 _FAST_SLOTS = (
     EventType.MEM_LOAD,
     EventType.MEM_STORE,
@@ -130,7 +130,7 @@ class ColumnarEngine:
         self._usage = mapper.end_event()
         self._translation_instr = dispatcher._translation.instructions
         self._miss_cost = dispatcher._miss_cost
-        self._refresh()
+        self._snapshot()
 
     # ------------------------------------------------------------------ set-up
 
@@ -138,13 +138,12 @@ class ColumnarEngine:
         entry = self._table[ordinal]
         return entry if entry is not None and entry.handler is not None else None
 
-    def _refresh(self) -> None:
-        """Snapshot registration-dependent dispatch state.
+    def _snapshot(self) -> None:
+        """Snapshot registration-dependent dispatch state, once.
 
-        Called at every ``consume_columns`` entry: registrations only
-        happen at lifeguard construction, but re-snapshotting keeps the
-        engine honest if a caller wires a new handler table in between
-        batches.
+        Registrations only happen at lifeguard construction, before the
+        engine is built, so ``__init__`` takes the snapshot for the
+        engine's lifetime.
         """
         registered = self._registered
         self._entry_load = registered(ORD_MEM_LOAD)
@@ -255,8 +254,7 @@ class ColumnarEngine:
         return cycles
 
     def _begin_columns(self, columns) -> None:
-        """Refresh caches, zero the per-batch counters, ensure runs exist."""
-        self._refresh()
+        """Zero the per-batch counters, ensure runs exist."""
         # Row-class counters: each step counts its rows once; _fold expands
         # them into the record/propagation/IT counters they imply.
         self._c_rows_absorbed = 0
@@ -436,8 +434,9 @@ class ColumnarEngine:
         check event, else a flat context tuple the per-row worker unpacks:
         which of the five check types fire, their filter configuration,
         handler costs and span fast paths.  Only a handful of distinct
-        bitmaps occur per trace, so the context is memoised (the cache is
-        cleared by ``_refresh`` at every ``consume_columns`` entry).
+        bitmaps occur per trace, so the context is memoised for the
+        engine's lifetime (it depends only on the registrations that
+        ``_snapshot`` read).
         """
         try:
             return self._ctx_cache[f]

@@ -61,8 +61,7 @@ def _print_audit(audit: TraceAudit) -> None:
         print(
             f"ok {audit.path}: version {audit.version}, {len(audit.chunks)} "
             f"chunks, {stats.records} records, {stats.stored_bytes} bytes "
-            f"stored, CRCs "
-            + ("verified" if audit.version and audit.version >= 2 else "absent (v1)")
+            "stored, CRCs verified"
         )
 
 

@@ -20,6 +20,14 @@ the rest of the trace.
 
 Round-tripping is lossless: ``decode(encode(r)) == r`` field for field, and
 re-encoding the decoded stream reproduces the identical bytes.
+
+There are two decoders.  The reference is the stepwise
+:meth:`RecordDecoder.decode`, behind :func:`decode_records`; every record
+object a reader, ``verify`` or ``repair`` sees comes from it.  The one fast
+path is :meth:`RecordDecoder.decode_columns`, behind
+:func:`decode_record_columns`, which replay uses: it writes instruction
+records straight into :class:`RecordColumns` and falls back to the
+reference for annotation records and errors.
 """
 
 from __future__ import annotations
@@ -452,209 +460,18 @@ class RecordDecoder:
             return self._decode_annotation(event_type, data, offset)
         return self._decode_instruction(event_type, data, offset)
 
-    def decode_many(self, data: bytes, count: int = -1) -> Tuple[List[Record], int]:
-        """Batch-decode records from the start of ``data``.
-
-        Decodes ``count`` records (or, when negative, until the buffer is
-        exhausted) and returns ``(records, next_offset)``.  Produces exactly
-        the records the per-record :meth:`decode` loop would, but with the
-        varint reads, zigzag maths and record construction inlined into one
-        loop -- the single-byte-varint common case never leaves the loop
-        body.  The delta-chain state advances only past fully decoded
-        records, so on error the decoder is positioned exactly as if the
-        offending record had never been attempted.
-        """
-        records: List[Record] = []
-        append = records.append
-        event_types = _EVENT_BY_WIRE_ID
-        num_types = len(event_types)
-        read_varint = _read_varint
-        length = len(data)
-        last_pc = committed_pc = self._last_pc
-        last_addr = committed_addr = self._last_addr
-        offset = 0
-        try:
-            while (offset < length) if count < 0 else (len(records) < count):
-                byte = data[offset]
-                if byte < 0x80:
-                    tag = byte
-                    offset += 1
-                else:
-                    tag, offset = read_varint(data, offset)
-                wire_id = tag >> 1
-                if wire_id >= num_types:
-                    raise TraceCodecError(f"unknown event wire id {wire_id}")
-                event_type = event_types[wire_id]
-                byte = data[offset]
-                if byte < 0x80:
-                    flags = byte
-                    offset += 1
-                else:
-                    flags, offset = read_varint(data, offset)
-                if tag & 1:
-                    # ---- annotation record ------------------------------------
-                    address = payload = None
-                    size = thread_id = pc = 0
-                    if flags & _A_ADDRESS:
-                        byte = data[offset]
-                        if byte < 0x80:
-                            offset += 1
-                        else:
-                            byte, offset = read_varint(data, offset)
-                        delta = (byte >> 1) if not byte & 1 else -((byte + 1) >> 1)
-                        address = last_addr + delta
-                        last_addr = address
-                    if flags & _A_SIZE:
-                        byte = data[offset]
-                        if byte < 0x80:
-                            size = byte
-                            offset += 1
-                        else:
-                            size, offset = read_varint(data, offset)
-                    if flags & _A_THREAD:
-                        byte = data[offset]
-                        if byte < 0x80:
-                            thread_id = byte
-                            offset += 1
-                        else:
-                            thread_id, offset = read_varint(data, offset)
-                    if flags & _A_PC:
-                        byte = data[offset]
-                        if byte < 0x80:
-                            offset += 1
-                        else:
-                            byte, offset = read_varint(data, offset)
-                        pc = last_pc + ((byte >> 1) if not byte & 1 else -((byte + 1) >> 1))
-                        last_pc = pc
-                    if flags & _A_PAYLOAD:
-                        byte = data[offset]
-                        if byte < 0x80:
-                            offset += 1
-                        else:
-                            byte, offset = read_varint(data, offset)
-                        payload = (byte >> 1) if not byte & 1 else -((byte + 1) >> 1)
-                    append(AnnotationRecord(event_type, address, size, thread_id, pc, payload))
-                else:
-                    # ---- instruction record -----------------------------------
-                    byte = data[offset]
-                    if byte < 0x80:
-                        offset += 1
-                    else:
-                        byte, offset = read_varint(data, offset)
-                    pc = last_pc + ((byte >> 1) if not byte & 1 else -((byte + 1) >> 1))
-                    last_pc = pc
-                    dest_reg = src_reg = dest_addr = src_addr = None
-                    base_reg = index_reg = immediate = None
-                    size = thread_id = 0
-                    if flags & _F_DEST_REG:
-                        byte = data[offset]
-                        if byte < 0x80:
-                            dest_reg = byte
-                            offset += 1
-                        else:
-                            dest_reg, offset = read_varint(data, offset)
-                    if flags & _F_SRC_REG:
-                        byte = data[offset]
-                        if byte < 0x80:
-                            src_reg = byte
-                            offset += 1
-                        else:
-                            src_reg, offset = read_varint(data, offset)
-                    if flags & _F_DEST_ADDR:
-                        byte = data[offset]
-                        if byte < 0x80:
-                            offset += 1
-                        else:
-                            byte, offset = read_varint(data, offset)
-                        dest_addr = last_addr + (
-                            (byte >> 1) if not byte & 1 else -((byte + 1) >> 1)
-                        )
-                        last_addr = dest_addr
-                    if flags & _F_SRC_ADDR:
-                        byte = data[offset]
-                        if byte < 0x80:
-                            offset += 1
-                        else:
-                            byte, offset = read_varint(data, offset)
-                        src_addr = last_addr + (
-                            (byte >> 1) if not byte & 1 else -((byte + 1) >> 1)
-                        )
-                        last_addr = src_addr
-                    if flags & _F_BASE_REG:
-                        byte = data[offset]
-                        if byte < 0x80:
-                            base_reg = byte
-                            offset += 1
-                        else:
-                            base_reg, offset = read_varint(data, offset)
-                    if flags & _F_INDEX_REG:
-                        byte = data[offset]
-                        if byte < 0x80:
-                            index_reg = byte
-                            offset += 1
-                        else:
-                            index_reg, offset = read_varint(data, offset)
-                    if flags & _F_IMMEDIATE:
-                        byte = data[offset]
-                        if byte < 0x80:
-                            offset += 1
-                        else:
-                            byte, offset = read_varint(data, offset)
-                        immediate = (byte >> 1) if not byte & 1 else -((byte + 1) >> 1)
-                    if flags & _F_SIZE:
-                        byte = data[offset]
-                        if byte < 0x80:
-                            size = byte
-                            offset += 1
-                        else:
-                            size, offset = read_varint(data, offset)
-                    if flags & _F_THREAD:
-                        byte = data[offset]
-                        if byte < 0x80:
-                            thread_id = byte
-                            offset += 1
-                        else:
-                            thread_id, offset = read_varint(data, offset)
-                    append(
-                        InstructionRecord(
-                            pc,
-                            event_type,
-                            dest_reg,
-                            src_reg,
-                            dest_addr,
-                            src_addr,
-                            size,
-                            bool(flags & _F_IS_LOAD),
-                            bool(flags & _F_IS_STORE),
-                            base_reg,
-                            index_reg,
-                            bool(flags & _F_COND_TEST),
-                            bool(flags & _F_INDIRECT_JUMP),
-                            thread_id,
-                            immediate,
-                        )
-                    )
-                committed_pc = last_pc
-                committed_addr = last_addr
-        except IndexError:
-            raise TraceCodecError("varint runs past end of buffer") from None
-        finally:
-            self._last_pc = committed_pc
-            self._last_addr = committed_addr
-        return records, offset
-
     def decode_columns(self, data: ByteSource, count: int) -> Tuple[RecordColumns, int]:
         """Batch-decode ``count`` records into :class:`RecordColumns`.
 
-        The structure-of-arrays twin of :meth:`decode_many`: the varint
-        reads, zigzag maths and delta chains are identical, but instruction
-        records are written straight into pre-sized per-field columns with
-        zero per-record object construction.  Annotation records (rare) are
-        materialised as objects into the sparse ``objects`` dict.  ``data``
-        may be any indexable byte source (``bytes`` or a zero-copy
-        ``memoryview``).  Returns ``(columns, next_offset)``; the delta
-        state advances only past fully decoded records, exactly as in
-        :meth:`decode_many`.
+        The replay fast path.  Instruction records are decoded with the
+        varint reads and zigzag maths inlined, straight into pre-sized
+        per-field columns with zero per-record object construction.
+        Annotation records (rare) go through :meth:`_decode_annotation`
+        into the sparse ``objects`` dict, the delta state handed over and
+        back.  ``data`` may be any indexable byte source (``bytes`` or a
+        zero-copy ``memoryview``).  Returns ``(columns, next_offset)``; on
+        error the delta state stops after the last fully decoded record,
+        where a :meth:`decode` loop that stopped at the error leaves it.
         """
         if count < 0:
             raise TraceCodecError("decode_columns requires a known record count")
@@ -695,68 +512,32 @@ class RecordDecoder:
                 wire_id = tag >> 1
                 if wire_id >= num_types:
                     raise TraceCodecError(f"unknown event wire id {wire_id}")
-                byte = data[offset]
-                if byte < 0x80:
-                    flags = byte
-                    offset += 1
-                else:
-                    flags, offset = read_varint(data, offset)
                 if tag & 1:
-                    # ---- annotation record: materialise as an object ----------
+                    # ---- annotation record: decoded as an object --------------
                     if prev_ord != -1 or prev_flags:
                         if row:
                             append_run((run_start, row, prev_ord, prev_flags))
                         run_start = row
                         prev_ord = -1
                         prev_flags = 0
-                    address = payload = None
-                    size = thread_id = pc = 0
-                    if flags & _A_ADDRESS:
-                        byte = data[offset]
-                        if byte < 0x80:
-                            offset += 1
-                        else:
-                            byte, offset = read_varint(data, offset)
-                        address = last_addr + (
-                            (byte >> 1) if not byte & 1 else -((byte + 1) >> 1)
-                        )
-                        last_addr = address
-                    if flags & _A_SIZE:
-                        byte = data[offset]
-                        if byte < 0x80:
-                            size = byte
-                            offset += 1
-                        else:
-                            size, offset = read_varint(data, offset)
-                    if flags & _A_THREAD:
-                        byte = data[offset]
-                        if byte < 0x80:
-                            thread_id = byte
-                            offset += 1
-                        else:
-                            thread_id, offset = read_varint(data, offset)
-                    if flags & _A_PC:
-                        byte = data[offset]
-                        if byte < 0x80:
-                            offset += 1
-                        else:
-                            byte, offset = read_varint(data, offset)
-                        pc = last_pc + ((byte >> 1) if not byte & 1 else -((byte + 1) >> 1))
-                        last_pc = pc
-                    if flags & _A_PAYLOAD:
-                        byte = data[offset]
-                        if byte < 0x80:
-                            offset += 1
-                        else:
-                            byte, offset = read_varint(data, offset)
-                        payload = (byte >> 1) if not byte & 1 else -((byte + 1) >> 1)
+                    self._last_pc = last_pc
+                    self._last_addr = last_addr
+                    record, offset = self._decode_annotation(
+                        event_types[wire_id], data, offset
+                    )
+                    last_pc = self._last_pc
+                    last_addr = self._last_addr
                     kind_col[row] = 1
                     ordinal_col[row] = wire_id
-                    objects[row] = AnnotationRecord(
-                        event_types[wire_id], address, size, thread_id, pc, payload
-                    )
+                    objects[row] = record
                 else:
                     # ---- instruction record: flatten into the columns ---------
+                    byte = data[offset]
+                    if byte < 0x80:
+                        flags = byte
+                        offset += 1
+                    else:
+                        flags, offset = read_varint(data, offset)
                     if wire_id != prev_ord or flags != prev_flags:
                         if row:
                             append_run((run_start, row, prev_ord, prev_flags))
@@ -863,13 +644,20 @@ class RecordDecoder:
                 append_run((run_start, count, prev_ord, prev_flags))
         except (IndexError, TraceCodecError):
             # Cold path: reproduce the exact error -- and the exact
-            # committed delta state -- through the object decoder, instead
-            # of tracking a per-row commit point on the hot path.
+            # committed delta state -- through the reference decoder,
+            # instead of tracking a per-row commit point on the hot path.
             self._last_pc = start_pc
             self._last_addr = start_addr
-            self.decode_many(data, count)
+            offset = 0
+            for _ in range(count):
+                committed = self._last_pc, self._last_addr
+                try:
+                    _record, offset = self.decode(data, offset)
+                except TraceCodecError as exc:
+                    self._last_pc, self._last_addr = committed
+                    raise exc from None
             raise TraceCodecError(
-                "columnar decode failed where object decode succeeded"
+                "columnar decode failed where the reference decode succeeded"
             ) from None
         self._last_pc = last_pc
         self._last_addr = last_addr
@@ -978,10 +766,11 @@ def encode_records(records) -> bytes:
 def decode_record_columns(data: ByteSource, expected_count: int) -> RecordColumns:
     """Decode a byte stream into :class:`RecordColumns` with a fresh decoder.
 
-    The columnar twin of :func:`decode_records`: exactly ``expected_count``
-    records must consume exactly the whole buffer, otherwise
-    :class:`TraceCodecError` is raised (chunk integrity check).  ``data``
-    may be ``bytes`` or a zero-copy ``memoryview``.
+    The fast path replay decodes through; it yields the records
+    :func:`decode_records` does.  Exactly ``expected_count`` records must
+    consume exactly the whole buffer, otherwise :class:`TraceCodecError` is
+    raised (chunk integrity check).  ``data`` may be ``bytes`` or a
+    zero-copy ``memoryview``.
     """
     decoder = RecordDecoder()
     columns, offset = decoder.decode_columns(data, expected_count)
@@ -996,14 +785,22 @@ def decode_record_columns(data: ByteSource, expected_count: int) -> RecordColumn
 def decode_records(data: ByteSource, expected_count: int = -1) -> List[Record]:
     """Decode a byte stream produced by :func:`encode_records`.
 
+    The reference decode: one :meth:`RecordDecoder.decode` call per record.
+    Trace readers, verify and repair build their record objects here.
+
     Args:
         data: the encoded stream.
         expected_count: when non-negative, exactly that many records must
             consume exactly the whole buffer, otherwise
-            :class:`TraceCodecError` is raised (chunk integrity check).
+            :class:`TraceCodecError` is raised (chunk integrity check);
+            when negative, records are decoded until the buffer ends.
     """
-    decoder = RecordDecoder()
-    records, offset = decoder.decode_many(data, expected_count)
+    decode = RecordDecoder().decode
+    records: List[Record] = []
+    offset = 0
+    while (offset < len(data)) if expected_count < 0 else (len(records) < expected_count):
+        record, offset = decode(data, offset)
+        records.append(record)
     if expected_count >= 0 and offset != len(data):
         raise TraceCodecError(
             f"chunk decoded {expected_count} records but left "

@@ -7,7 +7,7 @@ File layout (all integers little-endian)::
     chunks   : concatenated chunk payloads (zlib-compressed when flag set)
     index    : magic "INDX" | u32 num_chunks
                | per chunk: u64 offset | u32 stored_len | u32 raw_len | u32 records
-                            | u32 crc32 (version >= 2)
+                            | u32 crc32
                | u64 total_records | u64 instructions | u64 annotations | u64 raw_bytes
 
 Each chunk is an independently decodable unit: the record codec's delta
@@ -16,13 +16,17 @@ any chunk via the index without touching the bytes before it.  Chunks are closed
 configured ``chunk_bytes`` target, so all chunks of a trace have roughly
 the same size (the last one may be short).
 
-Version 2 adds a CRC32 of each chunk's *stored* bytes to the index entry,
-verified on every chunk read, so payload corruption is detected before the
+Each index entry carries a CRC32 of its chunk's *stored* bytes, verified on
+every chunk read, so payload corruption is detected before the
 decompressor or codec ever see the damage (and detected at all for
 uncompressed traces, whose payloads would otherwise often still "parse").
-Version 1 traces remain readable; their chunks simply carry no checksum.
-The index totals are cross-checked against the per-chunk entries on open,
-so a damaged footer can never silently misreport the record population.
+The reader accepts only this layout, version 2.  The index totals are
+cross-checked against the per-chunk entries on open, so a damaged footer
+can never silently misreport the record population.
+
+Record objects (:meth:`TraceReader.read_chunk`, ``verify``, ``repair``)
+come from the codec's reference decoder; replay reads
+:meth:`TraceReader.read_chunk_columns`, the codec's one fast path.
 """
 
 from __future__ import annotations
@@ -49,13 +53,10 @@ Record = Union[InstructionRecord, AnnotationRecord]
 _MAGIC = b"LBATRC01"
 _INDEX_MAGIC = b"INDX"
 _VERSION = 2
-#: Oldest trace version this reader still understands (v1 has no CRCs).
-_MIN_VERSION = 1
 _FLAG_ZLIB = 1 << 0
 
 _HEADER = struct.Struct("<8sHHIQ")
 _INDEX_HEADER = struct.Struct("<4sI")
-_INDEX_ENTRY_V1 = struct.Struct("<QIII")
 _INDEX_ENTRY = struct.Struct("<QIIII")
 _INDEX_TOTALS = struct.Struct("<QQQQ")
 
@@ -76,9 +77,8 @@ class ChunkInfo:
     stored_len: int
     raw_len: int
     records: int
-    #: CRC32 of the stored (possibly compressed) payload; ``None`` for
-    #: version-1 traces, which predate per-chunk checksums.
-    crc: Optional[int] = None
+    #: CRC32 of the stored (possibly compressed) payload.
+    crc: int
 
 
 @dataclass
@@ -265,7 +265,7 @@ class TraceReader:
         magic, version, flags, chunk_bytes, index_offset = _HEADER.unpack(header)
         if magic != _MAGIC:
             raise TraceFormatError(f"{self.path}: bad magic {magic!r}")
-        if not _MIN_VERSION <= version <= _VERSION:
+        if version != _VERSION:
             raise TraceFormatError(f"{self.path}: unsupported trace version {version}")
         if index_offset == 0 or index_offset > file_size:
             raise TraceFormatError(f"{self.path}: missing index (truncated trace?)")
@@ -281,17 +281,12 @@ class TraceReader:
         index_magic, num_chunks = _INDEX_HEADER.unpack(index_header)
         if index_magic != _INDEX_MAGIC:
             raise TraceFormatError(f"{self.path}: bad index magic {index_magic!r}")
-        entry_struct = _INDEX_ENTRY if version >= 2 else _INDEX_ENTRY_V1
         self.chunks: List[ChunkInfo] = []
         for i in range(num_chunks):
-            entry = self._file.read(entry_struct.size)
-            if len(entry) < entry_struct.size:
+            entry = self._file.read(_INDEX_ENTRY.size)
+            if len(entry) < _INDEX_ENTRY.size:
                 raise TraceFormatError(f"{self.path}: truncated index entry {i}")
-            if version >= 2:
-                offset, stored_len, raw_len, records, crc = entry_struct.unpack(entry)
-            else:
-                offset, stored_len, raw_len, records = entry_struct.unpack(entry)
-                crc = None
+            offset, stored_len, raw_len, records, crc = _INDEX_ENTRY.unpack(entry)
             if offset + stored_len > index_offset:
                 raise TraceFormatError(
                     f"{self.path}: chunk {i} payload overlaps the index (truncated trace?)"
@@ -362,13 +357,12 @@ class TraceReader:
             tracer.add("codec.read", "codec", start, time.perf_counter() - start)
         if len(stored) < chunk.stored_len:
             raise TraceFormatError(f"{self.path}: chunk {index} truncated on disk")
-        if chunk.crc is not None:
-            actual = zlib.crc32(stored) & 0xFFFFFFFF
-            if actual != chunk.crc:
-                raise TraceFormatError(
-                    f"{self.path}: chunk {index} CRC mismatch "
-                    f"(stored {chunk.crc:#010x}, computed {actual:#010x})"
-                )
+        actual = zlib.crc32(stored) & 0xFFFFFFFF
+        if actual != chunk.crc:
+            raise TraceFormatError(
+                f"{self.path}: chunk {index} CRC mismatch "
+                f"(stored {chunk.crc:#010x}, computed {actual:#010x})"
+            )
         if self.compressed:
             start = time.perf_counter()
             try:
@@ -507,8 +501,7 @@ def repair_trace(path: Union[str, os.PathLike]) -> "TraceRepair":
     Returns a :class:`TraceRepair`; ``action`` is ``"intact"`` when the
     file already verifies (nothing written), ``"repaired"`` when a valid
     prefix was rewritten, and ``"unrecoverable"`` when not even one chunk
-    survives.  The rewritten file is always version-:data:`_VERSION` (v1
-    inputs gain per-chunk CRCs).
+    survives.
     """
     path = os.fspath(path)
     repair = TraceRepair(path=path)
@@ -533,7 +526,7 @@ def repair_trace(path: Union[str, os.PathLike]) -> "TraceRepair":
     if magic != _MAGIC:
         repair.detail = f"bad magic {magic!r}"
         return repair
-    if not _MIN_VERSION <= version <= _VERSION:
+    if version != _VERSION:
         repair.detail = f"unsupported trace version {version}"
         return repair
     compressed = bool(flags & _FLAG_ZLIB)
@@ -547,22 +540,19 @@ def repair_trace(path: Union[str, os.PathLike]) -> "TraceRepair":
     if index_offset and index_offset + _INDEX_HEADER.size <= len(blob):
         index_magic, num_chunks = _INDEX_HEADER.unpack_from(blob, index_offset)
         if index_magic == _INDEX_MAGIC:
-            entry_struct = _INDEX_ENTRY if version >= 2 else _INDEX_ENTRY_V1
             position = index_offset + _INDEX_HEADER.size
             parsed = []
             for _ in range(num_chunks):
-                if position + entry_struct.size > len(blob):
+                if position + _INDEX_ENTRY.size > len(blob):
                     break
-                parsed.append(entry_struct.unpack_from(blob, position))
-                position += entry_struct.size
+                parsed.append(_INDEX_ENTRY.unpack_from(blob, position))
+                position += _INDEX_ENTRY.size
             # A fully-present entry list means any damage is in the chunks
             # (or the totals): scanning past a CRC-failing chunk would
             # resurrect bytes the checksum already condemned, so the scan
             # below only continues where entries were *lost*, not refuted.
             entries_truncated = len(parsed) < num_chunks
-            for fields in parsed:
-                offset, stored_len, raw_len, records = fields[:4]
-                crc = fields[4] if version >= 2 else None
+            for offset, stored_len, raw_len, records, crc in parsed:
                 if offset != scan_from or offset + stored_len > data_limit:
                     entries_truncated = False
                     break
@@ -596,10 +586,10 @@ def repair_trace(path: Union[str, os.PathLike]) -> "TraceRepair":
 
 
 def _chunk_valid(
-    stored: bytes, raw_len: int, records: int, crc: Optional[int], compressed: bool
+    stored: bytes, raw_len: int, records: int, crc: int, compressed: bool
 ) -> bool:
     """True when a stored chunk passes CRC, size and full-decode checks."""
-    if crc is not None and zlib.crc32(stored) & 0xFFFFFFFF != crc:
+    if zlib.crc32(stored) & 0xFFFFFFFF != crc:
         return False
     if compressed:
         try:

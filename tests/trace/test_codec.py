@@ -156,7 +156,9 @@ class TestPropertyStyle:
 
 
 class TestBatchDecode:
-    def test_decode_many_matches_stepwise_decode(self):
+    """``decode_columns``, the fast path, against the stepwise reference."""
+
+    def test_decode_columns_matches_stepwise_decode(self):
         rng = random.Random(11)
         records = [_random_record(rng) for _ in range(300)]
         data = encode_records(records)
@@ -169,33 +171,36 @@ class TestBatchDecode:
             stepwise.append(record)
 
         batch_decoder = RecordDecoder()
-        batch, consumed = batch_decoder.decode_many(data)
-        assert batch == stepwise == records
+        columns, consumed = batch_decoder.decode_columns(data, len(records))
+        assert columns.records() == stepwise == records
         assert consumed == len(data)
+        assert (batch_decoder._last_pc, batch_decoder._last_addr) == (
+            stepwise_decoder._last_pc, stepwise_decoder._last_addr
+        )
 
-    def test_decode_many_continues_delta_state_between_calls(self):
+    def test_decode_columns_continues_delta_state_between_calls(self):
         rng = random.Random(12)
         records = [_random_record(rng) for _ in range(60)]
         data = encode_records(records)
         decoder = RecordDecoder()
-        first, offset = decoder.decode_many(data, count=25)
-        rest, _ = decoder.decode_many(data[offset:])
-        assert first + rest == records
+        first, offset = decoder.decode_columns(data, 25)
+        rest, _ = decoder.decode_columns(data[offset:], 35)
+        assert first.records() + rest.records() == records
 
-    def test_decode_many_count_stops_early(self):
+    def test_decode_columns_count_stops_early(self):
         rng = random.Random(13)
         records = [_random_record(rng) for _ in range(40)]
         data = encode_records(records)
-        out, consumed = RecordDecoder().decode_many(data, count=10)
-        assert out == records[:10]
+        out, consumed = RecordDecoder().decode_columns(data, 10)
+        assert out.records() == records[:10]
         assert consumed < len(data)
 
-    def test_decode_many_truncated_buffer_raises(self):
+    def test_decode_columns_truncated_buffer_raises(self):
         rng = random.Random(14)
         records = [_random_record(rng) for _ in range(20)]
         data = encode_records(records)
         with pytest.raises(TraceCodecError):
-            RecordDecoder().decode_many(data[: len(data) - 1], count=len(records))
+            RecordDecoder().decode_columns(data[: len(data) - 1], len(records))
 
 
 class TestDeltaState:

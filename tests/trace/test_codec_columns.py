@@ -1,10 +1,11 @@
-"""Columnar decode: structure-of-arrays equivalence with the object decoder."""
+"""Columnar decode: structure-of-arrays equivalence with the reference decoder."""
 
 import random
 
 import pytest
 
 from repro.core.events import AnnotationRecord, EventType, InstructionRecord
+from repro.experiments.harness import capture_trace
 from repro.trace.codec import (
     RecordColumns,
     RecordDecoder,
@@ -14,6 +15,8 @@ from repro.trace.codec import (
     decode_records,
     encode_records,
 )
+from repro.trace.tracefile import TraceReader
+from repro.workloads.base import workload_names
 
 
 def _random_records(seed, count=400):
@@ -135,16 +138,73 @@ def test_decode_columns_trailing_bytes_rejected():
         decode_record_columns(data, len(records))
 
 
+def _committed_state(data, cut):
+    """The stepwise reference's delta state after the last record that ends
+    within ``data[:cut]``: where a ``decode`` loop that stops at the cut
+    stands."""
+    decoder = RecordDecoder()
+    state = (decoder._last_pc, decoder._last_addr)
+    offset = 0
+    while offset < len(data):
+        _record, offset = decoder.decode(data, offset)
+        if offset > cut:
+            break
+        state = (decoder._last_pc, decoder._last_addr)
+    return state
+
+
 def test_decode_columns_truncated_stream_rejected_and_state_committed():
     records = _random_records(19, count=20)
     data = encode_records(records)
+    cut = len(data) // 2
     decoder = RecordDecoder()
     with pytest.raises(TraceCodecError):
-        decoder.decode_columns(data[: len(data) // 2], len(records))
+        decoder.decode_columns(data[:cut], len(records))
     # the delta state stopped at the last fully decoded record, exactly
-    # like decode_many
-    reference = RecordDecoder()
+    # where a stepwise decode loop stands
+    assert (decoder._last_pc, decoder._last_addr) == _committed_state(data, cut)
+
+
+def test_decode_columns_truncated_after_annotation_commits_reference_state():
+    """An annotation row hands the delta state to the reference decoder and
+    back; a cut after it still leaves the state of the last full record."""
+    records = [
+        InstructionRecord(
+            pc=0x0804_8000, event_type=EventType.MEM_TO_REG, dest_reg=1,
+            src_addr=0x0900_0000, size=4, is_load=True,
+        ),
+        AnnotationRecord(
+            event_type=EventType.MALLOC, address=0x0A00_0000, size=64, pc=0x0804_8010,
+        ),
+    ] + [
+        InstructionRecord(
+            pc=0x0804_8014 + 4 * i, event_type=EventType.REG_TO_MEM, src_reg=2,
+            dest_addr=0x0A00_0000 + 4 * i, size=4, is_store=True,
+        )
+        for i in range(8)
+    ]
+    data = encode_records(records)
+    # The last record ends with its size byte: its pc and address deltas
+    # decode before the cut stops it.
+    cut = len(data) - 1
+    decoder = RecordDecoder()
     with pytest.raises(TraceCodecError):
-        reference.decode_many(data[: len(data) // 2], len(records))
-    assert decoder._last_pc == reference._last_pc
-    assert decoder._last_addr == reference._last_addr
+        decoder.decode_columns(data[:cut], len(records))
+    expected = (records[-2].pc, records[-2].dest_addr)
+    assert _committed_state(data, cut) == expected
+    assert (decoder._last_pc, decoder._last_addr) == expected
+
+
+def test_decode_columns_matches_reference_on_every_workload_chunk(tmp_path):
+    """Every chunk of every registered workload, captured at scale 0.5 in
+    4 KiB chunks, decodes to the same records through both decoders."""
+    for name in workload_names() + workload_names(multithreaded=True):
+        path = tmp_path / f"{name}.lbatrace"
+        capture_trace(name, path, scale=0.5, chunk_bytes=4 * 1024)
+        with TraceReader(path) as reader:
+            for info in reader.chunks:
+                raw = reader._chunk_payload(info.index)
+                assert (
+                    decode_record_columns(raw, info.records).records()
+                    == decode_records(raw, info.records)
+                ), (name, info.index)

@@ -3,10 +3,9 @@
 The invariant under test: a bit flip anywhere in a trace file -- chunk
 payload, index entry region, or totals footer -- must surface as a
 :class:`TraceFormatError` (strict) or an exact quarantine entry
-(degrade), never as a silently wrong replay.  Also covers the version-1
-compatibility path (v1 traces carry no CRCs but corruption is still
-caught by the decompressor/codec) and the ``python -m repro.trace
-verify`` audit command.
+(degrade), never as a silently wrong replay.  Also covers the version
+check (only version-2 traces, which carry per-chunk CRCs, are read) and
+the ``python -m repro.trace verify`` audit command.
 """
 
 import json
@@ -22,12 +21,12 @@ from repro.trace.replay import replay_trace
 from repro.trace.tracefile import (
     _HEADER,
     _INDEX_ENTRY,
-    _INDEX_ENTRY_V1,
     _INDEX_HEADER,
     _INDEX_TOTALS,
     TraceFormatError,
     TraceReader,
     TraceWriter,
+    repair_trace,
     verify_trace,
 )
 from repro.workloads import bugs
@@ -46,36 +45,6 @@ def _index_offset(path):
     with open(path, "rb") as handle:
         header = handle.read(_HEADER.size)
     return _HEADER.unpack(header)[4]
-
-
-def _rewrite_as_v1(path):
-    """Rewrite a v2 trace in the version-1 layout (no per-chunk CRCs).
-
-    The chunk payload region is byte-identical between versions; only the
-    header's version field and the index entry width differ, so a v1 file
-    is reconstructed from the v2 reader's metadata.
-    """
-    with TraceReader(path) as reader:
-        assert reader.version == 2
-        chunks = list(reader.chunks)
-        stats = reader.stats
-        compressed = reader.compressed
-        chunk_bytes = reader.chunk_bytes
-        index_offset = reader._index_offset
-    with open(path, "rb") as handle:
-        payload = handle.read()[_HEADER.size:index_offset]
-    with open(path, "wb") as handle:
-        flags = 1 if compressed else 0
-        handle.write(_HEADER.pack(b"LBATRC01", 1, flags, chunk_bytes, index_offset))
-        handle.write(payload)
-        handle.write(_INDEX_HEADER.pack(b"INDX", len(chunks)))
-        for chunk in chunks:
-            handle.write(_INDEX_ENTRY_V1.pack(
-                chunk.offset, chunk.stored_len, chunk.raw_len, chunk.records
-            ))
-        handle.write(_INDEX_TOTALS.pack(
-            stats.records, stats.instructions, stats.annotations, stats.raw_bytes
-        ))
 
 
 class TestPayloadFlips:
@@ -186,40 +155,22 @@ class TestTotalsFooterFlips:
             TraceReader(path)
 
 
-class TestVersion1Compat:
-    def test_v1_trace_reads_without_crcs(self, tmp_path):
-        path = tmp_path / "t.trace"
-        rng = random.Random(3)
-        records = [_random_record(rng) for _ in range(400)]
-        with TraceWriter(path, chunk_bytes=512) as writer:
-            writer.extend(records)
-        _rewrite_as_v1(path)
-        with TraceReader(path) as reader:
-            assert reader.version == 1
-            assert all(info.crc is None for info in reader.chunks)
-            assert list(reader) == records
-        audit = verify_trace(path)
-        assert audit.ok and audit.version == 1
-
-    def test_v1_payload_corruption_still_caught(self, tmp_path):
-        """Without CRCs the decompressor/codec is the (weaker) net."""
-        path = tmp_path / "t.trace"
-        _write_trace(path, compress=True)
-        _rewrite_as_v1(path)
-        with TraceReader(path) as reader:
-            chunk = reader.num_chunks - 1
-        flip_chunk_bytes(path, chunk, seed=1)
-        audit = verify_trace(path)
-        assert [bad.index for bad in audit.bad_chunks] == [chunk]
-
-    def test_unsupported_version_rejected(self, tmp_path):
+class TestVersionCheck:
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_unsupported_version_rejected(self, tmp_path, version):
+        """Only version 2 is read; version 1 predates per-chunk CRCs."""
         path = tmp_path / "t.trace"
         _write_trace(path)
         data = bytearray(path.read_bytes())
-        struct.pack_into("<H", data, 8, 99)
+        struct.pack_into("<H", data, 8, version)
         path.write_bytes(bytes(data))
-        with pytest.raises(TraceFormatError, match="unsupported trace version 99"):
+        message = f"unsupported trace version {version}"
+        with pytest.raises(TraceFormatError, match=message):
             TraceReader(path)
+        audit = verify_trace(path)
+        assert not audit.ok and message in audit.file_error
+        repair = repair_trace(path)
+        assert repair.action == "unrecoverable" and message in repair.detail
 
 
 class TestVerifyCli:
