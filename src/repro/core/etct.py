@@ -47,10 +47,6 @@ class ETCTEntry:
             handler's frequent path executes, *excluding* metadata-mapping
             instructions (those are added by the timing model depending on
             whether LMA is available).
-        metadata_translations: how many application→metadata translations the
-            handler performs.
-        metadata_accesses: how many metadata memory accesses the handler
-            performs (used by the lifeguard-core cache model).
         cacheable: True if the event is checking-only and may be filtered.
         check_category: CC value; events sharing a CC perform the same check.
         cacheable_fields: record fields forming the IF key.
@@ -60,8 +56,6 @@ class ETCTEntry:
     event_type: EventType
     handler: Optional[EventHandler] = None
     handler_instructions: int = 0
-    metadata_translations: int = 0
-    metadata_accesses: int = 0
     cacheable: bool = False
     check_category: int = 0
     cacheable_fields: Tuple[str, ...] = ("address", "size")
@@ -87,8 +81,9 @@ class ETCTEntry:
         ``1`` for ``(CC, address, size)``, ``2`` for ``(CC, address, size,
         thread_id)``, ``0`` for any other cacheable-field tuple (callers
         must then build the key through :meth:`ETCT.filter_key`).  The
-        columnar engine uses this to build keys straight from the decoded
-        columns without a :class:`DeliveredEvent`.
+        columnar engine builds the keys of modes 1 and 2 straight from the
+        decoded columns; a pipeline with a cacheable mode-0 check replays
+        through the scalar ``consume`` loop.
         """
         return self._filter_mode
 
@@ -126,8 +121,6 @@ class ETCT:
         handler: EventHandler,
         *,
         handler_instructions: int = 4,
-        metadata_translations: int = 0,
-        metadata_accesses: int = 0,
         cacheable: bool = False,
         check_category: int = 0,
         cacheable_fields: Tuple[str, ...] = ("address", "size"),
@@ -138,8 +131,6 @@ class ETCT:
             event_type=event_type,
             handler=handler,
             handler_instructions=handler_instructions,
-            metadata_translations=metadata_translations,
-            metadata_accesses=metadata_accesses,
             cacheable=cacheable,
             check_category=check_category,
             cacheable_fields=cacheable_fields,

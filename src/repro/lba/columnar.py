@@ -40,10 +40,15 @@ run-grouped interleaving equivalent to the scalar order:
   flushes, filter lookups) are performed in exact scalar order, row by
   row, whenever a run contains events that could observe them.
 
-The engine only groups runs when the dispatcher has no cache hierarchy
-attached (offline replay); with a hierarchy the per-event metadata
-addresses feed the cache model, and the engine transparently degrades to
-the scalar :meth:`EventDispatcher.consume`, record by record.
+Coverage rule, decided once in :meth:`ColumnarEngine._snapshot`: the run
+steps serve a pipeline only when the dispatcher has no cache hierarchy
+attached (offline replay; with one, per-event metadata addresses feed the
+cache model) and, when the Idempotent Filter is on, every cacheable
+registered check is a load or store keyed ``(CC, address, size)`` or
+``(CC, address, size, thread_id)`` -- the shapes the five lifeguards
+register.  For any other pipeline ``consume_columns`` runs the scalar
+:meth:`EventDispatcher.consume` loop, record by record, so replay stays
+exact for any lifeguard.
 """
 
 from __future__ import annotations
@@ -93,19 +98,24 @@ _ORD_DEST_MEM_OP_REG = EventType.DEST_MEM_OP_REG.ordinal
 #: Presence pair a mem_to_reg inheritance needs.
 _DREG_SADDR = F_DEST_REG | F_SRC_ADDR
 
-#: Event types the per-lifeguard span fast paths may cover, in the slot
-#: order the engine binds them (see ``_snapshot``).
-_FAST_SLOTS = (
+#: Span fast-path slots the engine always scopes (``_begin_event`` +
+#: ``_account``), in the order ``_snapshot`` binds them.
+_SCOPED_SLOTS = (
     EventType.MEM_LOAD,
     EventType.MEM_STORE,
-    EventType.ADDR_COMPUTE,
-    EventType.COND_TEST,
-    EventType.INDIRECT_JUMP,
     EventType.IMM_TO_MEM,
     EventType.MEM_TO_MEM,
     EventType.MEM_TO_REG,
     EventType.REG_TO_MEM,
     EventType.DEST_REG_OP_MEM,
+)
+
+#: Register-check slots, whose ``translates`` flag the engine reads: a
+#: non-translating handler is delivered without usage scoping.
+_REGISTER_CHECK_SLOTS = (
+    EventType.ADDR_COMPUTE,
+    EventType.COND_TEST,
+    EventType.INDIRECT_JUMP,
 )
 
 
@@ -116,10 +126,6 @@ class ColumnarEngine:
         self.dispatcher = dispatcher
         self.accelerator = dispatcher.accelerator
         self.lifeguard = dispatcher.lifeguard
-        #: run steps need usage-count cycle charging only; a cache
-        #: hierarchy needs the actual metadata addresses per event, so the
-        #: engine falls back to the scalar ``consume`` loop then.
-        self.supported = dispatcher.hierarchy is None
         self.it = self.accelerator.it
         self.filter = self.accelerator.idempotent_filter
         self._table = self.accelerator.etct.handler_table()
@@ -175,28 +181,41 @@ class ColumnarEngine:
         if self._entry_ij is not None:
             mask |= F_INDIRECT_JUMP
         self._check_mask = mask
-        #: True when a registered check event can flush IT registers
-        #: (address-compute / cond-test / indirect-jump consult registers)
-        self._flushy = self.it is not None and (
-            self._entry_ac is not None
-            or self._entry_ct is not None
-            or self._entry_ij is not None
+
+        # The coverage rule.  The run steps charge cycles from usage counts
+        # (a cache hierarchy needs each event's metadata addresses) and
+        # build only the two filter-key shapes the lifeguards register for
+        # loads and stores.  Any other pipeline runs ``consume``.
+        keyed = (EventType.MEM_LOAD, EventType.MEM_STORE)
+        self.supported = self.dispatcher.hierarchy is None and (
+            self.filter is None
+            or all(
+                entry is None
+                or not entry.cacheable
+                or (entry.event_type in keyed and entry.filter_mode)
+                for entry in (
+                    self._entry_load, self._entry_store,
+                    self._entry_ac, self._entry_ct, self._entry_ij,
+                )
+            )
         )
 
         self._ctx_cache = {}
         fast = self.lifeguard.columnar_handlers() or {}
         (
-            (self._fast_load, self._fast_load_tr),
-            (self._fast_store, self._fast_store_tr),
+            self._fast_load,
+            self._fast_store,
+            self._fast_i2m,
+            self._fast_m2m,
+            self._fast_m2r,
+            self._fast_r2m,
+            self._fast_drm,
+        ) = [fast.get(event_type, (None,))[0] for event_type in _SCOPED_SLOTS]
+        (
             (self._fast_ac, self._fast_ac_tr),
             (self._fast_ct, self._fast_ct_tr),
             (self._fast_ij, self._fast_ij_tr),
-            (self._fast_i2m, self._fast_i2m_tr),
-            (self._fast_m2m, self._fast_m2m_tr),
-            (self._fast_m2r, self._fast_m2r_tr),
-            (self._fast_r2m, self._fast_r2m_tr),
-            (self._fast_drm, self._fast_drm_tr),
-        ) = [fast.get(event_type, (None, False)) for event_type in _FAST_SLOTS]
+        ) = [fast.get(event_type, (None, False)) for event_type in _REGISTER_CHECK_SLOTS]
 
         steps: List[Optional[object]] = [self._step_checks_only] * NUM_EVENT_TYPES
         if self.accelerator.uses_propagation:
@@ -226,8 +245,8 @@ class ColumnarEngine:
         """Consume one decoded column set; returns total lifeguard cycles.
 
         Bit-identical to ``sum(dispatcher.consume(r) for r in
-        columns.records())``, which is what it runs when a cache hierarchy
-        is attached.
+        columns.records())``, which is what it runs for a pipeline outside
+        the coverage rule (``supported`` is False).
 
         The engine reads columns strictly by integer row index and writes
         nothing but the run table, and only when a hand-built column set
@@ -459,57 +478,46 @@ class ColumnarEngine:
         per_row = 0
         filt = self.filter
         load_mode = load_cc = load_instr = 0
-        fast_load = fast_load_tr = None
+        fast_load = None
         if entry_load is not None:
             per_row += 1
-            # mode: 0 = unfiltered, 1/2 = specialised key shapes, 3 = generic
-            load_mode = (
-                (entry_load.filter_mode or 3)
-                if filt is not None and entry_load.cacheable
-                else 0
-            )
+            # mode: 0 = unfiltered, else the key shape (``filter_mode``)
+            load_mode = entry_load.filter_mode if filt is not None and entry_load.cacheable else 0
             load_cc = entry_load.check_category
             load_instr = entry_load.handler_instructions
             fast_load = self._fast_load
-            fast_load_tr = self._fast_load_tr
         store_mode = store_cc = store_instr = 0
-        fast_store = fast_store_tr = None
+        fast_store = None
         if entry_store is not None:
             per_row += 1
             store_mode = (
-                (entry_store.filter_mode or 3)
-                if filt is not None and entry_store.cacheable
-                else 0
+                entry_store.filter_mode if filt is not None and entry_store.cacheable else 0
             )
             store_cc = entry_store.check_category
             store_instr = entry_store.handler_instructions
             fast_store = self._fast_store
-            fast_store_tr = self._fast_store_tr
-        ac_cacheable = ac_instr = 0
+        ac_instr = 0
         fast_ac = fast_ac_tr = None
         if entry_ac is not None:
             per_row += 1
-            ac_cacheable = filt is not None and entry_ac.cacheable
             ac_instr = entry_ac.handler_instructions
             fast_ac = self._fast_ac
             fast_ac_tr = self._fast_ac_tr
-        ct_cacheable = ct_instr = 0
+        ct_instr = 0
         fast_ct = fast_ct_tr = None
         if entry_ct is not None:
             per_row += 1
-            ct_cacheable = filt is not None and entry_ct.cacheable
             ct_instr = entry_ct.handler_instructions
             fast_ct = self._fast_ct
-            # The memory operand of a cond-test/indirect-jump/reg-op-mem
-            # check is its src_addr; without one the fast handler cannot
-            # reach its translating branch, so the per-event usage scoping
-            # is skipped for the whole run.
+            # The memory operand of a cond-test/indirect-jump check is its
+            # src_addr; without one the fast handler cannot reach its
+            # translating branch, so the per-event usage scoping is skipped
+            # for the whole run.
             fast_ct_tr = self._fast_ct_tr and bool(f & F_SRC_ADDR)
-        ij_cacheable = ij_instr = 0
+        ij_instr = 0
         fast_ij = fast_ij_tr = None
         if entry_ij is not None:
             per_row += 1
-            ij_cacheable = filt is not None and entry_ij.cacheable
             ij_instr = entry_ij.handler_instructions
             fast_ij = self._fast_ij
             fast_ij_tr = self._fast_ij_tr and bool(f & F_SRC_ADDR)
@@ -517,11 +525,11 @@ class ColumnarEngine:
             return None
         return (
             per_row,
-            entry_load, load_mode, load_cc, load_instr, fast_load, fast_load_tr,
-            entry_store, store_mode, store_cc, store_instr, fast_store, fast_store_tr,
-            entry_ac, ac_cacheable, ac_instr, fast_ac, fast_ac_tr,
-            entry_ct, ct_cacheable, ct_instr, fast_ct, fast_ct_tr,
-            entry_ij, ij_cacheable, ij_instr, fast_ij, fast_ij_tr,
+            entry_load, load_mode, load_cc, load_instr, fast_load,
+            entry_store, store_mode, store_cc, store_instr, fast_store,
+            entry_ac, ac_instr, fast_ac, fast_ac_tr,
+            entry_ct, ct_instr, fast_ct, fast_ct_tr,
+            entry_ij, ij_instr, fast_ij, fast_ij_tr,
         )
 
     def _check_row(self, cols, k, f, ctx) -> int:
@@ -532,11 +540,11 @@ class ColumnarEngine:
         """
         (
             _per_row,
-            entry_load, load_mode, load_cc, load_instr, fast_load, fast_load_tr,
-            entry_store, store_mode, store_cc, store_instr, fast_store, fast_store_tr,
-            entry_ac, ac_cacheable, ac_instr, fast_ac, fast_ac_tr,
-            entry_ct, ct_cacheable, ct_instr, fast_ct, fast_ct_tr,
-            entry_ij, ij_cacheable, ij_instr, fast_ij, fast_ij_tr,
+            entry_load, load_mode, load_cc, load_instr, fast_load,
+            entry_store, store_mode, store_cc, store_instr, fast_store,
+            entry_ac, ac_instr, fast_ac, fast_ac_tr,
+            entry_ct, ct_instr, fast_ct, fast_ct_tr,
+            entry_ij, ij_instr, fast_ij, fast_ij_tr,
         ) = ctx
         cycles = 0
         delivered = 0
@@ -546,32 +554,20 @@ class ColumnarEngine:
         # ---- mem_load ----------------------------------------------------
         if entry_load is not None:
             addr = cols.src_addr[k]
-            deliver = True
-            if load_mode:
-                # The two specialised key shapes are built from the columns.
-                if load_mode == 1:
-                    key = (load_cc, addr, size)
-                elif load_mode == 2:
-                    key = (load_cc, addr, size, cols.thread_id[k])
-                else:
-                    key = self.accelerator.etct.filter_key(
-                        entry_load, self._event_mem_load(cols, k, f, addr, size)
-                    )
-                if filt.lookup_insert(key):
-                    self._c_check_filtered += 1
-                    deliver = False
-            if deliver:
+            # The two key shapes the coverage rule admits, from the columns.
+            if load_mode and filt.lookup_insert(
+                (load_cc, addr, size)
+                if load_mode == 1
+                else (load_cc, addr, size, cols.thread_id[k])
+            ):
+                self._c_check_filtered += 1
+            else:
                 delivered += 1
                 if fast_load is not None:
                     self._c_handled += 1
-                    if fast_load_tr:
-                        self._begin_event()
-                        fast_load(addr, size, cols.pc[k], cols.thread_id[k])
-                        cycles += self._account(load_instr)
-                    else:
-                        fast_load(addr, size, cols.pc[k], cols.thread_id[k])
-                        self._c_handler_instr += load_instr
-                        cycles += NLBA_CYCLES + load_instr
+                    self._begin_event()
+                    fast_load(addr, size, cols.pc[k], cols.thread_id[k])
+                    cycles += self._account(load_instr)
                 else:
                     cycles += self._dispatch(
                         entry_load, self._event_mem_load(cols, k, f, addr, size)
@@ -579,31 +575,19 @@ class ColumnarEngine:
         # ---- mem_store ---------------------------------------------------
         if entry_store is not None:
             addr = cols.dest_addr[k]
-            deliver = True
-            if store_mode:
-                if store_mode == 1:
-                    key = (store_cc, addr, size)
-                elif store_mode == 2:
-                    key = (store_cc, addr, size, cols.thread_id[k])
-                else:
-                    key = self.accelerator.etct.filter_key(
-                        entry_store, self._event_mem_store(cols, k, f, addr, size)
-                    )
-                if filt.lookup_insert(key):
-                    self._c_check_filtered += 1
-                    deliver = False
-            if deliver:
+            if store_mode and filt.lookup_insert(
+                (store_cc, addr, size)
+                if store_mode == 1
+                else (store_cc, addr, size, cols.thread_id[k])
+            ):
+                self._c_check_filtered += 1
+            else:
                 delivered += 1
                 if fast_store is not None:
                     self._c_handled += 1
-                    if fast_store_tr:
-                        self._begin_event()
-                        fast_store(addr, size, cols.pc[k], cols.thread_id[k])
-                        cycles += self._account(store_instr)
-                    else:
-                        fast_store(addr, size, cols.pc[k], cols.thread_id[k])
-                        self._c_handler_instr += store_instr
-                        cycles += NLBA_CYCLES + store_instr
+                    self._begin_event()
+                    fast_store(addr, size, cols.pc[k], cols.thread_id[k])
+                    cycles += self._account(store_instr)
                 else:
                     cycles += self._dispatch(
                         entry_store, self._event_mem_store(cols, k, f, addr, size)
@@ -636,35 +620,22 @@ class ColumnarEngine:
                 report_addr = cols.src_addr[k]
             else:
                 report_addr = None
-            deliver = True
-            if ac_cacheable:
-                event = self._event_addr_compute(cols, k, f, report_addr, breg, ireg)
-                if filt.lookup_insert(
-                    self.accelerator.etct.filter_key(entry_ac, event)
-                ):
-                    self._c_check_filtered += 1
-                    deliver = False
-                elif fast_ac is None:
-                    delivered += 1
-                    cycles += self._dispatch(entry_ac, event)
-                    deliver = False
-            if deliver:
-                delivered += 1
-                if fast_ac is not None:
-                    self._c_handled += 1
-                    if fast_ac_tr:
-                        self._begin_event()
-                        fast_ac(breg, ireg, cols.pc[k], cols.thread_id[k], report_addr)
-                        cycles += self._account(ac_instr)
-                    else:
-                        fast_ac(breg, ireg, cols.pc[k], cols.thread_id[k], report_addr)
-                        self._c_handler_instr += ac_instr
-                        cycles += NLBA_CYCLES + ac_instr
+            delivered += 1
+            if fast_ac is not None:
+                self._c_handled += 1
+                if fast_ac_tr:
+                    self._begin_event()
+                    fast_ac(breg, ireg, cols.pc[k], cols.thread_id[k], report_addr)
+                    cycles += self._account(ac_instr)
                 else:
-                    cycles += self._dispatch(
-                        entry_ac,
-                        self._event_addr_compute(cols, k, f, report_addr, breg, ireg),
-                    )
+                    fast_ac(breg, ireg, cols.pc[k], cols.thread_id[k], report_addr)
+                    self._c_handler_instr += ac_instr
+                    cycles += NLBA_CYCLES + ac_instr
+            else:
+                cycles += self._dispatch(
+                    entry_ac,
+                    self._event_addr_compute(cols, k, f, report_addr, breg, ireg),
+                )
         # ---- cond_test ---------------------------------------------------
         if entry_ct is not None:
             sreg = cols.src_reg[k] if f & F_SRC_REG else None
@@ -678,34 +649,21 @@ class ColumnarEngine:
                         sreg, None, None, cols.pc[k], cols.thread_id[k]
                     )
             saddr = cols.src_addr[k] if f & F_SRC_ADDR else None
-            deliver = True
-            if ct_cacheable:
-                event = self._event_cond_test(cols, k, f, sreg, saddr, size)
-                if filt.lookup_insert(
-                    self.accelerator.etct.filter_key(entry_ct, event)
-                ):
-                    self._c_check_filtered += 1
-                    deliver = False
-                elif fast_ct is None:
-                    delivered += 1
-                    cycles += self._dispatch(entry_ct, event)
-                    deliver = False
-            if deliver:
-                delivered += 1
-                if fast_ct is not None:
-                    self._c_handled += 1
-                    if fast_ct_tr:
-                        self._begin_event()
-                        fast_ct(sreg, saddr, size, cols.pc[k], cols.thread_id[k])
-                        cycles += self._account(ct_instr)
-                    else:
-                        fast_ct(sreg, saddr, size, cols.pc[k], cols.thread_id[k])
-                        self._c_handler_instr += ct_instr
-                        cycles += NLBA_CYCLES + ct_instr
+            delivered += 1
+            if fast_ct is not None:
+                self._c_handled += 1
+                if fast_ct_tr:
+                    self._begin_event()
+                    fast_ct(sreg, saddr, size, cols.pc[k], cols.thread_id[k])
+                    cycles += self._account(ct_instr)
                 else:
-                    cycles += self._dispatch(
-                        entry_ct, self._event_cond_test(cols, k, f, sreg, saddr, size)
-                    )
+                    fast_ct(sreg, saddr, size, cols.pc[k], cols.thread_id[k])
+                    self._c_handler_instr += ct_instr
+                    cycles += NLBA_CYCLES + ct_instr
+            else:
+                cycles += self._dispatch(
+                    entry_ct, self._event_cond_test(cols, k, f, sreg, saddr, size)
+                )
         # ---- indirect_jump -----------------------------------------------
         if entry_ij is not None:
             sreg = cols.src_reg[k] if f & F_SRC_REG else None
@@ -720,35 +678,22 @@ class ColumnarEngine:
                     )
             saddr = cols.src_addr[k] if f & F_SRC_ADDR else None
             ij_size = size or 4
-            deliver = True
-            if ij_cacheable:
-                event = self._event_indirect_jump(cols, k, f, sreg, saddr, ij_size)
-                if filt.lookup_insert(
-                    self.accelerator.etct.filter_key(entry_ij, event)
-                ):
-                    self._c_check_filtered += 1
-                    deliver = False
-                elif fast_ij is None:
-                    delivered += 1
-                    cycles += self._dispatch(entry_ij, event)
-                    deliver = False
-            if deliver:
-                delivered += 1
-                if fast_ij is not None:
-                    self._c_handled += 1
-                    if fast_ij_tr:
-                        self._begin_event()
-                        fast_ij(sreg, saddr, ij_size, cols.pc[k], cols.thread_id[k])
-                        cycles += self._account(ij_instr)
-                    else:
-                        fast_ij(sreg, saddr, ij_size, cols.pc[k], cols.thread_id[k])
-                        self._c_handler_instr += ij_instr
-                        cycles += NLBA_CYCLES + ij_instr
+            delivered += 1
+            if fast_ij is not None:
+                self._c_handled += 1
+                if fast_ij_tr:
+                    self._begin_event()
+                    fast_ij(sreg, saddr, ij_size, cols.pc[k], cols.thread_id[k])
+                    cycles += self._account(ij_instr)
                 else:
-                    cycles += self._dispatch(
-                        entry_ij,
-                        self._event_indirect_jump(cols, k, f, sreg, saddr, ij_size),
-                    )
+                    fast_ij(sreg, saddr, ij_size, cols.pc[k], cols.thread_id[k])
+                    self._c_handler_instr += ij_instr
+                    cycles += NLBA_CYCLES + ij_instr
+            else:
+                cycles += self._dispatch(
+                    entry_ij,
+                    self._event_indirect_jump(cols, k, f, sreg, saddr, ij_size),
+                )
         self._c_check_delivered += delivered
         return cycles
 
@@ -882,7 +827,6 @@ class ColumnarEngine:
         it = self.it
         entry_i2m = self._entry_i2m
         fast = self._fast_i2m
-        fast_tr = self._fast_i2m_tr
         has_daddr = f & F_DEST_ADDR
         dest_addr_col = cols.dest_addr
         size_col = cols.size
@@ -902,15 +846,9 @@ class ColumnarEngine:
                 self._c_prop_delivered += 1
                 if fast is not None:
                     self._c_handled += 1
-                    if fast_tr:
-                        self._begin_event()
-                        fast(daddr, size)
-                        cycles += self._account(entry_i2m.handler_instructions)
-                    else:
-                        fast(daddr, size)
-                        instr = entry_i2m.handler_instructions
-                        self._c_handler_instr += instr
-                        cycles += NLBA_CYCLES + instr
+                    self._begin_event()
+                    fast(daddr, size)
+                    cycles += self._account(entry_i2m.handler_instructions)
                 else:
                     cycles += self._dispatch(
                         entry_i2m, self._event_from_row(cols, k, f, EventType.IMM_TO_MEM)
@@ -926,7 +864,6 @@ class ColumnarEngine:
         it = self.it
         entry_m2m = self._entry_m2m
         fast = self._fast_m2m
-        fast_tr = self._fast_m2m_tr
         has_daddr = f & F_DEST_ADDR
         has_saddr = f & F_SRC_ADDR
         dest_addr_col = cols.dest_addr
@@ -949,15 +886,9 @@ class ColumnarEngine:
                 if fast is not None:
                     saddr = src_addr_col[k] if has_saddr else None
                     self._c_handled += 1
-                    if fast_tr:
-                        self._begin_event()
-                        fast(daddr, saddr, size)
-                        cycles += self._account(entry_m2m.handler_instructions)
-                    else:
-                        fast(daddr, saddr, size)
-                        instr = entry_m2m.handler_instructions
-                        self._c_handler_instr += instr
-                        cycles += NLBA_CYCLES + instr
+                    self._begin_event()
+                    fast(daddr, saddr, size)
+                    cycles += self._account(entry_m2m.handler_instructions)
                 else:
                     cycles += self._dispatch(
                         entry_m2m, self._event_from_row(cols, k, f, EventType.MEM_TO_MEM)
@@ -1048,7 +979,6 @@ class ColumnarEngine:
         entry_m2m = self._entry_m2m
         entry_r2m = self._entry_r2m
         fast_i2m = self._fast_i2m
-        fast_i2m_tr = self._fast_i2m_tr
         # m2m / r2m outcomes are rarer; their fast-path bindings are read
         # from self inside those branches.
         check_ctx = self._check_ctx(f) if f & self._check_mask else None
@@ -1072,15 +1002,9 @@ class ColumnarEngine:
                     prop_delivered += 1
                     if fast_i2m is not None:
                         handled += 1
-                        if fast_i2m_tr:
-                            self._begin_event()
-                            fast_i2m(daddr, size)
-                            cycles += self._account(entry_i2m.handler_instructions)
-                        else:
-                            fast_i2m(daddr, size)
-                            instr = entry_i2m.handler_instructions
-                            self._c_handler_instr += instr
-                            cycles += NLBA_CYCLES + instr
+                        self._begin_event()
+                        fast_i2m(daddr, size)
+                        cycles += self._account(entry_i2m.handler_instructions)
                     else:
                         event = self._event_from_row(cols, k, f, EventType.IMM_TO_MEM)
                         event.src_reg = None
@@ -1093,15 +1017,9 @@ class ColumnarEngine:
                     fast_m2m = self._fast_m2m
                     if fast_m2m is not None:
                         handled += 1
-                        if self._fast_m2m_tr:
-                            self._begin_event()
-                            fast_m2m(daddr, src_entry.address, size)
-                            cycles += self._account(entry_m2m.handler_instructions)
-                        else:
-                            fast_m2m(daddr, src_entry.address, size)
-                            instr = entry_m2m.handler_instructions
-                            self._c_handler_instr += instr
-                            cycles += NLBA_CYCLES + instr
+                        self._begin_event()
+                        fast_m2m(daddr, src_entry.address, size)
+                        cycles += self._account(entry_m2m.handler_instructions)
                     else:
                         event = self._event_from_row(cols, k, f, EventType.MEM_TO_MEM)
                         event.src_reg = None
@@ -1114,15 +1032,9 @@ class ColumnarEngine:
                     fast_r2m = self._fast_r2m
                     if fast_r2m is not None:
                         handled += 1
-                        if self._fast_r2m_tr:
-                            self._begin_event()
-                            fast_r2m(sreg, daddr, size)
-                            cycles += self._account(entry_r2m.handler_instructions)
-                        else:
-                            fast_r2m(sreg, daddr, size)
-                            instr = entry_r2m.handler_instructions
-                            self._c_handler_instr += instr
-                            cycles += NLBA_CYCLES + instr
+                        self._begin_event()
+                        fast_r2m(sreg, daddr, size)
+                        cycles += self._account(entry_r2m.handler_instructions)
                     else:
                         cycles += self._dispatch(
                             entry_r2m,
@@ -1156,7 +1068,6 @@ class ColumnarEngine:
         # a destination address match that (the overwhelmingly common case
         # for register-destination operations).
         fast_drm = self._fast_drm if not f & F_DEST_ADDR else None
-        fast_drm_tr = self._fast_drm_tr
         check_ctx = self._check_ctx(f) if f & self._check_mask else None
         if check_ctx is not None:
             self._c_check_in += check_ctx[0] * n
@@ -1183,15 +1094,9 @@ class ColumnarEngine:
                         prop_delivered += 1
                         if fast_drm is not None:
                             handled += 1
-                            if fast_drm_tr:
-                                self._begin_event()
-                                fast_drm(dreg, None, ev_addr, ev_size, pc_col[k], tid_col[k])
-                                cycles += self._account(entry_drm.handler_instructions)
-                            else:
-                                fast_drm(dreg, None, ev_addr, ev_size, pc_col[k], tid_col[k])
-                                instr = entry_drm.handler_instructions
-                                self._c_handler_instr += instr
-                                cycles += NLBA_CYCLES + instr
+                            self._begin_event()
+                            fast_drm(dreg, None, ev_addr, ev_size, pc_col[k], tid_col[k])
+                            cycles += self._account(entry_drm.handler_instructions)
                         else:
                             event = self._event_from_row(
                                 cols, k, f, EventType.DEST_REG_OP_MEM
@@ -1237,7 +1142,6 @@ class ColumnarEngine:
         # Fast path only for rows without a destination address (its
         # register-use reports carry a None address, like the scalar path).
         fast_drm = self._fast_drm if not f & F_DEST_ADDR else None
-        fast_drm_tr = self._fast_drm_tr
         check_ctx = self._check_ctx(f) if f & self._check_mask else None
         if check_ctx is not None:
             self._c_check_in += check_ctx[0] * n
@@ -1257,15 +1161,9 @@ class ColumnarEngine:
                     sreg = src_reg_col[k] if has_sreg else None
                     saddr = src_addr_col[k] if has_saddr else None
                     self._c_handled += 1
-                    if fast_drm_tr:
-                        self._begin_event()
-                        fast_drm(dreg, sreg, saddr, size_col[k], pc_col[k], tid_col[k])
-                        cycles += self._account(entry_drm.handler_instructions)
-                    else:
-                        fast_drm(dreg, sreg, saddr, size_col[k], pc_col[k], tid_col[k])
-                        instr = entry_drm.handler_instructions
-                        self._c_handler_instr += instr
-                        cycles += NLBA_CYCLES + instr
+                    self._begin_event()
+                    fast_drm(dreg, sreg, saddr, size_col[k], pc_col[k], tid_col[k])
+                    cycles += self._account(entry_drm.handler_instructions)
                 else:
                     cycles += self._dispatch(entry_drm, event)
             if check_ctx is not None:

@@ -272,8 +272,10 @@ class Lifeguard(ABC):
         writes, mapper translations and error reports, but takes the event
         fields as positional arguments so the engine never materialises a
         :class:`DeliveredEvent`.  ``translates`` tells the engine whether
-        the handler can perform metadata translations (when ``False`` the
-        engine skips the per-event usage scoping entirely).
+        the handler can perform metadata translations; the engine reads it
+        only for ``ADDR_COMPUTE``, ``COND_TEST`` and ``INDIRECT_JUMP``
+        (when ``False`` it skips their per-event usage scoping) and scopes
+        every other fast handler.
 
         The expected signature per event type (arguments may be ``None``
         exactly when the corresponding event field would be)::
@@ -293,10 +295,10 @@ class Lifeguard(ABC):
         return ``{}``), otherwise the inherited fast paths would bypass
         their extensions.
 
-        Contract for ``COND_TEST`` / ``INDIRECT_JUMP`` / ``DEST_REG_OP_MEM``
-        fast handlers: they may translate only through their ``src_addr``
-        argument (the event's only memory operand) -- the engine skips the
-        per-event usage scoping for whole runs without a source address.
+        Contract for ``COND_TEST`` / ``INDIRECT_JUMP`` fast handlers: they
+        may translate only through their ``src_addr`` argument (the event's
+        only memory operand) -- the engine skips the per-event usage
+        scoping for whole runs without a source address.
         """
         return {}
 

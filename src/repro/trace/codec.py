@@ -19,7 +19,11 @@ seek to any chunk, and a damaged chunk can be quarantined without losing
 the rest of the trace.
 
 Round-tripping is lossless: ``decode(encode(r)) == r`` field for field, and
-re-encoding the decoded stream reproduces the identical bytes.
+re-encoding the decoded stream reproduces the identical bytes.  A register
+field must name one of the ISA's eight registers
+(:data:`repro.isa.registers.NUM_GPRS`): the encoder and both decoders raise
+:class:`TraceCodecError` for any other id, because a CRC-valid chunk from
+outside the program may still name one.
 
 There are two decoders.  The reference is the stepwise
 :meth:`RecordDecoder.decode`, behind :func:`decode_records`; every record
@@ -53,6 +57,7 @@ from repro.core.events import (
     EventType,
     InstructionRecord,
 )
+from repro.isa.registers import NUM_GPRS
 
 Record = Union[InstructionRecord, AnnotationRecord]
 
@@ -63,6 +68,13 @@ ByteSource = Union[bytes, bytearray, memoryview]
 
 class TraceCodecError(ValueError):
     """Raised when a byte stream cannot be decoded into records."""
+
+
+def _register_error(field: str, value: int) -> TraceCodecError:
+    """The error for a register field naming no register of the ISA."""
+    return TraceCodecError(
+        f"{field} {value} is not one of the ISA's {NUM_GPRS} registers"
+    )
 
 
 #: Stable wire identifier per event type: its ``ordinal`` (definition order).
@@ -172,25 +184,32 @@ class RecordEncoder:
         # Unpack once; every value below 0x80 -- the header, the flags, most
         # PC deltas and the register ids -- is its own one-byte varint and is
         # appended directly.  Only longer (or negative) values go through
-        # ``_write_varint``.  Zigzag is inlined for the same reason.
+        # ``_write_varint``.  Zigzag is inlined for the same reason.  A
+        # register id outside the ISA's registers is rejected before any
+        # byte of the record is written.
         (pc, event_type, dest_reg, src_reg, dest_addr, src_addr, size, is_load,
          is_store, base_reg, index_reg, is_cond_test, is_indirect_jump, thread_id,
          immediate) = record
-        append = out.append
-        value = event_type.ordinal << 1
-        append(value) if value < 0x80 else _write_varint(out, value)
         flags = 0
         if dest_reg is not None:
+            if not 0 <= dest_reg < NUM_GPRS:
+                raise _register_error("dest_reg", dest_reg)
             flags |= _F_DEST_REG
         if src_reg is not None:
+            if not 0 <= src_reg < NUM_GPRS:
+                raise _register_error("src_reg", src_reg)
             flags |= _F_SRC_REG
         if dest_addr is not None:
             flags |= _F_DEST_ADDR
         if src_addr is not None:
             flags |= _F_SRC_ADDR
         if base_reg is not None:
+            if not 0 <= base_reg < NUM_GPRS:
+                raise _register_error("base_reg", base_reg)
             flags |= _F_BASE_REG
         if index_reg is not None:
+            if not 0 <= index_reg < NUM_GPRS:
+                raise _register_error("index_reg", index_reg)
             flags |= _F_INDEX_REG
         if immediate is not None:
             flags |= _F_IMMEDIATE
@@ -206,15 +225,18 @@ class RecordEncoder:
             flags |= _F_INDIRECT_JUMP
         if thread_id:
             flags |= _F_THREAD
+        append = out.append
+        value = event_type.ordinal << 1
+        append(value) if value < 0x80 else _write_varint(out, value)
         append(flags) if flags < 0x80 else _write_varint(out, flags)
         value = pc - self._last_pc
         value = (value << 1) if value >= 0 else ((-value) << 1) - 1
         append(value) if value < 0x80 else _write_varint(out, value)
         self._last_pc = pc
         if dest_reg is not None:
-            append(dest_reg) if 0 <= dest_reg < 0x80 else _write_varint(out, dest_reg)
+            append(dest_reg)
         if src_reg is not None:
-            append(src_reg) if 0 <= src_reg < 0x80 else _write_varint(out, src_reg)
+            append(src_reg)
         if dest_addr is not None:
             value = dest_addr - self._last_addr
             value = (value << 1) if value >= 0 else ((-value) << 1) - 1
@@ -226,9 +248,9 @@ class RecordEncoder:
             append(value) if value < 0x80 else _write_varint(out, value)
             self._last_addr = src_addr
         if base_reg is not None:
-            append(base_reg) if 0 <= base_reg < 0x80 else _write_varint(out, base_reg)
+            append(base_reg)
         if index_reg is not None:
-            append(index_reg) if 0 <= index_reg < 0x80 else _write_varint(out, index_reg)
+            append(index_reg)
         if immediate is not None:
             _write_varint(out, _zigzag(immediate))
         if size:
@@ -494,6 +516,9 @@ class RecordDecoder:
         append_run = runs.append
         event_types = _EVENT_BY_WIRE_ID
         num_types = len(event_types)
+        # A register id is one byte below this bound; an id at or above it
+        # takes the cold path, where the reference decoder raises its error.
+        num_gprs = NUM_GPRS
         read_varint = _read_varint
         start_pc = last_pc = self._last_pc
         start_addr = last_addr = self._last_addr
@@ -567,18 +592,22 @@ class RecordDecoder:
                         continue
                     if flags & _F_DEST_REG:
                         byte = data[offset]
-                        if byte < 0x80:
+                        if byte < num_gprs:
                             dest_reg_col[row] = byte
                             offset += 1
                         else:
                             dest_reg_col[row], offset = read_varint(data, offset)
+                            if dest_reg_col[row] >= num_gprs:
+                                raise TraceCodecError("register id out of range")
                     if flags & _F_SRC_REG:
                         byte = data[offset]
-                        if byte < 0x80:
+                        if byte < num_gprs:
                             src_reg_col[row] = byte
                             offset += 1
                         else:
                             src_reg_col[row], offset = read_varint(data, offset)
+                            if src_reg_col[row] >= num_gprs:
+                                raise TraceCodecError("register id out of range")
                     if flags & _F_DEST_ADDR:
                         byte = data[offset]
                         if byte < 0x80:
@@ -607,18 +636,22 @@ class RecordDecoder:
                         src_addr_col[row] = last_addr
                     if flags & _F_BASE_REG:
                         byte = data[offset]
-                        if byte < 0x80:
+                        if byte < num_gprs:
                             base_reg_col[row] = byte
                             offset += 1
                         else:
                             base_reg_col[row], offset = read_varint(data, offset)
+                            if base_reg_col[row] >= num_gprs:
+                                raise TraceCodecError("register id out of range")
                     if flags & _F_INDEX_REG:
                         byte = data[offset]
-                        if byte < 0x80:
+                        if byte < num_gprs:
                             index_reg_col[row] = byte
                             offset += 1
                         else:
                             index_reg_col[row], offset = read_varint(data, offset)
+                            if index_reg_col[row] >= num_gprs:
+                                raise TraceCodecError("register id out of range")
                     if flags & _F_IMMEDIATE:
                         byte = data[offset]
                         if byte < 0x80:
@@ -677,8 +710,12 @@ class RecordDecoder:
         size = thread_id = 0
         if flags & _F_DEST_REG:
             dest_reg, offset = _read_varint(data, offset)
+            if dest_reg >= NUM_GPRS:
+                raise _register_error("dest_reg", dest_reg)
         if flags & _F_SRC_REG:
             src_reg, offset = _read_varint(data, offset)
+            if src_reg >= NUM_GPRS:
+                raise _register_error("src_reg", src_reg)
         if flags & _F_DEST_ADDR:
             delta, offset = _read_varint(data, offset)
             dest_addr = self._last_addr + _unzigzag(delta)
@@ -689,8 +726,12 @@ class RecordDecoder:
             self._last_addr = src_addr
         if flags & _F_BASE_REG:
             base_reg, offset = _read_varint(data, offset)
+            if base_reg >= NUM_GPRS:
+                raise _register_error("base_reg", base_reg)
         if flags & _F_INDEX_REG:
             index_reg, offset = _read_varint(data, offset)
+            if index_reg >= NUM_GPRS:
+                raise _register_error("index_reg", index_reg)
         if flags & _F_IMMEDIATE:
             raw, offset = _read_varint(data, offset)
             immediate = _unzigzag(raw)

@@ -5,7 +5,9 @@ workload streams; these tests aim crafted record sequences at the
 run-grouping machinery itself -- runs of length one, long same-ordinal
 runs, runs spanning trace chunk boundaries and shadow pages, mixed-ordinal
 chunks, annotation rows splitting runs, addresses outside int64, and the
-scalar fallback paths.  Every case is compared with the per-record
+scalar fallback paths -- and at the engine's coverage rule: which
+pipelines it serves, and that every other one replays through the scalar
+loop.  Every case is compared with the per-record
 ``EventDispatcher.consume`` reference.
 """
 
@@ -14,10 +16,12 @@ import os
 import pytest
 
 from repro.cache.hierarchy import MemoryHierarchy
+from repro.core.config import SystemConfig
 from repro.core.events import AnnotationRecord, EventType, InstructionRecord
+from repro.experiments.harness import TECHNIQUE_STACKS, make_config
 from repro.lba.columnar import ColumnarEngine
 from repro.lba.dispatch import EventDispatcher
-from repro.lifeguards import ALL_LIFEGUARDS
+from repro.lifeguards import ALL_LIFEGUARDS, AddrCheck, MemCheck, TaintCheck
 from repro.trace.codec import RecordColumns
 from repro.trace.replay import build_pipeline
 from repro.trace.tracefile import TraceReader, TraceWriter
@@ -70,8 +74,13 @@ def _other(i):
     )
 
 
+def _new(lifeguard):
+    """A lifeguard instance from a registry name or a lifeguard class."""
+    return ALL_LIFEGUARDS[lifeguard]() if isinstance(lifeguard, str) else lifeguard()
+
+
 def _reference(records, lifeguard_name):
-    lifeguard = ALL_LIFEGUARDS[lifeguard_name]()
+    lifeguard = _new(lifeguard_name)
     accelerator, dispatcher = build_pipeline(lifeguard)
     cycles = sum(dispatcher.consume(record) for record in records)
     lifeguard.finalize()
@@ -87,12 +96,12 @@ def _chunks(records, chunk_rows=None):
 
 
 def _columnar(chunks, lifeguard_name):
-    lifeguard = ALL_LIFEGUARDS[lifeguard_name]()
+    lifeguard = _new(lifeguard_name)
     accelerator, dispatcher = build_pipeline(lifeguard)
     engine = ColumnarEngine(dispatcher)
     cycles = sum(engine.consume_columns(columns) for columns in chunks)
     lifeguard.finalize()
-    return lifeguard, accelerator, dispatcher, cycles
+    return lifeguard, accelerator, dispatcher, cycles, engine
 
 
 def _assert_matches(ref, col):
@@ -110,10 +119,10 @@ def _assert_matches(ref, col):
 
 
 def _assert_identical(records, lifeguard_name, chunk_rows=None):
-    _assert_matches(
-        _reference(records, lifeguard_name),
-        _columnar(_chunks(records, chunk_rows), lifeguard_name),
-    )
+    """Compare the engine with ``consume``; returns the engine's ``supported``."""
+    col = _columnar(_chunks(records, chunk_rows), lifeguard_name)
+    _assert_matches(_reference(records, lifeguard_name), col)
+    return col[4].supported
 
 
 @pytest.mark.parametrize("lifeguard", LIFEGUARDS)
@@ -184,6 +193,49 @@ def test_store_to_last_inherited_byte_flushes_the_register(lifeguard):
     _assert_identical(records, lifeguard)
 
 
+def _op_mem_reg(addr, reg, pc):
+    """``op [addr], reg`` as the machine records it (load and store)."""
+    return InstructionRecord(pc=pc, event_type=EventType.DEST_MEM_OP_REG, src_reg=reg,
+                             dest_addr=addr, size=4, is_load=True, is_store=True,
+                             base_reg=6)
+
+
+@pytest.mark.parametrize("lifeguard", LIFEGUARDS)
+def test_dest_mem_op_reg_with_tracked_source(lifeguard):
+    """``op [m], reg`` for each IT state of the source register.
+
+    An ``addr``-state source whose store hits another inherited range
+    flushes that register (conflict), then itself, then is delivered; an
+    ``in lifeguard`` source is delivered without a flush; a clean one is
+    discarded; a source inheriting from the very address it is combined
+    into is left out of the conflict scan.
+    """
+    records = [
+        _malloc(0),
+        _load_reg(HEAP, 3, pc=0x800),
+        _load_reg(HEAP + 0x10, 4, pc=0x804),
+        _op_mem_reg(HEAP + 0x10, 3, pc=0x808),
+        _load_reg(HEAP + 0x20, 5, pc=0x80C),
+        # The cond-test flushes r5 for MemCheck, the indirect jump for the
+        # TaintChecks (each registers one of the two).
+        _cond_test(5, pc=0x810),
+        InstructionRecord(pc=0x814, event_type=EventType.INDIRECT_JUMP, src_reg=5,
+                          is_indirect_jump=True),
+        _op_mem_reg(HEAP + 0x30, 5, pc=0x818),
+        _op_mem_reg(HEAP + 0x40, 7, pc=0x81C),
+        _load_reg(HEAP + 0x50, 2, pc=0x820),
+        _op_mem_reg(HEAP + 0x50, 2, pc=0x824),
+    ]
+    for chunk_rows in (None, 3):
+        _assert_identical(records, lifeguard, chunk_rows)
+    it = _reference(records, lifeguard)[1].it
+    if it is not None:
+        # r4's conflict flush and the flushes of the r3 and r2 sources.
+        assert it.stats.conflict_flushes == 3
+        assert it.stats.events_delivered == 3  # the three tracked sources
+        assert it.state_signature()[2][0] == "IN_LIFEGUARD"
+
+
 @pytest.mark.parametrize("lifeguard", ["MemCheck", "TaintCheck", "AddrCheck"])
 def test_chunk_spanning_runs_via_trace_replay(tmp_path, lifeguard):
     """One long homogeneous run split across trace chunks replays identically.
@@ -238,6 +290,119 @@ def test_engine_degrades_to_batched_path_with_hierarchy():
     columnar_stats, columnar_cycles = run(columnar=True)
     assert scalar_stats == columnar_stats
     assert scalar_cycles == columnar_cycles
+
+
+# ------------------------------------------------------------------ coverage rule
+#
+# The engine serves a pipeline without a cache hierarchy whose cacheable
+# checks are loads and stores keyed (CC, address, size[, thread_id]);
+# every other pipeline replays through the scalar ``consume`` loop.
+
+
+def _register_checks(rounds=2, rows=24):
+    """Loads, stores, cond-tests and indirect jumps, with and without a
+    memory operand, over registers that loads leave in the ``addr`` state;
+    the second round repeats the first's addresses (filter hits)."""
+    records = [_malloc(0)]
+    for _ in range(rounds):
+        for i in range(rows):
+            addr = HEAP + (i % 16) * 4
+            records.append(_load(i))
+            records.append(_store(i))
+            records.append(_cond(i))
+            records.append(InstructionRecord(
+                pc=0x0804_D000 + 4 * i, event_type=EventType.COND_TEST,
+                src_reg=(i + 1) % 8, src_addr=addr, size=4, is_load=True,
+                is_cond_test=True,
+            ))
+            records.append(InstructionRecord(
+                pc=0x0804_E000 + 4 * i, event_type=EventType.INDIRECT_JUMP,
+                src_reg=(i + 2) % 8, is_indirect_jump=True,
+            ))
+            records.append(InstructionRecord(
+                pc=0x0804_F000 + 4 * i, event_type=EventType.INDIRECT_JUMP,
+                src_addr=addr, size=4, is_load=True, is_indirect_jump=True,
+            ))
+    return records
+
+
+class _CacheableAddrCompute(MemCheck):
+    def _configure(self):
+        super()._configure()
+        self.etct.register_handler(EventType.ADDR_COMPUTE, self._on_addr_compute,
+                                   handler_instructions=2, cacheable=True,
+                                   check_category=2)
+
+
+class _CacheableCondTest(MemCheck):
+    def _configure(self):
+        super()._configure()
+        self.etct.register_handler(EventType.COND_TEST, self._on_cond_test,
+                                   handler_instructions=3, cacheable=True,
+                                   check_category=3)
+
+
+class _CacheableIndirectJump(TaintCheck):
+    # Plain TaintCheck has the filter gated off (Figure 2).
+    uses_if = True
+
+    def _configure(self):
+        super()._configure()
+        self.etct.register_handler(EventType.INDIRECT_JUMP, self._on_indirect_jump,
+                                   handler_instructions=4, cacheable=True,
+                                   check_category=4)
+
+
+class _AddressKeyedLoads(AddrCheck):
+    def _configure(self):
+        super()._configure()
+        self.etct.register_handler(EventType.MEM_LOAD, self._on_memory_access,
+                                   handler_instructions=6, cacheable=True,
+                                   check_category=1, cacheable_fields=("address",))
+
+
+class _NoFastPaths(MemCheck):
+    def columnar_handlers(self):
+        return {}
+
+
+class _AllTranslating(MemCheck):
+    def columnar_handlers(self):
+        return {
+            event_type: (fn, True)
+            for event_type, (fn, _translates) in super().columnar_handlers().items()
+        }
+
+
+@pytest.mark.parametrize("lifeguard", LIFEGUARDS)
+def test_every_shipped_pipeline_is_served(lifeguard):
+    """Replay of a shipped lifeguard never drops to the scalar loop, which
+    the conformance matrix cannot see: the results would be identical."""
+    configs = [SystemConfig()] + [
+        make_config(lma, it, idempotent_filter)
+        for _label, lma, it, idempotent_filter in TECHNIQUE_STACKS[lifeguard]
+    ]
+    for config in configs:
+        _, dispatcher = build_pipeline(ALL_LIFEGUARDS[lifeguard](), config)
+        assert ColumnarEngine(dispatcher).supported, config
+
+
+@pytest.mark.parametrize("lifeguard", [
+    _CacheableAddrCompute, _CacheableCondTest, _CacheableIndirectJump, _AddressKeyedLoads,
+], ids=lambda cls: cls.__name__.lstrip("_"))
+def test_unserved_registrations_replay_through_consume(lifeguard):
+    records = _register_checks() + _same_ordinal_runs(n_blocks=1)
+    for chunk_rows in (None, 40):
+        assert not _assert_identical(records, lifeguard, chunk_rows)
+
+
+@pytest.mark.parametrize("lifeguard", [_NoFastPaths, _AllTranslating],
+                         ids=lambda cls: cls.__name__.lstrip("_"))
+def test_served_paths_no_shipped_lifeguard_takes(lifeguard):
+    """Generic register-check delivery, and scoped address-compute delivery."""
+    records = _register_checks() + _same_ordinal_runs(n_blocks=1)
+    for chunk_rows in (None, 40):
+        assert _assert_identical(records, lifeguard, chunk_rows)
 
 
 # ------------------------------------------------------------------ long runs

@@ -95,6 +95,9 @@ def _run_columnar(records, lifeguard_name):
     lifeguard = ALL_LIFEGUARDS[lifeguard_name]()
     accelerator, dispatcher = build_pipeline(lifeguard)
     engine = ColumnarEngine(dispatcher)
+    # A shipped lifeguard's replay runs the run steps, not the scalar loop
+    # (whose results would be identical, so only this assertion sees it).
+    assert engine.supported
     cycles = engine.consume_columns(RecordColumns.from_records(records))
     lifeguard.finalize()
     return lifeguard, accelerator, dispatcher, cycles

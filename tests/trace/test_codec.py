@@ -4,11 +4,22 @@ import random
 
 import pytest
 
-from repro.core.events import AnnotationRecord, EventClass, EventType, InstructionRecord
+from repro.core.events import (
+    F_BASE_REG,
+    F_DEST_REG,
+    F_INDEX_REG,
+    F_SRC_REG,
+    AnnotationRecord,
+    EventClass,
+    EventType,
+    InstructionRecord,
+)
 from repro.trace.codec import (
     RecordDecoder,
     RecordEncoder,
     TraceCodecError,
+    _write_varint,
+    decode_record_columns,
     decode_records,
     encode_records,
 )
@@ -91,11 +102,12 @@ class TestOneByteBoundaries:
 
     @pytest.mark.parametrize("value", [1, 127, 128, 255, 16383, 16384])
     def test_register_ids_sizes_and_thread_ids(self, value):
+        reg = value % 8  # register ids stay inside the ISA's eight
         roundtrip([
             InstructionRecord(
-                pc=0, event_type=EventType.REG_TO_MEM, dest_reg=value, src_reg=value,
-                dest_addr=0, size=value, is_store=True, base_reg=value,
-                index_reg=value, thread_id=value,
+                pc=0, event_type=EventType.REG_TO_MEM, dest_reg=reg, src_reg=reg,
+                dest_addr=0, size=value, is_store=True, base_reg=reg,
+                index_reg=reg, thread_id=value,
             )
         ])
 
@@ -218,6 +230,61 @@ class TestDeltaState:
         # Encoded separately (fresh encoder each), decoded separately.
         assert decode_records(encode_records(chunk_b), expected_count=50) == chunk_b
         assert decode_records(encode_records(chunk_a), expected_count=50) == chunk_a
+
+
+#: The four register fields in wire order, with their presence bits.
+REGISTER_FIELDS = (
+    ("dest_reg", F_DEST_REG),
+    ("src_reg", F_SRC_REG),
+    ("base_reg", F_BASE_REG),
+    ("index_reg", F_INDEX_REG),
+)
+
+
+def _registers_record_bytes(field, raw):
+    """One instruction record naming a register in all four fields, written
+    by hand: ``raw`` (the varint bytes) in ``field``, register 1 elsewhere."""
+    out = bytearray()
+    _write_varint(out, EventType.REG_TO_REG.ordinal << 1)
+    _write_varint(out, F_DEST_REG | F_SRC_REG | F_BASE_REG | F_INDEX_REG)
+    _write_varint(out, 0)  # pc delta
+    for name, _bit in REGISTER_FIELDS:
+        out += raw if name == field else b"\x01"
+    return bytes(out)
+
+
+def _varint(value):
+    out = bytearray()
+    _write_varint(out, value)
+    return bytes(out)
+
+
+class TestRegisterIds:
+    """Register ids name one of the ISA's eight registers, or the record is
+    rejected: on encode and by both decoders."""
+
+    @pytest.mark.parametrize("field", [name for name, _bit in REGISTER_FIELDS])
+    @pytest.mark.parametrize("reg", [8, 127, 128, 16384])
+    def test_foreign_register_id_is_a_codec_error(self, field, reg):
+        with pytest.raises(TraceCodecError, match=field):
+            RecordEncoder().encode(
+                InstructionRecord(pc=0, event_type=EventType.REG_TO_REG, **{field: reg})
+            )
+        data = _registers_record_bytes(field, _varint(reg))
+        with pytest.raises(TraceCodecError, match=f"{field} {reg} "):
+            decode_records(data, expected_count=1)
+        with pytest.raises(TraceCodecError, match=f"{field} {reg} "):
+            decode_record_columns(data, 1)
+
+    @pytest.mark.parametrize("field", [name for name, _bit in REGISTER_FIELDS])
+    def test_hand_written_registers_decode_alike(self, field):
+        """Register 7, and register 1 as a two-byte varint, decode to the
+        same record in both decoders."""
+        for raw, reg in ((b"\x07", 7), (b"\x81\x00", 1)):
+            data = _registers_record_bytes(field, raw)
+            records = decode_records(data, expected_count=1)
+            assert getattr(records[0], field) == reg
+            assert decode_record_columns(data, 1).records() == records
 
 
 class TestErrorPaths:

@@ -5,19 +5,25 @@ payload, index entry region, or totals footer -- must surface as a
 :class:`TraceFormatError` (strict) or an exact quarantine entry
 (degrade), never as a silently wrong replay.  Also covers the version
 check (only version-2 traces, which carry per-chunk CRCs, are read) and
-the ``python -m repro.trace verify`` audit command.
+the ``python -m repro.trace verify`` audit command, and CRC-valid chunks
+that name a register the ISA does not have.
 """
 
+import bisect
+import itertools
 import json
 import random
 import struct
 
 import pytest
 
+from repro.core.events import EventType, InstructionRecord
 from repro.faultinject.corrupt import corrupt_byte, flip_chunk_bytes, truncate_trace
-from repro.lifeguards import MemCheck
+from repro.isa.machine import Machine
+from repro.lifeguards import MemCheck, TaintCheck
+from repro.trace import codec
 from repro.trace.cli import main as trace_cli
-from repro.trace.replay import replay_trace
+from repro.trace.replay import ParallelReplay, replay_trace
 from repro.trace.tracefile import (
     _HEADER,
     _INDEX_ENTRY,
@@ -89,6 +95,46 @@ class TestPayloadFlips:
         assert degraded.skipped_records == lost
         assert degraded.records == total - lost
         assert degraded.degraded
+
+
+class TestForeignRegisterIds:
+    """A CRC-valid chunk whose record names register 100 is a damaged chunk:
+    ``verify`` reports it, strict replay names it, degrade quarantines it."""
+
+    def _trace(self, tmp_path, monkeypatch):
+        records = Machine(bugs.use_after_free()).trace()
+        position = len(records) // 2
+        records.insert(position, InstructionRecord(
+            pc=records[position].pc, event_type=EventType.REG_TO_MEM, src_reg=100,
+            dest_addr=0x0900_0000, size=4, is_store=True,
+        ))
+        path = tmp_path / "foreign.trace"
+        # The writer of such a trace is not this codec: widen its register
+        # bound while writing only.
+        with monkeypatch.context() as patch:
+            patch.setattr(codec, "NUM_GPRS", 128)
+            with TraceWriter(path, chunk_bytes=128) as writer:
+                writer.extend(records)
+        with TraceReader(path) as reader:
+            ends = list(itertools.accumulate(info.records for info in reader.chunks))
+        chunk = bisect.bisect_right(ends, position)
+        lost = ends[chunk] - (ends[chunk - 1] if chunk else 0)
+        assert len(ends) > 2 and 0 < chunk < len(ends) - 1
+        return str(path), chunk, lost, ends[-1]
+
+    @pytest.mark.parametrize("lifeguard", [MemCheck, TaintCheck], ids=lambda cls: cls.name)
+    def test_foreign_register_quarantines_its_chunk(self, tmp_path, monkeypatch, lifeguard):
+        path, chunk, lost, total = self._trace(tmp_path, monkeypatch)
+        assert [bad.index for bad in verify_trace(path).bad_chunks] == [chunk]
+        with pytest.raises(TraceFormatError, match=f"chunk {chunk} corrupt: src_reg 100 "):
+            replay_trace(path, lifeguard, quarantine="strict")
+        sequential = replay_trace(path, lifeguard, quarantine="degrade")
+        supervised = ParallelReplay(path, lifeguard, quarantine="degrade").run()
+        for result in (sequential, supervised):
+            assert [c.chunk for c in result.skipped_chunks] == [chunk]
+            assert result.skipped_chunks[0].reason == "corrupt"
+            assert result.skipped_records == lost
+            assert result.records == total - lost
 
 
 class TestIndexFlips:
