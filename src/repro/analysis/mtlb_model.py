@@ -16,11 +16,12 @@ a one-to-one application-byte to metadata-byte mapping as in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Union
+from typing import List, Set, Union
 
 from repro.core.config import MTLBConfig
 from repro.core.events import AnnotationRecord, InstructionRecord
 from repro.core.mtlb import LMAConfig, MetadataTLB
+from repro.memory.shadow import TwoLevelShadowMap
 from repro.analysis.profiler import memory_access_addresses
 
 Record = Union[InstructionRecord, AnnotationRecord]
@@ -63,14 +64,10 @@ def mtlb_miss_rate(
         element_size=element_size,
     )
     mtlb = MetadataTLB(MTLBConfig(num_entries=num_entries))
-    # The miss handler just fabricates a chunk base; only hit/miss behaviour matters.
-    chunk_bases: Dict[int, int] = {}
-
-    def miss_handler(app_address: int) -> int:
-        level1 = geometry.level1_index(app_address)
-        return chunk_bases.setdefault(level1, 0x6000_0000 + len(chunk_bases) * 0x10000)
-
-    mtlb.lma_config(geometry, miss_handler)
+    # The lifeguard's own miss handler: the map reserves each chunk on its
+    # first miss.  Hit or miss depends only on the level-1 index sequence.
+    shadow = TwoLevelShadowMap(level1_bits, level2_bits, element_size)
+    mtlb.lma_config(geometry, shadow.chunk_start)
     translations = 0
     for address, _size, _is_store in memory_access_addresses(records):
         mtlb.lma(address)

@@ -36,6 +36,7 @@ from repro.core.events import (
 from repro.core.idempotent_filter import IdempotentFilter
 from repro.core.inheritance_tracking import InheritanceTracker, ITState
 from repro.core.mtlb import MetadataTLB
+from repro.isa.registers import NUM_GPRS
 
 Record = Union[InstructionRecord, AnnotationRecord]
 
@@ -278,7 +279,7 @@ class EventAccelerator:
         flushed: List[DeliveredEvent] = []
         table = self._table
         for reg in (event.src_reg, event.base_reg, event.index_reg):
-            if reg is None or reg >= self.config.it.num_registers:
+            if reg is None or reg >= NUM_GPRS:
                 continue
             if self.it.state_of(reg) is ITState.ADDR:
                 flush_event = self.it._flush_register(reg, record)

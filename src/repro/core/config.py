@@ -48,12 +48,6 @@ class ITConfig:
     """Inheritance Tracking hardware parameters (Section 4.3)."""
 
     enabled: bool = True
-    #: number of general-purpose registers tracked (8 for IA32)
-    num_registers: int = 8
-
-    def __post_init__(self) -> None:
-        if self.num_registers <= 0:
-            raise ValueError("IT table needs at least one register entry")
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ from repro.core.events import (
     EventType,
     InstructionRecord,
 )
+from repro.isa.registers import NUM_GPRS
 
 
 class ITState(enum.Enum):
@@ -84,7 +85,7 @@ class InheritanceTracker:
 
     def __init__(self, config: Optional[ITConfig] = None) -> None:
         self.config = config or ITConfig()
-        self._table: List[ITEntry] = [ITEntry() for _ in range(self.config.num_registers)]
+        self._table: List[ITEntry] = [ITEntry() for _ in range(NUM_GPRS)]
         self.stats = ITStats()
         #: number of table entries currently in the ``addr`` state; lets the
         #: conflict detector skip the overlap scan entirely when no register

@@ -79,6 +79,7 @@ from repro.core.events import (
     EventType,
 )
 from repro.core.inheritance_tracking import ITState
+from repro.isa.registers import NUM_GPRS
 from repro.lba.dispatch import NLBA_CYCLES, EventDispatcher
 from repro.obs.runtime import OBS
 
@@ -129,7 +130,6 @@ class ColumnarEngine:
         self.it = self.accelerator.it
         self.filter = self.accelerator.idempotent_filter
         self._table = self.accelerator.etct.handler_table()
-        self._it_nregs = self.accelerator.config.it.num_registers
         mapper = self.lifeguard.mapper()
         self._begin_event = mapper.begin_event
         #: the mapper's reused per-event usage object (reset by begin_event)
@@ -436,11 +436,10 @@ class ColumnarEngine:
         the scalar twin does *not* count IT conflict-flush statistics.
         """
         table_it = self.it._table
-        num_regs = self._it_nregs
         addr_state = ITState.ADDR
         cycles = 0
         for reg in (row_sreg, row_breg, row_ireg):
-            if reg is not None and reg < num_regs and table_it[reg].state is addr_state:
+            if reg is not None and reg < NUM_GPRS and table_it[reg].state is addr_state:
                 cycles += self._flush_register(reg, pc, thread_id)
         return cycles
 
@@ -600,15 +599,14 @@ class ColumnarEngine:
                 # Pre-test: scan the (at most two) consulted registers and
                 # only take the flush path when one is in the addr state.
                 table_it = it._table
-                num_regs = self._it_nregs
                 addr_state = ITState.ADDR
                 if (
                     breg is not None
-                    and breg < num_regs
+                    and breg < NUM_GPRS
                     and table_it[breg].state is addr_state
                 ) or (
                     ireg is not None
-                    and ireg < num_regs
+                    and ireg < NUM_GPRS
                     and table_it[ireg].state is addr_state
                 ):
                     cycles += self._check_flushes(
@@ -642,7 +640,7 @@ class ColumnarEngine:
             if it is not None and it._addr_count:
                 if (
                     sreg is not None
-                    and sreg < self._it_nregs
+                    and sreg < NUM_GPRS
                     and it._table[sreg].state is ITState.ADDR
                 ):
                     cycles += self._check_flushes(
@@ -670,7 +668,7 @@ class ColumnarEngine:
             if it is not None and it._addr_count:
                 if (
                     sreg is not None
-                    and sreg < self._it_nregs
+                    and sreg < NUM_GPRS
                     and it._table[sreg].state is ITState.ADDR
                 ):
                     cycles += self._check_flushes(

@@ -80,7 +80,7 @@ class EventDispatcher:
         self.hierarchy = hierarchy
         self.stats = DispatchStats()
         self._lma_enabled = accelerator.mtlb is not None
-        self._translation = metadata_translation_cost("two-level", self._lma_enabled)
+        self._translation = metadata_translation_cost(self._lma_enabled)
         self._miss_cost = accelerator.config.mtlb.miss_handler_instructions
         self._table = accelerator.etct.handler_table()
 

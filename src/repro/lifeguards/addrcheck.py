@@ -21,7 +21,7 @@ from repro.core.events import DeliveredEvent, EventType
 from repro.lifeguards.base import Lifeguard
 from repro.lifeguards.reports import ErrorKind, ErrorReport
 from repro.memory.address_space import SegmentLayout
-from repro.memory.shadow import MetadataMap, TwoLevelShadowMap
+from repro.memory.shadow import TwoLevelShadowMap
 
 #: Accessible-bit values.
 _INACCESSIBLE = 0
@@ -86,7 +86,7 @@ class AddrCheck(Lifeguard):
             handler_instructions=45, invalidation=InvalidationPolicy.FLUSH_ALL,
         )
 
-    def primary_map(self) -> MetadataMap:
+    def primary_map(self) -> TwoLevelShadowMap:
         return self.accessible
 
     def columnar_handlers(self):

@@ -5,10 +5,10 @@ A lifeguard in this framework is an object that
 * owns the shadow-memory metadata describing the monitored application,
 * registers event handlers (with their modelled instruction costs) in an
   :class:`repro.core.etct.ETCT`,
-* translates application addresses to metadata addresses through a
-  :class:`MetadataMapper`, which uses the M-TLB's ``lma`` instruction when
-  the hardware is present and the five-instruction software sequence of
-  Figure 7 otherwise, and
+* translates application addresses to metadata addresses through its
+  :class:`MetadataMapper`, built with the lifeguard, which uses the M-TLB's
+  ``lma`` instruction once the hardware is attached and the
+  five-instruction software sequence of Figure 7 otherwise, and
 * appends :class:`repro.lifeguards.reports.ErrorReport` objects when an
   invariant of the monitored program is violated.
 
@@ -29,7 +29,7 @@ from repro.core.events import DeliveredEvent, EventType
 from repro.core.mtlb import LMAConfig, MetadataTLB
 from repro.isa.registers import NUM_GPRS
 from repro.lifeguards.reports import ErrorKind, ErrorReport
-from repro.memory.shadow import MetadataMap, TwoLevelShadowMap
+from repro.memory.shadow import TwoLevelShadowMap
 
 #: Lifeguard-space virtual address of the software level-1 table, used to
 #: model the extra memory access of a software (non-LMA) translation.
@@ -57,38 +57,27 @@ class MapperStats:
 class MetadataMapper:
     """Application-address → metadata-address translation front-end.
 
-    When an M-TLB is attached, translations execute the ``lma`` instruction
-    (one lifeguard instruction, one cycle, no memory access on a hit); the
-    software miss handler walks the two-level map and refills with
-    ``lma_fill``.  Without an M-TLB, each translation models the
-    five-instruction software sequence of Figure 7, including the level-1
-    table load.
+    Every lifeguard is built with a software-only mapper (no M-TLB), whose
+    translations model the five-instruction sequence of Figure 7, level-1
+    table load included.  :meth:`Lifeguard.attach_hardware` replaces it;
+    given an M-TLB, the mapper configures it with the map's own geometry
+    and translations execute ``lma`` (one instruction, no memory access on
+    a hit), whose miss handler is :meth:`TwoLevelShadowMap.chunk_start`.
     """
 
-    def __init__(self, shadow_map: MetadataMap, mtlb: Optional[MetadataTLB] = None,
-                 lma_geometry: Optional[LMAConfig] = None) -> None:
+    def __init__(self, shadow_map: TwoLevelShadowMap,
+                 mtlb: Optional[MetadataTLB] = None) -> None:
         self.shadow_map = shadow_map
         self.mtlb = mtlb
         self.stats = MapperStats()
         self._usage = EventUsage()
-        #: hot-path shortcut: two-level maps pay a level-1 table load on the
-        #: software (non-LMA) translation path
-        self._software_two_level = mtlb is None and isinstance(shadow_map, TwoLevelShadowMap)
         if mtlb is not None:
-            geometry = lma_geometry or _geometry_from_map(shadow_map)
-            mtlb.lma_config(geometry, miss_handler=self._miss_handler)
-
-    # ------------------------------------------------------------------ internals
-
-    def _miss_handler(self, app_address: int) -> int:
-        """Software M-TLB miss handler: compute the chunk start via the map."""
-        metadata_address = self.shadow_map.translate(app_address)
-        offset_in_chunk = 0
-        if isinstance(self.shadow_map, TwoLevelShadowMap):
-            offset_in_chunk = (
-                self.shadow_map.level2_index(app_address) * self.shadow_map.element_size
+            geometry = LMAConfig(
+                level1_bits=shadow_map.level1_bits,
+                level2_bits=shadow_map.level2_bits,
+                element_size=shadow_map.element_size,
             )
-        return metadata_address - offset_in_chunk
+            mtlb.lma_config(geometry, miss_handler=shadow_map.chunk_start)
 
     # ------------------------------------------------------------------ translation
 
@@ -125,10 +114,11 @@ class MetadataMapper:
                     stats.mtlb_misses += 1
                     usage.mtlb_misses += 1
         else:
-            metadata_address = self.shadow_map.translate(app_address)
-            if self._software_two_level:
-                level1_entry = LEVEL1_TABLE_BASE + self.shadow_map.level1_index(app_address) * 4
-                usage.metadata_addresses.append(level1_entry)
+            shadow_map = self.shadow_map
+            metadata_address = shadow_map.translate(app_address)
+            usage.metadata_addresses.append(
+                LEVEL1_TABLE_BASE + shadow_map.level1_index(app_address) * 4
+            )
         usage.metadata_addresses.append(metadata_address)
         return metadata_address
 
@@ -162,17 +152,6 @@ class MetadataMapper:
         """Return the usage recorded since :meth:`begin_event` (valid until
         the next :meth:`begin_event` resets it)."""
         return self._usage
-
-
-def _geometry_from_map(shadow_map: MetadataMap) -> LMAConfig:
-    """Derive the ``lma_config`` geometry from a two-level shadow map."""
-    if isinstance(shadow_map, TwoLevelShadowMap):
-        return LMAConfig(
-            level1_bits=shadow_map.level1_bits,
-            level2_bits=shadow_map.level2_bits,
-            element_size=shadow_map.element_size,
-        )
-    return LMAConfig()
 
 
 @dataclass(frozen=True)
@@ -211,10 +190,11 @@ class Lifeguard(ABC):
     def __init__(self) -> None:
         self.etct = ETCT()
         self.reports: List[ErrorReport] = []
-        self._mapper: Optional[MetadataMapper] = None
         #: per-register metadata kept in lifeguard globals (cheap to access)
         self.register_meta: Dict[int, int] = {reg: 0 for reg in range(NUM_GPRS)}
         self._configure()
+        #: the software-only mapper; :meth:`attach_hardware` replaces it
+        self._mapper = MetadataMapper(self.primary_map())
 
     # ------------------------------------------------------------------ set-up
 
@@ -223,16 +203,12 @@ class Lifeguard(ABC):
         """Create shadow maps and register ETCT entries."""
 
     @abstractmethod
-    def primary_map(self) -> MetadataMap:
+    def primary_map(self) -> TwoLevelShadowMap:
         """Return the lifeguard's dominant metadata map."""
-
-    def lma_geometry(self) -> LMAConfig:
-        """The ``lma_config`` geometry for this lifeguard's metadata layout."""
-        return _geometry_from_map(self.primary_map())
 
     def attach_hardware(self, mtlb: Optional[MetadataTLB]) -> None:
         """Connect the lifeguard to the consumer-core hardware (or lack of it)."""
-        self._mapper = MetadataMapper(self.primary_map(), mtlb, self.lma_geometry())
+        self._mapper = MetadataMapper(self.primary_map(), mtlb)
 
     @classmethod
     def info(cls) -> LifeguardInfo:
@@ -247,21 +223,20 @@ class Lifeguard(ABC):
     # ------------------------------------------------------------------ helpers
 
     def mapper(self) -> MetadataMapper:
-        """The metadata mapper, created on first use.
+        """The lifeguard's metadata mapper.
 
-        :meth:`attach_hardware` installs a hardware-aware mapper; in
-        stand-alone (non-LBA) use a software-translation-only mapper is
-        created lazily.  This is the public accessor the dispatcher and
-        handlers go through.
+        The lifeguard is built with a software-only mapper (the
+        five-instruction translation of Figure 7), so stand-alone use needs
+        no set-up; :meth:`attach_hardware` replaces it with one that uses
+        the consumer core's M-TLB when the core has one.  The dispatcher and
+        the columnar engine go through this accessor; handlers read
+        ``self._mapper``.
         """
-        if self._mapper is None:
-            # Stand-alone (non-LBA) use: software translation only.
-            self._mapper = MetadataMapper(self.primary_map(), None, None)
         return self._mapper
 
     def mapper_stats(self) -> MapperStats:
-        """Cumulative mapper statistics (empty when no event ran yet)."""
-        return self._mapper.stats if self._mapper is not None else MapperStats()
+        """Cumulative statistics of the current mapper."""
+        return self._mapper.stats
 
     def columnar_handlers(self) -> Dict[EventType, Tuple[Callable, bool]]:
         """Span fast paths for the columnar dispatch engine.
@@ -304,17 +279,17 @@ class Lifeguard(ABC):
 
     def meta_read_bits(self, app_address: int, bits: int) -> int:
         """Translate and read the per-byte bit field covering ``app_address``."""
-        self.mapper().translate(app_address)
+        self._mapper.translate(app_address)
         return self.primary_map().read_bits(app_address, bits)
 
     def meta_read_element(self, app_address: int) -> int:
         """Translate and read the whole metadata element covering ``app_address``."""
-        self.mapper().translate(app_address)
+        self._mapper.translate(app_address)
         return self.primary_map().read_element(app_address)
 
     def meta_write_element(self, app_address: int, value: int) -> None:
         """Translate and write the whole metadata element covering ``app_address``."""
-        self.mapper().translate(app_address)
+        self._mapper.translate(app_address)
         self.primary_map().write_element(app_address, value)
 
     def meta_fill_range(self, start: int, size: int, bits: int, value: int) -> None:
@@ -327,10 +302,8 @@ class Lifeguard(ABC):
         if size <= 0:
             return
         shadow = self.primary_map()
-        chunk_span = shadow.app_bytes_per_element
-        if isinstance(shadow, TwoLevelShadowMap):
-            chunk_span = (1 << shadow.level2_bits) * shadow.app_bytes_per_element
-        self.mapper().translate_span(start, start + size, chunk_span)
+        chunk_span = (1 << shadow.level2_bits) * shadow.app_bytes_per_element
+        self._mapper.translate_span(start, start + size, chunk_span)
         shadow.fill_bits(start, size, bits, value)
 
     def report(self, kind: ErrorKind, event: DeliveredEvent, message: str,

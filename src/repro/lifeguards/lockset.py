@@ -25,7 +25,7 @@ from repro.core.events import DeliveredEvent, EventType
 from repro.lifeguards.base import Lifeguard
 from repro.lifeguards.reports import ErrorKind
 from repro.memory.address_space import SegmentLayout
-from repro.memory.shadow import MetadataMap, TwoLevelShadowMap
+from repro.memory.shadow import TwoLevelShadowMap
 
 #: 2-bit location states (low bits of the 32-bit metadata record)
 STATE_VIRGIN = 0
@@ -108,7 +108,7 @@ class LockSet(Lifeguard):
             handler_instructions=15, invalidation=InvalidationPolicy.FLUSH_ALL,
         )
 
-    def primary_map(self) -> MetadataMap:
+    def primary_map(self) -> TwoLevelShadowMap:
         return self.records
 
     # ------------------------------------------------------------------ lockset interning
@@ -230,17 +230,16 @@ class LockSet(Lifeguard):
         # inherit a stale lockset state).
         word = event.dest_addr - event.dest_addr % _WORD
         end = event.dest_addr + event.size
-        mapper = self.mapper()
         while word < end:
             if self.records.read_element(word):
                 self.records.write_element(word, self._encode(STATE_VIRGIN, 0))
             word += _WORD
-        mapper.translate(event.dest_addr)
+        self._mapper.translate(event.dest_addr)
 
     def _on_free(self, event: DeliveredEvent) -> None:
         # Nothing to refine; the next malloc covering these words resets them.
         if event.dest_addr is not None:
-            self.mapper().translate(event.dest_addr)
+            self._mapper.translate(event.dest_addr)
 
     def _on_thread_create(self, event: DeliveredEvent) -> None:
         self.thread_locks.setdefault(event.thread_id, set())

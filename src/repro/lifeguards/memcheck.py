@@ -27,7 +27,7 @@ from repro.lifeguards.addrcheck import AllocationRecord
 from repro.lifeguards.base import Lifeguard
 from repro.lifeguards.reports import ErrorKind, ErrorReport
 from repro.memory.address_space import SegmentLayout
-from repro.memory.shadow import MetadataMap, TwoLevelShadowMap
+from repro.memory.shadow import TwoLevelShadowMap
 
 #: Bit positions within the 2-bit per-byte metadata field.
 _ACCESSIBLE_BIT = 0b01
@@ -128,7 +128,7 @@ class MemCheck(Lifeguard):
             handler_instructions=25, invalidation=InvalidationPolicy.FLUSH_ALL,
         )
 
-    def primary_map(self) -> MetadataMap:
+    def primary_map(self) -> TwoLevelShadowMap:
         return self.shadow
 
     def columnar_handlers(self):
@@ -192,7 +192,7 @@ class MemCheck(Lifeguard):
             mask = self._span_initialized_masks[size] << (offset * 2)
             element = read_element(address)
             write_element(address, element | mask if initialized else element & ~mask)
-            self.mapper().translate(address)
+            self._mapper.translate(address)
             return
         span_masks = self._span_initialized_masks
         tracked_base = self._layout.heap_base
@@ -213,7 +213,7 @@ class MemCheck(Lifeguard):
                 write_element(probe, new)
             probe = upper
         # One translation per element for cost purposes.
-        self.mapper().translate_span(address, end, per_element)
+        self._mapper.translate_span(address, end, per_element)
 
     def _range_bits_missing(self, address: int, size: int, span_masks) -> bool:
         """True if any covered byte lacks the span-mask bit.
@@ -225,8 +225,7 @@ class MemCheck(Lifeguard):
         size = max(size, 1)
         shadow = self.shadow
         per_element = shadow.app_bytes_per_element
-        mapper = self._mapper
-        translate = (mapper if mapper is not None else self.mapper()).translate
+        translate = self._mapper.translate
         read_element = shadow.read_element
         missing = False
         probe = address
@@ -270,8 +269,7 @@ class MemCheck(Lifeguard):
         span = max(size, 1)
         if offset + span <= per_element:
             # Whole access inside one element: one translation, one read.
-            mapper = self._mapper
-            (mapper if mapper is not None else self.mapper()).translate(address)
+            self._mapper.translate(address)
             element = shadow.read_element(address)
             mask = self._span_accessible_masks[span] << (offset * 2)
             if element & mask == mask:
@@ -353,25 +351,9 @@ class MemCheck(Lifeguard):
             self.register_meta[event.dest_reg] = _REG_INITIALIZED
 
     def _fast_imm_to_mem(self, dest_addr, size) -> None:
-        """Span twin: a constant store initialises its destination range.
-
-        Inlines the fully-tracked single-element fast path of
-        :meth:`_set_range_initialized` (the overwhelmingly common store
-        shape).
-        """
-        if dest_addr is None:
-            return
-        size = max(size, 1)
-        shadow = self.shadow
-        per_element = shadow.app_bytes_per_element
-        offset = dest_addr % per_element
-        if offset + size <= per_element and dest_addr >= self._layout.heap_base:
-            mask = self._span_initialized_masks[size] << (offset * 2)
-            shadow.write_element(dest_addr, shadow.read_element(dest_addr) | mask)
-            mapper = self._mapper
-            (mapper if mapper is not None else self.mapper()).translate(dest_addr)
-            return
-        self._set_range_initialized(dest_addr, size, True)
+        """Span twin: a constant store initialises its destination range."""
+        if dest_addr is not None:
+            self._set_range_initialized(dest_addr, size, True)
 
     def _on_imm_to_mem(self, event: DeliveredEvent) -> None:
         self._fast_imm_to_mem(event.dest_addr, event.size)
@@ -423,8 +405,7 @@ class MemCheck(Lifeguard):
             # each field keeps its accessible bit and takes the source's
             # initialised bit -- one translation + one masked element move,
             # exactly what the byte loop below computes for this shape.
-            mapper = self._mapper
-            (mapper if mapper is not None else self.mapper()).translate(src_addr)
+            self._mapper.translate(src_addr)
             src_element = shadow.read_element(src_addr)
             init_mask = self._span_initialized_masks[per_element]
             if not self._tracked_for_init(src_addr):

@@ -23,7 +23,7 @@ from repro.core.etct import InvalidationPolicy
 from repro.core.events import DeliveredEvent, EventType
 from repro.lifeguards.base import Lifeguard
 from repro.lifeguards.reports import ErrorKind, ErrorReport
-from repro.memory.shadow import MetadataMap, TwoLevelShadowMap
+from repro.memory.shadow import TwoLevelShadowMap
 
 #: register taint values
 _CLEAN = 0
@@ -83,7 +83,7 @@ class TaintCheck(Lifeguard):
         register(EventType.SYSCALL_OTHER, self._on_syscall_argument, handler_instructions=25)
         register(EventType.PRINTF, self._on_printf, handler_instructions=25)
 
-    def primary_map(self) -> MetadataMap:
+    def primary_map(self) -> TwoLevelShadowMap:
         return self.taint
 
     def columnar_handlers(self):
@@ -137,8 +137,7 @@ class TaintCheck(Lifeguard):
             # Fast path: one aligned element -- a single translation plus
             # one whole-element store, exactly what ``meta_fill_range`` +
             # ``fill_bits`` perform for this shape.
-            mapper = self._mapper
-            (mapper if mapper is not None else self.mapper()).translate(address)
+            self._mapper.translate(address)
             taint._fill_elements(
                 address, 1, self._element_taint_pattern if tainted else 0
             )
@@ -160,22 +159,9 @@ class TaintCheck(Lifeguard):
         self._set_register(event.dest_reg, False)
 
     def _fast_imm_to_mem(self, dest_addr, size) -> None:
-        """Span twin: a constant store cleans its destination range.
-
-        Inlines the aligned-single-element fast path of
-        :meth:`set_memory_taint` (the overwhelmingly common store shape).
-        """
-        if dest_addr is None:
-            return
-        size = max(size, 1)
-        taint = self.taint
-        per_element = taint.app_bytes_per_element
-        if size == per_element and dest_addr % per_element == 0:
-            mapper = self._mapper
-            (mapper if mapper is not None else self.mapper()).translate(dest_addr)
-            taint._fill_elements(dest_addr, 1, 0)
-            return
-        self.meta_fill_range(dest_addr, size, _TAINT_BITS, _CLEAN)
+        """Span twin: a constant store cleans its destination range."""
+        if dest_addr is not None:
+            self.set_memory_taint(dest_addr, size, False)
 
     def _on_imm_to_mem(self, event: DeliveredEvent) -> None:
         self._fast_imm_to_mem(event.dest_addr, event.size)
@@ -207,8 +193,6 @@ class TaintCheck(Lifeguard):
         taint = self.taint
         per_element = taint.app_bytes_per_element
         mapper = self._mapper
-        if mapper is None:
-            mapper = self.mapper()
         if size == per_element and not dest_addr % per_element and not src_addr % per_element:
             # Aligned whole-element copy: keeping only the tainted bit of
             # every per-byte field (the byte loop writes 01/00 fields) is

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.events import DeliveredEvent, EventType
 from repro.lifeguards.reports import ErrorKind
 from repro.lifeguards.taintcheck import TaintCheck, _CLEAN, _TAINTED
-from repro.memory.shadow import MetadataMap, TwoLevelShadowMap
+from repro.memory.shadow import TwoLevelShadowMap
 
 #: Application bytes covered by one detailed-tracking metadata element.
 _WORD = 4

@@ -1,15 +1,10 @@
 """Application memory substrate: sparse address space, heap allocator and
-shadow-memory (metadata) organisations.
+the two-level shadow-memory (metadata) map.
 """
 
 from repro.memory.address_space import AddressSpace, PAGE_SIZE, SegmentLayout
 from repro.memory.allocator import AllocationError, HeapAllocator, HeapBlock
-from repro.memory.shadow import (
-    MetadataMap,
-    OneLevelShadowMap,
-    TwoLevelShadowMap,
-    metadata_translation_cost,
-)
+from repro.memory.shadow import TwoLevelShadowMap, metadata_translation_cost
 
 __all__ = [
     "AddressSpace",
@@ -18,8 +13,6 @@ __all__ = [
     "AllocationError",
     "HeapAllocator",
     "HeapBlock",
-    "MetadataMap",
-    "OneLevelShadowMap",
     "TwoLevelShadowMap",
     "metadata_translation_cost",
 ]

@@ -193,7 +193,6 @@ def collect_pipeline(
     dispatcher=None,
     accelerator=None,
     lifeguard=None,
-    shadow=None,
     recorder: Optional[PipelineRecorder] = None,
     engine=None,  # unused; perfbench/perlayer.py still passes it
 ) -> MetricsRegistry:
@@ -264,21 +263,15 @@ def collect_pipeline(
         registry.counter("dispatch.lifeguard_cycles").inc(disp.lifeguard_cycles)
     if lifeguard is not None:
         mapper = lifeguard.mapper_stats()
-        if mapper is not None:
-            registry.counter("mapper.translations").inc(mapper.translations)
-            registry.counter("mapper.mtlb_hits").inc(mapper.mtlb_hits)
-            registry.counter("mapper.mtlb_misses").inc(mapper.mtlb_misses)
-        if shadow is None:
-            shadow = lifeguard.primary_map()
-    if shadow is not None:
-        registry.counter("shadow.fill_calls").inc(getattr(shadow, "fill_calls", 0))
-        registry.counter("shadow.fill_fast_elements").inc(
-            getattr(shadow, "fill_fast_elements", 0)
-        )
-        registry.counter("shadow.writes").inc(getattr(shadow, "writes", 0))
-        registry.counter("shadow.reads").inc(getattr(shadow, "reads", 0))
-        if hasattr(shadow, "materialized_buffers"):
-            registry.gauge("shadow.materialized_buffers").set(shadow.materialized_buffers())
+        registry.counter("mapper.translations").inc(mapper.translations)
+        registry.counter("mapper.mtlb_hits").inc(mapper.mtlb_hits)
+        registry.counter("mapper.mtlb_misses").inc(mapper.mtlb_misses)
+        shadow = lifeguard.primary_map()
+        registry.counter("shadow.fill_calls").inc(shadow.fill_calls)
+        registry.counter("shadow.fill_fast_elements").inc(shadow.fill_fast_elements)
+        registry.counter("shadow.writes").inc(shadow.writes)
+        registry.counter("shadow.reads").inc(shadow.reads)
+        registry.gauge("shadow.materialized_buffers").set(shadow.materialized_buffers())
     if recorder is not None:
         recorder.flush_to(registry)
     return registry

@@ -167,15 +167,26 @@ class RecordEncoder:
 
         The zero-copy twin of :meth:`encode`: stream writers that already
         accumulate a chunk buffer append straight into it instead of paying
-        a ``bytes`` allocation + copy per record.
+        a ``bytes`` allocation + copy per record.  A record that fails to
+        encode leaves nothing behind: ``out`` is cut back to its length at
+        entry and the delta chains are restored before the error propagates,
+        so the records after it still encode against the last record written.
         """
         before = len(out)
-        if isinstance(record, InstructionRecord):
-            self._encode_instruction(out, record)
-        elif isinstance(record, AnnotationRecord):
-            self._encode_annotation(out, record)
-        else:
-            raise TraceCodecError(f"cannot encode {type(record).__name__}")
+        last_pc = self._last_pc
+        last_addr = self._last_addr
+        try:
+            if isinstance(record, InstructionRecord):
+                self._encode_instruction(out, record)
+            elif isinstance(record, AnnotationRecord):
+                self._encode_annotation(out, record)
+            else:
+                raise TraceCodecError(f"cannot encode {type(record).__name__}")
+        except BaseException:
+            del out[before:]
+            self._last_pc = last_pc
+            self._last_addr = last_addr
+            raise
         return len(out) - before
 
     # ------------------------------------------------------------------ internals

@@ -10,6 +10,7 @@ from repro.analysis import (
     sweep_it_reduction,
     sweep_mtlb_flexible_vs_fixed,
 )
+from repro.core.events import EventType, InstructionRecord
 
 SCALE = 0.3
 BENCHMARKS = ["bzip2", "mcf", "gcc"]
@@ -92,3 +93,18 @@ class TestMTLBModel:
         comparison = sweep_mtlb_flexible_vs_fixed(profiler, ["mcf"], entries=(16,), scale=SCALE)
         data = comparison["mcf"]
         assert data["flexible"][16] <= data["fixed"][16] + 1e-9
+
+    def test_a_cycle_wider_than_the_mtlb_misses_on_every_access(self):
+        # 17 loads 4 KiB apart touch 17 level-1 chunks at 20 level-1 bits.
+        # Cycled three times, they thrash a 16-entry LRU M-TLB and miss in
+        # a 32-entry one only on first touch: the workloads' traces never
+        # reach the miss path after first touch, so this stream pins it.
+        loads = [
+            InstructionRecord(pc=0x1000, event_type=EventType.MEM_TO_REG, dest_reg=0,
+                              src_addr=0x0900_0000 + page * 4096, size=4, is_load=True)
+            for page in range(17)
+        ]
+        small = mtlb_miss_rate("cycle", loads * 3, level1_bits=20, num_entries=16)
+        large = mtlb_miss_rate("cycle", loads * 3, level1_bits=20, num_entries=32)
+        assert (small.translations, small.misses) == (51, 51)
+        assert (large.translations, large.misses) == (51, 17)

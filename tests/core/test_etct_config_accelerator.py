@@ -56,7 +56,6 @@ class TestConfig:
         assert config.hierarchy.memory_latency_cycles == 200
         assert config.log_buffer.size_bytes == 64 * 1024
         assert config.idempotent_filter.num_entries == 32
-        assert config.it.num_registers == 8
 
     def test_with_techniques_toggles(self):
         config = SystemConfig().with_techniques(lma=False, it=False, idempotent_filter=True)

@@ -13,7 +13,7 @@ def record(event_type, **kwargs):
 
 @pytest.fixture
 def it():
-    return InheritanceTracker(ITConfig(num_registers=8))
+    return InheritanceTracker(ITConfig())
 
 
 class TestBasicTransitions:

@@ -5,11 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.memory.address_space import AddressSpace, SegmentLayout
 from repro.memory.allocator import AllocationError, HeapAllocator
-from repro.memory.shadow import (
-    OneLevelShadowMap,
-    TwoLevelShadowMap,
-    metadata_translation_cost,
-)
+from repro.memory.shadow import TwoLevelShadowMap, metadata_translation_cost
 
 
 class TestAddressSpace:
@@ -183,6 +179,19 @@ class TestShadowMaps:
         shadow.write_bits(0x0900_0000, 2, 1)
         shadow.write_bits(0xBFFF_0000, 2, 1)
         assert shadow.allocated_chunks() == 2
+        # The M-TLB miss handler's chunk start reserves a new chunk the way
+        # a translation does, without materializing its buffer.
+        start = shadow.chunk_start(0x4000_1234)
+        assert shadow.allocated_chunks() == 3
+        assert shadow.materialized_buffers() == 2
+        assert shadow.chunk_start(0x4000_FFFC) == start
+        assert shadow.allocated_chunks() == 3
+        wide = TwoLevelShadowMap(16, 14, 8)
+        for map_, address in ((shadow, 0x4000_1234), (shadow, 0x0900_0040),
+                              (wide, 0x0900_0F04), (wide, 0x0901_0000)):
+            assert map_.chunk_start(address) == (
+                map_.translate(address) - map_.level2_index(address) * map_.element_size
+            )
 
     def test_fill_bits_sets_whole_range(self):
         shadow = TwoLevelShadowMap(16, 14, 1)
@@ -196,16 +205,6 @@ class TestShadowMaps:
         shadow.write_element(0x0900_0000, 0xDEADBEEF_CAFEF00D)
         assert shadow.read_element(0x0900_0003) == 0xDEADBEEF_CAFEF00D
 
-    def test_one_level_map(self):
-        shadow = OneLevelShadowMap(app_bytes_per_element=4, element_size=1)
-        shadow.write_element(0x0900_0000, 7)
-        assert shadow.read_element(0x0900_0003) == 7
-        assert shadow.translate(0x0900_0004) == shadow.translate(0x0900_0000) + 1
-
-    def test_one_level_rejects_dense_metadata(self):
-        with pytest.raises(ValueError):
-            OneLevelShadowMap(app_bytes_per_element=4, element_size=8)
-
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
             TwoLevelShadowMap(20, 14, 1)
@@ -213,13 +212,10 @@ class TestShadowMaps:
             TwoLevelShadowMap(16, 14, 3)
 
     def test_translation_cost_model(self):
-        software = metadata_translation_cost("two-level", lma_enabled=False)
-        lma = metadata_translation_cost("two-level", lma_enabled=True)
+        software = metadata_translation_cost(lma_enabled=False)
+        lma = metadata_translation_cost(lma_enabled=True)
         assert software.instructions == 5 and software.memory_accesses == 1
         assert lma.instructions == 1 and lma.memory_accesses == 0
-        assert metadata_translation_cost("one-level", False).instructions == 2
-        with pytest.raises(ValueError):
-            metadata_translation_cost("three-level", True)
 
     @given(
         addresses=st.lists(st.integers(0x0900_0000, 0x0900_4000), min_size=1, max_size=60),

@@ -1,17 +1,15 @@
-"""Property tests: shadow maps against a plain-dict reference model.
+"""Property tests: the two-level shadow map against a plain-dict reference model.
 
-The flat ``bytearray``/``array``-backed storage of both shadow-map designs
-must behave exactly like the obvious model -- a dict from element-aligned
-address to element value, with ``write_bits``/``fill_bits`` decomposed into
-per-byte field updates.  Hypothesis drives interleaved write/fill/read
-sequences whose addresses are biased onto level-2 chunk boundaries (two
-level design) and page boundaries (one-level design), the places where the
-vectorized slice-assignment fast paths split their work, and checks
+The flat ``bytearray``/``array``-backed chunk storage must behave exactly
+like the obvious model -- a dict from element-aligned address to element
+value, with ``write_bits``/``fill_bits`` decomposed into per-byte field
+updates.  Hypothesis drives interleaved write/fill/read sequences whose
+addresses are biased onto level-2 chunk boundaries, where the vectorized
+slice-assignment fast path splits its work, and checks
 
 * every element and bit-field read matches the model,
-* ``metadata_bytes()`` accounting matches the model exactly: chunk
-  granularity (reserved chunks x chunk size) for the two-level design,
-  distinct-written-elements x element size for the one-level design.
+* ``metadata_bytes()`` accounting is chunk granular (reserved chunks x
+  chunk size).
 """
 
 import pytest
@@ -19,7 +17,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from repro.memory.shadow import OneLevelShadowMap, TwoLevelShadowMap
+from repro.memory.shadow import TwoLevelShadowMap
 
 #: Base application address the generated accesses spread out from.
 BASE = 0x0900_0000
@@ -172,46 +170,3 @@ class TestTwoLevelAgainstDictModel:
         model = DictModel(shadow.app_bytes_per_element, shadow.element_size)
         touched = _apply(shadow, model, operations)
         _assert_reads_match(shadow, model, touched)
-
-
-class TestOneLevelAgainstDictModel:
-    # page = 4096 elements x 4 app bytes: bias offsets onto the page seam.
-    PAGE_APP_SPAN = 4096 * 4
-
-    def _shadow(self):
-        return OneLevelShadowMap(app_bytes_per_element=4, element_size=1)
-
-    @settings(max_examples=120, deadline=None)
-    @given(operations=_operations(boundary=PAGE_APP_SPAN))
-    def test_contents_match(self, operations):
-        shadow = self._shadow()
-        model = DictModel(shadow.app_bytes_per_element, shadow.element_size)
-        touched = _apply(shadow, model, operations)
-        _assert_reads_match(shadow, model, touched)
-
-    @settings(max_examples=120, deadline=None)
-    @given(operations=_operations(boundary=PAGE_APP_SPAN))
-    def test_metadata_bytes_counts_distinct_written_elements(self, operations):
-        """One-level accounting is exact: distinct elements ever written
-        (even with value zero, even via page-spanning fills) x element size."""
-        shadow = self._shadow()
-        model = DictModel(shadow.app_bytes_per_element, shadow.element_size)
-        _apply(shadow, model, operations)
-        assert shadow.metadata_bytes() == len(model.touched) * shadow.element_size
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        start_delta=st.integers(min_value=-6, max_value=6),
-        size=st.integers(min_value=1, max_value=3 * PAGE_APP_SPAN),
-    )
-    def test_page_spanning_fill(self, start_delta, size):
-        """Fills crossing the page seam land on both sides and account each
-        written element exactly once."""
-        shadow = self._shadow()
-        model = DictModel(shadow.app_bytes_per_element, shadow.element_size)
-        start = BASE + self.PAGE_APP_SPAN + start_delta
-        shadow.fill_bits(start, size, 2, 0b01)
-        model.fill_bits(start, size, 2, 0b01)
-        for probe in (start - 1, start, start + size - 1, start + size):
-            assert shadow.read_element(probe) == model.read_element(probe)
-        assert shadow.metadata_bytes() == len(model.touched) * shadow.element_size

@@ -1,4 +1,4 @@
-"""Tests for the flat (bytearray/array) shadow-map storage and fill fast path.
+"""Tests for the two-level map's flat (bytearray/array) storage and fill fast path.
 
 The storage rework replaced dict-of-dict chunks with contiguous buffers and
 added a vectorized whole-chunk ``fill_bits`` path; these tests pin down the
@@ -10,7 +10,7 @@ the element-at-a-time reference path would.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.memory.shadow import OneLevelShadowMap, TwoLevelShadowMap
+from repro.memory.shadow import TwoLevelShadowMap
 
 
 class TestTwoLevelStorage:
@@ -128,46 +128,3 @@ class TestTwoLevelStorage:
         probes = {start - 1, start, start + size // 2, start + size - 1, start + size}
         for address in probes:
             assert fast.read_bits(address, 2) == reference.read_bits(address, 2)
-
-
-class TestOneLevelStorage:
-    def test_sparse_reads_return_zero(self):
-        shadow = OneLevelShadowMap(app_bytes_per_element=4, element_size=1)
-        assert shadow.read_element(0x0900_0000) == 0
-        assert shadow.metadata_bytes() == 0
-
-    def test_metadata_bytes_counts_distinct_written_elements(self):
-        shadow = OneLevelShadowMap(app_bytes_per_element=4, element_size=1)
-        shadow.write_element(0x0900_0000, 5)
-        shadow.write_element(0x0900_0000, 9)      # same element rewritten
-        assert shadow.metadata_bytes() == 1
-        shadow.write_element(0x0900_0004, 0)      # zero value still counts
-        assert shadow.metadata_bytes() == 2
-        shadow.write_element(0xA000_0000, 1)      # far away: new page
-        assert shadow.metadata_bytes() == 3
-
-    def test_metadata_bytes_scales_with_element_size(self):
-        shadow = OneLevelShadowMap(app_bytes_per_element=4, element_size=4)
-        shadow.write_element(0x0900_0000, 0x1234_5678)
-        shadow.write_element(0x0900_0004, 1)
-        assert shadow.metadata_bytes() == 8
-        assert shadow.read_element(0x0900_0000) == 0x1234_5678
-
-    def test_fill_counts_every_covered_element_once(self):
-        shadow = OneLevelShadowMap(app_bytes_per_element=4, element_size=1)
-        shadow.fill_bits(0x0900_0000, 64, 2, 0b01)
-        assert shadow.metadata_bytes() == 16
-        shadow.fill_bits(0x0900_0000, 64, 2, 0b11)  # refill: same elements
-        assert shadow.metadata_bytes() == 16
-        assert shadow.read_bits(0x0900_0000, 2) == 0b11
-
-    def test_fill_spans_page_boundary(self):
-        # 4096 elements per page x 4 app bytes -> a page covers 16 KiB.
-        shadow = OneLevelShadowMap(app_bytes_per_element=4, element_size=1)
-        page_app_span = 4096 * 4
-        start = page_app_span - 8
-        shadow.fill_bits(start, 16, 2, 0b01)
-        assert all(shadow.read_bits(start + i, 2) == 0b01 for i in range(16))
-        assert shadow.read_bits(start - 1, 2) == 0
-        assert shadow.read_bits(start + 16, 2) == 0
-        assert shadow.metadata_bytes() == 4

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.events import AnnotationRecord, EventType, InstructionRecord
 from repro.experiments.harness import capture_trace
+from repro.trace.codec import TraceCodecError
 from repro.trace.tracefile import (
     TraceFormatError,
     TraceReader,
@@ -159,6 +160,36 @@ class TestErrorPaths:
         writer.close()
         with pytest.raises(ValueError, match="closed"):
             writer.append(AnnotationRecord(EventType.MALLOC, address=1, size=1))
+
+    def test_a_record_that_fails_to_encode_leaves_nothing_behind(self, tmp_path):
+        # Each bad record advances a delta chain (pc and/or address) before
+        # the field that cannot be encoded, so a writer that only dropped
+        # the bytes would still shift the records after it.
+        good = [
+            InstructionRecord(pc=0x1000 + 8 * i, event_type=EventType.MEM_TO_REG,
+                              dest_reg=1, src_addr=0x0900_0000 + 64 * i, size=4,
+                              is_load=True)
+            for i in range(10)
+        ]
+        bad = [
+            InstructionRecord(pc=0x7000, event_type=EventType.REG_TO_MEM, src_reg=2,
+                              dest_addr=0x0A00_0000, size=-1, is_store=True),
+            InstructionRecord(pc=0x7100, event_type=EventType.MEM_TO_REG, dest_reg=3,
+                              src_addr=0x0B00_0000, size=4, is_load=True, thread_id=-2),
+            AnnotationRecord(EventType.MALLOC, address=0x0C00_0000, size=-5, pc=0x7200),
+        ]
+        path = tmp_path / "skipped.trace"
+        writer = TraceWriter(path, chunk_bytes=4096)
+        writer.extend(good[:4])
+        for i, record in enumerate(bad):
+            with pytest.raises(TraceCodecError):
+                writer.append(record)
+            writer.extend(good[4 + 2 * i:6 + 2 * i])
+        writer.close()
+        assert verify_trace(path).ok
+        assert writer.stats.records == 10
+        with TraceReader(path) as reader:
+            assert list(reader) == good
 
 
 class TestRewrite:
