@@ -44,8 +44,8 @@ from repro.lifeguards import ALL_LIFEGUARDS
 from repro.memory.shadow import TwoLevelShadowMap
 from repro.trace.codec import (
     RecordColumns,
-    RecordDecoder,
     decode_record_columns,
+    decode_records,
     encode_records,
 )
 from repro.obs import observed, snapshot_document
@@ -130,17 +130,9 @@ def bench_codec(records, repeats):
     elapsed, data = _best_of(repeats, lambda: encode_records(records))
     stages["codec_encode"] = round(len(records) / elapsed)
 
-    def per_record_decode():
-        decoder = RecordDecoder()
-        offset = 0
-        n = 0
-        while offset < len(data):
-            _, offset = decoder.decode(data, offset)
-            n += 1
-        return n
-
-    elapsed, n = _best_of(repeats, per_record_decode)
-    assert n == len(records)
+    # The reference decoder: one record object per row.
+    elapsed, decoded = _best_of(repeats, lambda: decode_records(data, len(records)))
+    assert decoded == records, "reference decode diverged"
     stages["codec_decode_per_record"] = round(len(records) / elapsed)
 
     elapsed, columns = _best_of(

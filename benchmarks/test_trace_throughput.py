@@ -14,7 +14,13 @@ from benchmarks.bench_params import BENCH_SCALE
 
 from repro.core.events import EventType, InstructionRecord
 from repro.experiments.harness import capture_trace
-from repro.trace.codec import RecordEncoder, decode_records, encode_records
+from repro.trace.codec import (
+    RecordEncoder,
+    byte_planes,
+    decode_record_columns,
+    decode_records,
+    encode_records,
+)
 from repro.trace.replay import ParallelReplay, replay_trace
 from repro.trace.tracefile import TraceReader
 
@@ -22,7 +28,7 @@ _RECORDS = 20_000
 
 
 def _loop_records(count=_RECORDS):
-    """A loop-like stream: small pc/address deltas, the codec's common case."""
+    """A loop-like stream: small pc/address steps, the codec's common case."""
     return [
         InstructionRecord(
             pc=0x0804_8000 + 4 * (i % 64),
@@ -40,30 +46,32 @@ def _loop_records(count=_RECORDS):
 
 
 def test_codec_encode_throughput(benchmark):
+    """What a capture pays: one ``encode_into`` per record, then the
+    chunk's rows turned into byte planes."""
     records = _loop_records()
 
     def run():
-        encoder = RecordEncoder()
-        total = 0
+        rows = bytearray()
+        encode_into = RecordEncoder().encode_into
         for record in records:
-            total += len(encoder.encode(record))
-        return total
+            encode_into(rows, record)
+        return byte_planes(rows)
 
-    total_bytes = benchmark(run)
+    payload = benchmark(run)
+    assert payload == encode_records(records)
     rate = len(records) / benchmark.stats.stats.mean
     benchmark.extra_info["records_per_second"] = round(rate)
-    benchmark.extra_info["bytes_per_record"] = round(total_bytes / len(records), 2)
+    benchmark.extra_info["bytes_per_record"] = round(len(payload) / len(records), 2)
 
 
 def test_codec_decode_throughput(benchmark):
+    """What a replay pays: the fast path into columns, checked against the
+    reference decoder's records."""
     records = _loop_records()
     data = encode_records(records)
 
-    def run():
-        return len(decode_records(data, expected_count=len(records)))
-
-    count = benchmark(run)
-    assert count == len(records)
+    columns = benchmark(decode_record_columns, data, len(records))
+    assert columns.records() == decode_records(data, len(records)) == records
     rate = len(records) / benchmark.stats.stats.mean
     benchmark.extra_info["records_per_second"] = round(rate)
 

@@ -202,13 +202,11 @@ del _ordinal, _event_type
 # Instruction-record field presence/flag bits.
 #
 # One bit per optional :class:`InstructionRecord` field (plus the four
-# boolean flags).  The trace codec uses exactly these bits as its on-wire
-# presence bitmap, and the columnar record pipeline
+# boolean flags).  The trace codec stores exactly these bits as an
+# instruction row's flags, and the columnar record pipeline
 # (:class:`repro.trace.codec.RecordColumns`, :mod:`repro.lba.columnar`)
 # uses the same bitmap to mark which column entries are live for a row, so
-# a decoded flags word means the same thing at every layer.  The seven most
-# frequent fields occupy the low bits so the common load/move records keep
-# the codec's flags varint to a single byte.
+# a decoded flags word means the same thing at every layer.
 # ---------------------------------------------------------------------------
 
 F_DEST_REG = 1 << 0

@@ -4,9 +4,10 @@ The paper's premise is that the monitored core streams a *compressed log*
 of retired instructions to the lifeguard core.  This subpackage makes those
 log bytes real:
 
-* :mod:`repro.trace.codec` -- a lossless binary record codec (varint +
-  delta-encoded program counters and data addresses) whose per-record byte
-  counts are the source of truth for all log-bandwidth accounting;
+* :mod:`repro.trace.codec` -- a lossless binary record codec: one
+  fixed-width row per record, a chunk's rows stored byte plane by byte
+  plane, with a reference decoder to record objects and a columnar fast
+  path for replay;
 * :mod:`repro.trace.tracefile` -- chunked, optionally zlib-compressed trace
   files with a per-chunk index, so a workload can be captured once and
   re-analysed many times;
@@ -19,7 +20,6 @@ log bytes real:
 """
 
 from repro.trace.codec import (
-    RecordDecoder,
     RecordEncoder,
     TraceCodecError,
     decode_records,
@@ -50,7 +50,6 @@ from repro.trace.tracefile import (
 )
 
 __all__ = [
-    "RecordDecoder",
     "RecordEncoder",
     "TraceCodecError",
     "encode_records",

@@ -1,41 +1,51 @@
-"""Binary log-record codec.
+"""Binary log-record codec: trace format version 3.
 
-Implements the compressed on-wire format of the LBA log (Section 3 of the
-paper): each retired-instruction record is serialized as a small varint
-stream that exploits the redundancy between successive records --
+Implements the on-wire form of the LBA log (Section 3 of the paper).  Every
+record is one fixed 34-byte little-endian *row* (:data:`ROW`)::
 
-* the program counter is stored as a zigzag-encoded delta against the
-  previous record's program counter (straight-line code costs one byte);
-* data addresses are stored as zigzag deltas against the previous data
-  address seen by the encoder (strided access patterns cost one byte);
-* optional operand fields are gated by a presence bitmap so the common
-  register-to-register record carries no dead fields.
+    kind u8 | ordinal u8 | flags u16 | pc u32 | dest_addr u32 | src_addr u32
+    | dest_reg u8 | src_reg u8 | base_reg u8 | index_reg u8 | size u32
+    | thread_id u16 | immediate i64
 
-The codec is *stateful* (the deltas form a chain), so both ends must
-process the same record sequence from the same reset point.  Chunked trace
-files (:mod:`repro.trace.tracefile`) reset the codec at every chunk
-boundary, which is what makes chunks independently decodable: a reader can
-seek to any chunk, and a damaged chunk can be quarantined without losing
-the rest of the trace.
+* An instruction row has ``kind`` 0, and ``flags`` is its canonical ``F_*``
+  presence bitmap of :mod:`repro.core.events`.
+* An annotation row has ``kind`` 1, and ``flags`` holds two presence bits:
+  the address, stored in ``dest_addr``, and the payload, stored in
+  ``immediate``.  Its size, thread and pc are plain fields.
+* An absent field is written as 0.
 
-Round-tripping is lossless: ``decode(encode(r)) == r`` field for field, and
-re-encoding the decoded stream reproduces the identical bytes.  A register
-field must name one of the ISA's eight registers
-(:data:`repro.isa.registers.NUM_GPRS`): the encoder and both decoders raise
-:class:`TraceCodecError` for any other id, because a CRC-valid chunk from
-outside the program may still name one.
+A chunk stores its rows *byte plane by byte plane* (:func:`byte_planes`):
+byte 0 of every row, then byte 1 of every row, and so on -- the "shuffle"
+filter of HDF5 and Blosc.  The high bytes of addresses, sizes and
+immediates then form long runs of equal bytes, which the trace file's zlib
+(:mod:`repro.trace.tracefile`) compresses.  Rows hold absolute values, so
+every chunk decodes on its own.
 
-There are two decoders.  The reference is the stepwise
-:meth:`RecordDecoder.decode`, behind :func:`decode_records`; every record
-object a reader, ``verify`` or ``repair`` sees comes from it.  The one fast
-path is :meth:`RecordDecoder.decode_columns`, behind
-:func:`decode_record_columns`, which replay uses: it writes instruction
-records straight into :class:`RecordColumns` and falls back to the
-reference for annotation records and errors.
+Field domains follow the ISA: pc, addresses and size are below ``2**32``
+(:data:`repro.memory.shadow.ADDRESS_BITS`), thread ids below ``2**16``,
+immediates and payloads are signed 64-bit, and register ids name one of
+the ISA's :data:`repro.isa.registers.NUM_GPRS` registers.  The encoder
+raises :class:`TraceCodecError` for any value outside its domain and
+appends nothing.
+
+There are two decoders, with one validity rule: ``kind`` is 0 or 1,
+``ordinal`` names an event type, and every register byte of a row --
+present or not -- is below ``NUM_GPRS``, because a CRC-valid chunk from
+outside the program may name any byte.  The reference,
+:func:`decode_records`, turns the planes back into rows and unpacks each
+row with :mod:`struct`; every record object a reader, ``verify`` or
+``repair`` sees comes from it.  The fast path, :func:`decode_record_columns`,
+which replay uses, builds each :class:`RecordColumns` column from its planes
+with slices and C-level iterators, and re-runs the reference on any
+failure so that the reference names the error.
 """
 
 from __future__ import annotations
 
+import struct
+import sys
+from itertools import compress, islice
+from operator import ne
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.events import (
@@ -54,247 +64,195 @@ from repro.core.events import (
     F_SRC_REG,
     F_THREAD,
     AnnotationRecord,
-    EventType,
     InstructionRecord,
 )
 from repro.isa.registers import NUM_GPRS
 
 Record = Union[InstructionRecord, AnnotationRecord]
 
-#: Byte sources the decoder accepts: indexing must yield ints, so both
-#: ``bytes`` and zero-copy ``memoryview`` slices over a larger buffer work.
+#: Byte sources the decoders accept: ``bytes`` and zero-copy ``memoryview``
+#: slices over a larger buffer both work.
 ByteSource = Union[bytes, bytearray, memoryview]
+
+#: One record: kind, ordinal, flags, pc, dest_addr, src_addr, dest_reg,
+#: src_reg, base_reg, index_reg, size, thread_id, immediate.
+ROW = struct.Struct("<BBHIIIBBBBIHq")
+ROW_BYTES = ROW.size
+_pack = ROW.pack
+
+# The columns are cast from the planes in the host's byte order and native
+# widths; fail here, at import, on a host where they are not the rows'.
+if sys.byteorder != "little" or [struct.calcsize(code) for code in "HIq"] != [2, 4, 8]:
+    raise ImportError("the trace codec needs a little-endian host with 2/4/8-byte H/I/q")
+
+# Presence bits of an annotation row's flags.
+_A_ADDRESS = 1 << 0
+_A_PAYLOAD = 1 << 1
+
+#: The row's register fields, in row order.
+_REGISTER_FIELDS = ("dest_reg", "src_reg", "base_reg", "index_reg")
 
 
 class TraceCodecError(ValueError):
-    """Raised when a byte stream cannot be decoded into records."""
+    """Raised when a record cannot be encoded or bytes cannot be decoded."""
 
 
-def _register_error(field: str, value: int) -> TraceCodecError:
-    """The error for a register field naming no register of the ISA."""
-    return TraceCodecError(
-        f"{field} {value} is not one of the ISA's {NUM_GPRS} registers"
-    )
-
-
-#: Stable wire identifier per event type: its ``ordinal`` (definition order).
-_EVENT_BY_WIRE_ID = EVENT_TYPES
-
-# Presence/flag bits of an instruction record's bitmap: the canonical
-# field-presence bits of :mod:`repro.core.events`, which this codec uses
-# verbatim as its on-wire bitmap (aliased with the historical underscore
-# names the encode/decode bodies were written against).
-_F_DEST_REG = F_DEST_REG
-_F_SRC_REG = F_SRC_REG
-_F_DEST_ADDR = F_DEST_ADDR
-_F_SRC_ADDR = F_SRC_ADDR
-_F_SIZE = F_SIZE
-_F_IS_LOAD = F_IS_LOAD
-_F_BASE_REG = F_BASE_REG
-_F_IS_STORE = F_IS_STORE
-_F_INDEX_REG = F_INDEX_REG
-_F_IMMEDIATE = F_IMMEDIATE
-_F_COND_TEST = F_COND_TEST
-_F_INDIRECT_JUMP = F_INDIRECT_JUMP
-_F_THREAD = F_THREAD
-
-# Presence bits of an annotation record's bitmap.
-_A_ADDRESS = 1 << 0
-_A_SIZE = 1 << 1
-_A_THREAD = 1 << 2
-_A_PC = 1 << 3
-_A_PAYLOAD = 1 << 4
-
-
-def _zigzag(value: int) -> int:
-    """Map a signed integer to an unsigned one (small magnitudes stay small)."""
-    return (value << 1) if value >= 0 else ((-value) << 1) - 1
-
-
-def _unzigzag(value: int) -> int:
-    """Inverse of :func:`_zigzag`."""
-    return (value >> 1) if not value & 1 else -((value + 1) >> 1)
-
-
-def _write_varint(out: bytearray, value: int) -> None:
-    """Append an unsigned LEB128 varint."""
-    if value < 0:
-        raise TraceCodecError(f"varint value must be unsigned, got {value}")
-    while value > 0x7F:
-        out.append((value & 0x7F) | 0x80)
-        value >>= 7
-    out.append(value)
-
-
-def _read_varint(data: bytes, offset: int) -> Tuple[int, int]:
-    """Read an unsigned LEB128 varint; returns ``(value, next_offset)``."""
-    value = 0
-    shift = 0
-    length = len(data)
-    while True:
-        if offset >= length:
-            raise TraceCodecError("varint runs past end of buffer")
-        byte = data[offset]
-        offset += 1
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value, offset
-        shift += 7
-        if shift > 70:
-            raise TraceCodecError("varint longer than 10 bytes (corrupt stream)")
+def _check_registers(*registers: int) -> None:
+    """Raise for the first of a row's four register ids outside the ISA."""
+    for field, value in zip(_REGISTER_FIELDS, registers):
+        if not 0 <= value < NUM_GPRS:
+            raise TraceCodecError(
+                f"{field} {value} is not one of the ISA's {NUM_GPRS} registers"
+            )
 
 
 class RecordEncoder:
-    """Stateful record → bytes encoder (delta chains for PC and addresses)."""
-
-    def __init__(self) -> None:
-        self._last_pc = 0
-        self._last_addr = 0
-
-    def reset(self) -> None:
-        """Restart the delta chains (chunk boundary)."""
-        self._last_pc = 0
-        self._last_addr = 0
+    """Record → row encoder.  Stateless: every row holds absolute values."""
 
     def encode(self, record: Record) -> bytes:
-        """Serialize one record and advance the delta state."""
+        """Serialize one record as its row."""
         out = bytearray()
         self.encode_into(out, record)
         return bytes(out)
 
     def encode_into(self, out: bytearray, record: Record) -> int:
-        """Serialize one record by appending to ``out``; returns its byte count.
+        """Append ``record``'s row to ``out``; returns its byte count.
 
-        The zero-copy twin of :meth:`encode`: stream writers that already
-        accumulate a chunk buffer append straight into it instead of paying
-        a ``bytes`` allocation + copy per record.  A record that fails to
-        encode leaves nothing behind: ``out`` is cut back to its length at
-        entry and the delta chains are restored before the error propagates,
-        so the records after it still encode against the last record written.
+        A record with a value outside its field's domain raises
+        :class:`TraceCodecError` and appends nothing.
         """
-        before = len(out)
-        last_pc = self._last_pc
-        last_addr = self._last_addr
-        try:
-            if isinstance(record, InstructionRecord):
-                self._encode_instruction(out, record)
-            elif isinstance(record, AnnotationRecord):
-                self._encode_annotation(out, record)
+        if isinstance(record, InstructionRecord):
+            (pc, event_type, dest_reg, src_reg, dest_addr, src_addr, size, is_load,
+             is_store, base_reg, index_reg, is_cond_test, is_indirect_jump, thread_id,
+             immediate) = record
+            flags = 0
+            if dest_reg is None:
+                dest_reg = 0
             else:
-                raise TraceCodecError(f"cannot encode {type(record).__name__}")
-        except BaseException:
-            del out[before:]
-            self._last_pc = last_pc
-            self._last_addr = last_addr
-            raise
-        return len(out) - before
+                flags = F_DEST_REG
+            if src_reg is None:
+                src_reg = 0
+            else:
+                flags |= F_SRC_REG
+            if dest_addr is None:
+                dest_addr = 0
+            else:
+                flags |= F_DEST_ADDR
+            if src_addr is None:
+                src_addr = 0
+            else:
+                flags |= F_SRC_ADDR
+            if base_reg is None:
+                base_reg = 0
+            else:
+                flags |= F_BASE_REG
+            if index_reg is None:
+                index_reg = 0
+            else:
+                flags |= F_INDEX_REG
+            if immediate is None:
+                immediate = 0
+            else:
+                flags |= F_IMMEDIATE
+            if size:
+                flags |= F_SIZE
+            if is_load:
+                flags |= F_IS_LOAD
+            if is_store:
+                flags |= F_IS_STORE
+            if is_cond_test:
+                flags |= F_COND_TEST
+            if is_indirect_jump:
+                flags |= F_INDIRECT_JUMP
+            if thread_id:
+                flags |= F_THREAD
+            gprs = NUM_GPRS
+            if not (0 <= dest_reg < gprs and 0 <= src_reg < gprs
+                    and 0 <= base_reg < gprs and 0 <= index_reg < gprs):
+                _check_registers(dest_reg, src_reg, base_reg, index_reg)
+            try:
+                out += _pack(0, event_type.ordinal, flags, pc, dest_addr, src_addr,
+                             dest_reg, src_reg, base_reg, index_reg, size, thread_id,
+                             immediate)
+            except struct.error as exc:
+                raise TraceCodecError(f"cannot encode {record!r}: {exc}") from None
+            return ROW_BYTES
+        if isinstance(record, AnnotationRecord):
+            event_type, address, size, thread_id, pc, payload = record
+            flags = 0
+            if address is None:
+                address = 0
+            else:
+                flags = _A_ADDRESS
+            if payload is None:
+                payload = 0
+            else:
+                flags |= _A_PAYLOAD
+            try:
+                out += _pack(1, event_type.ordinal, flags, pc, address, 0, 0, 0, 0, 0,
+                             size, thread_id, payload)
+            except struct.error as exc:
+                raise TraceCodecError(f"cannot encode {record!r}: {exc}") from None
+            return ROW_BYTES
+        raise TraceCodecError(f"cannot encode {type(record).__name__}")
 
-    # ------------------------------------------------------------------ internals
 
-    def _encode_instruction(self, out: bytearray, record: InstructionRecord) -> None:
-        # Unpack once; every value below 0x80 -- the header, the flags, most
-        # PC deltas and the register ids -- is its own one-byte varint and is
-        # appended directly.  Only longer (or negative) values go through
-        # ``_write_varint``.  Zigzag is inlined for the same reason.  A
-        # register id outside the ISA's registers is rejected before any
-        # byte of the record is written.
-        (pc, event_type, dest_reg, src_reg, dest_addr, src_addr, size, is_load,
-         is_store, base_reg, index_reg, is_cond_test, is_indirect_jump, thread_id,
-         immediate) = record
-        flags = 0
-        if dest_reg is not None:
-            if not 0 <= dest_reg < NUM_GPRS:
-                raise _register_error("dest_reg", dest_reg)
-            flags |= _F_DEST_REG
-        if src_reg is not None:
-            if not 0 <= src_reg < NUM_GPRS:
-                raise _register_error("src_reg", src_reg)
-            flags |= _F_SRC_REG
-        if dest_addr is not None:
-            flags |= _F_DEST_ADDR
-        if src_addr is not None:
-            flags |= _F_SRC_ADDR
-        if base_reg is not None:
-            if not 0 <= base_reg < NUM_GPRS:
-                raise _register_error("base_reg", base_reg)
-            flags |= _F_BASE_REG
-        if index_reg is not None:
-            if not 0 <= index_reg < NUM_GPRS:
-                raise _register_error("index_reg", index_reg)
-            flags |= _F_INDEX_REG
-        if immediate is not None:
-            flags |= _F_IMMEDIATE
-        if size:
-            flags |= _F_SIZE
-        if is_load:
-            flags |= _F_IS_LOAD
-        if is_store:
-            flags |= _F_IS_STORE
-        if is_cond_test:
-            flags |= _F_COND_TEST
-        if is_indirect_jump:
-            flags |= _F_INDIRECT_JUMP
-        if thread_id:
-            flags |= _F_THREAD
-        append = out.append
-        value = event_type.ordinal << 1
-        append(value) if value < 0x80 else _write_varint(out, value)
-        append(flags) if flags < 0x80 else _write_varint(out, flags)
-        value = pc - self._last_pc
-        value = (value << 1) if value >= 0 else ((-value) << 1) - 1
-        append(value) if value < 0x80 else _write_varint(out, value)
-        self._last_pc = pc
-        if dest_reg is not None:
-            append(dest_reg)
-        if src_reg is not None:
-            append(src_reg)
-        if dest_addr is not None:
-            value = dest_addr - self._last_addr
-            value = (value << 1) if value >= 0 else ((-value) << 1) - 1
-            append(value) if value < 0x80 else _write_varint(out, value)
-            self._last_addr = dest_addr
-        if src_addr is not None:
-            value = src_addr - self._last_addr
-            value = (value << 1) if value >= 0 else ((-value) << 1) - 1
-            append(value) if value < 0x80 else _write_varint(out, value)
-            self._last_addr = src_addr
-        if base_reg is not None:
-            append(base_reg)
-        if index_reg is not None:
-            append(index_reg)
-        if immediate is not None:
-            _write_varint(out, _zigzag(immediate))
-        if size:
-            append(size) if 0 <= size < 0x80 else _write_varint(out, size)
-        if thread_id:
-            append(thread_id) if 0 <= thread_id < 0x80 else _write_varint(out, thread_id)
+def _decode_row(row) -> Record:
+    """The reference row decoder: one unpacked row to its record object."""
+    (kind, ordinal, flags, pc, dest_addr, src_addr, dest_reg, src_reg, base_reg,
+     index_reg, size, thread_id, immediate) = row
+    if ordinal >= len(EVENT_TYPES):
+        raise TraceCodecError(f"unknown event ordinal {ordinal}")
+    if dest_reg >= NUM_GPRS or src_reg >= NUM_GPRS or base_reg >= NUM_GPRS or (
+        index_reg >= NUM_GPRS
+    ):
+        _check_registers(dest_reg, src_reg, base_reg, index_reg)
+    if kind == 0:
+        return InstructionRecord(
+            pc,
+            EVENT_TYPES[ordinal],
+            dest_reg if flags & F_DEST_REG else None,
+            src_reg if flags & F_SRC_REG else None,
+            dest_addr if flags & F_DEST_ADDR else None,
+            src_addr if flags & F_SRC_ADDR else None,
+            size,
+            bool(flags & F_IS_LOAD),
+            bool(flags & F_IS_STORE),
+            base_reg if flags & F_BASE_REG else None,
+            index_reg if flags & F_INDEX_REG else None,
+            bool(flags & F_COND_TEST),
+            bool(flags & F_INDIRECT_JUMP),
+            thread_id,
+            immediate if flags & F_IMMEDIATE else None,
+        )
+    if kind == 1:
+        return AnnotationRecord(
+            EVENT_TYPES[ordinal],
+            dest_addr if flags & _A_ADDRESS else None,
+            size,
+            thread_id,
+            pc,
+            immediate if flags & _A_PAYLOAD else None,
+        )
+    raise TraceCodecError(f"row kind {kind} is neither an instruction (0) nor an annotation (1)")
 
-    def _encode_annotation(self, out: bytearray, record: AnnotationRecord) -> None:
-        _write_varint(out, (record.event_type.ordinal << 1) | 1)
-        flags = 0
-        if record.address is not None:
-            flags |= _A_ADDRESS
-        if record.size:
-            flags |= _A_SIZE
-        if record.thread_id:
-            flags |= _A_THREAD
-        if record.pc:
-            flags |= _A_PC
-        if record.payload is not None:
-            flags |= _A_PAYLOAD
-        _write_varint(out, flags)
-        if flags & _A_ADDRESS:
-            _write_varint(out, _zigzag(record.address - self._last_addr))
-            self._last_addr = record.address
-        if flags & _A_SIZE:
-            _write_varint(out, record.size)
-        if flags & _A_THREAD:
-            _write_varint(out, record.thread_id)
-        if flags & _A_PC:
-            _write_varint(out, _zigzag(record.pc - self._last_pc))
-            self._last_pc = record.pc
-        if flags & _A_PAYLOAD:
-            _write_varint(out, _zigzag(record.payload))
+
+def byte_planes(rows: ByteSource) -> bytearray:
+    """Store row-major rows byte plane by byte plane (the chunk payload)."""
+    count = len(rows) // ROW_BYTES
+    planes = bytearray(len(rows))
+    for byte in range(ROW_BYTES):
+        planes[byte * count:(byte + 1) * count] = rows[byte::ROW_BYTES]
+    return planes
+
+
+def encode_records(records) -> bytes:
+    """Serialize a record sequence as one chunk payload (rows in byte planes)."""
+    rows = bytearray()
+    encode_into = RecordEncoder().encode_into
+    for record in records:
+        encode_into(rows, record)
+    return bytes(byte_planes(rows))
 
 
 class RecordColumns:
@@ -312,16 +270,14 @@ class RecordColumns:
       ``F_*`` bits of :mod:`repro.core.events` -- a column entry is only
       meaningful when its presence bit is set;
     * value columns (``pc``, ``dest_reg``, ``src_reg``, ``dest_addr``,
-      ``src_addr``, ``size``, ``base_reg``, ``index_reg``, ``thread_id``):
-      pre-sized Python lists.  Lists (rather than ``array``) keep the
-      decoded ints as objects, so the hot consumers re-read fields without
-      re-boxing; absent entries hold the column default (0 / -1) and must
-      not be consulted without checking ``flags``;
-    * ``immediates``: sparse ``{row: value}`` dict (the immediate operand is
-      informational and rare, so it does not earn a dense column).
+      ``src_addr``, ``size``, ``base_reg``, ``index_reg``, ``thread_id``,
+      ``immediates``): Python lists.  Lists (rather than ``array``) keep
+      the decoded ints as objects, so the hot consumers re-read fields
+      without re-boxing; absent entries hold 0 and must not be consulted
+      without checking ``flags``.
 
     :meth:`record` materialises one row back into the exact record object
-    the scalar decoder would have produced, which is what the per-record
+    the reference decoder would have produced, which is what the per-record
     fallback path of the columnar dispatch engine consumes.
     """
 
@@ -337,21 +293,21 @@ class RecordColumns:
         self.ordinal = bytearray(count)
         self.flags: List[int] = [0] * count
         self.pc: List[int] = [0] * count
-        self.dest_reg: List[int] = [-1] * count
-        self.src_reg: List[int] = [-1] * count
+        self.dest_reg: List[int] = [0] * count
+        self.src_reg: List[int] = [0] * count
         self.dest_addr: List[int] = [0] * count
         self.src_addr: List[int] = [0] * count
         self.size: List[int] = [0] * count
-        self.base_reg: List[int] = [-1] * count
-        self.index_reg: List[int] = [-1] * count
+        self.base_reg: List[int] = [0] * count
+        self.index_reg: List[int] = [0] * count
         self.thread_id: List[int] = [0] * count
-        self.immediates: Dict[int, int] = {}
+        self.immediates: List[int] = [0] * count
         self.objects: Dict[int, Record] = {}
         #: run-length grouping ``(start, stop, ordinal, flags)`` over
         #: maximal row spans sharing one (ordinal, presence-bitmap) key;
         #: object rows (annotations) appear as ordinal ``-1`` runs.  Built
-        #: by the decoder (the previous row's key is already in hand), so
-        #: consumers iterate runs without re-scanning the columns.
+        #: by the decoder, so consumers iterate runs without re-scanning
+        #: the columns.
         self.runs: List[Tuple[int, int, int, int]] = []
 
     def __len__(self) -> int:
@@ -380,7 +336,7 @@ class RecordColumns:
             append((run_start, self.n, prev_ord, prev_flags))
 
     def record(self, row: int) -> Record:
-        """Materialise one row as the record object the scalar decoder builds."""
+        """Materialise one row as the record object the reference decoder builds."""
         if self.kind[row]:
             return self.objects[row]
         flags = self.flags[row]
@@ -399,7 +355,7 @@ class RecordColumns:
             bool(flags & F_COND_TEST),
             bool(flags & F_INDIRECT_JUMP),
             self.thread_id[row],
-            self.immediates.get(row) if flags & F_IMMEDIATE else None,
+            self.immediates[row] if flags & F_IMMEDIATE else None,
         )
 
     def records(self, start: int = 0, stop: Optional[int] = None) -> List[Record]:
@@ -470,392 +426,105 @@ class RecordColumns:
         return columns
 
 
-class RecordDecoder:
-    """Stateful bytes → record decoder mirroring :class:`RecordEncoder`."""
-
-    def __init__(self) -> None:
-        self._last_pc = 0
-        self._last_addr = 0
-
-    def reset(self) -> None:
-        """Restart the delta chains (chunk boundary)."""
-        self._last_pc = 0
-        self._last_addr = 0
-
-    def decode(self, data: bytes, offset: int = 0) -> Tuple[Record, int]:
-        """Decode one record at ``offset``; returns ``(record, next_offset)``."""
-        tag, offset = _read_varint(data, offset)
-        wire_id = tag >> 1
-        if wire_id >= len(_EVENT_BY_WIRE_ID):
-            raise TraceCodecError(f"unknown event wire id {wire_id}")
-        event_type = _EVENT_BY_WIRE_ID[wire_id]
-        if tag & 1:
-            return self._decode_annotation(event_type, data, offset)
-        return self._decode_instruction(event_type, data, offset)
-
-    def decode_columns(self, data: ByteSource, count: int) -> Tuple[RecordColumns, int]:
-        """Batch-decode ``count`` records into :class:`RecordColumns`.
-
-        The replay fast path.  Instruction records are decoded with the
-        varint reads and zigzag maths inlined, straight into pre-sized
-        per-field columns with zero per-record object construction.
-        Annotation records (rare) go through :meth:`_decode_annotation`
-        into the sparse ``objects`` dict, the delta state handed over and
-        back.  ``data`` may be any indexable byte source (``bytes`` or a
-        zero-copy ``memoryview``).  Returns ``(columns, next_offset)``; on
-        error the delta state stops after the last fully decoded record,
-        where a :meth:`decode` loop that stopped at the error leaves it.
-        """
-        if count < 0:
-            raise TraceCodecError("decode_columns requires a known record count")
-        columns = RecordColumns(count)
-        kind_col = columns.kind
-        ordinal_col = columns.ordinal
-        flags_col = columns.flags
-        pc_col = columns.pc
-        dest_reg_col = columns.dest_reg
-        src_reg_col = columns.src_reg
-        dest_addr_col = columns.dest_addr
-        src_addr_col = columns.src_addr
-        size_col = columns.size
-        base_reg_col = columns.base_reg
-        index_reg_col = columns.index_reg
-        thread_col = columns.thread_id
-        immediates = columns.immediates
-        objects = columns.objects
-        runs = columns.runs
-        append_run = runs.append
-        event_types = _EVENT_BY_WIRE_ID
-        num_types = len(event_types)
-        # A register id is one byte below this bound; an id at or above it
-        # takes the cold path, where the reference decoder raises its error.
-        num_gprs = NUM_GPRS
-        read_varint = _read_varint
-        start_pc = last_pc = self._last_pc
-        start_addr = last_addr = self._last_addr
-        offset = 0
-        prev_ord = -2
-        prev_flags = 0
-        run_start = 0
-        try:
-            for row in range(count):
-                byte = data[offset]
-                if byte < 0x80:
-                    tag = byte
-                    offset += 1
-                else:
-                    tag, offset = read_varint(data, offset)
-                wire_id = tag >> 1
-                if wire_id >= num_types:
-                    raise TraceCodecError(f"unknown event wire id {wire_id}")
-                if tag & 1:
-                    # ---- annotation record: decoded as an object --------------
-                    if prev_ord != -1 or prev_flags:
-                        if row:
-                            append_run((run_start, row, prev_ord, prev_flags))
-                        run_start = row
-                        prev_ord = -1
-                        prev_flags = 0
-                    self._last_pc = last_pc
-                    self._last_addr = last_addr
-                    record, offset = self._decode_annotation(
-                        event_types[wire_id], data, offset
-                    )
-                    last_pc = self._last_pc
-                    last_addr = self._last_addr
-                    kind_col[row] = 1
-                    ordinal_col[row] = wire_id
-                    objects[row] = record
-                else:
-                    # ---- instruction record: flatten into the columns ---------
-                    byte = data[offset]
-                    if byte < 0x80:
-                        flags = byte
-                        offset += 1
-                    else:
-                        flags, offset = read_varint(data, offset)
-                    if wire_id != prev_ord or flags != prev_flags:
-                        if row:
-                            append_run((run_start, row, prev_ord, prev_flags))
-                        run_start = row
-                        prev_ord = wire_id
-                        prev_flags = flags
-                    byte = data[offset]
-                    if byte < 0x80:
-                        offset += 1
-                    else:
-                        # Two-byte fast path: loop-local pc/address deltas
-                        # are overwhelmingly 1-2 byte varints.
-                        second = data[offset + 1]
-                        if second < 0x80:
-                            byte = (byte & 0x7F) | (second << 7)
-                            offset += 2
-                        else:
-                            byte, offset = read_varint(data, offset)
-                    pc = last_pc + ((byte >> 1) if not byte & 1 else -((byte + 1) >> 1))
-                    last_pc = pc
-                    ordinal_col[row] = wire_id
-                    flags_col[row] = flags
-                    pc_col[row] = pc
-                    if not flags:
-                        # No optional fields (plain control records): skip
-                        # the whole presence chain.
-                        continue
-                    if flags & _F_DEST_REG:
-                        byte = data[offset]
-                        if byte < num_gprs:
-                            dest_reg_col[row] = byte
-                            offset += 1
-                        else:
-                            dest_reg_col[row], offset = read_varint(data, offset)
-                            if dest_reg_col[row] >= num_gprs:
-                                raise TraceCodecError("register id out of range")
-                    if flags & _F_SRC_REG:
-                        byte = data[offset]
-                        if byte < num_gprs:
-                            src_reg_col[row] = byte
-                            offset += 1
-                        else:
-                            src_reg_col[row], offset = read_varint(data, offset)
-                            if src_reg_col[row] >= num_gprs:
-                                raise TraceCodecError("register id out of range")
-                    if flags & _F_DEST_ADDR:
-                        byte = data[offset]
-                        if byte < 0x80:
-                            offset += 1
-                        else:
-                            second = data[offset + 1]
-                            if second < 0x80:
-                                byte = (byte & 0x7F) | (second << 7)
-                                offset += 2
-                            else:
-                                byte, offset = read_varint(data, offset)
-                        last_addr += (byte >> 1) if not byte & 1 else -((byte + 1) >> 1)
-                        dest_addr_col[row] = last_addr
-                    if flags & _F_SRC_ADDR:
-                        byte = data[offset]
-                        if byte < 0x80:
-                            offset += 1
-                        else:
-                            second = data[offset + 1]
-                            if second < 0x80:
-                                byte = (byte & 0x7F) | (second << 7)
-                                offset += 2
-                            else:
-                                byte, offset = read_varint(data, offset)
-                        last_addr += (byte >> 1) if not byte & 1 else -((byte + 1) >> 1)
-                        src_addr_col[row] = last_addr
-                    if flags & _F_BASE_REG:
-                        byte = data[offset]
-                        if byte < num_gprs:
-                            base_reg_col[row] = byte
-                            offset += 1
-                        else:
-                            base_reg_col[row], offset = read_varint(data, offset)
-                            if base_reg_col[row] >= num_gprs:
-                                raise TraceCodecError("register id out of range")
-                    if flags & _F_INDEX_REG:
-                        byte = data[offset]
-                        if byte < num_gprs:
-                            index_reg_col[row] = byte
-                            offset += 1
-                        else:
-                            index_reg_col[row], offset = read_varint(data, offset)
-                            if index_reg_col[row] >= num_gprs:
-                                raise TraceCodecError("register id out of range")
-                    if flags & _F_IMMEDIATE:
-                        byte = data[offset]
-                        if byte < 0x80:
-                            offset += 1
-                        else:
-                            byte, offset = read_varint(data, offset)
-                        immediates[row] = (byte >> 1) if not byte & 1 else -((byte + 1) >> 1)
-                    if flags & _F_SIZE:
-                        byte = data[offset]
-                        if byte < 0x80:
-                            size_col[row] = byte
-                            offset += 1
-                        else:
-                            size_col[row], offset = read_varint(data, offset)
-                    if flags & _F_THREAD:
-                        byte = data[offset]
-                        if byte < 0x80:
-                            thread_col[row] = byte
-                            offset += 1
-                        else:
-                            thread_col[row], offset = read_varint(data, offset)
-            if count:
-                append_run((run_start, count, prev_ord, prev_flags))
-        except (IndexError, TraceCodecError):
-            # Cold path: reproduce the exact error -- and the exact
-            # committed delta state -- through the reference decoder,
-            # instead of tracking a per-row commit point on the hot path.
-            self._last_pc = start_pc
-            self._last_addr = start_addr
-            offset = 0
-            for _ in range(count):
-                committed = self._last_pc, self._last_addr
-                try:
-                    _record, offset = self.decode(data, offset)
-                except TraceCodecError as exc:
-                    self._last_pc, self._last_addr = committed
-                    raise exc from None
-            raise TraceCodecError(
-                "columnar decode failed where the reference decode succeeded"
-            ) from None
-        self._last_pc = last_pc
-        self._last_addr = last_addr
-        return columns, offset
-
-    # ------------------------------------------------------------------ internals
-
-    def _decode_instruction(
-        self, event_type: EventType, data: bytes, offset: int
-    ) -> Tuple[InstructionRecord, int]:
-        flags, offset = _read_varint(data, offset)
-        delta, offset = _read_varint(data, offset)
-        pc = self._last_pc + _unzigzag(delta)
-        self._last_pc = pc
-        dest_reg = src_reg = dest_addr = src_addr = None
-        base_reg = index_reg = immediate = None
-        size = thread_id = 0
-        if flags & _F_DEST_REG:
-            dest_reg, offset = _read_varint(data, offset)
-            if dest_reg >= NUM_GPRS:
-                raise _register_error("dest_reg", dest_reg)
-        if flags & _F_SRC_REG:
-            src_reg, offset = _read_varint(data, offset)
-            if src_reg >= NUM_GPRS:
-                raise _register_error("src_reg", src_reg)
-        if flags & _F_DEST_ADDR:
-            delta, offset = _read_varint(data, offset)
-            dest_addr = self._last_addr + _unzigzag(delta)
-            self._last_addr = dest_addr
-        if flags & _F_SRC_ADDR:
-            delta, offset = _read_varint(data, offset)
-            src_addr = self._last_addr + _unzigzag(delta)
-            self._last_addr = src_addr
-        if flags & _F_BASE_REG:
-            base_reg, offset = _read_varint(data, offset)
-            if base_reg >= NUM_GPRS:
-                raise _register_error("base_reg", base_reg)
-        if flags & _F_INDEX_REG:
-            index_reg, offset = _read_varint(data, offset)
-            if index_reg >= NUM_GPRS:
-                raise _register_error("index_reg", index_reg)
-        if flags & _F_IMMEDIATE:
-            raw, offset = _read_varint(data, offset)
-            immediate = _unzigzag(raw)
-        if flags & _F_SIZE:
-            size, offset = _read_varint(data, offset)
-        if flags & _F_THREAD:
-            thread_id, offset = _read_varint(data, offset)
-        record = InstructionRecord(
-            pc=pc,
-            event_type=event_type,
-            dest_reg=dest_reg,
-            src_reg=src_reg,
-            dest_addr=dest_addr,
-            src_addr=src_addr,
-            size=size,
-            is_load=bool(flags & _F_IS_LOAD),
-            is_store=bool(flags & _F_IS_STORE),
-            base_reg=base_reg,
-            index_reg=index_reg,
-            is_cond_test=bool(flags & _F_COND_TEST),
-            is_indirect_jump=bool(flags & _F_INDIRECT_JUMP),
-            thread_id=thread_id,
-            immediate=immediate,
-        )
-        return record, offset
-
-    def _decode_annotation(
-        self, event_type: EventType, data: bytes, offset: int
-    ) -> Tuple[AnnotationRecord, int]:
-        flags, offset = _read_varint(data, offset)
-        address = payload = None
-        size = thread_id = pc = 0
-        if flags & _A_ADDRESS:
-            delta, offset = _read_varint(data, offset)
-            address = self._last_addr + _unzigzag(delta)
-            self._last_addr = address
-        if flags & _A_SIZE:
-            size, offset = _read_varint(data, offset)
-        if flags & _A_THREAD:
-            thread_id, offset = _read_varint(data, offset)
-        if flags & _A_PC:
-            delta, offset = _read_varint(data, offset)
-            pc = self._last_pc + _unzigzag(delta)
-            self._last_pc = pc
-        if flags & _A_PAYLOAD:
-            raw, offset = _read_varint(data, offset)
-            payload = _unzigzag(raw)
-        record = AnnotationRecord(
-            event_type=event_type,
-            address=address,
-            size=size,
-            thread_id=thread_id,
-            pc=pc,
-            payload=payload,
-        )
-        return record, offset
+def _field(planes: memoryview, count: int, offset: int, typecode: str) -> List[int]:
+    """The row field at byte ``offset`` as a list, from its byte planes."""
+    width = struct.calcsize(typecode)
+    buffer = bytearray(count * width)
+    for byte in range(width):
+        start = (offset + byte) * count
+        buffer[byte::width] = planes[start:start + count]
+    return memoryview(buffer).cast(typecode).tolist()
 
 
-def encode_records(records) -> bytes:
-    """Serialize a record sequence with a fresh encoder.
-
-    Appends every record straight into one buffer (:meth:`RecordEncoder.
-    encode_into`), avoiding the per-record ``bytes`` copy of ``encode``.
-    """
-    encoder = RecordEncoder()
-    out = bytearray()
-    encode_into = encoder.encode_into
-    for record in records:
-        encode_into(out, record)
-    return bytes(out)
+def _below(plane: memoryview, bound: int) -> bool:
+    """True when every byte of ``plane`` is below ``bound``."""
+    return not plane.tobytes().translate(None, bytes(range(bound)))
 
 
 def decode_record_columns(data: ByteSource, expected_count: int) -> RecordColumns:
-    """Decode a byte stream into :class:`RecordColumns` with a fresh decoder.
+    """Decode a chunk payload into :class:`RecordColumns`.
 
     The fast path replay decodes through; it yields the records
-    :func:`decode_records` does.  Exactly ``expected_count`` records must
-    consume exactly the whole buffer, otherwise :class:`TraceCodecError` is
-    raised (chunk integrity check).  ``data`` may be ``bytes`` or a
-    zero-copy ``memoryview``.
+    :func:`decode_records` does.  The payload must hold exactly
+    ``expected_count`` rows, otherwise :class:`TraceCodecError` is raised
+    (chunk integrity check).  ``data`` may be ``bytes`` or a zero-copy
+    ``memoryview``.  Annotation rows go through the reference row decoder
+    into ``objects``, with run ordinal -1 and flags 0.
     """
-    decoder = RecordDecoder()
-    columns, offset = decoder.decode_columns(data, expected_count)
-    if offset != len(data):
-        raise TraceCodecError(
-            f"chunk decoded {expected_count} records but left "
-            f"{len(data) - offset} trailing bytes"
-        )
+    count = expected_count
+    if count < 0:
+        raise TraceCodecError("decode_record_columns requires a known record count")
+    planes = memoryview(data)
+    if len(planes) != count * ROW_BYTES or not (
+        _below(planes[:count], 2)
+        and _below(planes[count:2 * count], len(EVENT_TYPES))
+        and _below(planes[16 * count:20 * count], NUM_GPRS)
+    ):
+        # Let the reference name the error.
+        decode_records(data, expected_count)
+        raise TraceCodecError("fast decode rejected a payload the reference accepts")
+    ordinal = planes[count:2 * count]
+    columns = RecordColumns.__new__(RecordColumns)
+    columns.n = count
+    columns.kind = kind = bytearray(planes[:count])
+    columns.ordinal = bytearray(ordinal)
+    columns.flags = flags = _field(planes, count, 2, "H")
+    columns.pc = _field(planes, count, 4, "I")
+    columns.dest_addr = _field(planes, count, 8, "I")
+    columns.src_addr = _field(planes, count, 12, "I")
+    columns.dest_reg = planes[16 * count:17 * count].tolist()
+    columns.src_reg = planes[17 * count:18 * count].tolist()
+    columns.base_reg = planes[18 * count:19 * count].tolist()
+    columns.index_reg = planes[19 * count:20 * count].tolist()
+    columns.size = _field(planes, count, 20, "I")
+    columns.thread_id = _field(planes, count, 24, "H")
+    columns.immediates = _field(planes, count, 26, "q")
+    columns.objects = objects = {}
+    # A row's run key is ``ordinal << 16 | flags``: flags low, flags high,
+    # ordinal, zero.  Annotation rows all share the key -1 and the run
+    # ordinal -1 with flags 0.
+    keys = bytearray(4 * count)
+    keys[0::4] = planes[2 * count:3 * count]
+    keys[1::4] = planes[3 * count:4 * count]
+    keys[2::4] = ordinal
+    keys = memoryview(keys).cast("I").tolist()
+    ordinals = ordinal.tolist()
+    if 1 in kind:
+        for row in compress(range(count), kind):
+            objects[row] = _decode_row(ROW.unpack(planes[row::count].tobytes()))
+            keys[row] = ordinals[row] = -1
+            flags[row] = 0
+    starts_run = [True]
+    starts_run += map(ne, islice(keys, 1, None), keys)
+    starts = list(compress(range(count), starts_run))
+    stops = starts[1:]
+    stops.append(count)
+    columns.runs = list(
+        zip(starts, stops, compress(ordinals, starts_run), compress(flags, starts_run))
+    )
     return columns
 
 
 def decode_records(data: ByteSource, expected_count: int = -1) -> List[Record]:
-    """Decode a byte stream produced by :func:`encode_records`.
+    """Decode a chunk payload produced by :func:`encode_records`.
 
-    The reference decode: one :meth:`RecordDecoder.decode` call per record.
-    Trace readers, verify and repair build their record objects here.
+    The reference decode: the planes are turned back into rows, and each
+    row is unpacked with :mod:`struct`.  Trace readers, verify and repair
+    build their record objects here.
 
     Args:
-        data: the encoded stream.
-        expected_count: when non-negative, exactly that many records must
-            consume exactly the whole buffer, otherwise
-            :class:`TraceCodecError` is raised (chunk integrity check);
-            when negative, records are decoded until the buffer ends.
+        data: the chunk payload.
+        expected_count: when non-negative, the payload must hold exactly
+            that many rows, otherwise :class:`TraceCodecError` is raised
+            (chunk integrity check); when negative, the payload's length
+            fixes the count.
     """
-    decode = RecordDecoder().decode
-    records: List[Record] = []
-    offset = 0
-    while (offset < len(data)) if expected_count < 0 else (len(records) < expected_count):
-        record, offset = decode(data, offset)
-        records.append(record)
-    if expected_count >= 0 and offset != len(data):
+    count = len(data) // ROW_BYTES if expected_count < 0 else expected_count
+    if len(data) != count * ROW_BYTES:
         raise TraceCodecError(
-            f"chunk decoded {expected_count} records but left "
-            f"{len(data) - offset} trailing bytes"
+            f"payload of {len(data)} bytes does not hold {count} rows of {ROW_BYTES} bytes"
         )
-    return records
+    rows = bytearray(len(data))
+    for byte in range(ROW_BYTES):
+        rows[byte::ROW_BYTES] = data[byte * count:(byte + 1) * count]
+    return [_decode_row(row) for row in ROW.iter_unpack(rows)]

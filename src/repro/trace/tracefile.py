@@ -10,19 +10,24 @@ File layout (all integers little-endian)::
                             | u32 crc32
                | u64 total_records | u64 instructions | u64 annotations | u64 raw_bytes
 
-Each chunk is an independently decodable unit: the record codec's delta
-chains are reset at every chunk boundary, so a reader can seek straight to
-any chunk via the index without touching the bytes before it.  Chunks are closed when their raw payload reaches the
-configured ``chunk_bytes`` target, so all chunks of a trace have roughly
-the same size (the last one may be short).
+A chunk's raw payload is its records' fixed-width rows stored byte plane by
+byte plane (:mod:`repro.trace.codec`), so ``raw_len`` is always ``records``
+times :data:`~repro.trace.codec.ROW_BYTES`.  Rows hold absolute values, so
+a reader can seek straight to any chunk via the index without touching the
+bytes before it.  Chunks are closed when their rows reach the configured
+``chunk_bytes`` target, so all chunks of a trace have roughly the same size
+(the last one may be short).
 
 Each index entry carries a CRC32 of its chunk's *stored* bytes, verified on
 every chunk read, so payload corruption is detected before the
 decompressor or codec ever see the damage (and detected at all for
 uncompressed traces, whose payloads would otherwise often still "parse").
-The reader accepts only this layout, version 2.  The index totals are
-cross-checked against the per-chunk entries on open, so a damaged footer
-can never silently misreport the record population.
+An entry whose ``raw_len`` is not its rows' size fails its own chunk before
+decompression, and a chunk inflates to at most ``raw_len`` bytes, so a
+CRC-valid zlib bomb costs no more memory than an honest chunk.  The reader
+accepts only this layout, version 3.  The index totals are cross-checked
+against the per-chunk entries on open, so a damaged footer can never
+silently misreport the record population.
 
 Record objects (:meth:`TraceReader.read_chunk`, ``verify``, ``repair``)
 come from the codec's reference decoder; replay reads
@@ -41,9 +46,11 @@ from typing import Iterator, List, Optional, Tuple, Union
 from repro.core.events import AnnotationRecord, InstructionRecord
 from repro.obs.runtime import OBS
 from repro.trace.codec import (
+    ROW_BYTES,
     RecordColumns,
     RecordEncoder,
     TraceCodecError,
+    byte_planes,
     decode_record_columns,
     decode_records,
 )
@@ -52,7 +59,7 @@ Record = Union[InstructionRecord, AnnotationRecord]
 
 _MAGIC = b"LBATRC01"
 _INDEX_MAGIC = b"INDX"
-_VERSION = 2
+_VERSION = 3
 _FLAG_ZLIB = 1 << 0
 
 _HEADER = struct.Struct("<8sHHIQ")
@@ -66,6 +73,24 @@ DEFAULT_CHUNK_BYTES = 64 * 1024
 
 class TraceFormatError(ValueError):
     """Raised when a trace file is malformed, truncated or corrupt."""
+
+
+def _inflate(stored: bytes, raw_len: int) -> bytes:
+    """Decompress one chunk's zlib stream into at most ``raw_len`` bytes.
+
+    Raises ``zlib.error`` for a damaged stream and :class:`ValueError` for
+    one that holds more than ``raw_len`` bytes, ends short or does not end;
+    the memory it takes is bounded by ``raw_len``, whatever the stream.
+    """
+    decompressor = zlib.decompressobj()
+    raw = decompressor.decompress(stored, raw_len + 1)
+    if len(raw) > raw_len:
+        raise ValueError(f"zlib stream holds more than {raw_len} raw bytes")
+    if not decompressor.eof:
+        raise ValueError("zlib stream does not end")
+    if len(raw) != raw_len:
+        raise ValueError(f"zlib stream ends after {len(raw)} of {raw_len} raw bytes")
+    return raw
 
 
 @dataclass(frozen=True)
@@ -152,8 +177,7 @@ class TraceWriter:
         """Serialize one record into the current chunk; returns its raw bytes."""
         if self._closed:
             raise ValueError("trace writer is closed")
-        # Zero-copy append: the encoder writes straight into the chunk
-        # buffer instead of materialising a per-record ``bytes`` object.
+        # The encoder appends the record's row straight to the chunk's rows.
         encoded_len = self._encoder.encode_into(self._chunk, record)
         self._chunk_records += 1
         self.stats.records += 1
@@ -174,12 +198,11 @@ class TraceWriter:
     def _flush_chunk(self) -> None:
         if not self._chunk_records:
             return
-        # Compress (or write) straight from the chunk bytearray -- no
-        # intermediate ``bytes`` copy of the raw payload.
-        raw_len = len(self._chunk)
+        raw = byte_planes(self._chunk)
+        raw_len = len(raw)
         if OBS.enabled:
             start = time.perf_counter()
-            stored = zlib.compress(self._chunk, 6) if self.compress else self._chunk
+            stored = zlib.compress(raw, 6) if self.compress else raw
             if OBS.tracer is not None:
                 OBS.tracer.add(
                     "capture.compress", "capture", start, time.perf_counter() - start
@@ -187,7 +210,7 @@ class TraceWriter:
             if OBS.recorder is not None:
                 OBS.recorder.record_chunk_written(len(stored), raw_len)
         else:
-            stored = zlib.compress(self._chunk, 6) if self.compress else self._chunk
+            stored = zlib.compress(raw, 6) if self.compress else raw
         offset = self._file.tell()
         self._file.write(stored)
         self._chunks.append(
@@ -204,7 +227,6 @@ class TraceWriter:
         self.stats.chunks += 1
         self._chunk = bytearray()
         self._chunk_records = 0
-        self._encoder.reset()
 
     # ------------------------------------------------------------------ lifecycle
 
@@ -343,12 +365,18 @@ class TraceReader:
         Returns a byte source for the decoders: the decompressed buffer for
         zlib chunks, or a zero-copy ``memoryview`` over the read buffer for
         uncompressed chunks (no ``bytes`` slicing/copying on the decode
-        path).  With telemetry on, it also records the read and decompress
-        spans and the chunk's byte counts.
+        path).  A chunk inflates to at most its index entry's ``raw_len``.
+        With telemetry on, it also records the read and decompress spans
+        and the chunk's byte counts.
         """
         if not 0 <= index < len(self.chunks):
             raise IndexError(f"chunk {index} out of range (trace has {len(self.chunks)})")
         chunk = self.chunks[index]
+        if chunk.raw_len != chunk.records * ROW_BYTES:
+            raise TraceFormatError(
+                f"{self.path}: chunk {index} corrupt: index claims {chunk.raw_len} "
+                f"raw bytes for {chunk.records} rows of {ROW_BYTES} bytes"
+            )
         tracer = OBS.tracer if OBS.enabled else None
         start = time.perf_counter()
         self._file.seek(chunk.offset)
@@ -366,8 +394,8 @@ class TraceReader:
         if self.compressed:
             start = time.perf_counter()
             try:
-                raw = zlib.decompress(stored)
-            except zlib.error as exc:
+                raw = _inflate(stored, chunk.raw_len)
+            except (zlib.error, ValueError) as exc:
                 raise TraceFormatError(f"{self.path}: chunk {index} corrupt: {exc}") from exc
             if tracer is not None:
                 tracer.add("codec.decompress", "codec", start, time.perf_counter() - start)
@@ -563,7 +591,9 @@ def repair_trace(path: Union[str, os.PathLike]) -> "TraceRepair":
                 kept.append((stored, raw_len, records))
                 scan_from = offset + stored_len
     if entries_truncated and compressed:
-        kept.extend(_scan_zlib_chunks(blob, scan_from, data_limit))
+        # No chunk the writer closes holds more rows than this.
+        max_raw = max(chunk_bytes, 1) - 1 + ROW_BYTES
+        kept.extend(_scan_zlib_chunks(blob, scan_from, data_limit, max_raw))
     if not kept:
         if not compressed and entries_truncated:
             repair.detail = (
@@ -589,12 +619,12 @@ def _chunk_valid(
     stored: bytes, raw_len: int, records: int, crc: int, compressed: bool
 ) -> bool:
     """True when a stored chunk passes CRC, size and full-decode checks."""
-    if zlib.crc32(stored) & 0xFFFFFFFF != crc:
+    if raw_len != records * ROW_BYTES or zlib.crc32(stored) & 0xFFFFFFFF != crc:
         return False
     if compressed:
         try:
-            raw = zlib.decompress(stored)
-        except zlib.error:
+            raw = _inflate(stored, raw_len)
+        except (zlib.error, ValueError):
             return False
     else:
         raw = stored
@@ -608,7 +638,7 @@ def _chunk_valid(
 
 
 def _scan_zlib_chunks(
-    blob: bytes, start: int, limit: int
+    blob: bytes, start: int, limit: int, max_raw: int
 ) -> List[Tuple[bytes, int, int]]:
     """Re-discover chunk boundaries by walking self-terminating zlib streams.
 
@@ -616,18 +646,19 @@ def _scan_zlib_chunks(
     be rebuilt by decompressing stream after stream: each stream's consumed
     length is its stored size, and a full codec decode of the payload both
     validates the chunk and recounts its records.  Stops at the first
-    incomplete or undecodable stream (the truncation/damage point).
+    incomplete or undecodable stream (the truncation/damage point), or at
+    one that inflates past ``max_raw`` bytes.
     """
     found: List[Tuple[bytes, int, int]] = []
     offset = start
     while offset < limit:
         decompressor = zlib.decompressobj()
         try:
-            raw = decompressor.decompress(blob[offset:limit])
+            raw = decompressor.decompress(blob[offset:limit], max_raw)
         except zlib.error:
             break
         if not decompressor.eof:
-            break  # stream ran past the end of the surviving bytes
+            break  # stream longer than any chunk, or cut by the truncation
         consumed = (limit - offset) - len(decompressor.unused_data)
         try:
             records = len(decode_records(raw))
@@ -659,7 +690,7 @@ def _rewrite_trace(
                 raw_len=raw_len, records=records,
                 crc=zlib.crc32(stored) & 0xFFFFFFFF,
             ))
-            raw = zlib.decompress(stored) if compressed else stored
+            raw = _inflate(stored, raw_len) if compressed else stored
             for record in decode_records(raw, expected_count=records):
                 if isinstance(record, AnnotationRecord):
                     annotations += 1

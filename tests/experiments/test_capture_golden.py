@@ -52,8 +52,8 @@ RECORD_STREAMS = {
 }
 
 TRACE_FILES = {
-    "mcf": "ad4ceb21f319510790f680c175cc3c65ccfd9f386ae9dcb5ac6f661bfecc18fa",
-    "pbzip2": "3612355828495b64414a0c3d9df64d019095b11d9e1d8a6f68704b0ab2ef2ee6",
+    "mcf": "0709d19480f4ba0135e2893bb2973884f91326271afa110040c819c834e96097",
+    "pbzip2": "67819602aea39854b7f1c6b028209f7dbb65cec2abdaf33d0465e0a1fb0e9288",
 }
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import zlib
 
 import pytest
 
@@ -13,7 +14,7 @@ from repro.lba.dispatch import EventDispatcher
 from repro.lba.platform import LBASystem, run_unmonitored
 from repro.lba.timing import CouplingModel, TimingBreakdown
 from repro.lifeguards import AddrCheck, LockSet, MemCheck, TaintCheck
-from repro.trace.codec import RecordEncoder
+from repro.trace.codec import ROW_BYTES, RecordEncoder, byte_planes, encode_records
 from repro.workloads.base import get_workload
 from tests.conftest import build_copy_loop
 
@@ -21,31 +22,40 @@ from tests.conftest import build_copy_loop
 class TestRecordSize:
     def test_sizes_are_exact_integers(self):
         record = InstructionRecord(pc=1, event_type=EventType.REG_TO_REG, dest_reg=0, src_reg=1)
-        size = len(RecordEncoder().encode(record))
+        size = RecordEncoder().encode_into(bytearray(), record)
         assert isinstance(size, int)
-        assert 1 <= size <= 8
+        assert size == len(RecordEncoder().encode(record)) == ROW_BYTES
 
     def test_memory_records_cost_more(self):
-        plain = InstructionRecord(pc=1, event_type=EventType.REG_TO_REG)
-        memory = InstructionRecord(pc=1, event_type=EventType.MEM_TO_MEM,
-                                   dest_addr=1, src_addr=2, size=4)
-        assert len(RecordEncoder().encode(memory)) > len(RecordEncoder().encode(plain))
+        # Every row has the same width; what a record costs is what its
+        # byte planes store after zlib, and absent addresses store as runs
+        # of zeros.
+        plain = [InstructionRecord(pc=4 * i, event_type=EventType.REG_TO_REG)
+                 for i in range(64)]
+        memory = [InstructionRecord(pc=4 * i, event_type=EventType.MEM_TO_MEM,
+                                    dest_addr=0x0900_0000 + 12 * i,
+                                    src_addr=0x0A00_0000 + 20 * i, size=4)
+                  for i in range(64)]
+        assert len(encode_records(memory)) == len(encode_records(plain))
+        assert len(zlib.compress(encode_records(memory), 6)) > len(
+            zlib.compress(encode_records(plain), 6)
+        )
 
     def test_stream_sizes_exploit_redundancy(self):
-        # Consecutive records of a loop (small pc/address deltas) must cost
-        # less in stream context than encoded stand-alone.
+        # A loop's records (small pc/address steps) share their high bytes:
+        # stored byte plane by byte plane, zlib finds those runs and must
+        # beat the same rows compressed one after another.
         records = [
             InstructionRecord(pc=0x4000_0000 + 4 * i, event_type=EventType.MEM_TO_REG,
                               dest_reg=1, src_addr=0x0900_0000 + 4 * i, size=4, is_load=True)
             for i in range(64)
         ]
-        encoder = RecordEncoder()
-        stream_bytes = sum(len(encoder.encode(record)) for record in records)
-        standalone_bytes = sum(len(RecordEncoder().encode(record)) for record in records)
-        assert stream_bytes < standalone_bytes
-        # Steady-state loop records cost 6 bytes; only the first (cold
-        # delta chains) costs more.
-        assert stream_bytes / len(records) <= 6.5
+        rows = b"".join(RecordEncoder().encode(record) for record in records)
+        planes = encode_records(records)
+        assert planes == byte_planes(rows) != rows
+        planes_bytes = len(zlib.compress(planes, 6))
+        assert planes_bytes < len(zlib.compress(rows, 6))
+        assert planes_bytes / len(records) <= 2.5
 
 
 def reference_coupling(costs, capacity):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core.events import (
+    EVENT_TYPES,
     F_BASE_REG,
     F_DEST_REG,
     F_INDEX_REG,
@@ -15,10 +16,10 @@ from repro.core.events import (
     InstructionRecord,
 )
 from repro.trace.codec import (
-    RecordDecoder,
+    ROW,
+    ROW_BYTES,
     RecordEncoder,
     TraceCodecError,
-    _write_varint,
     decode_record_columns,
     decode_records,
     encode_records,
@@ -30,8 +31,10 @@ INSTRUCTION_TYPES = [et for et in EventType if et.event_class is not EventClass.
 
 def roundtrip(records):
     data = encode_records(records)
+    assert len(data) == ROW_BYTES * len(records)
     decoded = decode_records(data, expected_count=len(records))
     assert decoded == records
+    assert decode_record_columns(data, len(records)).records() == records
     # Re-encoding the decoded stream must reproduce identical bytes.
     assert encode_records(decoded) == data
     return data
@@ -81,7 +84,8 @@ class TestEveryEventType:
 
 
 class TestOneByteBoundaries:
-    """Values either side of 0x80, where the encoder's inline one-byte path ends."""
+    """Values either side of one-byte boundaries: every record is one row of
+    ``ROW_BYTES``, whatever its values and whatever record came before."""
 
     @pytest.mark.parametrize("delta", [0, 1, -1, 63, 64, -64, -65, 8191, 8192, -8192, -8193])
     def test_pc_and_address_deltas(self, delta):
@@ -94,11 +98,11 @@ class TestOneByteBoundaries:
         )
         roundtrip([first, second])
         encoder = RecordEncoder()
-        encoder.encode(first)
-        zigzag = (delta << 1) if delta >= 0 else ((-delta) << 1) - 1
-        width = 1 if zigzag < 0x80 else 2 if zigzag < 0x4000 else 3
-        # header, flags, dest_reg and size take a byte each, then two deltas
-        assert len(encoder.encode(second)) == 4 + 2 * width
+        assert encoder.encode(first) == RecordEncoder().encode(first)
+        assert len(encoder.encode(second)) == ROW_BYTES
+        # A row holds the absolute pc and address, little-endian.
+        row = ROW.unpack(encoder.encode(second))
+        assert (row[3], row[5]) == (second.pc, second.src_addr)
 
     @pytest.mark.parametrize("value", [1, 127, 128, 255, 16383, 16384])
     def test_register_ids_sizes_and_thread_ids(self, value):
@@ -155,73 +159,51 @@ class TestPropertyStyle:
         roundtrip(records)
 
     def test_incremental_decode_matches_bulk(self):
+        """Row ``i`` of a payload is every ``n``-th byte from ``i``, and a
+        one-row payload is the row itself: rows decode one at a time to
+        what the whole payload decodes to."""
         rng = random.Random(99)
         records = [_random_record(rng) for _ in range(100)]
         data = encode_records(records)
-        decoder = RecordDecoder()
-        offset = 0
-        out = []
-        while offset < len(data):
-            record, offset = decoder.decode(data, offset)
-            out.append(record)
-        assert out == records
+        out = [decode_records(data[row::len(records)], 1)[0] for row in range(len(records))]
+        assert out == decode_records(data, len(records)) == records
+        assert [RecordEncoder().encode(record) for record in records] == [
+            data[row::len(records)] for row in range(len(records))
+        ]
 
 
 class TestBatchDecode:
-    """``decode_columns``, the fast path, against the stepwise reference."""
+    """``decode_record_columns``, the fast path, against the reference."""
 
     def test_decode_columns_matches_stepwise_decode(self):
         rng = random.Random(11)
         records = [_random_record(rng) for _ in range(300)]
         data = encode_records(records)
+        columns = decode_record_columns(data, len(records))
+        assert columns.n == len(records)
+        assert columns.records() == decode_records(data, len(records)) == records
 
-        stepwise_decoder = RecordDecoder()
-        offset = 0
-        stepwise = []
-        while offset < len(data):
-            record, offset = stepwise_decoder.decode(data, offset)
-            stepwise.append(record)
-
-        batch_decoder = RecordDecoder()
-        columns, consumed = batch_decoder.decode_columns(data, len(records))
-        assert columns.records() == stepwise == records
-        assert consumed == len(data)
-        assert (batch_decoder._last_pc, batch_decoder._last_addr) == (
-            stepwise_decoder._last_pc, stepwise_decoder._last_addr
-        )
-
-    def test_decode_columns_continues_delta_state_between_calls(self):
-        rng = random.Random(12)
-        records = [_random_record(rng) for _ in range(60)]
-        data = encode_records(records)
-        decoder = RecordDecoder()
-        first, offset = decoder.decode_columns(data, 25)
-        rest, _ = decoder.decode_columns(data[offset:], 35)
-        assert first.records() + rest.records() == records
-
-    def test_decode_columns_count_stops_early(self):
+    def test_decode_columns_count_must_match_rows(self):
+        """The count fixes the planes' length: a payload of 40 rows read
+        as any other count is an error in both decoders, never a prefix."""
         rng = random.Random(13)
-        records = [_random_record(rng) for _ in range(40)]
-        data = encode_records(records)
-        out, consumed = RecordDecoder().decode_columns(data, 10)
-        assert out.records() == records[:10]
-        assert consumed < len(data)
+        data = encode_records([_random_record(rng) for _ in range(40)])
+        for count in (0, 10, 39, 41):
+            with pytest.raises(TraceCodecError, match="does not hold"):
+                decode_record_columns(data, count)
+            with pytest.raises(TraceCodecError, match="does not hold"):
+                decode_records(data, count)
 
     def test_decode_columns_truncated_buffer_raises(self):
         rng = random.Random(14)
         records = [_random_record(rng) for _ in range(20)]
         data = encode_records(records)
         with pytest.raises(TraceCodecError):
-            RecordDecoder().decode_columns(data[: len(data) - 1], len(records))
+            decode_record_columns(data[: len(data) - 1], len(records))
 
 
 class TestDeltaState:
-    def test_reset_restarts_delta_chains(self):
-        record = InstructionRecord(pc=0x1000, event_type=EventType.REG_TO_REG, dest_reg=1)
-        encoder = RecordEncoder()
-        first = encoder.encode(record)
-        encoder.reset()
-        assert encoder.encode(record) == first
+    """Rows hold absolute values: no state crosses records or chunks."""
 
     def test_chunked_streams_decode_independently(self):
         rng = random.Random(3)
@@ -232,31 +214,39 @@ class TestDeltaState:
         assert decode_records(encode_records(chunk_a), expected_count=50) == chunk_a
 
 
-#: The four register fields in wire order, with their presence bits.
+#: The four register fields in row order, with their presence bits.
 REGISTER_FIELDS = (
     ("dest_reg", F_DEST_REG),
     ("src_reg", F_SRC_REG),
     ("base_reg", F_BASE_REG),
     ("index_reg", F_INDEX_REG),
 )
+#: A row's fields in order.
+ROW_FIELDS = (
+    "kind", "ordinal", "flags", "pc", "dest_addr", "src_addr", "dest_reg",
+    "src_reg", "base_reg", "index_reg", "size", "thread_id", "immediate",
+)
 
 
-def _registers_record_bytes(field, raw):
-    """One instruction record naming a register in all four fields, written
-    by hand: ``raw`` (the varint bytes) in ``field``, register 1 elsewhere."""
-    out = bytearray()
-    _write_varint(out, EventType.REG_TO_REG.ordinal << 1)
-    _write_varint(out, F_DEST_REG | F_SRC_REG | F_BASE_REG | F_INDEX_REG)
-    _write_varint(out, 0)  # pc delta
-    for name, _bit in REGISTER_FIELDS:
-        out += raw if name == field else b"\x01"
-    return bytes(out)
+def _row(**fields):
+    """One row packed by hand (a one-row payload is the row itself): a
+    ``reg_to_reg`` instruction naming register 1 in all four register
+    fields, with ``fields`` overriding any row field."""
+    values = dict.fromkeys(ROW_FIELDS, 0)
+    values.update(
+        ordinal=EventType.REG_TO_REG.ordinal,
+        flags=F_DEST_REG | F_SRC_REG | F_BASE_REG | F_INDEX_REG,
+        dest_reg=1, src_reg=1, base_reg=1, index_reg=1,
+    )
+    values.update(fields)
+    return ROW.pack(*(values[name] for name in ROW_FIELDS))
 
 
-def _varint(value):
-    out = bytearray()
-    _write_varint(out, value)
-    return bytes(out)
+def _both_decoders_raise(data, match):
+    with pytest.raises(TraceCodecError, match=match):
+        decode_records(data, expected_count=1)
+    with pytest.raises(TraceCodecError, match=match):
+        decode_record_columns(data, 1)
 
 
 class TestRegisterIds:
@@ -270,21 +260,32 @@ class TestRegisterIds:
             RecordEncoder().encode(
                 InstructionRecord(pc=0, event_type=EventType.REG_TO_REG, **{field: reg})
             )
-        data = _registers_record_bytes(field, _varint(reg))
-        with pytest.raises(TraceCodecError, match=f"{field} {reg} "):
-            decode_records(data, expected_count=1)
-        with pytest.raises(TraceCodecError, match=f"{field} {reg} "):
-            decode_record_columns(data, 1)
+        # A row holds one byte per register: the largest foreign id a
+        # decoder can meet is 255.
+        byte = min(reg, 0xFF)
+        _both_decoders_raise(_row(**{field: byte}), f"{field} {byte} ")
 
     @pytest.mark.parametrize("field", [name for name, _bit in REGISTER_FIELDS])
     def test_hand_written_registers_decode_alike(self, field):
-        """Register 7, and register 1 as a two-byte varint, decode to the
-        same record in both decoders."""
-        for raw, reg in ((b"\x07", 7), (b"\x81\x00", 1)):
-            data = _registers_record_bytes(field, raw)
-            records = decode_records(data, expected_count=1)
-            assert getattr(records[0], field) == reg
-            assert decode_record_columns(data, 1).records() == records
+        """Register 7 decodes to the same record in both decoders, and so
+        does the byte of an absent register, which the record leaves out."""
+        data = _row(**{field: 7})
+        records = decode_records(data, expected_count=1)
+        assert getattr(records[0], field) == 7
+        assert decode_record_columns(data, 1).records() == records
+        bit = dict(REGISTER_FIELDS)[field]
+        absent = _row(**{field: 7, "flags": (F_DEST_REG | F_SRC_REG | F_BASE_REG
+                                             | F_INDEX_REG) & ~bit})
+        records = decode_records(absent, expected_count=1)
+        assert getattr(records[0], field) is None
+        assert decode_record_columns(absent, 1).records() == records
+
+    @pytest.mark.parametrize("field", [name for name, _bit in REGISTER_FIELDS])
+    def test_absent_register_byte_is_checked_too(self, field):
+        """Every register byte is below ``NUM_GPRS``, present or not, so
+        the fast path checks a plane's maximum instead of each row's flags."""
+        _both_decoders_raise(_row(**{field: 8, "flags": 0}), f"{field} 8 ")
+        _both_decoders_raise(_row(kind=1, flags=0, **{field: 200}), f"{field} 200 ")
 
 
 class TestErrorPaths:
@@ -297,14 +298,13 @@ class TestErrorPaths:
             decode_records(data[:-1], expected_count=1)
 
     def test_unknown_wire_id_raises(self):
-        with pytest.raises(TraceCodecError):
-            decode_records(b"\xff\x7f\x00\x00", expected_count=1)
+        _both_decoders_raise(_row(ordinal=len(EVENT_TYPES)), f"ordinal {len(EVENT_TYPES)}")
+        _both_decoders_raise(_row(ordinal=0xFF), "ordinal 255")
+
+    def test_unknown_row_kind_raises(self):
+        _both_decoders_raise(_row(kind=2), "kind 2")
 
     def test_trailing_garbage_raises_with_expected_count(self):
         data = encode_records([AnnotationRecord(EventType.MALLOC, address=16, size=4)])
         with pytest.raises(TraceCodecError):
             decode_records(data + b"\x00\x00", expected_count=1)
-
-    def test_unbounded_varint_raises(self):
-        with pytest.raises(TraceCodecError):
-            decode_records(b"\x80" * 12, expected_count=1)

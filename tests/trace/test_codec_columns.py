@@ -6,16 +6,17 @@ import pytest
 
 from repro.core.events import AnnotationRecord, EventType, InstructionRecord
 from repro.experiments.harness import capture_trace
+from repro.isa.machine import Machine
 from repro.trace.codec import (
     RecordColumns,
-    RecordDecoder,
     RecordEncoder,
     TraceCodecError,
     decode_record_columns,
     decode_records,
     encode_records,
 )
-from repro.trace.tracefile import TraceReader
+from repro.trace.tracefile import TraceReader, TraceWriter
+from repro.workloads import bugs
 from repro.workloads.base import workload_names
 
 
@@ -138,61 +139,45 @@ def test_decode_columns_trailing_bytes_rejected():
         decode_record_columns(data, len(records))
 
 
-def _committed_state(data, cut):
-    """The stepwise reference's delta state after the last record that ends
-    within ``data[:cut]``: where a ``decode`` loop that stops at the cut
-    stands."""
-    decoder = RecordDecoder()
-    state = (decoder._last_pc, decoder._last_addr)
-    offset = 0
-    while offset < len(data):
-        _record, offset = decoder.decode(data, offset)
-        if offset > cut:
-            break
-        state = (decoder._last_pc, decoder._last_addr)
-    return state
-
-
-def test_decode_columns_truncated_stream_rejected_and_state_committed():
+def test_decode_columns_truncated_payload_rejected():
     records = _random_records(19, count=20)
     data = encode_records(records)
-    cut = len(data) // 2
-    decoder = RecordDecoder()
-    with pytest.raises(TraceCodecError):
-        decoder.decode_columns(data[:cut], len(records))
-    # the delta state stopped at the last fully decoded record, exactly
-    # where a stepwise decode loop stands
-    assert (decoder._last_pc, decoder._last_addr) == _committed_state(data, cut)
+    for cut in (1, len(data) // 2, len(data) - 1):
+        with pytest.raises(TraceCodecError):
+            decode_record_columns(data[:cut], len(records))
+        with pytest.raises(TraceCodecError):
+            decode_records(data[:cut], len(records))
 
 
-def test_decode_columns_truncated_after_annotation_commits_reference_state():
-    """An annotation row hands the delta state to the reference decoder and
-    back; a cut after it still leaves the state of the last full record."""
-    records = [
-        InstructionRecord(
-            pc=0x0804_8000, event_type=EventType.MEM_TO_REG, dest_reg=1,
-            src_addr=0x0900_0000, size=4, is_load=True,
-        ),
-        AnnotationRecord(
-            event_type=EventType.MALLOC, address=0x0A00_0000, size=64, pc=0x0804_8010,
-        ),
-    ] + [
-        InstructionRecord(
-            pc=0x0804_8014 + 4 * i, event_type=EventType.REG_TO_MEM, src_reg=2,
-            dest_addr=0x0A00_0000 + 4 * i, size=4, is_store=True,
+def test_decoders_agree_on_every_single_byte_flip(tmp_path):
+    """A small real chunk holding an annotation row, every byte flipped in
+    turn (and every low bit): the fast path yields the reference's
+    records, or both decoders raise :class:`TraceCodecError`."""
+    path = tmp_path / "uaf.lbatrace"
+    with TraceWriter(path, chunk_bytes=1024, compress=False) as writer:
+        writer.extend(Machine(bugs.use_after_free()).trace())
+    with TraceReader(path) as reader:
+        payload, count = next(
+            (bytes(reader._chunk_payload(info.index)), info.records)
+            for info in reader.chunks
+            if any(isinstance(r, AnnotationRecord) for r in reader.read_chunk(info.index))
         )
-        for i in range(8)
-    ]
-    data = encode_records(records)
-    # The last record ends with its size byte: its pc and address deltas
-    # decode before the cut stops it.
-    cut = len(data) - 1
-    decoder = RecordDecoder()
-    with pytest.raises(TraceCodecError):
-        decoder.decode_columns(data[:cut], len(records))
-    expected = (records[-2].pc, records[-2].dest_addr)
-    assert _committed_state(data, cut) == expected
-    assert (decoder._last_pc, decoder._last_addr) == expected
+    assert decode_record_columns(payload, count).records() == decode_records(payload, count)
+    outcomes = {"equal": 0, "raised": 0}
+    for position in range(len(payload)):
+        for mask in (0xFF, 0x01):
+            damaged = bytearray(payload)
+            damaged[position] ^= mask
+            try:
+                reference = decode_records(damaged, count)
+            except TraceCodecError:
+                with pytest.raises(TraceCodecError):
+                    decode_record_columns(damaged, count)
+                outcomes["raised"] += 1
+                continue
+            assert decode_record_columns(damaged, count).records() == reference, position
+            outcomes["equal"] += 1
+    assert outcomes["equal"] and outcomes["raised"]
 
 
 def test_decode_columns_matches_reference_on_every_workload_chunk(tmp_path):

@@ -1,12 +1,12 @@
 """Seeded fuzz round-trips and corruption injection for the trace codec.
 
 Boundary cases the deterministic codec tests do not reach: zero-length
-annotation payloads, maximum-width varints (near the 10-byte LEB128
-ceiling), backwards address deltas (descending access patterns), and chunk
-boundaries interacting with record boundaries.  Corruption injection
-asserts the decode side fails with a clean :class:`TraceCodecError` /
-:class:`TraceFormatError` -- never an ``IndexError``/``struct.error``
-leaking out of the hot loop -- instead of silently misdecoding.
+annotation payloads, the ends of every field's domain, descending access
+patterns, and chunk boundaries interacting with record boundaries.
+Corruption injection asserts the decode side fails with a clean
+:class:`TraceCodecError` / :class:`TraceFormatError` -- never an
+``IndexError``/``struct.error`` leaking out of the decoders -- instead of
+silently misdecoding.
 """
 
 import random
@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.events import EVENT_TYPES, AnnotationRecord, EventType, InstructionRecord
 from repro.trace.codec import (
-    RecordDecoder,
+    ROW_BYTES,
     RecordEncoder,
     TraceCodecError,
     decode_records,
@@ -27,10 +27,10 @@ from repro.trace.tracefile import TraceFormatError, TraceReader, TraceWriter
 _INSTRUCTION_TYPES = [t for t in EVENT_TYPES if not t.is_rare]
 _ANNOTATION_TYPES = [t for t in EVENT_TYPES if t.is_rare]
 
-#: Near the unsigned-varint ceiling: zigzag doubles the magnitude, and the
-#: decoder rejects varints longer than 10 bytes (shift > 70), so 2**62
-#: deltas exercise maximum-width encodings without overflowing.
-HUGE = 2 ** 62
+#: Field domains: pc, addresses and sizes are unsigned 32-bit, immediates
+#: and payloads signed 64-bit.
+U32 = 1 << 32
+I64 = 1 << 63
 
 
 def _random_instruction(rng: random.Random, pc: int, addr: int) -> InstructionRecord:
@@ -49,7 +49,7 @@ def _random_instruction(rng: random.Random, pc: int, addr: int) -> InstructionRe
         is_cond_test=rng.random() < 0.1,
         is_indirect_jump=rng.random() < 0.1,
         thread_id=rng.randrange(4),
-        immediate=rng.choice([None, 0, -1, rng.randrange(-HUGE, HUGE)]),
+        immediate=rng.choice([None, 0, -1, rng.randrange(-I64, I64)]),
     )
 
 
@@ -59,8 +59,8 @@ def _random_annotation(rng: random.Random, addr: int) -> AnnotationRecord:
         address=rng.choice([None, addr]),
         size=rng.choice([0, 0, 1, 4096]),          # zero-length payloads common
         thread_id=rng.randrange(4),
-        pc=rng.choice([0, rng.randrange(1 << 32)]),
-        payload=rng.choice([None, 0, -1, rng.randrange(-HUGE, HUGE)]),
+        pc=rng.choice([0, rng.randrange(U32)]),
+        payload=rng.choice([None, 0, -1, rng.randrange(-I64, I64)]),
     )
 
 
@@ -68,12 +68,13 @@ def _fuzz_stream(seed: int, count: int = 400):
     """A seeded stream mixing wild PCs/addresses, forward and backward."""
     rng = random.Random(seed)
     records = []
-    pc = rng.randrange(1 << 32)
-    addr = rng.randrange(1 << 32)
+    pc = rng.randrange(U32)
+    addr = rng.randrange(U32)
     for _ in range(count):
-        # Deltas wander in both directions, occasionally by huge jumps.
-        pc += rng.choice([4, 4, -4, rng.randrange(-HUGE, HUGE)])
-        addr += rng.choice([4, 8, -4, -64, rng.randrange(-(1 << 40), 1 << 40)])
+        # Steps wander in both directions, occasionally across the whole
+        # 32-bit space.
+        pc = (pc + rng.choice([4, 4, -4, rng.randrange(-U32, U32)])) % U32
+        addr = (addr + rng.choice([4, 8, -4, -64, rng.randrange(-U32, U32)])) % U32
         if rng.random() < 0.15:
             records.append(_random_annotation(rng, addr))
         else:
@@ -92,14 +93,12 @@ class TestFuzzRoundTrip:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_per_record_decode_matches_batch(self, seed):
+        """Each record's own row decodes to what the whole payload does."""
         records = _fuzz_stream(seed, count=150)
         data = encode_records(records)
-        decoder = RecordDecoder()
-        out, offset = [], 0
-        while offset < len(data):
-            record, offset = decoder.decode(data, offset)
-            out.append(record)
-        assert out == records
+        encoder = RecordEncoder()
+        out = [decode_records(encoder.encode(record), 1)[0] for record in records]
+        assert out == decode_records(data, len(records)) == records
 
     def test_zero_length_annotation_payloads(self):
         records = [
@@ -111,12 +110,17 @@ class TestFuzzRoundTrip:
         data = encode_records(records)
         assert decode_records(data, expected_count=len(records)) == records
 
-    def test_maximum_width_varints(self):
+    def test_domain_extremes_round_trip(self):
         records = [
-            InstructionRecord(pc=HUGE, event_type=EventType.IMM_TO_REG, immediate=-HUGE),
+            InstructionRecord(pc=U32 - 1, event_type=EventType.IMM_TO_REG, immediate=-I64),
+            InstructionRecord(pc=0, event_type=EventType.IMM_TO_MEM, dest_addr=U32 - 1,
+                              size=U32 - 1, is_store=True, thread_id=(1 << 16) - 1,
+                              immediate=I64 - 1),
             InstructionRecord(pc=0, event_type=EventType.MEM_TO_REG,
-                              src_addr=HUGE, size=4, is_load=True),
-            AnnotationRecord(EventType.MALLOC, address=0, size=HUGE, payload=HUGE - 1),
+                              src_addr=U32 - 1, size=4, is_load=True),
+            AnnotationRecord(EventType.MALLOC, address=0, size=U32 - 1, payload=I64 - 1),
+            AnnotationRecord(EventType.FREE, address=U32 - 1, thread_id=(1 << 16) - 1,
+                             pc=U32 - 1, payload=-I64),
         ]
         data = encode_records(records)
         assert decode_records(data, expected_count=len(records)) == records
@@ -138,10 +142,9 @@ class TestChunkBoundaries:
         """Chunks close only at record boundaries, even absurdly small ones.
 
         With ``chunk_bytes=1`` every record lands in its own chunk; odd
-        sizes land the close threshold mid-record, which must defer the
-        boundary to the end of that record.  Every chunk must decode
-        independently (the delta chains reset per chunk) and the
-        concatenation must reproduce the stream.
+        sizes land the close threshold mid-row, which must defer the
+        boundary to the end of that row.  Every chunk must decode on its
+        own and the concatenation must reproduce the stream.
         """
         records = _fuzz_stream(seed, count=120)
         path = tmp_path / f"chunks{chunk_bytes}.lbatrace"
@@ -149,6 +152,7 @@ class TestChunkBoundaries:
             writer.extend(records)
         with TraceReader(path) as reader:
             assert sum(chunk.records for chunk in reader.chunks) == len(records)
+            assert all(chunk.raw_len == chunk.records * ROW_BYTES for chunk in reader.chunks)
             out = []
             for index in range(reader.num_chunks):
                 out.extend(reader.read_chunk(index))
@@ -164,27 +168,47 @@ class TestChunkBoundaries:
             assert all(chunk.records == 1 for chunk in reader.chunks)
 
 
+def _live_bytes(record):
+    """The row offsets whose bytes ``record``'s decode reads: every byte but
+    those of absent address and immediate/payload fields (and, in an
+    annotation row, the unused high byte of ``flags`` and ``src_addr``)."""
+    live = set(range(ROW_BYTES)) - set(range(8, 16)) - set(range(26, 34))
+    if isinstance(record, AnnotationRecord):
+        live.discard(3)
+        present = {8: record.address, 26: record.payload}
+    else:
+        present = {8: record.dest_addr, 12: record.src_addr, 26: record.immediate}
+    for start, value in present.items():
+        if value is not None:
+            live.update(range(start, start + (8 if start == 26 else 4)))
+    return live
+
+
 class TestCorruptionInjection:
     def test_every_single_byte_flip_fails_cleanly_or_differs(self):
         """Raw-codec corruption: clean ``TraceCodecError`` or a changed decode.
 
         A flipped byte cannot crash the decoder with anything but
-        :class:`TraceCodecError`; when the stream still parses (varints are
-        dense, so some flips stay decodable) the count/trailing-byte
-        integrity check must catch short streams, and a full reparse must
-        never silently reproduce the original records.
+        :class:`TraceCodecError`; a flip that still decodes to the original
+        records must have hit a byte no field of its row uses (an absent
+        address or immediate), which the chunk CRC guards in a trace file.
         """
         records = _fuzz_stream(11, count=60)
         data = bytearray(encode_records(records))
+        count = len(records)
         for position in range(len(data)):
             corrupt = bytes(
                 data[:position] + bytes([data[position] ^ 0x41]) + data[position + 1:]
             )
             try:
-                decoded = decode_records(corrupt, expected_count=len(records))
+                decoded = decode_records(corrupt, expected_count=count)
             except TraceCodecError:
                 continue
-            assert decoded != records, f"silent identical decode at byte {position}"
+            row, offset = position % count, position // count
+            if decoded == records:
+                assert offset not in _live_bytes(records[row]), (
+                    f"silent identical decode at byte {position}"
+                )
 
     def test_truncation_raises_codec_error(self):
         records = _fuzz_stream(13, count=30)
@@ -195,14 +219,9 @@ class TestCorruptionInjection:
 
     def test_unknown_wire_id_raises(self):
         bad = bytearray(encode_records([AnnotationRecord(EventType.MALLOC, address=4)]))
-        bad[0] = (len(EVENT_TYPES) << 1) | 1      # wire id past the taxonomy
-        with pytest.raises(TraceCodecError, match="wire id"):
+        bad[1] = len(EVENT_TYPES)      # ordinal byte past the taxonomy
+        with pytest.raises(TraceCodecError, match="ordinal"):
             decode_records(bytes(bad))
-
-    def test_overlong_varint_raises(self):
-        decoder = RecordDecoder()
-        with pytest.raises(TraceCodecError, match="varint"):
-            decoder.decode(b"\xff" * 11)
 
     @pytest.mark.parametrize("compress", [True, False])
     def test_trace_file_payload_corruption(self, tmp_path, compress):

@@ -4,9 +4,10 @@ The invariant under test: a bit flip anywhere in a trace file -- chunk
 payload, index entry region, or totals footer -- must surface as a
 :class:`TraceFormatError` (strict) or an exact quarantine entry
 (degrade), never as a silently wrong replay.  Also covers the version
-check (only version-2 traces, which carry per-chunk CRCs, are read) and
-the ``python -m repro.trace verify`` audit command, and CRC-valid chunks
-that name a register the ISA does not have.
+check (only version-3 traces, fixed rows in byte planes with per-chunk
+CRCs, are read), the ``python -m repro.trace verify`` audit command,
+CRC-valid chunks that name a register the ISA does not have, and CRC-valid
+zlib bombs, which every reader inflates only as far as the index allows.
 """
 
 import bisect
@@ -14,6 +15,8 @@ import itertools
 import json
 import random
 import struct
+import tracemalloc
+import zlib
 
 import pytest
 
@@ -29,6 +32,9 @@ from repro.trace.tracefile import (
     _INDEX_ENTRY,
     _INDEX_HEADER,
     _INDEX_TOTALS,
+    _MAGIC,
+    _VERSION,
+    ROW_BYTES,
     TraceFormatError,
     TraceReader,
     TraceWriter,
@@ -202,9 +208,10 @@ class TestTotalsFooterFlips:
 
 
 class TestVersionCheck:
-    @pytest.mark.parametrize("version", [1, 99])
+    @pytest.mark.parametrize("version", [1, 2, 99])
     def test_unsupported_version_rejected(self, tmp_path, version):
-        """Only version 2 is read; version 1 predates per-chunk CRCs."""
+        """Only version 3 is read: version 1 predates per-chunk CRCs, and
+        version 2 stored varint/delta records."""
         path = tmp_path / "t.trace"
         _write_trace(path)
         data = bytearray(path.read_bytes())
@@ -217,6 +224,120 @@ class TestVersionCheck:
         assert not audit.ok and message in audit.file_error
         repair = repair_trace(path)
         assert repair.action == "unrecoverable" and message in repair.detail
+
+
+#: Raw bytes a CRC-valid bomb chunk inflates to: 256 MiB of zeros.
+BOMB_RAW = 256 << 20
+#: The tracemalloc peak any reader may reach on a bomb.
+PEAK_LIMIT = 4 << 20
+
+
+@pytest.fixture(scope="module")
+def zlib_bomb():
+    """One zlib stream of ``BOMB_RAW`` zero bytes, built a MiB at a time."""
+    compressor = zlib.compressobj(9)
+    block = bytes(1 << 20)
+    stored = b"".join(compressor.compress(block) for _ in range(BOMB_RAW >> 20))
+    return stored + compressor.flush()
+
+
+def _bomb_trace(path, good_path, bomb, index=True):
+    """``good_path``'s chunks followed by ``bomb``, whose index entry claims
+    one row; with ``index=False`` the file ends after the chunk data."""
+    with TraceReader(good_path) as reader:
+        chunk_bytes = reader.chunk_bytes
+        chunks = list(reader.chunks)
+        stats = reader.stats
+    blob = good_path.read_bytes()
+    end = chunks[-1].offset + chunks[-1].stored_len
+    data = bytearray(blob[:end]) + bomb
+    entries = [(c.offset, c.stored_len, c.raw_len, c.records, c.crc) for c in chunks]
+    entries.append((end, len(bomb), ROW_BYTES, 1, zlib.crc32(bomb) & 0xFFFFFFFF))
+    index_offset = len(data) if index else 0
+    if index:
+        data += _INDEX_HEADER.pack(b"INDX", len(entries))
+        for entry in entries:
+            data += _INDEX_ENTRY.pack(*entry)
+        data += _INDEX_TOTALS.pack(stats.records + 1, stats.instructions + 1,
+                                   stats.annotations, stats.raw_bytes + ROW_BYTES)
+    data[:_HEADER.size] = _HEADER.pack(_MAGIC, _VERSION, 1, chunk_bytes, index_offset)
+    path.write_bytes(bytes(data))
+    return len(chunks)
+
+
+def _peak(fn):
+    """``fn()`` and the tracemalloc peak it reached, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDecompressionBound:
+    """A CRC-valid chunk that inflates far past its index entry's
+    ``raw_len`` is reported corrupt without ever being inflated whole."""
+
+    @pytest.fixture
+    def good(self, tmp_path):
+        path = tmp_path / "good.trace"
+        _write_trace(path, count=100)
+        return path
+
+    def test_read_chunk_columns_stops_at_raw_len(self, tmp_path, good, zlib_bomb):
+        path = tmp_path / "bomb.trace"
+        bomb = _bomb_trace(path, good, zlib_bomb)
+
+        def read():
+            with TraceReader(path) as reader:
+                with pytest.raises(TraceFormatError, match=f"chunk {bomb} corrupt: "
+                                   f"zlib stream holds more than {ROW_BYTES} raw bytes"):
+                    reader.read_chunk_columns(bomb)
+
+        _, peak = _peak(read)
+        assert peak < PEAK_LIMIT
+
+    @pytest.mark.parametrize("decode", [False, True])
+    def test_verify_reports_the_bomb_chunk(self, tmp_path, good, zlib_bomb, decode):
+        path = tmp_path / "bomb.trace"
+        bomb = _bomb_trace(path, good, zlib_bomb)
+        audit, peak = _peak(lambda: verify_trace(path, decode=decode))
+        assert [bad.index for bad in audit.bad_chunks] == [bomb]
+        assert "holds more than" in audit.bad_chunks[0].error
+        assert peak < PEAK_LIMIT
+
+    @pytest.mark.parametrize("index", [True, False], ids=["index", "no-index"])
+    def test_repair_drops_the_bomb_chunk(self, tmp_path, good, zlib_bomb, index):
+        """With the index, repair validates each entry's chunk; without it,
+        repair walks the zlib streams, each capped at the largest chunk
+        the header's ``chunk_bytes`` allows."""
+        path = tmp_path / "bomb.trace"
+        bomb = _bomb_trace(path, good, zlib_bomb, index=index)
+        repair, peak = _peak(lambda: repair_trace(path))
+        assert repair.action == "repaired" and repair.kept_chunks == bomb
+        assert peak < PEAK_LIMIT
+        with TraceReader(path) as reader, TraceReader(good) as original:
+            assert list(reader) == list(original)
+
+    def test_entry_whose_raw_len_is_not_its_rows_fails_its_own_chunk(self, tmp_path):
+        path = tmp_path / "t.trace"
+        _write_trace(path)
+        data = bytearray(path.read_bytes())
+        index_offset = _index_offset(path)
+        # Entry 1: raw_len and records move together, so the totals still
+        # agree, but raw_len is no longer records rows.
+        entry = index_offset + _INDEX_HEADER.size + _INDEX_ENTRY.size
+        offset, stored_len, raw_len, records, crc = _INDEX_ENTRY.unpack_from(data, entry)
+        _INDEX_ENTRY.pack_into(data, entry, offset, stored_len, raw_len, records - 1, crc)
+        totals = len(data) - _INDEX_TOTALS.size
+        total, instructions, annotations, raw = _INDEX_TOTALS.unpack_from(data, totals)
+        _INDEX_TOTALS.pack_into(data, totals, total - 1, instructions - 1, annotations, raw)
+        path.write_bytes(bytes(data))
+        with TraceReader(path) as reader:
+            with pytest.raises(TraceFormatError, match="chunk 1 corrupt: index claims"):
+                reader.read_chunk_columns(1)
+        assert [bad.index for bad in verify_trace(path).bad_chunks] == [1]
 
 
 class TestVerifyCli:
