@@ -19,11 +19,22 @@ ordinal:
   events go through per-lifeguard span fast paths
   (:meth:`repro.lifeguards.base.Lifeguard.columnar_handlers`) that skip
   :class:`DeliveredEvent` construction;
+* a run of an ordinal that carries no propagation event, or whose event
+  IT absorbs unchanged (``reg_self``/``mem_self``), needs no step: the run
+  loop counts its rows and hands them to ``_check_rows`` only when its
+  bitmap carries a flag of a registered check;
 * annotation records, propagation events while IT is off, and ``other``
   events while IT is on (they flush the whole IT table) fall back to the
   scalar :meth:`EventDispatcher.consume`, row by row, inside the same
   pass.  Every replay with the default configuration turns IT on for the
   lifeguards that register propagation handlers.
+
+The steps charge no cycles event by event.  They count delivered events
+and their handler instructions, and :meth:`ColumnarEngine._fold` charges
+the chunk once: ``nlba`` and handler cycles from those counts, and
+mapping, miss-handler and metadata-access cycles from the deltas of the
+mapper's counters over the chunk, less what the fallback ``consume`` rows
+charged themselves.
 
 Bit-identity contract: for any column set, ``consume_columns(columns)``
 leaves the dispatcher, accelerator, IT, IF, M-TLB, mapper and lifeguard in
@@ -42,8 +53,8 @@ run-grouped interleaving equivalent to the scalar order:
 
 Coverage rule, decided once in :meth:`ColumnarEngine._snapshot`: the run
 steps serve a pipeline only when the dispatcher has no cache hierarchy
-attached (offline replay; with one, per-event metadata addresses feed the
-cache model) and, when the Idempotent Filter is on, every cacheable
+attached (offline replay; with one, every metadata address feeds the
+cache model in order) and, when the Idempotent Filter is on, every cacheable
 registered check is a load or store keyed ``(CC, address, size)`` or
 ``(CC, address, size, thread_id)`` -- the shapes the five lifeguards
 register.  For any other pipeline ``consume_columns`` runs the scalar
@@ -99,11 +110,13 @@ _ORD_DEST_MEM_OP_REG = EventType.DEST_MEM_OP_REG.ordinal
 #: Presence pair a mem_to_reg inheritance needs.
 _DREG_SADDR = F_DEST_REG | F_SRC_ADDR
 
-#: Span fast-path slots the engine always scopes (``_begin_event`` +
-#: ``_account``), in the order ``_snapshot`` binds them.
-_SCOPED_SLOTS = (
+#: Span fast-path slots, in the order ``_snapshot`` binds them.
+_FAST_SLOTS = (
     EventType.MEM_LOAD,
     EventType.MEM_STORE,
+    EventType.ADDR_COMPUTE,
+    EventType.COND_TEST,
+    EventType.INDIRECT_JUMP,
     EventType.IMM_TO_MEM,
     EventType.MEM_TO_MEM,
     EventType.MEM_TO_REG,
@@ -111,13 +124,10 @@ _SCOPED_SLOTS = (
     EventType.DEST_REG_OP_MEM,
 )
 
-#: Register-check slots, whose ``translates`` flag the engine reads: a
-#: non-translating handler is delivered without usage scoping.
-_REGISTER_CHECK_SLOTS = (
-    EventType.ADDR_COMPUTE,
-    EventType.COND_TEST,
-    EventType.INDIRECT_JUMP,
-)
+#: What the run loop counts for a run, per ordinal: nothing (0: the step
+#: counts), records (1: no propagation event) or rows IT absorbs unchanged
+#: (2: ``reg_self``/``mem_self`` with IT on).
+_RUN_STEP, _RUN_RECORDS, _RUN_ABSORBED = 0, 1, 2
 
 
 class ColumnarEngine:
@@ -130,12 +140,7 @@ class ColumnarEngine:
         self.it = self.accelerator.it
         self.filter = self.accelerator.idempotent_filter
         self._table = self.accelerator.etct.handler_table()
-        mapper = self.lifeguard.mapper()
-        self._begin_event = mapper.begin_event
-        #: the mapper's reused per-event usage object (reset by begin_event)
-        self._usage = mapper.end_event()
-        self._translation_instr = dispatcher._translation.instructions
-        self._miss_cost = dispatcher._miss_cost
+        self._mapper = self.lifeguard.mapper()
         self._snapshot()
 
     # ------------------------------------------------------------------ set-up
@@ -182,8 +187,8 @@ class ColumnarEngine:
             mask |= F_INDIRECT_JUMP
         self._check_mask = mask
 
-        # The coverage rule.  The run steps charge cycles from usage counts
-        # (a cache hierarchy needs each event's metadata addresses) and
+        # The coverage rule.  The chunk is charged from counters (a cache
+        # hierarchy needs every metadata address, in order) and the steps
         # build only the two filter-key shapes the lifeguards register for
         # loads and stores.  Any other pipeline runs ``consume``.
         keyed = (EventType.MEM_LOAD, EventType.MEM_STORE)
@@ -205,19 +210,23 @@ class ColumnarEngine:
         (
             self._fast_load,
             self._fast_store,
+            self._fast_ac,
+            self._fast_ct,
+            self._fast_ij,
             self._fast_i2m,
             self._fast_m2m,
             self._fast_m2r,
             self._fast_r2m,
             self._fast_drm,
-        ) = [fast.get(event_type, (None,))[0] for event_type in _SCOPED_SLOTS]
-        (
-            (self._fast_ac, self._fast_ac_tr),
-            (self._fast_ct, self._fast_ct_tr),
-            (self._fast_ij, self._fast_ij_tr),
-        ) = [fast.get(event_type, (None, False)) for event_type in _REGISTER_CHECK_SLOTS]
+        ) = [fast.get(event_type, (None,))[0] for event_type in _FAST_SLOTS]
 
-        steps: List[Optional[object]] = [self._step_checks_only] * NUM_EVENT_TYPES
+        # Per ordinal, the step its runs go to (None: the scalar fallback,
+        # as the telemetry census reads it).  The run loop counts the runs
+        # of ``counted`` ordinals itself and calls their step,
+        # ``_check_rows``, only for a bitmap with a registered check.
+        check_rows = self._check_rows
+        steps: List[Optional[object]] = [check_rows] * NUM_EVENT_TYPES
+        counted = bytearray([_RUN_RECORDS]) * NUM_EVENT_TYPES
         if self.accelerator.uses_propagation:
             # Propagation rows with IT off, and ``other`` rows with IT on
             # (they flush the whole IT table), are rare: the scalar fallback
@@ -225,11 +234,13 @@ class ColumnarEngine:
             for ordinal in range(NUM_EVENT_TYPES):
                 if (PROPAGATION_ORDINAL_MASK >> ordinal) & 1:
                     steps[ordinal] = None
+                    counted[ordinal] = _RUN_STEP
             if self.it is not None:
+                # reg_self / mem_self: IT absorbs every event unchanged.
+                steps[_ORD_REG_SELF] = steps[_ORD_MEM_SELF] = check_rows
+                counted[_ORD_REG_SELF] = counted[_ORD_MEM_SELF] = _RUN_ABSORBED
                 steps[_ORD_IMM_TO_REG] = self._step_imm_to_reg
                 steps[_ORD_IMM_TO_MEM] = self._step_imm_to_mem
-                steps[_ORD_REG_SELF] = self._step_discard
-                steps[_ORD_MEM_SELF] = self._step_discard
                 steps[_ORD_REG_TO_REG] = self._step_reg_to_reg
                 steps[_ORD_REG_TO_MEM] = self._step_reg_to_mem
                 steps[_ORD_MEM_TO_REG] = self._step_mem_to_reg
@@ -238,6 +249,7 @@ class ColumnarEngine:
                 steps[_ORD_DEST_REG_OP_MEM] = self._step_dest_reg_op_mem
                 steps[_ORD_DEST_MEM_OP_REG] = self._step_dest_mem_op_reg
         self._steps = steps
+        self._counted = counted
 
     # ------------------------------------------------------------------ main entry
 
@@ -273,7 +285,7 @@ class ColumnarEngine:
         return cycles
 
     def _begin_columns(self, columns) -> None:
-        """Zero the per-batch counters, ensure runs exist."""
+        """Zero the per-batch counters, mark the charged counters, ensure runs exist."""
         # Row-class counters: each step counts its rows once; _fold expands
         # them into the record/propagation/IT counters they imply.
         self._c_rows_absorbed = 0
@@ -284,26 +296,34 @@ class ColumnarEngine:
         self._c_check_in = 0
         self._c_check_filtered = 0
         self._c_check_delivered = 0
-        self._c_handled = 0
         self._c_handler_instr = 0
-        self._c_mapping_instr = 0
-        self._c_miss_instr = 0
         self._c_it_discarded = 0
         self._c_it_delivered = 0
         self._c_it_transformed = 0
         self._c_it_conflict = 0
+        # Where the chunk's translations, misses and the fallback rows'
+        # own mapping charges start from.
+        mapper_stats = self._mapper.stats
+        self._c_translations = mapper_stats.translations
+        self._c_mtlb_misses = mapper_stats.mtlb_misses
+        stats = self.dispatcher.stats
+        self._c_fallback_mapping = stats.mapping_instructions
+        self._c_fallback_miss = stats.miss_handler_instructions
         if not columns.runs and columns.n:
             # Hand-built columns without a run table: group them now.
             columns.build_runs()
 
     def _consume_runs(self, columns) -> int:
         """The run loop: one step per run, scalar ``consume`` for the rest."""
-        columnar_cycles = 0
         fallback_cycles = 0
+        records = absorbed = 0
         consume = self.dispatcher.consume
         objects = columns.objects
         record_of = columns.record
         steps = self._steps
+        counted = self._counted
+        check_mask = self._check_mask
+        check_rows = self._check_rows
         try:
             for i, j, o, f in columns.runs:
                 if o < 0:
@@ -311,18 +331,31 @@ class ColumnarEngine:
                     for row in range(i, j):
                         fallback_cycles += consume(objects[row])
                     continue
+                count = counted[o]
+                if count:
+                    # Counted here; a run whose bitmap fires no registered
+                    # check (most rows) goes no further.
+                    if count == _RUN_RECORDS:
+                        records += j - i
+                    else:
+                        absorbed += j - i
+                    if f & check_mask:
+                        check_rows(columns, i, j, f)
+                    continue
                 step = steps[o]
                 if step is None:
                     for row in range(i, j):
                         fallback_cycles += consume(record_of(row))
                 else:
-                    columnar_cycles += step(columns, i, j, f)
+                    step(columns, i, j, f)
         finally:
-            self._fold(columnar_cycles)
+            self._c_records += records
+            self._c_rows_absorbed += absorbed
+            columnar_cycles = self._fold()
         return columnar_cycles + fallback_cycles
 
-    def _fold(self, columnar_cycles: int) -> None:
-        """Fold the batched counters into the live stats objects."""
+    def _fold(self) -> int:
+        """Fold the batched counters into the live stats; returns the steps' cycles."""
         # Expand the row-class counters: every counted row is one record
         # with one propagation event in, which passed through IT; IT always
         # discarded "absorbed" rows and always delivered "seen_delivered"
@@ -338,13 +371,36 @@ class ColumnarEngine:
         acc_stats.check_events_in += self._c_check_in
         acc_stats.check_events_filtered += self._c_check_filtered
         acc_stats.check_events_delivered += self._c_check_delivered
-        stats = self.dispatcher.stats
+        # Every delivered event has a registered handler, so the steps
+        # handled exactly the events they delivered.  Their translations
+        # and M-TLB misses are the mapper's deltas over the chunk less the
+        # fallback rows', which ``consume`` charged to ``stats`` as it ran.
+        dispatcher = self.dispatcher
+        stats = dispatcher.stats
+        mapper = self._mapper
+        handled = self._c_prop_delivered + self._c_check_delivered
+        translation_instr = dispatcher._translation_instr
+        fallback_mapping = stats.mapping_instructions - self._c_fallback_mapping
+        translations = (
+            mapper.stats.translations - self._c_translations
+            - fallback_mapping // translation_instr
+        )
+        mapping_instr = translations * translation_instr
+        miss_instr = (
+            (mapper.stats.mtlb_misses - self._c_mtlb_misses) * dispatcher._miss_cost
+            - (stats.miss_handler_instructions - self._c_fallback_miss)
+        )
+        cycles = (
+            NLBA_CYCLES * handled + self._c_handler_instr + mapping_instr + miss_instr
+            + translations * dispatcher._translation_accesses
+        )
+        mapper.metadata_log.clear()
         stats.records_consumed += n
-        stats.events_handled += self._c_handled
+        stats.events_handled += handled
         stats.handler_instructions += self._c_handler_instr
-        stats.mapping_instructions += self._c_mapping_instr
-        stats.miss_handler_instructions += self._c_miss_instr
-        stats.lifeguard_cycles += columnar_cycles
+        stats.mapping_instructions += mapping_instr
+        stats.miss_handler_instructions += miss_instr
+        stats.lifeguard_cycles += cycles
         it = self.it
         if it is not None:
             it_stats = it.stats
@@ -353,29 +409,18 @@ class ColumnarEngine:
             it_stats.events_delivered += self._c_it_delivered + self._c_rows_seen_delivered
             it_stats.events_transformed += self._c_it_transformed
             it_stats.conflict_flushes += self._c_it_conflict
+        return cycles
 
     # ------------------------------------------------------------------ delivery
 
-    def _account(self, instructions: int) -> int:
-        """Cycle charge of the event just handled (usage-based, no hierarchy)."""
-        usage = self._usage
-        mapping = usage.translations * self._translation_instr
-        miss = usage.mtlb_misses * self._miss_cost
-        self._c_handler_instr += instructions
-        self._c_mapping_instr += mapping
-        self._c_miss_instr += miss
-        return NLBA_CYCLES + instructions + mapping + miss + len(usage.metadata_addresses)
-
-    def _dispatch(self, entry, event) -> int:
+    def _dispatch(self, entry, event) -> None:
         """Deliver one event generically (DeliveredEvent + registered handler)."""
-        self._c_handled += 1
-        self._begin_event()
         entry.handler(event)
-        return self._account(entry.handler_instructions)
+        self._c_handler_instr += entry.handler_instructions
 
     # ------------------------------------------------------------------ IT helpers
 
-    def _conflict_flushes(self, address, size, exclude, pc, thread_id) -> int:
+    def _conflict_flushes(self, address, size, exclude, pc, thread_id) -> None:
         """Flush registers inheriting from a store range (scalar order).
 
         Twin of ``InheritanceTracker._conflict_events``: the caller
@@ -384,7 +429,6 @@ class ColumnarEngine:
         """
         store_hi = address + size
         addr_state = ITState.ADDR
-        cycles = 0
         for reg, it_entry in enumerate(self.it._table):
             if reg == exclude or it_entry.state is not addr_state:
                 continue
@@ -393,10 +437,9 @@ class ColumnarEngine:
                 continue
             if address < own_lo + (it_entry.size or 1) and own_lo < store_hi:
                 self._c_it_conflict += 1
-                cycles += self._flush_register(reg, pc, thread_id)
-        return cycles
+                self._flush_register(reg, pc, thread_id)
 
-    def _flush_register(self, reg, pc, thread_id) -> int:
+    def _flush_register(self, reg, pc, thread_id) -> None:
         """Deliver one ``addr``-state register as a ``mem_to_reg`` flush.
 
         Every IT flush the engine performs comes through here; the caller
@@ -412,23 +455,22 @@ class ColumnarEngine:
         it_entry.size = 0
         entry_m2r = self._entry_m2r
         if entry_m2r is None:
-            return 0
+            return
         self._c_prop_delivered += 1
-        self._c_handled += 1
-        self._begin_event()
         fast = self._fast_m2r
         if fast is not None:
             fast(reg, ev_addr, ev_size)
+            self._c_handler_instr += entry_m2r.handler_instructions
         else:
-            entry_m2r.handler(
+            self._dispatch(
+                entry_m2r,
                 DeliveredEvent(
                     EventType.MEM_TO_REG, pc, reg, None, None,
                     ev_addr, ev_size, thread_id,
-                )
+                ),
             )
-        return self._account(entry_m2r.handler_instructions)
 
-    def _check_flushes(self, row_sreg, row_breg, row_ireg, pc, thread_id) -> int:
+    def _check_flushes(self, row_sreg, row_breg, row_ireg, pc, thread_id) -> None:
         """Register flushes a non-load/store check event forces first.
 
         Twin of ``EventAccelerator._flush_registers_for_check``; the caller
@@ -437,11 +479,9 @@ class ColumnarEngine:
         """
         table_it = self.it._table
         addr_state = ITState.ADDR
-        cycles = 0
         for reg in (row_sreg, row_breg, row_ireg):
             if reg is not None and reg < NUM_GPRS and table_it[reg].state is addr_state:
-                cycles += self._flush_register(reg, pc, thread_id)
-        return cycles
+                self._flush_register(reg, pc, thread_id)
 
     # ------------------------------------------------------------------ check events
 
@@ -477,16 +517,13 @@ class ColumnarEngine:
         per_row = 0
         filt = self.filter
         load_mode = load_cc = load_instr = 0
-        fast_load = None
         if entry_load is not None:
             per_row += 1
             # mode: 0 = unfiltered, else the key shape (``filter_mode``)
             load_mode = entry_load.filter_mode if filt is not None and entry_load.cacheable else 0
             load_cc = entry_load.check_category
             load_instr = entry_load.handler_instructions
-            fast_load = self._fast_load
         store_mode = store_cc = store_instr = 0
-        fast_store = None
         if entry_store is not None:
             per_row += 1
             store_mode = (
@@ -494,44 +531,28 @@ class ColumnarEngine:
             )
             store_cc = entry_store.check_category
             store_instr = entry_store.handler_instructions
-            fast_store = self._fast_store
-        ac_instr = 0
-        fast_ac = fast_ac_tr = None
+        ac_instr = ct_instr = ij_instr = 0
         if entry_ac is not None:
             per_row += 1
             ac_instr = entry_ac.handler_instructions
-            fast_ac = self._fast_ac
-            fast_ac_tr = self._fast_ac_tr
-        ct_instr = 0
-        fast_ct = fast_ct_tr = None
         if entry_ct is not None:
             per_row += 1
             ct_instr = entry_ct.handler_instructions
-            fast_ct = self._fast_ct
-            # The memory operand of a cond-test/indirect-jump check is its
-            # src_addr; without one the fast handler cannot reach its
-            # translating branch, so the per-event usage scoping is skipped
-            # for the whole run.
-            fast_ct_tr = self._fast_ct_tr and bool(f & F_SRC_ADDR)
-        ij_instr = 0
-        fast_ij = fast_ij_tr = None
         if entry_ij is not None:
             per_row += 1
             ij_instr = entry_ij.handler_instructions
-            fast_ij = self._fast_ij
-            fast_ij_tr = self._fast_ij_tr and bool(f & F_SRC_ADDR)
         if not per_row:
             return None
         return (
             per_row,
-            entry_load, load_mode, load_cc, load_instr, fast_load,
-            entry_store, store_mode, store_cc, store_instr, fast_store,
-            entry_ac, ac_instr, fast_ac, fast_ac_tr,
-            entry_ct, ct_instr, fast_ct, fast_ct_tr,
-            entry_ij, ij_instr, fast_ij, fast_ij_tr,
+            entry_load, load_mode, load_cc, load_instr, self._fast_load,
+            entry_store, store_mode, store_cc, store_instr, self._fast_store,
+            entry_ac, ac_instr, self._fast_ac,
+            entry_ct, ct_instr, self._fast_ct,
+            entry_ij, ij_instr, self._fast_ij,
         )
 
-    def _check_row(self, cols, k, f, ctx) -> int:
+    def _check_row(self, cols, k, f, ctx) -> None:
         """Filter and deliver row ``k``'s check events (pre-classified).
 
         The caller accounts ``check_events_in`` (``ctx[0]`` per row) and
@@ -541,12 +562,12 @@ class ColumnarEngine:
             _per_row,
             entry_load, load_mode, load_cc, load_instr, fast_load,
             entry_store, store_mode, store_cc, store_instr, fast_store,
-            entry_ac, ac_instr, fast_ac, fast_ac_tr,
-            entry_ct, ct_instr, fast_ct, fast_ct_tr,
-            entry_ij, ij_instr, fast_ij, fast_ij_tr,
+            entry_ac, ac_instr, fast_ac,
+            entry_ct, ct_instr, fast_ct,
+            entry_ij, ij_instr, fast_ij,
         ) = ctx
-        cycles = 0
         delivered = 0
+        instructions = 0
         filt = self.filter
         it = self.it
         size = cols.size[k]
@@ -562,15 +583,11 @@ class ColumnarEngine:
                 self._c_check_filtered += 1
             else:
                 delivered += 1
+                instructions += load_instr
                 if fast_load is not None:
-                    self._c_handled += 1
-                    self._begin_event()
                     fast_load(addr, size, cols.pc[k], cols.thread_id[k])
-                    cycles += self._account(load_instr)
                 else:
-                    cycles += self._dispatch(
-                        entry_load, self._event_mem_load(cols, k, f, addr, size)
-                    )
+                    entry_load.handler(self._event_mem_load(cols, k, f, addr, size))
         # ---- mem_store ---------------------------------------------------
         if entry_store is not None:
             addr = cols.dest_addr[k]
@@ -582,15 +599,11 @@ class ColumnarEngine:
                 self._c_check_filtered += 1
             else:
                 delivered += 1
+                instructions += store_instr
                 if fast_store is not None:
-                    self._c_handled += 1
-                    self._begin_event()
                     fast_store(addr, size, cols.pc[k], cols.thread_id[k])
-                    cycles += self._account(store_instr)
                 else:
-                    cycles += self._dispatch(
-                        entry_store, self._event_mem_store(cols, k, f, addr, size)
-                    )
+                    entry_store.handler(self._event_mem_store(cols, k, f, addr, size))
         # ---- addr_compute ------------------------------------------------
         if entry_ac is not None:
             breg = cols.base_reg[k] if f & F_BASE_REG else None
@@ -609,9 +622,7 @@ class ColumnarEngine:
                     and ireg < NUM_GPRS
                     and table_it[ireg].state is addr_state
                 ):
-                    cycles += self._check_flushes(
-                        None, breg, ireg, cols.pc[k], cols.thread_id[k]
-                    )
+                    self._check_flushes(None, breg, ireg, cols.pc[k], cols.thread_id[k])
             if f & F_DEST_ADDR:
                 report_addr = cols.dest_addr[k]
             elif f & F_SRC_ADDR:
@@ -619,20 +630,12 @@ class ColumnarEngine:
             else:
                 report_addr = None
             delivered += 1
+            instructions += ac_instr
             if fast_ac is not None:
-                self._c_handled += 1
-                if fast_ac_tr:
-                    self._begin_event()
-                    fast_ac(breg, ireg, cols.pc[k], cols.thread_id[k], report_addr)
-                    cycles += self._account(ac_instr)
-                else:
-                    fast_ac(breg, ireg, cols.pc[k], cols.thread_id[k], report_addr)
-                    self._c_handler_instr += ac_instr
-                    cycles += NLBA_CYCLES + ac_instr
+                fast_ac(breg, ireg, cols.pc[k], cols.thread_id[k], report_addr)
             else:
-                cycles += self._dispatch(
-                    entry_ac,
-                    self._event_addr_compute(cols, k, f, report_addr, breg, ireg),
+                entry_ac.handler(
+                    self._event_addr_compute(cols, k, f, report_addr, breg, ireg)
                 )
         # ---- cond_test ---------------------------------------------------
         if entry_ct is not None:
@@ -643,25 +646,14 @@ class ColumnarEngine:
                     and sreg < NUM_GPRS
                     and it._table[sreg].state is ITState.ADDR
                 ):
-                    cycles += self._check_flushes(
-                        sreg, None, None, cols.pc[k], cols.thread_id[k]
-                    )
+                    self._check_flushes(sreg, None, None, cols.pc[k], cols.thread_id[k])
             saddr = cols.src_addr[k] if f & F_SRC_ADDR else None
             delivered += 1
+            instructions += ct_instr
             if fast_ct is not None:
-                self._c_handled += 1
-                if fast_ct_tr:
-                    self._begin_event()
-                    fast_ct(sreg, saddr, size, cols.pc[k], cols.thread_id[k])
-                    cycles += self._account(ct_instr)
-                else:
-                    fast_ct(sreg, saddr, size, cols.pc[k], cols.thread_id[k])
-                    self._c_handler_instr += ct_instr
-                    cycles += NLBA_CYCLES + ct_instr
+                fast_ct(sreg, saddr, size, cols.pc[k], cols.thread_id[k])
             else:
-                cycles += self._dispatch(
-                    entry_ct, self._event_cond_test(cols, k, f, sreg, saddr, size)
-                )
+                entry_ct.handler(self._event_cond_test(cols, k, f, sreg, saddr, size))
         # ---- indirect_jump -----------------------------------------------
         if entry_ij is not None:
             sreg = cols.src_reg[k] if f & F_SRC_REG else None
@@ -671,29 +663,19 @@ class ColumnarEngine:
                     and sreg < NUM_GPRS
                     and it._table[sreg].state is ITState.ADDR
                 ):
-                    cycles += self._check_flushes(
-                        sreg, None, None, cols.pc[k], cols.thread_id[k]
-                    )
+                    self._check_flushes(sreg, None, None, cols.pc[k], cols.thread_id[k])
             saddr = cols.src_addr[k] if f & F_SRC_ADDR else None
             ij_size = size or 4
             delivered += 1
+            instructions += ij_instr
             if fast_ij is not None:
-                self._c_handled += 1
-                if fast_ij_tr:
-                    self._begin_event()
-                    fast_ij(sreg, saddr, ij_size, cols.pc[k], cols.thread_id[k])
-                    cycles += self._account(ij_instr)
-                else:
-                    fast_ij(sreg, saddr, ij_size, cols.pc[k], cols.thread_id[k])
-                    self._c_handler_instr += ij_instr
-                    cycles += NLBA_CYCLES + ij_instr
+                fast_ij(sreg, saddr, ij_size, cols.pc[k], cols.thread_id[k])
             else:
-                cycles += self._dispatch(
-                    entry_ij,
-                    self._event_indirect_jump(cols, k, f, sreg, saddr, ij_size),
+                entry_ij.handler(
+                    self._event_indirect_jump(cols, k, f, sreg, saddr, ij_size)
                 )
         self._c_check_delivered += delivered
-        return cycles
+        self._c_handler_instr += instructions
 
     # Generic check-event builders: field-for-field what the scalar
     # classifier constructs (origin is never read by a handler).
@@ -750,34 +732,21 @@ class ColumnarEngine:
     # ------------------------------------------------------------------ steps
     #
     # One step per (propagation) event ordinal; every step receives a run
-    # of rows with identical ordinal and presence bitmap and returns the
-    # lifeguard cycles it charged.
+    # of rows with identical ordinal and presence bitmap and counts what it
+    # delivers (``_fold`` charges the cycles).
 
-    def _step_checks_only(self, cols, i, j, f) -> int:
-        """Rows whose ordinal carries no propagation event (or lifeguard)."""
-        self._c_records += j - i
-        return self._check_rows(cols, i, j, f)
-
-    def _step_discard(self, cols, i, j, f) -> int:
-        """``reg_self`` / ``mem_self``: IT absorbs every event unchanged."""
-        self._c_rows_absorbed += j - i
-        return self._check_rows(cols, i, j, f)
-
-    def _check_rows(self, cols, i, j, f) -> int:
-        """Filter and deliver the check events of rows ``[i, j)``."""
-        if not f & self._check_mask:
-            return 0
+    def _check_rows(self, cols, i, j, f) -> None:
+        """Filter and deliver the check events of rows ``[i, j)`` (the run
+        loop counted the rows)."""
         ctx = self._check_ctx(f)
         if ctx is None:
-            return 0
+            return
         self._c_check_in += ctx[0] * (j - i)
         check_row = self._check_row
-        cycles = 0
         for k in range(i, j):
-            cycles += check_row(cols, k, f, ctx)
-        return cycles
+            check_row(cols, k, f, ctx)
 
-    def _step_imm_to_reg(self, cols, i, j, f) -> int:
+    def _step_imm_to_reg(self, cols, i, j, f) -> None:
         """``imm_to_reg``: clear the destination's inheritance, discard."""
         n = j - i
         self._c_rows_absorbed += n
@@ -790,14 +759,12 @@ class ColumnarEngine:
         # Row by row: a check flush must observe the clears of all earlier
         # rows (and only those).
         check_row = self._check_row
-        cycles = 0
         for k in range(i, j):
             set_clear(dest_reg_col[k] if has_dreg else None)
             if ctx is not None:
-                cycles += check_row(cols, k, f, ctx)
-        return cycles
+                check_row(cols, k, f, ctx)
 
-    def _step_mem_to_reg(self, cols, i, j, f) -> int:
+    def _step_mem_to_reg(self, cols, i, j, f) -> None:
         """``mem_to_reg``: record the inheritance (never delivered)."""
         n = j - i
         self._c_rows_absorbed += n
@@ -810,15 +777,13 @@ class ColumnarEngine:
         if ctx is not None:
             self._c_check_in += ctx[0] * n
         check_row = self._check_row
-        cycles = 0
         for k in range(i, j):
             if inherits:
                 set_addr(dest_reg_col[k], src_addr_col[k], size_col[k])
             if ctx is not None:
-                cycles += check_row(cols, k, f, ctx)
-        return cycles
+                check_row(cols, k, f, ctx)
 
-    def _step_imm_to_mem(self, cols, i, j, f) -> int:
+    def _step_imm_to_mem(self, cols, i, j, f) -> None:
         """``imm_to_mem``: conflict flushes, then always delivered."""
         n = j - i
         self._c_rows_seen_delivered += n
@@ -834,28 +799,24 @@ class ColumnarEngine:
         if check_ctx is not None:
             self._c_check_in += check_ctx[0] * n
         check_row = self._check_row
-        cycles = 0
         for k in range(i, j):
             daddr = dest_addr_col[k] if has_daddr else None
             size = size_col[k]
             if it._addr_count and daddr is not None and size > 0:
-                cycles += self._conflict_flushes(daddr, size, None, pc_col[k], tid_col[k])
+                self._conflict_flushes(daddr, size, None, pc_col[k], tid_col[k])
             if entry_i2m is not None:
                 self._c_prop_delivered += 1
                 if fast is not None:
-                    self._c_handled += 1
-                    self._begin_event()
                     fast(daddr, size)
-                    cycles += self._account(entry_i2m.handler_instructions)
+                    self._c_handler_instr += entry_i2m.handler_instructions
                 else:
-                    cycles += self._dispatch(
+                    self._dispatch(
                         entry_i2m, self._event_from_row(cols, k, f, EventType.IMM_TO_MEM)
                     )
             if check_ctx is not None:
-                cycles += check_row(cols, k, f, check_ctx)
-        return cycles
+                check_row(cols, k, f, check_ctx)
 
-    def _step_mem_to_mem(self, cols, i, j, f) -> int:
+    def _step_mem_to_mem(self, cols, i, j, f) -> None:
         """``mem_to_mem``: conflict flushes, then always delivered."""
         n = j - i
         self._c_rows_seen_delivered += n
@@ -873,29 +834,24 @@ class ColumnarEngine:
         if check_ctx is not None:
             self._c_check_in += check_ctx[0] * n
         check_row = self._check_row
-        cycles = 0
         for k in range(i, j):
             daddr = dest_addr_col[k] if has_daddr else None
             size = size_col[k]
             if it._addr_count and daddr is not None and size > 0:
-                cycles += self._conflict_flushes(daddr, size, None, pc_col[k], tid_col[k])
+                self._conflict_flushes(daddr, size, None, pc_col[k], tid_col[k])
             if entry_m2m is not None:
                 self._c_prop_delivered += 1
                 if fast is not None:
-                    saddr = src_addr_col[k] if has_saddr else None
-                    self._c_handled += 1
-                    self._begin_event()
-                    fast(daddr, saddr, size)
-                    cycles += self._account(entry_m2m.handler_instructions)
+                    fast(daddr, src_addr_col[k] if has_saddr else None, size)
+                    self._c_handler_instr += entry_m2m.handler_instructions
                 else:
-                    cycles += self._dispatch(
+                    self._dispatch(
                         entry_m2m, self._event_from_row(cols, k, f, EventType.MEM_TO_MEM)
                     )
             if check_ctx is not None:
-                cycles += check_row(cols, k, f, check_ctx)
-        return cycles
+                check_row(cols, k, f, check_ctx)
 
-    def _step_reg_to_reg(self, cols, i, j, f) -> int:
+    def _step_reg_to_reg(self, cols, i, j, f) -> None:
         """``reg_to_reg``: inheritance copy; delivered only from ``in lifeguard``."""
         n = j - i
         self._c_rows_seen += n
@@ -913,7 +869,6 @@ class ColumnarEngine:
         if check_ctx is not None:
             self._c_check_in += check_ctx[0] * n
         check_row = self._check_row
-        cycles = 0
         for k in range(i, j):
             sreg = src_reg_col[k] if has_sreg else None
             src_state = table_it[sreg].state if sreg is not None else clear_state
@@ -953,12 +908,11 @@ class ColumnarEngine:
                     entry.size = 0
                 if entry_r2r is not None:
                     self._c_prop_delivered += 1
-                    cycles += self._dispatch(entry_r2r, event)
+                    self._dispatch(entry_r2r, event)
             if check_ctx is not None:
-                cycles += check_row(cols, k, f, check_ctx)
-        return cycles
+                check_row(cols, k, f, check_ctx)
 
-    def _step_reg_to_mem(self, cols, i, j, f) -> int:
+    def _step_reg_to_mem(self, cols, i, j, f) -> None:
         """``reg_to_mem``: conflict flushes, then transform by source state."""
         n = j - i
         self._c_rows_seen += n
@@ -983,30 +937,26 @@ class ColumnarEngine:
         if check_ctx is not None:
             self._c_check_in += check_ctx[0] * n
         check_row = self._check_row
-        cycles = 0
         transformed = 0
         prop_delivered = 0
-        handled = 0
         for k in range(i, j):
             sreg = src_reg_col[k] if has_sreg else None
             daddr = dest_addr_col[k] if has_daddr else None
             size = size_col[k]
             if it._addr_count and daddr is not None and size > 0:
-                cycles += self._conflict_flushes(daddr, size, sreg, pc_col[k], tid_col[k])
+                self._conflict_flushes(daddr, size, sreg, pc_col[k], tid_col[k])
             src_state = table_it[sreg].state if sreg is not None else clear_state
             if src_state is clear_state:
                 transformed += 1
                 if entry_i2m is not None:
                     prop_delivered += 1
                     if fast_i2m is not None:
-                        handled += 1
-                        self._begin_event()
                         fast_i2m(daddr, size)
-                        cycles += self._account(entry_i2m.handler_instructions)
+                        self._c_handler_instr += entry_i2m.handler_instructions
                     else:
                         event = self._event_from_row(cols, k, f, EventType.IMM_TO_MEM)
                         event.src_reg = None
-                        cycles += self._dispatch(entry_i2m, event)
+                        self._dispatch(entry_i2m, event)
             elif src_state is addr_state:
                 transformed += 1
                 if entry_m2m is not None:
@@ -1014,38 +964,32 @@ class ColumnarEngine:
                     src_entry = table_it[sreg]
                     fast_m2m = self._fast_m2m
                     if fast_m2m is not None:
-                        handled += 1
-                        self._begin_event()
                         fast_m2m(daddr, src_entry.address, size)
-                        cycles += self._account(entry_m2m.handler_instructions)
+                        self._c_handler_instr += entry_m2m.handler_instructions
                     else:
                         event = self._event_from_row(cols, k, f, EventType.MEM_TO_MEM)
                         event.src_reg = None
                         event.src_addr = src_entry.address
-                        cycles += self._dispatch(entry_m2m, event)
+                        self._dispatch(entry_m2m, event)
             else:
                 self._c_it_delivered += 1
                 if entry_r2m is not None:
                     prop_delivered += 1
                     fast_r2m = self._fast_r2m
                     if fast_r2m is not None:
-                        handled += 1
-                        self._begin_event()
                         fast_r2m(sreg, daddr, size)
-                        cycles += self._account(entry_r2m.handler_instructions)
+                        self._c_handler_instr += entry_r2m.handler_instructions
                     else:
-                        cycles += self._dispatch(
+                        self._dispatch(
                             entry_r2m,
                             self._event_from_row(cols, k, f, EventType.REG_TO_MEM),
                         )
             if check_ctx is not None:
-                cycles += check_row(cols, k, f, check_ctx)
+                check_row(cols, k, f, check_ctx)
         self._c_it_transformed += transformed
         self._c_prop_delivered += prop_delivered
-        self._c_handled += handled
-        return cycles
 
-    def _step_dest_reg_op_reg(self, cols, i, j, f) -> int:
+    def _step_dest_reg_op_reg(self, cols, i, j, f) -> None:
         """``dest_reg op= reg``: discard on clean source, else transform/deliver."""
         n = j - i
         self._c_rows_seen += n
@@ -1070,11 +1014,9 @@ class ColumnarEngine:
         if check_ctx is not None:
             self._c_check_in += check_ctx[0] * n
         check_row = self._check_row
-        cycles = 0
         discarded = 0
         transformed = 0
         prop_delivered = 0
-        handled = 0
         for k in range(i, j):
             sreg = src_reg_col[k] if has_sreg else None
             src_state = table_it[sreg].state if sreg is not None else clear_state
@@ -1091,10 +1033,8 @@ class ColumnarEngine:
                     if entry_drm is not None:
                         prop_delivered += 1
                         if fast_drm is not None:
-                            handled += 1
-                            self._begin_event()
                             fast_drm(dreg, None, ev_addr, ev_size, pc_col[k], tid_col[k])
-                            cycles += self._account(entry_drm.handler_instructions)
+                            self._c_handler_instr += entry_drm.handler_instructions
                         else:
                             event = self._event_from_row(
                                 cols, k, f, EventType.DEST_REG_OP_MEM
@@ -1102,7 +1042,7 @@ class ColumnarEngine:
                             event.src_reg = None
                             event.src_addr = ev_addr
                             event.size = ev_size
-                            cycles += self._dispatch(entry_drm, event)
+                            self._dispatch(entry_drm, event)
                 else:
                     self._c_it_delivered += 1
                     event = (
@@ -1113,16 +1053,14 @@ class ColumnarEngine:
                     set_clear(dreg)
                     if entry_drr is not None:
                         prop_delivered += 1
-                        cycles += self._dispatch(entry_drr, event)
+                        self._dispatch(entry_drr, event)
             if check_ctx is not None:
-                cycles += check_row(cols, k, f, check_ctx)
+                check_row(cols, k, f, check_ctx)
         self._c_it_discarded += discarded
         self._c_it_transformed += transformed
         self._c_prop_delivered += prop_delivered
-        self._c_handled += handled
-        return cycles
 
-    def _step_dest_reg_op_mem(self, cols, i, j, f) -> int:
+    def _step_dest_reg_op_mem(self, cols, i, j, f) -> None:
         """``dest_reg op= mem``: always delivered, destination cleared."""
         n = j - i
         self._c_rows_seen_delivered += n
@@ -1144,7 +1082,6 @@ class ColumnarEngine:
         if check_ctx is not None:
             self._c_check_in += check_ctx[0] * n
         check_row = self._check_row
-        cycles = 0
         for k in range(i, j):
             dreg = dest_reg_col[k] if has_dreg else None
             event = (
@@ -1156,19 +1093,19 @@ class ColumnarEngine:
             if entry_drm is not None:
                 self._c_prop_delivered += 1
                 if fast_drm is not None:
-                    sreg = src_reg_col[k] if has_sreg else None
-                    saddr = src_addr_col[k] if has_saddr else None
-                    self._c_handled += 1
-                    self._begin_event()
-                    fast_drm(dreg, sreg, saddr, size_col[k], pc_col[k], tid_col[k])
-                    cycles += self._account(entry_drm.handler_instructions)
+                    fast_drm(
+                        dreg,
+                        src_reg_col[k] if has_sreg else None,
+                        src_addr_col[k] if has_saddr else None,
+                        size_col[k], pc_col[k], tid_col[k],
+                    )
+                    self._c_handler_instr += entry_drm.handler_instructions
                 else:
-                    cycles += self._dispatch(entry_drm, event)
+                    self._dispatch(entry_drm, event)
             if check_ctx is not None:
-                cycles += check_row(cols, k, f, check_ctx)
-        return cycles
+                check_row(cols, k, f, check_ctx)
 
-    def _step_dest_mem_op_reg(self, cols, i, j, f) -> int:
+    def _step_dest_mem_op_reg(self, cols, i, j, f) -> None:
         """``dest_mem op= reg``: discard on clean source, else flush + deliver."""
         n = j - i
         self._c_rows_seen += n
@@ -1188,7 +1125,6 @@ class ColumnarEngine:
         if check_ctx is not None:
             self._c_check_in += check_ctx[0] * n
         check_row = self._check_row
-        cycles = 0
         for k in range(i, j):
             sreg = src_reg_col[k] if has_sreg else None
             src_state = table_it[sreg].state if sreg is not None else clear_state
@@ -1198,20 +1134,17 @@ class ColumnarEngine:
                 daddr = dest_addr_col[k] if has_daddr else None
                 size = size_col[k]
                 if it._addr_count and daddr is not None and size > 0:
-                    cycles += self._conflict_flushes(
-                        daddr, size, sreg, pc_col[k], tid_col[k]
-                    )
+                    self._conflict_flushes(daddr, size, sreg, pc_col[k], tid_col[k])
                 if src_state is addr_state:
                     # Materialise the source register's metadata first.
                     self._c_it_conflict += 1
-                    cycles += self._flush_register(sreg, pc_col[k], tid_col[k])
+                    self._flush_register(sreg, pc_col[k], tid_col[k])
                 self._c_it_delivered += 1
                 if entry_dmr is not None:
                     self._c_prop_delivered += 1
-                    cycles += self._dispatch(
+                    self._dispatch(
                         entry_dmr,
                         self._event_from_row(cols, k, f, EventType.DEST_MEM_OP_REG),
                     )
             if check_ctx is not None:
-                cycles += check_row(cols, k, f, check_ctx)
-        return cycles
+                check_row(cols, k, f, check_ctx)

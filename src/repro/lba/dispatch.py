@@ -11,8 +11,16 @@ lifeguard-core cycles:
 * metadata-mapping instructions -- one ``lma`` per translation when the
   M-TLB is enabled, the five-instruction software walk (plus a level-1
   table load) otherwise, and the software miss-handler cost on M-TLB misses;
-* cache latencies for every metadata address the handler touched, through
-  the lifeguard core's private L1/shared L2.
+* one cycle per metadata access without a cache model (the metadata
+  element, plus the level-1 table load of a software translation), or the
+  latency of each access through the lifeguard core's private L1/shared L2
+  with one.
+
+Every charge but the handler's own instructions is linear in the mapper's
+counters (:class:`repro.lifeguards.base.MapperStats`), so :meth:`consume`
+charges a record's mapping, miss-handler and metadata-access cycles once,
+from the counters' deltas around its events; with a cache model it drains
+the mapper's metadata-address log through it, in translation order.
 """
 
 from __future__ import annotations
@@ -79,8 +87,10 @@ class EventDispatcher:
         self.accelerator = accelerator
         self.hierarchy = hierarchy
         self.stats = DispatchStats()
-        self._lma_enabled = accelerator.mtlb is not None
-        self._translation = metadata_translation_cost(self._lma_enabled)
+        translation = metadata_translation_cost(accelerator.mtlb is not None)
+        self._translation_instr = translation.instructions
+        #: metadata accesses per translation: the element, plus any table load
+        self._translation_accesses = 1 + translation.memory_accesses
         self._miss_cost = accelerator.config.mtlb.miss_handler_instructions
         self._table = accelerator.etct.handler_table()
 
@@ -92,35 +102,35 @@ class EventDispatcher:
         if not events:
             return 0
         mapper = self.lifeguard.mapper()
+        mapper_stats = mapper.stats
+        translations = mapper_stats.translations
+        misses = mapper_stats.mtlb_misses
         table = self._table
-        hierarchy = self.hierarchy
-        translation_instructions = self._translation.instructions
-        miss_cost = self._miss_cost
         cycles = 0
         for event in events:
             entry = table[event.event_type.ordinal]
             if entry is None or entry.handler is None:
                 continue
             stats.events_handled += 1
-            mapper.begin_event()
             entry.handler(event)
-            usage = mapper.end_event()
-
             instructions = entry.handler_instructions
-            mapping_instr = usage.translations * translation_instructions
-            miss_instr = usage.mtlb_misses * miss_cost
             stats.handler_instructions += instructions
+            cycles += NLBA_CYCLES + instructions
+        translations = mapper_stats.translations - translations
+        if translations:
+            mapping_instr = translations * self._translation_instr
+            miss_instr = (mapper_stats.mtlb_misses - misses) * self._miss_cost
             stats.mapping_instructions += mapping_instr
             stats.miss_handler_instructions += miss_instr
-
-            event_cycles = NLBA_CYCLES + instructions + mapping_instr + miss_instr
-            if hierarchy is not None:
-                for metadata_address in usage.metadata_addresses:
-                    event_cycles += hierarchy.access(
-                        LIFEGUARD_CORE, metadata_address, _DATA_READ, 4
-                    )
+            cycles += mapping_instr + miss_instr
+            log = mapper.metadata_log
+            hierarchy = self.hierarchy
+            if hierarchy is None:
+                cycles += translations * self._translation_accesses
             else:
-                event_cycles += len(usage.metadata_addresses)
-            cycles += event_cycles
+                access = hierarchy.access
+                for metadata_address in log:
+                    cycles += access(LIFEGUARD_CORE, metadata_address, _DATA_READ, 4)
+            log.clear()
         stats.lifeguard_cycles += cycles
         return cycles

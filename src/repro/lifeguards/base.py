@@ -12,16 +12,18 @@ A lifeguard in this framework is an object that
 * appends :class:`repro.lifeguards.reports.ErrorReport` objects when an
   invariant of the monitored program is violated.
 
-The mapper also records, per delivered event, how many translations were
-performed and which metadata addresses were touched, so the dispatcher can
-charge realistic lifeguard-core cycles without the handlers having to know
-anything about timing.
+The mapper keeps no per-event scope: it counts translations and M-TLB
+misses cumulatively (:class:`MapperStats`) and logs every metadata address
+it touches, in order.  The consumer charges lifeguard-core cycles from the
+counters' deltas around the events it delivers (and, with a cache model,
+drains the log through it), so the handlers need to know nothing about
+timing.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.etct import ETCT
@@ -34,15 +36,6 @@ from repro.memory.shadow import TwoLevelShadowMap
 #: Lifeguard-space virtual address of the software level-1 table, used to
 #: model the extra memory access of a software (non-LMA) translation.
 LEVEL1_TABLE_BASE = 0x5000_0000
-
-
-@dataclass(slots=True)
-class EventUsage:
-    """What one event handler did, as recorded by the mapper."""
-
-    translations: int = 0
-    mtlb_misses: int = 0
-    metadata_addresses: List[int] = field(default_factory=list)
 
 
 @dataclass(slots=True)
@@ -63,6 +56,10 @@ class MetadataMapper:
     given an M-TLB, the mapper configures it with the map's own geometry
     and translations execute ``lma`` (one instruction, no memory access on
     a hit), whose miss handler is :meth:`TwoLevelShadowMap.chunk_start`.
+
+    Each translation appends the metadata addresses it touches to
+    :attr:`metadata_log`: the level-1 table entry (software translations
+    only), then the metadata element.  The consumer empties the log.
     """
 
     def __init__(self, shadow_map: TwoLevelShadowMap,
@@ -70,7 +67,8 @@ class MetadataMapper:
         self.shadow_map = shadow_map
         self.mtlb = mtlb
         self.stats = MapperStats()
-        self._usage = EventUsage()
+        #: metadata addresses touched since the consumer last emptied it
+        self.metadata_log: List[int] = []
         if mtlb is not None:
             geometry = LMAConfig(
                 level1_bits=shadow_map.level1_bits,
@@ -82,11 +80,9 @@ class MetadataMapper:
     # ------------------------------------------------------------------ translation
 
     def translate(self, app_address: int) -> int:
-        """Translate an application address, recording cost bookkeeping."""
+        """Translate an application address, counting it and logging its accesses."""
         stats = self.stats
-        usage = self._usage
         stats.translations += 1
-        usage.translations += 1
         mtlb = self.mtlb
         if mtlb is not None:
             # Inlined M-TLB hit path (the overwhelmingly common case): one
@@ -112,46 +108,25 @@ class MetadataMapper:
                     stats.mtlb_hits += 1
                 else:
                     stats.mtlb_misses += 1
-                    usage.mtlb_misses += 1
         else:
             shadow_map = self.shadow_map
             metadata_address = shadow_map.translate(app_address)
-            usage.metadata_addresses.append(
+            self.metadata_log.append(
                 LEVEL1_TABLE_BASE + shadow_map.level1_index(app_address) * 4
             )
-        usage.metadata_addresses.append(metadata_address)
+        self.metadata_log.append(metadata_address)
         return metadata_address
 
     def translate_span(self, start: int, stop: int, step: int) -> None:
         """Translate every ``step``-th address in ``[start, stop)``.
 
         Used by the lifeguards' columnar span handlers for multi-byte
-        accesses: a plain :meth:`translate` loop, so every counter, usage
-        record and M-TLB state change is the scalar one.
+        accesses: a plain :meth:`translate` loop, so every counter, logged
+        address and M-TLB state change is the scalar one.
         """
         translate = self.translate
         for address in range(start, stop, step):
             translate(address)
-
-    # ------------------------------------------------------------------ event scoping
-
-    def begin_event(self) -> None:
-        """Start collecting usage for a new delivered event.
-
-        The mapper reuses one :class:`EventUsage` object across events
-        (reset in place here) so the per-event hot path allocates nothing;
-        the object returned by :meth:`end_event` is therefore only valid
-        until the next :meth:`begin_event`.
-        """
-        usage = self._usage
-        usage.translations = 0
-        usage.mtlb_misses = 0
-        usage.metadata_addresses.clear()
-
-    def end_event(self) -> EventUsage:
-        """Return the usage recorded since :meth:`begin_event` (valid until
-        the next :meth:`begin_event` resets it)."""
-        return self._usage
 
 
 @dataclass(frozen=True)
@@ -244,13 +219,12 @@ class Lifeguard(ABC):
         Maps an event type to ``(fast_handler, translates)``.  A fast
         handler is the scalar-argument twin of the registered ETCT handler
         for that event type: it performs *exactly* the same metadata reads/
-        writes, mapper translations and error reports, but takes the event
-        fields as positional arguments so the engine never materialises a
-        :class:`DeliveredEvent`.  ``translates`` tells the engine whether
-        the handler can perform metadata translations; the engine reads it
-        only for ``ADDR_COMPUTE``, ``COND_TEST`` and ``INDIRECT_JUMP``
-        (when ``False`` it skips their per-event usage scoping) and scopes
-        every other fast handler.
+        writes, mapper translations and error reports, in the same order,
+        but takes the event fields as positional arguments so the engine
+        never materialises a :class:`DeliveredEvent`.  ``translates``
+        documents whether the handler can translate; the engine charges
+        translations per chunk from the mapper's counters and does not read
+        it.
 
         The expected signature per event type (arguments may be ``None``
         exactly when the corresponding event field would be)::
@@ -269,11 +243,6 @@ class Lifeguard(ABC):
         Subclasses that override scalar handlers must override this too (or
         return ``{}``), otherwise the inherited fast paths would bypass
         their extensions.
-
-        Contract for ``COND_TEST`` / ``INDIRECT_JUMP`` fast handlers: they
-        may translate only through their ``src_addr`` argument (the event's
-        only memory operand) -- the engine skips the per-event usage
-        scoping for whole runs without a source address.
         """
         return {}
 

@@ -14,6 +14,10 @@ Acceleration applicability (Figure 2): Idempotent Filters (loads and stores
 use *different* check categorisations, and every annotation record --
 including ``lock``/``unlock`` -- flushes the filter, per footnote 1 of the
 paper) and LMA.  LOCKSET does no propagation tracking, so IT does not apply.
+
+The load and store checks are span fast paths taking the event fields as
+scalars (:meth:`Lifeguard.columnar_handlers`); the scalar handlers delegate
+to them, so the columnar engine and ``consume`` run one implementation.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from repro.core.etct import InvalidationPolicy
 from repro.core.events import DeliveredEvent, EventType
 from repro.lifeguards.base import Lifeguard
-from repro.lifeguards.reports import ErrorKind
+from repro.lifeguards.reports import ErrorKind, ErrorReport
 from repro.memory.address_space import SegmentLayout
 from repro.memory.shadow import TwoLevelShadowMap
 
@@ -111,6 +115,13 @@ class LockSet(Lifeguard):
     def primary_map(self) -> TwoLevelShadowMap:
         return self.records
 
+    def columnar_handlers(self):
+        """Span fast paths (see :meth:`Lifeguard.columnar_handlers`)."""
+        return {
+            EventType.MEM_LOAD: (self._fast_load, True),
+            EventType.MEM_STORE: (self._fast_store, True),
+        }
+
     # ------------------------------------------------------------------ lockset interning
 
     def _intern(self, lockset: FrozenSet[int]) -> int:
@@ -143,14 +154,15 @@ class LockSet(Lifeguard):
         """Decoded ``(state, value)`` of the word containing ``address``."""
         return self._decode(self.records.read_element(address - address % _WORD))
 
-    # ------------------------------------------------------------------ tracked regions
-
-    def _tracked(self, address: int) -> bool:
-        """Only heap and globals can be shared between threads; per-thread
-        stacks are not candidates for data races."""
-        return self._layout.data_base <= address < self._layout.mmap_base
-
     # ------------------------------------------------------------------ access handlers
+
+    def _fast_load(self, address: int, size: int, pc: int, thread_id: int) -> None:
+        """Span twin of the load check."""
+        self._access(address, size, pc, thread_id, False)
+
+    def _fast_store(self, address: int, size: int, pc: int, thread_id: int) -> None:
+        """Span twin of the store check."""
+        self._access(address, size, pc, thread_id, True)
 
     def _on_load(self, event: DeliveredEvent) -> None:
         self._on_access(event, is_write=False)
@@ -160,46 +172,69 @@ class LockSet(Lifeguard):
 
     def _on_access(self, event: DeliveredEvent, is_write: bool) -> None:
         address = event.dest_addr if event.dest_addr is not None else event.src_addr
-        if address is None or not self._tracked(address):
+        if address is not None:
+            self._access(address, event.size, event.pc, event.thread_id, is_write)
+
+    def _access(self, address: int, size: int, pc: int, thread_id: int,
+                is_write: bool) -> None:
+        """Refine the record of every word the access covers.
+
+        Only heap and globals can be shared between threads; per-thread
+        stacks are not candidates for data races.  Each word costs one
+        translated read, plus one translated write when its record changes.
+        """
+        layout = self._layout
+        if not layout.data_base <= address < layout.mmap_base:
             return
-        size = max(event.size, 1)
+        translate = self._mapper.translate
+        records = self.records
         word = address - address % _WORD
-        end = address + size
-        access_word = self._access_word
+        end = address + max(size, 1)
         while word < end:
-            access_word(word, event, is_write)
-            word += _WORD
-
-    def _access_word(self, word: int, event: DeliveredEvent, is_write: bool) -> None:
-        thread_id = event.thread_id
-        record = self.meta_read_element(word)
-        state, value = self._decode(record)
-        locks = self.current_lockset(thread_id)
-
-        if state == STATE_VIRGIN:
-            new_record = self._encode(STATE_EXCLUSIVE, thread_id)
-        elif state == STATE_EXCLUSIVE:
-            if value == thread_id:
-                new_record = record
+            translate(word)
+            record = records.read_element(word)
+            state = record & 0b11
+            value = record >> 2
+            locks = self.current_lockset(thread_id)
+            if state == STATE_VIRGIN:
+                new_record = self._encode(STATE_EXCLUSIVE, thread_id)
+            elif state == STATE_EXCLUSIVE:
+                if value == thread_id:
+                    new_record = record
+                else:
+                    # Second thread touches the word: it becomes shared and
+                    # the candidate set is initialised to the accessing
+                    # thread's locks.
+                    new_state = STATE_SHARED_MODIFIED if is_write else STATE_SHARED_READ
+                    new_record = self._encode(new_state, self._intern(locks))
             else:
-                # Second thread touches the word: it becomes shared and the
-                # candidate set is initialised to the accessing thread's locks.
-                new_state = STATE_SHARED_MODIFIED if is_write else STATE_SHARED_READ
-                new_record = self._encode(new_state, self._intern(locks))
-        else:
-            candidate = self.lockset_table[value]
-            refined = candidate & locks
-            new_state = STATE_SHARED_MODIFIED if (is_write or state == STATE_SHARED_MODIFIED) else state
-            new_record = self._encode(new_state, self._intern(refined))
-            if new_state == STATE_SHARED_MODIFIED and not refined and word not in self._reported:
-                self._reported.add(word)
-                self.report(
-                    ErrorKind.DATA_RACE, event,
-                    f"no common lock protects shared word {word:#x}",
-                    address=word,
+                refined = self.lockset_table[value] & locks
+                new_state = (
+                    STATE_SHARED_MODIFIED
+                    if is_write or state == STATE_SHARED_MODIFIED
+                    else state
                 )
-        if new_record != record:
-            self.meta_write_element(word, new_record)
+                new_record = self._encode(new_state, self._intern(refined))
+                if (
+                    new_state == STATE_SHARED_MODIFIED
+                    and not refined
+                    and word not in self._reported
+                ):
+                    self._reported.add(word)
+                    self.reports.append(
+                        ErrorReport(
+                            kind=ErrorKind.DATA_RACE,
+                            lifeguard=self.name,
+                            pc=pc,
+                            address=word,
+                            thread_id=thread_id,
+                            message=f"no common lock protects shared word {word:#x}",
+                        )
+                    )
+            if new_record != record:
+                translate(word)
+                records.write_element(word, new_record)
+            word += _WORD
 
     # ------------------------------------------------------------------ rare handlers
 

@@ -20,7 +20,8 @@ uploads several traces concurrently -- one deliberately corrupted --
 asserts every clean session settles with a report and the corrupted one
 is quarantined on exactly the damaged chunk, validates the service
 metrics snapshot schema, then SIGTERMs the server and asserts it drains
-to exit code 0 under a hard timeout.
+to exit code 0 under a hard timeout.  Each run serves a fresh store
+directory inside DIR, so reruns into one DIR are independent.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from typing import Optional, Sequence
 
@@ -198,7 +200,8 @@ def _selftest(args: argparse.Namespace) -> int:
     corrupt_chunk = num_chunks // 2
     flip_chunk_bytes(corrupt_path, corrupt_chunk, seed=args.seed)
 
-    store = os.path.join(args.workdir, "store")
+    # A store of its own per run, so a rerun into the same DIR starts clean.
+    store = tempfile.mkdtemp(prefix="store-", dir=args.workdir)
     proc, port = _spawn_server(store, quarantine="strict")
     problems = []
     snapshot = None

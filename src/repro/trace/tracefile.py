@@ -75,6 +75,11 @@ class TraceFormatError(ValueError):
     """Raised when a trace file is malformed, truncated or corrupt."""
 
 
+def _annotations(raw: bytes, records: int) -> int:
+    """Annotation rows of a chunk payload: the 1s of its kind plane."""
+    return raw.count(1, 0, records)
+
+
 def _inflate(stored: bytes, raw_len: int) -> bytes:
     """Decompress one chunk's zlib stream into at most ``raw_len`` bytes.
 
@@ -143,6 +148,8 @@ class TraceWriter:
 
     Usable as a context manager; :meth:`close` finalizes the chunk in
     flight, appends the index and patches the header's index offset.
+    :attr:`stats` counts each chunk as it is flushed, so the stats are
+    final once the writer is closed.
     """
 
     def __init__(
@@ -180,12 +187,6 @@ class TraceWriter:
         # The encoder appends the record's row straight to the chunk's rows.
         encoded_len = self._encoder.encode_into(self._chunk, record)
         self._chunk_records += 1
-        self.stats.records += 1
-        if isinstance(record, AnnotationRecord):
-            self.stats.annotations += 1
-        else:
-            self.stats.instructions += 1
-        self.stats.raw_bytes += encoded_len
         if len(self._chunk) >= self.chunk_bytes:
             self._flush_chunk()
         return encoded_len
@@ -196,10 +197,12 @@ class TraceWriter:
             self.append(record)
 
     def _flush_chunk(self) -> None:
-        if not self._chunk_records:
+        records = self._chunk_records
+        if not records:
             return
         raw = byte_planes(self._chunk)
         raw_len = len(raw)
+        annotations = _annotations(raw, records)
         if OBS.enabled:
             start = time.perf_counter()
             stored = zlib.compress(raw, 6) if self.compress else raw
@@ -219,12 +222,17 @@ class TraceWriter:
                 offset=offset,
                 stored_len=len(stored),
                 raw_len=raw_len,
-                records=self._chunk_records,
+                records=records,
                 crc=zlib.crc32(stored) & 0xFFFFFFFF,
             )
         )
-        self.stats.stored_bytes += len(stored)
-        self.stats.chunks += 1
+        stats = self.stats
+        stats.records += records
+        stats.instructions += records - annotations
+        stats.annotations += annotations
+        stats.raw_bytes += raw_len
+        stats.stored_bytes += len(stored)
+        stats.chunks += 1
         self._chunk = bytearray()
         self._chunk_records = 0
 
@@ -562,7 +570,7 @@ def repair_trace(path: Union[str, os.PathLike]) -> "TraceRepair":
     # (or the end of what survives of the file, when the index is gone).
     data_limit = index_offset if _HEADER.size <= index_offset <= len(blob) else len(blob)
 
-    kept: List[Tuple[bytes, int, int]] = []  # (stored, raw_len, records)
+    kept: List[_KeptChunk] = []
     entries_truncated = True
     scan_from = _HEADER.size
     if index_offset and index_offset + _INDEX_HEADER.size <= len(blob):
@@ -585,10 +593,11 @@ def repair_trace(path: Union[str, os.PathLike]) -> "TraceRepair":
                     entries_truncated = False
                     break
                 stored = blob[offset:offset + stored_len]
-                if not _chunk_valid(stored, raw_len, records, crc, compressed):
+                annotations = _chunk_annotations(stored, raw_len, records, crc, compressed)
+                if annotations is None:
                     entries_truncated = False
                     break
-                kept.append((stored, raw_len, records))
+                kept.append((stored, raw_len, records, annotations))
                 scan_from = offset + stored_len
     if entries_truncated and compressed:
         # No chunk the writer closes holds more rows than this.
@@ -606,7 +615,7 @@ def repair_trace(path: Union[str, os.PathLike]) -> "TraceRepair":
 
     repair.action = "repaired"
     repair.kept_chunks = len(kept)
-    repair.kept_records = sum(records for _stored, _raw, records in kept)
+    repair.kept_records = sum(chunk[2] for chunk in kept)
     if audit.stats is not None:
         # The original footer was readable: the loss is exactly known.
         repair.lost_chunks = audit.stats.chunks - repair.kept_chunks
@@ -615,41 +624,49 @@ def repair_trace(path: Union[str, os.PathLike]) -> "TraceRepair":
     return repair
 
 
-def _chunk_valid(
+#: A chunk repair keeps: (stored bytes, raw_len, records, annotations).
+_KeptChunk = Tuple[bytes, int, int, int]
+
+
+def _chunk_annotations(
     stored: bytes, raw_len: int, records: int, crc: int, compressed: bool
-) -> bool:
-    """True when a stored chunk passes CRC, size and full-decode checks."""
+) -> Optional[int]:
+    """A stored chunk's annotation count, or ``None`` when it fails its
+    CRC, size or full-decode checks."""
     if raw_len != records * ROW_BYTES or zlib.crc32(stored) & 0xFFFFFFFF != crc:
-        return False
+        return None
     if compressed:
         try:
             raw = _inflate(stored, raw_len)
         except (zlib.error, ValueError):
-            return False
+            return None
     else:
         raw = stored
     if len(raw) != raw_len:
-        return False
+        return None
     try:
         decoded = decode_records(raw, expected_count=records)
     except TraceCodecError:
-        return False
-    return len(decoded) == records
+        return None
+    if len(decoded) != records:
+        return None
+    return _annotations(raw, records)
 
 
 def _scan_zlib_chunks(
     blob: bytes, start: int, limit: int, max_raw: int
-) -> List[Tuple[bytes, int, int]]:
+) -> List[_KeptChunk]:
     """Re-discover chunk boundaries by walking self-terminating zlib streams.
 
     Every compressed chunk is one complete zlib stream, so a lost index can
     be rebuilt by decompressing stream after stream: each stream's consumed
     length is its stored size, and a full codec decode of the payload both
-    validates the chunk and recounts its records.  Stops at the first
-    incomplete or undecodable stream (the truncation/damage point), or at
-    one that inflates past ``max_raw`` bytes.
+    validates the chunk and recounts its records (its kind plane then
+    counts its annotations).  Stops at the first incomplete or undecodable
+    stream (the truncation/damage point), or at one that inflates past
+    ``max_raw`` bytes.
     """
-    found: List[Tuple[bytes, int, int]] = []
+    found: List[_KeptChunk] = []
     offset = start
     while offset < limit:
         decompressor = zlib.decompressobj()
@@ -666,23 +683,29 @@ def _scan_zlib_chunks(
             break
         if not records:
             break
-        found.append((blob[offset:offset + consumed], len(raw), records))
+        found.append(
+            (blob[offset:offset + consumed], len(raw), records, _annotations(raw, records))
+        )
         offset += consumed
     return found
 
 
 def _rewrite_trace(
-    path: str, chunk_bytes: int, compressed: bool, kept: List[Tuple[bytes, int, int]]
+    path: str, chunk_bytes: int, compressed: bool, kept: List[_KeptChunk]
 ) -> None:
-    """Atomically rewrite ``path`` as a valid trace holding ``kept`` chunks."""
+    """Atomically rewrite ``path`` as a valid trace holding ``kept`` chunks.
+
+    The index totals come from the counts the validation took, so no kept
+    chunk is inflated or decoded again.
+    """
     tmp_path = path + ".repair"
     flags = _FLAG_ZLIB if compressed else 0
-    instructions = 0
-    annotations = 0
+    records_total = sum(chunk[2] for chunk in kept)
+    annotations = sum(chunk[3] for chunk in kept)
     with open(tmp_path, "wb") as out:
         out.write(_HEADER.pack(_MAGIC, _VERSION, flags, chunk_bytes, 0))
         infos: List[ChunkInfo] = []
-        for stored, raw_len, records in kept:
+        for stored, raw_len, records, _ in kept:
             offset = out.tell()
             out.write(stored)
             infos.append(ChunkInfo(
@@ -690,12 +713,6 @@ def _rewrite_trace(
                 raw_len=raw_len, records=records,
                 crc=zlib.crc32(stored) & 0xFFFFFFFF,
             ))
-            raw = _inflate(stored, raw_len) if compressed else stored
-            for record in decode_records(raw, expected_count=records):
-                if isinstance(record, AnnotationRecord):
-                    annotations += 1
-                else:
-                    instructions += 1
         index_offset = out.tell()
         out.write(_INDEX_HEADER.pack(_INDEX_MAGIC, len(infos)))
         for info in infos:
@@ -703,8 +720,8 @@ def _rewrite_trace(
                 info.offset, info.stored_len, info.raw_len, info.records, info.crc
             ))
         out.write(_INDEX_TOTALS.pack(
-            instructions + annotations,
-            instructions,
+            records_total,
+            records_total - annotations,
             annotations,
             sum(info.raw_len for info in infos),
         ))

@@ -1,19 +1,20 @@
-"""Columnar opt-outs stay bit-identical through the generic fallback.
+"""LockSet's span paths and TaintCheckDetailed's opt-out match ``consume``.
 
-``LockSet`` and ``TaintCheckDetailed`` deliberately register **no** span
-fast handlers (:meth:`Lifeguard.columnar_handlers` returns ``{}``): LockSet
-because its per-word state machine plus the annotation-driven filter
-flushes do not vectorise, TaintCheckDetailed because its overridden scalar
-handlers add provenance recording that inherited fast paths would silently
-skip.  The columnar engine must then fall back to generic per-event
-delivery -- and that fallback must remain *bit-identical* to the scalar
-``consume`` loop: same reports, same DispatchStats/AcceleratorStats, same
-cycles, same mapper counters, and the same internal accelerator state
-(Idempotent-Filter sets with LRU order for LockSet, IT table and M-TLB CAM
-for TaintCheckDetailed).
+``TaintCheckDetailed`` is the one shipped lifeguard that registers **no**
+span fast handlers (:meth:`Lifeguard.columnar_handlers` returns ``{}``):
+its overridden scalar handlers add provenance recording that inherited
+fast paths would silently skip, so the columnar engine delivers its events
+generically.  ``LockSet`` registers load and store span paths that its
+scalar handlers delegate to; its per-word lockset state machine, its
+per-thread filter keys and the annotation-driven filter flushes are the
+behaviour the fixed workloads exercise least.  For both, the engine must
+stay *bit-identical* to the scalar ``consume`` loop: same reports, same
+DispatchStats/AcceleratorStats, same cycles, same mapper counters, and the
+same internal accelerator state (Idempotent-Filter sets with LRU order for
+LockSet, IT table and M-TLB CAM for TaintCheckDetailed).
 
 Fuzzed programs -- multithreaded, tainted, lock-heavy and bug-injected
-seeds -- provide the record streams, so the fallback is exercised across
+seeds -- provide the record streams, so both paths are exercised across
 annotation splits, cross-thread interleavings and error-reporting paths
 rather than just the fixed workloads.
 """
@@ -27,7 +28,7 @@ from repro.trace.replay import build_pipeline
 from repro.isa.threads import ThreadedMachine
 from repro.workloads.generator import build_fuzz_programs, generate_spec
 
-OPT_OUT_LIFEGUARDS = ("LockSet", "TaintCheckDetailed")
+LIFEGUARDS = ("LockSet", "TaintCheckDetailed")
 
 #: A structurally diverse seed slice: clean single/multi-threaded, tainted,
 #: and every injected bug class (see ``profile_for_seed``).
@@ -48,12 +49,12 @@ def fuzz_streams():
     return build
 
 
-@pytest.mark.parametrize("name", OPT_OUT_LIFEGUARDS)
+@pytest.mark.parametrize("name", ("TaintCheckDetailed",))
 def test_opt_out_registers_no_fast_handlers(name):
     assert ALL_LIFEGUARDS[name]().columnar_handlers() == {}
 
 
-@pytest.mark.parametrize("name", OPT_OUT_LIFEGUARDS)
+@pytest.mark.parametrize("name", LIFEGUARDS)
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
 def test_fallback_matches_scalar_on_fuzzed_programs(fuzz_streams, name, seed):
     records = fuzz_streams(seed)
@@ -80,7 +81,7 @@ def test_fallback_matches_scalar_on_fuzzed_programs(fuzz_streams, name, seed):
 
 @pytest.mark.parametrize("seed", (5, 13))
 def test_lockset_detects_fuzzed_race_through_fallback(fuzz_streams, seed):
-    """The race seeds' DATA_RACE report survives the columnar fallback."""
+    """The race seeds' DATA_RACE report comes through LockSet's span paths."""
     from repro.lifeguards.reports import ErrorKind
 
     records = fuzz_streams(seed)

@@ -4,7 +4,10 @@ Three legs check every cell of the matrix against the per-record dispatch
 loop (``EventDispatcher.consume``) over the same cached record stream:
 
 * the run-grouped columnar engine (``ColumnarEngine.consume_columns``
-  over a structure-of-arrays flattening of the record stream),
+  over a structure-of-arrays flattening of the record stream), under the
+  default configuration on every cell and under every Figure-11 technique
+  stack (``TECHNIQUE_STACKS``) on two workloads, so software translations
+  (LMA off), IT off and IF off are compared too,
 * the same engine with a cache hierarchy attached, where
   ``consume_columns`` dispatches the column batch record by record
   through ``consume``, against a ``consume`` loop over the same
@@ -35,6 +38,7 @@ import pytest
 
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.core.config import SystemConfig
+from repro.experiments.harness import TECHNIQUE_STACKS, make_config
 from repro.lba.capture import iter_machine_records
 from repro.lba.columnar import ColumnarEngine
 from repro.lba.dispatch import EventDispatcher
@@ -51,6 +55,17 @@ SCALE = 0.15
 LIFEGUARDS = sorted(ALL_LIFEGUARDS)
 WORKLOADS = workload_names() + workload_names(multithreaded=True)
 
+#: The technique-stack leg's workloads: a single-threaded program with heap
+#: churn and a multithreaded one with locks and heap churn.
+STACK_WORKLOADS = ("gap", "pbzip2")
+#: ``(lifeguard, stack label, (lma, it, idempotent_filter))`` per bar of
+#: Figure 11.
+STACKS = [
+    (lifeguard, label, (lma, it, idempotent_filter))
+    for lifeguard in LIFEGUARDS
+    for label, lma, it, idempotent_filter in TECHNIQUE_STACKS[lifeguard]
+]
+
 
 @pytest.fixture(scope="module")
 def record_streams():
@@ -66,16 +81,16 @@ def record_streams():
     return build
 
 
-def _pipeline(lifeguard, hierarchy):
-    accelerator, dispatcher = build_pipeline(lifeguard)
+def _pipeline(lifeguard, hierarchy, config=None):
+    accelerator, dispatcher = build_pipeline(lifeguard, config)
     if hierarchy:
         dispatcher = EventDispatcher(lifeguard, accelerator, MemoryHierarchy(num_cores=2))
     return accelerator, dispatcher
 
 
-def _run_per_record(records, lifeguard_name, hierarchy=False):
+def _run_per_record(records, lifeguard_name, hierarchy=False, config=None):
     lifeguard = ALL_LIFEGUARDS[lifeguard_name]()
-    accelerator, dispatcher = _pipeline(lifeguard, hierarchy)
+    accelerator, dispatcher = _pipeline(lifeguard, hierarchy, config)
     cycles = sum(dispatcher.consume(record) for record in records)
     lifeguard.finalize()
     return lifeguard, accelerator, dispatcher, cycles
@@ -91,9 +106,9 @@ def _run_batched(records, lifeguard_name):
     return lifeguard, accelerator, dispatcher, cycles
 
 
-def _run_columnar(records, lifeguard_name):
+def _run_columnar(records, lifeguard_name, config=None):
     lifeguard = ALL_LIFEGUARDS[lifeguard_name]()
-    accelerator, dispatcher = build_pipeline(lifeguard)
+    accelerator, dispatcher = build_pipeline(lifeguard, config)
     engine = ColumnarEngine(dispatcher)
     # A shipped lifeguard's replay runs the run steps, not the scalar loop
     # (whose results would be identical, so only this assertion sees it).
@@ -169,8 +184,35 @@ def test_columnar_dispatch_matches_per_record(record_streams, lifeguard, workloa
     """
     records = record_streams(workload)
     assert records, f"workload {workload} produced no records"
-    per = _run_per_record(records, lifeguard)
-    columnar = _run_columnar(records, lifeguard)
+    _assert_columnar_agrees(
+        _run_per_record(records, lifeguard), _run_columnar(records, lifeguard)
+    )
+
+
+@pytest.mark.parametrize("workload", STACK_WORKLOADS)
+@pytest.mark.parametrize(
+    "lifeguard,label,techniques", STACKS, ids=[f"{lg}-{label}" for lg, label, _ in STACKS]
+)
+def test_columnar_dispatch_matches_per_record_under_every_stack(
+    record_streams, lifeguard, label, techniques, workload
+):
+    """The columnar engine matches ``consume`` under each Figure-11 stack.
+
+    The engine charges a chunk's translations from the mapper's counters;
+    without LMA each one costs the five-instruction walk and two metadata
+    accesses, and without IT every propagation row is a fallback
+    ``consume`` row whose translations the engine must not charge twice.
+    """
+    records = record_streams(workload)
+    config = make_config(*techniques)
+    _assert_columnar_agrees(
+        _run_per_record(records, lifeguard, config=config),
+        _run_columnar(records, lifeguard, config=config),
+    )
+
+
+def _assert_columnar_agrees(per, columnar):
+    """Stats, cycles, reports, mapper counters and accelerator state agree."""
     assert per[2].stats.diff(columnar[2].stats) == {}  # DispatchStats
     assert per[1].stats == columnar[1].stats         # AcceleratorStats
     assert per[3] == columnar[3]                     # total lifeguard cycles

@@ -16,6 +16,8 @@ import shutil
 
 import pytest
 
+import repro.trace.tracefile as tracefile_module
+from repro.core.events import AnnotationRecord
 from repro.faultinject.corrupt import flip_chunk_bytes, truncate_trace
 from repro.trace.cli import main as trace_cli
 from repro.trace.replay import replay_trace
@@ -111,6 +113,37 @@ class TestRepairShapes:
         # is unknowable even though every chunk survived.
         assert repair.lost_chunks is None
         assert verify_trace(path).ok
+
+    @pytest.mark.parametrize("cut", ["mid_chunk", "mid_footer"])
+    def test_repair_decodes_each_kept_chunk_once(self, trace, tmp_path, monkeypatch, cut):
+        path = _copy(trace, tmp_path, f"{cut}.lbatrace")
+        with TraceReader(path) as reader:
+            last = reader.chunks[-1]
+        if cut == "mid_chunk":
+            keep = last.offset + last.stored_len // 2
+        else:  # inside the totals footer
+            keep = os.path.getsize(path) - 6
+        truncate_trace(path, keep_bytes=keep)
+        decodes = []
+        decode_records = tracefile_module.decode_records
+
+        def counting_decode(*args, **kwargs):
+            decodes.append(1)
+            return decode_records(*args, **kwargs)
+
+        monkeypatch.setattr(tracefile_module, "decode_records", counting_decode)
+        repair = repair_trace(path)
+        monkeypatch.undo()
+        assert repair.action == "repaired"
+        assert len(decodes) == repair.kept_chunks
+        # The index totals the repair wrote still describe the kept chunks.
+        with TraceReader(path) as reader:
+            records = list(reader)
+            annotations = sum(isinstance(r, AnnotationRecord) for r in records)
+            assert annotations, "the trace must hold annotation records"
+            assert reader.stats.records == len(records) == repair.kept_records
+            assert reader.stats.annotations == annotations
+            assert reader.stats.instructions == len(records) - annotations
 
     def test_repaired_file_replays_cleanly(self, trace, tmp_path):
         path = _copy(trace, tmp_path, "replayable.lbatrace")

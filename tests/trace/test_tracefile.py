@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.events import AnnotationRecord, EventType, InstructionRecord
 from repro.experiments.harness import capture_trace
-from repro.trace.codec import TraceCodecError
+from repro.trace.codec import ROW_BYTES, TraceCodecError
 from repro.trace.tracefile import (
     DEFAULT_CHUNK_BYTES,
     TraceFormatError,
@@ -15,6 +15,7 @@ from repro.trace.tracefile import (
     TraceWriter,
     verify_trace,
 )
+from repro.workloads.base import workload_names
 from tests.trace.test_codec import _random_record
 
 
@@ -188,12 +189,19 @@ class TestErrorPaths:
                               immediate=1 << 63),
             AnnotationRecord(EventType.PRINTF, pc=0x7700, payload=-(1 << 63) - 1),
         ]
+        # Every other good record after the first four is an annotation,
+        # so one lands between each pair of failing records.
         good = [
-            InstructionRecord(pc=0x1000 + 8 * i, event_type=EventType.MEM_TO_REG,
-                              dest_reg=1, src_addr=0x0900_0000 + 64 * i, size=4,
-                              is_load=True)
+            AnnotationRecord(EventType.MALLOC, address=0x0D00_0000 + 64 * i, size=16,
+                             pc=0x2000 + 8 * i)
+            if i >= 4 and i % 2
+            else InstructionRecord(pc=0x1000 + 8 * i, event_type=EventType.MEM_TO_REG,
+                                   dest_reg=1, src_addr=0x0900_0000 + 64 * i, size=4,
+                                   is_load=True)
             for i in range(4 + 2 * len(bad))
         ]
+        annotations = sum(isinstance(record, AnnotationRecord) for record in good)
+        assert annotations == len(bad)
         path = tmp_path / "skipped.trace"
         writer = TraceWriter(path, chunk_bytes=4096)
         writer.extend(good[:4])
@@ -204,8 +212,25 @@ class TestErrorPaths:
         writer.close()
         assert verify_trace(path).ok
         assert writer.stats.records == len(good)
+        assert writer.stats.annotations == annotations
+        assert writer.stats.instructions == len(good) - annotations
+        assert writer.stats.raw_bytes == len(good) * ROW_BYTES
         with TraceReader(path) as reader:
             assert list(reader) == good
+
+
+@pytest.mark.parametrize("workload", workload_names() + workload_names(multithreaded=True))
+def test_closed_writer_stats_equal_the_index_totals(tmp_path, workload):
+    """The writer counts each chunk as it flushes it; closed, its stats are
+    the index totals a reader sees."""
+    path = tmp_path / f"{workload}.lbatrace"
+    written = capture_trace(workload, path, scale=0.15, chunk_bytes=4096)
+    with TraceReader(path) as reader:
+        assert reader.num_chunks > 1
+        assert written == reader.stats
+        assert written.annotations == sum(
+            isinstance(record, AnnotationRecord) for record in reader
+        )
 
 
 class TestRewrite:
