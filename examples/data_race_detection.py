@@ -14,7 +14,7 @@ Run with::
 
 from repro.core.config import BASELINE_CONFIG, OPTIMIZED_CONFIG
 from repro.isa import ThreadedMachine
-from repro.lba import LBASystem
+from repro.lba import LBASystem, iter_machine_records
 from repro.lifeguards import LockSet
 from repro.workloads import get_workload
 from repro.workloads.bugs import locked_counter_programs, racy_counter_programs
@@ -22,7 +22,8 @@ from repro.workloads.bugs import locked_counter_programs, racy_counter_programs
 
 def monitor(machine, name, config=OPTIMIZED_CONFIG):
     lifeguard = LockSet()
-    result = LBASystem(machine, lifeguard, config, workload_name=name).run()
+    result = LBASystem(iter_machine_records(machine), lifeguard, config,
+                       workload_name=name).run()
     races = [r for r in result.reports]
     verdict = f"{len(races)} race(s) reported" if races else "race-free"
     print(f"{name:28s} slowdown={result.slowdown:5.2f}x  "

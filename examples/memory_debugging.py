@@ -13,14 +13,14 @@ Run with::
 
 from repro.core.config import OPTIMIZED_CONFIG
 from repro.isa import Machine
-from repro.lba import LBASystem
+from repro.lba import LBASystem, iter_machine_records
 from repro.lifeguards import AddrCheck, MemCheck
 from repro.workloads.bugs import BUG_SCENARIOS, harmless_uninitialized_copy
 
 
 def check(program, lifeguard_cls):
     lifeguard = lifeguard_cls()
-    result = LBASystem(Machine(program), lifeguard, OPTIMIZED_CONFIG,
+    result = LBASystem(iter_machine_records(Machine(program)), lifeguard, OPTIMIZED_CONFIG,
                        workload_name=program.name).run()
     return result
 

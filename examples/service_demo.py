@@ -7,7 +7,8 @@ stream captured traces into one long-running service, each through its
 own bounded ingest queue, each replayed under supervision, each settled
 with a durable report.  This demo walks the whole story in-process:
 
-1. capture a monitored run into a trace file (the offline pipeline);
+1. capture the application's run into a trace file (the offline
+   pipeline) and monitor the stored trace on the dual-core platform;
 2. start a gateway on an ephemeral port and upload the trace from three
    concurrent tenants -- plus one tenant whose upload is deliberately
    corrupted, admitted under the ``degrade`` quarantine policy;
@@ -31,7 +32,7 @@ import tempfile
 from repro.core.config import OPTIMIZED_CONFIG
 from repro.faultinject.corrupt import flip_chunk_bytes
 from repro.isa import Cond, Imm, Machine, Mem, ProgramBuilder, Reg, Register, SyscallKind
-from repro.lba import LBASystem
+from repro.lba import LBASystem, iter_machine_records
 from repro.lifeguards import MemCheck
 from repro.service import GatewayClient, GatewayConfig, MonitoringGateway, upload_trace
 from repro.service.gateway import report_document
@@ -59,14 +60,14 @@ def build_application(rounds=40):
 
 
 def capture_trace(path):
-    """Run the app live under MemCheck, teeing every record into ``path``."""
-    writer = TraceWriter(path, chunk_bytes=2048)
-    system = LBASystem(Machine(build_application()), MemCheck(), OPTIMIZED_CONFIG,
-                       trace_writer=writer)
-    result = system.run("service-demo capture")
-    stats = writer.close()
+    """Run the app once into ``path``, then monitor the trace under MemCheck."""
+    with TraceWriter(path, chunk_bytes=2048) as writer:
+        writer.extend(iter_machine_records(Machine(build_application())))
+    stats = writer.stats
+    with TraceReader(path) as reader:
+        result = LBASystem(reader, MemCheck(), OPTIMIZED_CONFIG).run("service-demo capture")
     print(f"captured {stats.records} records, {stats.chunks} chunks, "
-          f"{result.errors_detected} live error(s)")
+          f"{result.errors_detected} error(s) on the dual-core platform")
     return path
 
 

@@ -4,12 +4,15 @@
 The LBA premise is a *log*: the application core streams compressed records
 to the lifeguard core.  This example makes the log tangible:
 
-1. run a toy request-processing server live under TAINTCHECK while teeing
-   every record into a chunked, zlib-compressed trace file;
-2. replay the stored trace sequentially through a fresh TAINTCHECK --
+1. run a toy request-processing server once, writing every record it emits
+   into a chunked, zlib-compressed trace file;
+2. monitor the stored trace under TAINTCHECK on the dual-core platform and
+   check it reports exactly what monitoring a fresh run of the program
+   reports: slowdown, cycles, cache, dispatch and accelerator statistics;
+3. replay the stored trace sequentially through a fresh TAINTCHECK --
    without re-executing the program -- and check the replay reproduces the
    live run's taint violations and delivered-event counts exactly;
-3. replay it again in one supervised worker process
+4. replay it again in one supervised worker process
    (:class:`ParallelReplay`: retries, timeouts, quarantine), whose single
    lifeguard sees every chunk in order, and check it reports exactly what
    the in-process replay reports.
@@ -24,7 +27,7 @@ import tempfile
 
 from repro.core.config import OPTIMIZED_CONFIG
 from repro.isa import Cond, Imm, Machine, Mem, ProgramBuilder, Reg, Register, SyscallKind
-from repro.lba import LBASystem
+from repro.lba import LBASystem, iter_machine_records
 from repro.lifeguards import TaintCheck
 from repro.trace import ParallelReplay, TraceReader, TraceWriter, replay_trace
 
@@ -60,29 +63,52 @@ def build_application(requests=24):
     return b.build()
 
 
+def cache_stats(system):
+    """Every cache's statistics on both cores and the shared L2."""
+    hierarchy = system.hierarchy
+    cores = [hierarchy.core(core) for core in range(hierarchy.num_cores)]
+    return [cache.stats for caches in cores for cache in (caches.l1i, caches.l1d)] + [
+        hierarchy.l2.stats
+    ]
+
+
 def main():
     trace_path = os.path.join(tempfile.mkdtemp(prefix="lba_trace_"), "app.lbatrace")
 
-    # --- 1. live monitored run, teeing the log into a trace file ------------
-    writer = TraceWriter(trace_path, chunk_bytes=4096, compress=True)
-    system = LBASystem(Machine(build_application()), TaintCheck(), OPTIMIZED_CONFIG,
-                       trace_writer=writer)
-    live = system.run("live+capture")
-    stats = writer.close()
-    print("--- capture (live run, teed to trace) ---")
+    # --- 1. capture: run the program once into a trace file -----------------
+    with TraceWriter(trace_path, chunk_bytes=4096, compress=True) as writer:
+        writer.extend(iter_machine_records(Machine(build_application())))
+    stats = writer.stats
+    print("--- capture (one execution, written to a trace) ---")
     print(f"records captured:     {stats.records}")
     print(f"raw codec bytes:      {stats.raw_bytes} "
           f"({stats.raw_bytes / max(stats.records, 1):.2f} B/record)")
     print(f"stored bytes:         {stats.stored_bytes} "
           f"({stats.bytes_per_record:.2f} B/record after zlib, "
           f"{stats.chunks} chunks)")
-    print(f"live slowdown:        {live.slowdown:.2f}x")
-    print(f"live events handled:  {live.dispatch.events_handled}")
-    print(f"live violations:      {live.errors_detected}")
 
-    # --- 2. sequential replay from the stored trace -------------------------
+    # --- 2. the dual-core platform over the trace and over the machine ------
+    live_system = LBASystem(iter_machine_records(Machine(build_application())),
+                            TaintCheck(), OPTIMIZED_CONFIG)
+    live = live_system.run("live")
     with TraceReader(trace_path) as reader:
-        assert reader.num_records == live.producer.records
+        stored_system = LBASystem(reader, TaintCheck(), OPTIMIZED_CONFIG)
+        stored = stored_system.run("stored trace")
+    print("\n--- dual-core run over the stored trace ---")
+    print(f"slowdown:             {stored.slowdown:.2f}x")
+    print(f"events handled:       {stored.dispatch.events_handled}")
+    print(f"violations:           {stored.errors_detected}")
+    assert stored.producer.records == stats.records
+    assert stored.timing == live.timing, "the trace must price exactly as the machine"
+    assert stored.dispatch == live.dispatch
+    assert stored.accelerator == live.accelerator
+    assert stored.mapper == live.mapper
+    assert stored.producer == live.producer
+    assert stored.reports == live.reports
+    assert cache_stats(stored_system) == cache_stats(live_system)
+    print("the run over the trace matches the run over the machine exactly.")
+
+    # --- 3. sequential replay from the stored trace -------------------------
     replayed = replay_trace(trace_path, TaintCheck, OPTIMIZED_CONFIG)
     print("\n--- sequential replay (no re-execution) ---")
     print(f"records replayed:     {replayed.records}")
@@ -93,7 +119,7 @@ def main():
     assert replayed.dispatch.events_handled == live.dispatch.events_handled
     print("replay matches the live run exactly.")
 
-    # --- 3. supervised replay in a worker process ---------------------------
+    # --- 4. supervised replay in a worker process ---------------------------
     supervised = ParallelReplay(trace_path, TaintCheck, OPTIMIZED_CONFIG).run()
     print("\n--- supervised replay (one worker process, every chunk in order) ---")
     print(f"chunks replayed:      {supervised.chunks}")

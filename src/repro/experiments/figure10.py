@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.analysis.profiler import Profiler
 from repro.core.config import BASELINE_CONFIG, OPTIMIZED_CONFIG
 from repro.experiments.harness import benchmarks_for, lifeguard_classes, run_monitored
 from repro.experiments.reporting import format_table
@@ -43,8 +44,14 @@ def run_figure10(
     lifeguards: Optional[Sequence[str]] = None,
     benchmarks: Optional[Sequence[str]] = None,
     scale: float = 1.0,
+    profiler: Optional[Profiler] = None,
 ) -> Figure10Result:
-    """Run the Figure 10 experiment."""
+    """Run the Figure 10 experiment.
+
+    All runs monitor one execution per benchmark: ``profiler``'s immutable
+    record list (see :func:`~repro.experiments.harness.run_monitored`).
+    """
+    profiler = profiler or Profiler()
     result = Figure10Result()
     for lifeguard_cls in lifeguard_classes(lifeguards):
         name = lifeguard_cls.name
@@ -54,7 +61,8 @@ def run_figure10(
             result.slowdowns[name][config_label] = {}
             result.errors[name][config_label] = {}
             for benchmark in benchmarks_for(name, benchmarks):
-                run = run_monitored(lifeguard_cls, benchmark, config, scale, config_label)
+                run = run_monitored(lifeguard_cls, benchmark, config, scale, config_label,
+                                    profiler)
                 result.slowdowns[name][config_label][benchmark] = run.slowdown
                 result.errors[name][config_label][benchmark] = run.errors_detected
     return result

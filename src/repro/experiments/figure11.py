@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.analysis.profiler import Profiler
 from repro.experiments.harness import (
     TECHNIQUE_STACKS,
     benchmarks_for,
@@ -39,8 +40,14 @@ def run_figure11(
     lifeguards: Optional[Sequence[str]] = None,
     benchmarks: Optional[Sequence[str]] = None,
     scale: float = 1.0,
+    profiler: Optional[Profiler] = None,
 ) -> Figure11Result:
-    """Run the Figure 11 experiment."""
+    """Run the Figure 11 experiment.
+
+    All runs monitor one execution per benchmark: ``profiler``'s immutable
+    record list (see :func:`~repro.experiments.harness.run_monitored`).
+    """
+    profiler = profiler or Profiler()
     result = Figure11Result()
     for lifeguard_cls in lifeguard_classes(lifeguards):
         name = lifeguard_cls.name
@@ -52,7 +59,7 @@ def run_figure11(
             config = make_config(lma, it, idempotent_filter)
             slowdowns = {}
             for benchmark in suite:
-                run = run_monitored(lifeguard_cls, benchmark, config, scale, label)
+                run = run_monitored(lifeguard_cls, benchmark, config, scale, label, profiler)
                 slowdowns[benchmark] = run.slowdown
             result.per_benchmark[name][label] = slowdowns
             result.averages[name][label] = sum(slowdowns.values()) / len(slowdowns)

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.analysis.profiler import Profiler
 from repro.core.accelerator import update_event_reduction
 from repro.core.config import BASELINE_CONFIG, OPTIMIZED_CONFIG
 from repro.experiments.harness import benchmarks_for, lifeguard_classes, make_config, run_monitored
@@ -61,8 +62,14 @@ def run_figure12(
     lifeguards: Optional[Sequence[str]] = None,
     benchmarks: Optional[Sequence[str]] = None,
     scale: float = 1.0,
+    profiler: Optional[Profiler] = None,
 ) -> Figure12Result:
-    """Run the Figure 12 experiment."""
+    """Run the Figure 12 experiment.
+
+    All runs monitor one execution per benchmark: ``profiler``'s immutable
+    record list (see :func:`~repro.experiments.harness.run_monitored`).
+    """
+    profiler = profiler or Profiler()
     result = Figure12Result()
     lma_only = make_config(lma=True, it=False, idempotent_filter=False)
     for lifeguard_cls in lifeguard_classes(lifeguards):
@@ -73,9 +80,11 @@ def run_figure12(
         if lifeguard_cls.uses_if:
             result.if_check_reduction[name] = {}
         for benchmark in benchmarks_for(name, benchmarks):
-            base = run_monitored(lifeguard_cls, benchmark, BASELINE_CONFIG, scale, "BASE")
-            lma = run_monitored(lifeguard_cls, benchmark, lma_only, scale, "LMA")
-            optimized = run_monitored(lifeguard_cls, benchmark, OPTIMIZED_CONFIG, scale, "OPT")
+            base = run_monitored(lifeguard_cls, benchmark, BASELINE_CONFIG, scale, "BASE",
+                                 profiler)
+            lma = run_monitored(lifeguard_cls, benchmark, lma_only, scale, "LMA", profiler)
+            optimized = run_monitored(lifeguard_cls, benchmark, OPTIMIZED_CONFIG, scale, "OPT",
+                                      profiler)
             base_instr = base.dispatch.total_instructions
             lma_instr = lma.dispatch.total_instructions
             reduction = 1.0 - lma_instr / base_instr if base_instr else 0.0

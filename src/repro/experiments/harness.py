@@ -1,10 +1,11 @@
 """Shared helpers for the figure-regeneration experiments.
 
-Besides the live-run helpers this module provides the capture half of the
-capture-once / replay-many path: :func:`capture_trace` executes a workload
-a single time while serializing its log into a chunked trace file, which
-:func:`repro.trace.replay.replay_trace` then re-analyses with any
-lifeguard without re-running the ISA machine.
+:func:`run_monitored` runs one (lifeguard, benchmark, configuration)
+combination on the dual-core platform.  This module also provides the
+capture half of the capture-once / replay-many path: :func:`capture_trace`
+executes a workload a single time while serializing its log into a chunked
+trace file, which :func:`repro.trace.replay.replay_trace` then re-analyses
+with any lifeguard without re-running the ISA machine.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
+from repro.analysis.profiler import Profiler
 from repro.core.config import SystemConfig
+import repro.lba.capture as capture
 from repro.lba.capture import iter_machine_records
 from repro.lba.platform import LBASystem, MonitoringResult
 from repro.lifeguards import (
@@ -78,12 +81,23 @@ def run_monitored(
     config: SystemConfig,
     scale: float = 1.0,
     config_label: str = "",
+    profiler: Optional[Profiler] = None,
 ) -> MonitoringResult:
-    """Run one (lifeguard, benchmark, configuration) combination."""
-    workload = get_workload(benchmark, scale=scale)
-    machine = workload.build_machine()
-    lifeguard = lifeguard_cls()
-    system = LBASystem(machine, lifeguard, config, workload_name=benchmark)
+    """Run one (lifeguard, benchmark, configuration) combination.
+
+    With a ``profiler`` the run monitors ``profiler.trace(benchmark, scale)``,
+    so runs that share it share one execution; records are immutable named
+    tuples, so the shared list carries no state from run to run.  Without
+    one, the run builds and executes the workload's machine.
+    """
+    if profiler is None:
+        machine = get_workload(benchmark, scale=scale).build_machine()
+        # Looked up on the module at call time, so a wrapper installed there
+        # (the benchmark's layer tracer) sees the machine's record stream.
+        records = capture.iter_machine_records(machine)
+    else:
+        records = profiler.trace(benchmark, scale)
+    system = LBASystem(records, lifeguard_cls(), config, workload_name=benchmark)
     return system.run(config_label or "custom")
 
 
@@ -108,7 +122,6 @@ def capture_trace(
     scale: float = 1.0,
     compress: bool = True,
     chunk_bytes: int = 64 * 1024,
-    max_instructions: int = 5_000_000,
 ) -> TraceStats:
     """Run a workload once, capturing its full log into a trace file.
 
@@ -116,12 +129,13 @@ def capture_trace(
     application-core cost model -- only the functional record stream
     matters -- so the machine's records go straight into the
     :class:`TraceWriter`, each encoded once.  It is the cheapest way to
-    bank a workload for repeated offline analysis.  (To capture a *live*
-    monitored run instead, attach the writer as the ``trace_writer`` tee
-    of its :class:`repro.lba.capture.LogProducer`.)
+    bank a workload for repeated offline analysis: a
+    :class:`repro.lba.platform.LBASystem` over a
+    :class:`repro.trace.tracefile.TraceReader` of the file reports what it
+    reports over the machine, and :func:`repro.trace.replay.replay_trace`
+    re-analyses it without the cache and coupling models.
     """
-    workload = get_workload(benchmark, scale=scale)
-    machine = workload.build_machine()
+    machine = get_workload(benchmark, scale=scale).build_machine()
     with TraceWriter(path, chunk_bytes=chunk_bytes, compress=compress) as writer:
-        writer.extend(iter_machine_records(machine, max_instructions))
+        writer.extend(iter_machine_records(machine))
     return writer.stats

@@ -12,9 +12,10 @@ chunked trace files, then re-analysed repeatedly without re-running them::
     repro-experiments --capture-traces traces/          # bank the workloads
     repro-experiments --replay-traces traces/
 
-Every live number comes from the dual-core platform
+Figures 10-12 come from the dual-core platform
 (:class:`repro.lba.platform.LBASystem`): one application core, one
-lifeguard core.
+lifeguard core.  A report executes each (benchmark, scale) once: all five
+figures read its records from one :class:`repro.analysis.profiler.Profiler`.
 """
 
 from __future__ import annotations
@@ -103,24 +104,31 @@ def run_all(quick: bool = False, scale: float = 1.0) -> List[str]:
     # the SPEC suite is narrowed for the four single-threaded lifeguards and
     # LOCKSET is run separately on a narrowed multithreaded suite (an
     # explicit benchmark list applies to every lifeguard it is passed with).
+    # All five figures share one profiler, so the report executes each
+    # (benchmark, scale) once and monitors every configuration from its
+    # records.
     if quick:
         spec_lifeguards = ["AddrCheck", "MemCheck", "TaintCheck", "TaintCheckDetailed"]
-        figure10 = run_figure10(lifeguards=spec_lifeguards, benchmarks=spec, scale=scale)
-        lockset10 = run_figure10(lifeguards=["LockSet"], benchmarks=list(QUICK_MT), scale=scale)
+        spec_runs = dict(lifeguards=spec_lifeguards, benchmarks=spec, scale=scale,
+                         profiler=profiler)
+        lockset_runs = dict(lifeguards=["LockSet"], benchmarks=list(QUICK_MT), scale=scale,
+                            profiler=profiler)
+        figure10 = run_figure10(**spec_runs)
+        lockset10 = run_figure10(**lockset_runs)
         figure10.slowdowns.update(lockset10.slowdowns)
         figure10.errors.update(lockset10.errors)
-        figure11 = run_figure11(lifeguards=spec_lifeguards, benchmarks=spec, scale=scale)
-        lockset11 = run_figure11(lifeguards=["LockSet"], benchmarks=list(QUICK_MT), scale=scale)
+        figure11 = run_figure11(**spec_runs)
+        lockset11 = run_figure11(**lockset_runs)
         figure11.averages.update(lockset11.averages)
         figure11.per_benchmark.update(lockset11.per_benchmark)
-        figure12 = run_figure12(lifeguards=spec_lifeguards, benchmarks=spec, scale=scale)
-        lockset12 = run_figure12(lifeguards=["LockSet"], benchmarks=list(QUICK_MT), scale=scale)
+        figure12 = run_figure12(**spec_runs)
+        lockset12 = run_figure12(**lockset_runs)
         figure12.lma_instruction_reduction.update(lockset12.lma_instruction_reduction)
         figure12.if_check_reduction.update(lockset12.if_check_reduction)
     else:
-        figure10 = run_figure10(scale=scale)
-        figure11 = run_figure11(scale=scale)
-        figure12 = run_figure12(scale=scale)
+        figure10 = run_figure10(scale=scale, profiler=profiler)
+        figure11 = run_figure11(scale=scale, profiler=profiler)
+        figure12 = run_figure12(scale=scale, profiler=profiler)
     sections.append(format_figure10(figure10))
     sections.append(format_figure11(figure11))
     sections.append(format_figure12(figure12))

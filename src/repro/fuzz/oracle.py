@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import SystemConfig
+from repro.lba.capture import iter_machine_records
 from repro.lba.columnar import ColumnarEngine
 from repro.lba.platform import LBASystem
 from repro.lifeguards import ALL_LIFEGUARDS
@@ -355,7 +356,7 @@ def run_case(
 
             if "live" in engines:
                 live = _timed("live", lambda: LBASystem(
-                    _machine(case.spec),
+                    iter_machine_records(_machine(case.spec)),
                     lifeguard_cls(),
                     SystemConfig(),
                     workload_name=f"fuzz_{seed}",

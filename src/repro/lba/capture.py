@@ -1,32 +1,24 @@
 """Producer-side log capture.
 
-Wraps the application machine (single- or multi-threaded).
-:func:`iter_machine_records` yields the records it emits, and
-:meth:`LogProducer.account` prices each one on the application core (1
-cycle base for the in-order core plus instruction-fetch and data-access
-latencies through the core's private caches and the shared L2).  The live
-loop (:meth:`repro.lba.platform.LBASystem.run`) calls the two itself, one
-call each per record, and hands each cost to the coupling model, which
-sizes the log buffer in records (``LogBufferConfig.capacity_records``), so
-the live path encodes nothing.  :meth:`LogProducer.stream` yields the same
-``(record, app_cycles)`` pairs for callers that want the priced stream on
-its own.
-
-The producer can additionally *tee* every record it emits into a
-:class:`repro.trace.tracefile.TraceWriter`, capturing a *live* monitored
-run as a chunked trace file that can later be replayed offline without
-re-executing the ISA machine.  The tee is the only encoder on this path:
-``ProducerStats.log_bytes`` adds up the raw bytes it wrote, and stays 0 when
-no writer is attached.  Offline capture with no live run
-(:func:`repro.experiments.harness.capture_trace`) needs none of the
-producer's cost accounting: it writes :func:`iter_machine_records` straight
-into the writer, so each record is encoded once.
+:func:`iter_machine_records` runs an application machine (single- or
+multi-threaded) and yields the records it emits: the log the application
+core hands the lifeguard core.  :meth:`LogProducer.account` prices one
+record on the application core (1 cycle base for the in-order core plus
+instruction-fetch and data-access latencies through the core's private
+caches and the shared L2); it reads the record and the cache hierarchy
+alone, so it prices a stored trace exactly as it prices a live machine.
+The monitoring loop (:meth:`repro.lba.platform.LBASystem.run`) calls it
+once per record and hands each cost to the coupling model, which sizes the
+log buffer in records (``LogBufferConfig.capacity_records``), so
+monitoring encodes nothing.  A trace file is written by
+:class:`repro.trace.tracefile.TraceWriter` from the same records
+(:func:`repro.experiments.harness.capture_trace`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Protocol, Tuple, Union
+from typing import Iterable, Iterator, Optional, Tuple, Union
 
 from repro.cache.hierarchy import AccessType, MemoryHierarchy
 from repro.core.events import AnnotationRecord, EventType, InstructionRecord
@@ -35,13 +27,6 @@ from repro.isa.threads import ThreadedMachine
 
 Record = Union[InstructionRecord, AnnotationRecord]
 ApplicationMachine = Union[Machine, ThreadedMachine]
-
-
-class TraceWriterLike(Protocol):
-    """Anything records can be teed into (duck-typed to avoid an import cycle)."""
-
-    def append(self, record: Record) -> int:  # pragma: no cover - protocol
-        ...
 
 #: Application-core cost charged for rare library/system-call events
 #: (the wrapped routine's own work, which is not otherwise simulated).
@@ -73,10 +58,10 @@ def iter_machine_records(
 ) -> Iterator[Record]:
     """Yield the raw record stream of an application machine.
 
-    This is the machine-driving half of :meth:`LogProducer.stream`, usable
-    on its own by consumers that need no cost accounting (offline capture
-    writes each record straight into a trace file; the sequential reference
-    feeds each record to ``EventDispatcher.consume``).
+    The one way a machine's records reach a consumer: a live monitored run
+    hands the generator to :class:`repro.lba.platform.LBASystem`, offline
+    capture writes each record into a trace file, and the sequential
+    reference feeds each record to ``EventDispatcher.consume``.
     ``ThreadedMachine`` handles its own interleaving; it is run to
     completion and its buffered trace replayed (traces are modest --
     reduced inputs -- so buffering the multithreaded case is acceptable).
@@ -103,9 +88,10 @@ def iter_machine_records(
 class ProducerStats:
     """Aggregate producer-side statistics.
 
-    ``log_bytes`` is the raw (uncompressed) bytes the trace writer encoded
-    for the teed records, 0 when no writer is attached.  Application cycles
-    are summed by the coupling model (``TimingBreakdown.app_alone_cycles``).
+    ``log_bytes`` is always 0: the producer encodes nothing.  It stays only
+    because the benchmark's per-layer table still reads it.  Application
+    cycles are summed by the coupling model
+    (``TimingBreakdown.app_alone_cycles``).
     """
 
     records: int = 0
@@ -115,50 +101,31 @@ class ProducerStats:
 
 
 class LogProducer:
-    """Prices the records of an application machine on the application core.
+    """Prices records on the application core.
 
     Args:
-        machine: the application machine to run.
         hierarchy: shared cache hierarchy for fetch/data latencies (optional).
-        max_instructions: execution safety limit.
-        trace_writer: optional tee -- any object with an ``append(record)``
-            method (typically a :class:`repro.trace.tracefile.TraceWriter`);
-            every emitted record is appended to it, capturing the run as a
-            replayable trace.
 
     Fetch and data accesses go through the private caches of
     :data:`APPLICATION_CORE` in ``hierarchy``.
     """
 
-    def __init__(
-        self,
-        machine: ApplicationMachine,
-        hierarchy: Optional[MemoryHierarchy] = None,
-        max_instructions: int = 5_000_000,
-        trace_writer: Optional["TraceWriterLike"] = None,
-    ) -> None:
-        self.machine = machine
+    def __init__(self, hierarchy: Optional[MemoryHierarchy] = None) -> None:
         self.hierarchy = hierarchy
-        self.max_instructions = max_instructions
-        self.trace_writer = trace_writer
         self.stats = ProducerStats()
 
     def account(self, record: Record) -> int:
         """Account one record the application core retired; return its cost.
 
-        Counts the record, tees it into the trace writer if one is attached
-        (adding the raw bytes the writer encoded to ``log_bytes``), and
-        prices it on the application core: an annotation costs its wrapped
-        routine's cycles; an instruction costs its fetch plus its data
-        accesses through that core's caches (1 cycle each, plus 1 per load
-        and store, without a hierarchy).  :meth:`LBASystem.run
-        <repro.lba.platform.LBASystem.run>` calls this for every record the
-        machine emits, and so does :meth:`stream`.
+        Counts the record and prices it on the application core: an
+        annotation costs its wrapped routine's cycles; an instruction costs
+        its fetch plus its data accesses through that core's caches (1 cycle
+        each, plus 1 per load and store, without a hierarchy).
+        :meth:`LBASystem.run <repro.lba.platform.LBASystem.run>` calls this
+        for every record it monitors, and so does :meth:`stream`.
         """
         stats = self.stats
         stats.records += 1
-        if self.trace_writer is not None:
-            stats.log_bytes += self.trace_writer.append(record)
         # Exact-type check first: instruction records are the common case.
         if type(record) is not InstructionRecord and isinstance(record, AnnotationRecord):
             stats.annotations += 1
@@ -175,14 +142,13 @@ class LogProducer:
             cycles += access(APPLICATION_CORE, record.dest_addr, _DATA_WRITE, record.size or 4)
         return cycles
 
-    def stream(self) -> Iterator[Tuple[Record, int]]:
-        """Yield ``(record, app_cycles)`` pairs until the program halts.
+    def stream(self, records: Iterable[Record]) -> Iterator[Tuple[Record, int]]:
+        """Yield ``(record, app_cycles)`` for each of ``records``.
 
-        For callers that want the priced stream on its own
-        (:func:`repro.lba.platform.run_unmonitored`, tests).  The live loop
-        does not use it: it iterates :func:`iter_machine_records` and calls
-        :meth:`account` itself, saving a generator resume per record.
+        The monitoring loop does not use it: it calls :meth:`account`
+        itself, saving a generator resume per record.  It stays only
+        because the benchmark's layer tracer wraps it by name.
         """
         account = self.account
-        for record in iter_machine_records(self.machine, self.max_instructions):
+        for record in records:
             yield record, account(record)

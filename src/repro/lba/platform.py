@@ -1,10 +1,14 @@
 """The full dual-core LBA system (Figure 3).
 
-:class:`LBASystem` wires together an application machine, a lifeguard, the
+:class:`LBASystem` wires together a record stream, a lifeguard, the
 acceleration pipeline configured per :class:`repro.core.config.SystemConfig`,
-the shared cache hierarchy and the producer/consumer coupling model, runs the
-monitored program to completion, and reports a :class:`MonitoringResult`
-containing the slowdown and the statistics every component collected.
+the shared cache hierarchy and the producer/consumer coupling model, monitors
+every record of the stream, and reports a :class:`MonitoringResult`
+containing the slowdown and the statistics every component collected.  As in
+the paper, the log is all the application core hands the lifeguard core, so
+the stream may come from a live machine
+(:func:`repro.lba.capture.iter_machine_records`), a stored trace
+(:class:`repro.trace.tracefile.TraceReader`) or a list, with the same result.
 
 The per-lifeguard applicability of the techniques follows Figure 2:
 Inheritance Tracking only engages for propagation-tracking lifeguards and
@@ -14,23 +18,18 @@ LMA/M-TLB applies to every lifeguard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Union
+from dataclasses import dataclass, field
+from typing import Iterable, List, Optional
 
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.core.accelerator import AcceleratorConfig, AcceleratorStats, EventAccelerator
 from repro.core.config import SystemConfig
 from repro.core.events import AnnotationRecord, EventType, InstructionRecord
-from repro.isa.machine import Machine
-from repro.isa.threads import ThreadedMachine
-import repro.lba.capture as capture
-from repro.lba.capture import LogProducer, ProducerStats
+from repro.lba.capture import LogProducer, ProducerStats, Record
 from repro.lba.dispatch import DispatchStats, EventDispatcher
 from repro.lba.timing import CouplingModel, TimingBreakdown
 from repro.lifeguards.base import Lifeguard, MapperStats
 from repro.lifeguards.reports import ErrorReport
-
-ApplicationMachine = Union[Machine, ThreadedMachine]
 
 #: Annotation events that trigger the syscall fault-containment barrier.
 _SYSCALL_EVENTS = frozenset(
@@ -65,24 +64,22 @@ class MonitoringResult:
 
 
 class LBASystem:
-    """Dual-core LBA platform: application core + lifeguard core + accelerators."""
+    """Dual-core LBA platform: application core + lifeguard core + accelerators.
+
+    :meth:`run` iterates ``records`` once; ``workload_name`` labels the result.
+    """
 
     def __init__(
         self,
-        machine: ApplicationMachine,
+        records: Iterable[Record],
         lifeguard: Lifeguard,
         config: Optional[SystemConfig] = None,
-        workload_name: Optional[str] = None,
-        max_instructions: int = 5_000_000,
-        trace_writer=None,
+        workload_name: str = "workload",
     ) -> None:
-        self.machine = machine
+        self.records = records
         self.lifeguard = lifeguard
         self.config = config or SystemConfig()
-        self.workload_name = workload_name or getattr(
-            getattr(machine, "program", None), "name", "workload"
-        )
-        self.max_instructions = max_instructions
+        self.workload_name = workload_name
 
         effective = self._effective_config()
         self.hierarchy = MemoryHierarchy(self.config.hierarchy, num_cores=2)
@@ -90,12 +87,7 @@ class LBASystem:
             lifeguard.etct, AcceleratorConfig.from_system(effective)
         )
         lifeguard.attach_hardware(self.accelerator.mtlb)
-        self.producer = LogProducer(
-            machine,
-            self.hierarchy,
-            max_instructions=max_instructions,
-            trace_writer=trace_writer,
-        )
+        self.producer = LogProducer(self.hierarchy)
         self.dispatcher = EventDispatcher(lifeguard, self.accelerator, self.hierarchy)
         self.coupling = CouplingModel(self.config.log_buffer.capacity_records)
 
@@ -104,21 +96,17 @@ class LBASystem:
         return self.config.gated_for(self.lifeguard)
 
     def run(self, config_label: str = "") -> MonitoringResult:
-        """Run the monitored program to completion and return the result.
+        """Monitor every record of the stream and return the result.
 
-        Each record the application machine emits is priced on the
-        application core (``LogProducer.account``), consumed on the
-        lifeguard core (``EventDispatcher.consume``) and fed to the
-        coupling model (``CouplingModel.observe``): one call per layer per
-        record.
+        Each record is priced on the application core
+        (``LogProducer.account``), consumed on the lifeguard core
+        (``EventDispatcher.consume``) and fed to the coupling model
+        (``CouplingModel.observe``): one call per layer per record.
         """
-        producer = self.producer
-        account = producer.account
+        account = self.producer.account
         consume = self.dispatcher.consume
         observe = self.coupling.observe
-        # Looked up on the module, so a wrapper installed there (the
-        # benchmark's layer tracer) sees the machine's record stream.
-        for record in capture.iter_machine_records(producer.machine, producer.max_instructions):
+        for record in self.records:
             app_cost = account(record)
             lifeguard_cost = consume(record)
             barrier = (
@@ -143,16 +131,3 @@ class LBASystem:
             config_label=config_label,
         )
 
-
-def run_unmonitored(machine: ApplicationMachine, max_instructions: int = 5_000_000) -> int:
-    """Run a program without any lifeguard and return its application cycles.
-
-    Provided for experiments that want an explicit unmonitored baseline; the
-    coupled model's ``app_alone_cycles`` is equivalent.
-    """
-    hierarchy = MemoryHierarchy(num_cores=1)
-    producer = LogProducer(machine, hierarchy, max_instructions=max_instructions)
-    total = 0
-    for _record, cost in producer.stream():
-        total += cost
-    return total

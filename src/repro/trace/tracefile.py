@@ -147,9 +147,11 @@ class TraceWriter:
     durable path, with its temp file, fsync and ``os.replace``.
 
     Usable as a context manager; :meth:`close` finalizes the chunk in
-    flight, appends the index and patches the header's index offset.
-    :attr:`stats` counts each chunk as it is flushed, so the stats are
-    final once the writer is closed.
+    flight, appends the index and patches the header's index offset.  A
+    ``with`` block that raises closes the file unindexed instead, as a
+    crash leaves it: readers refuse it, and :func:`repair_trace` recovers
+    the chunks flushed before the error.  :attr:`stats` counts each chunk
+    as it is flushed, so the stats are final once the writer is closed.
     """
 
     def __init__(
@@ -270,7 +272,12 @@ class TraceWriter:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+        if exc_type is None:
+            self.close()
+        elif not self._closed:
+            # Publish no index over a capture that failed part-way.
+            self._file.close()
+            self._closed = True
 
 
 class TraceReader:

@@ -11,6 +11,8 @@ from repro.experiments.figure13 import format_figure13, run_figure13
 from repro.experiments.figure14 import format_figure14, run_figure14
 from repro.experiments.harness import TECHNIQUE_STACKS
 from repro.experiments.reporting import format_table, range_string
+from repro.experiments.runner import QUICK_MT, QUICK_SPEC, run_all
+from repro.workloads.base import Workload
 
 SCALE = 0.3
 SPEC_SUBSET = ["bzip2", "gcc"]
@@ -115,7 +117,7 @@ class TestFigure12:
 class TestCrossFigureAgreement:
     """Figures 12 and 13 report one reduction per mechanism, per benchmark.
 
-    Figure 12 reads IT and IF from its live BASE and OPT runs; Figure 13
+    Figure 12 reads IT and IF from its dual-core BASE and OPT runs; Figure 13
     replays the profiled records through each lifeguard's accelerator.  On
     the same program at the same scale the two must agree exactly.
     """
@@ -167,3 +169,19 @@ class TestFigures13And14:
                 assert 0.0 <= stats["avg"] <= stats["max"] <= 1.0
         assert set(result.fixed_vs_flexible) == set(SPEC_SUBSET)
         assert "Figure 14" in format_figure14(result)
+
+
+class TestRunner:
+    def test_a_report_executes_each_benchmark_once(self, monkeypatch):
+        """All five figures read one profiler's records, so the quick report
+        executes each of its six programs once, at its one scale."""
+        built = []
+        build_machine = Workload.build_machine
+
+        def counted(workload):
+            built.append((workload.name, workload.scale))
+            return build_machine(workload)
+
+        monkeypatch.setattr(Workload, "build_machine", counted)
+        run_all(quick=True, scale=0.1)
+        assert sorted(built) == sorted((name, 0.1) for name in QUICK_SPEC + QUICK_MT)

@@ -14,6 +14,7 @@ from repro.fuzz import (
     shrink_spec,
 )
 from repro.isa.threads import ThreadedMachine
+from repro.lba.capture import iter_machine_records
 from repro.lba.platform import LBASystem
 from repro.lifeguards import ALL_LIFEGUARDS
 from repro.workloads.generator import build_fuzz_programs, manifest_for
@@ -24,7 +25,7 @@ def _detects_injected_bug(spec):
     manifest = manifest_for(spec)
     detector = ALL_LIFEGUARDS[manifest.detectors[0]]()
     result = LBASystem(
-        ThreadedMachine(build_fuzz_programs(spec)), detector
+        iter_machine_records(ThreadedMachine(build_fuzz_programs(spec))), detector
     ).run()
     return any(report.kind.value in manifest.kinds for report in result.reports)
 

@@ -13,7 +13,7 @@ import pytest
 
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.isa.machine import Machine
-from repro.lba.capture import LogProducer
+from repro.lba.capture import iter_machine_records
 from repro.lba.columnar import ColumnarEngine
 from repro.lba.dispatch import EventDispatcher
 from repro.lifeguards import ALL_LIFEGUARDS
@@ -27,9 +27,7 @@ BATCH_ROWS = 61
 
 
 def _workload_records(name, scale=0.3):
-    workload = get_workload(name, scale=scale)
-    producer = LogProducer(workload.build_machine(), None)
-    return [record for record, _cost in producer.stream()]
+    return list(iter_machine_records(get_workload(name, scale=scale).build_machine()))
 
 
 @pytest.fixture(scope="module")

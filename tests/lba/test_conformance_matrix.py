@@ -234,7 +234,7 @@ def test_live_platform_matches_per_record(record_streams, lifeguard, workload):
     records = record_streams(workload)
     per = _run_per_record(records, lifeguard)
     live = LBASystem(
-        get_workload(workload, scale=SCALE).build_machine(),
+        iter_machine_records(get_workload(workload, scale=SCALE).build_machine()),
         ALL_LIFEGUARDS[lifeguard](),
         SystemConfig(),
         workload_name=workload,

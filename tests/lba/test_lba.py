@@ -9,14 +9,19 @@ import pytest
 from repro.core.config import BASELINE_CONFIG, OPTIMIZED_CONFIG, SystemConfig
 from repro.core.events import EventType, InstructionRecord
 from repro.isa.machine import Machine
-from repro.lba.capture import LogProducer
+from repro.lba.capture import LogProducer, iter_machine_records
 from repro.lba.dispatch import EventDispatcher
-from repro.lba.platform import LBASystem, run_unmonitored
+from repro.lba.platform import LBASystem
 from repro.lba.timing import CouplingModel, TimingBreakdown
 from repro.lifeguards import AddrCheck, LockSet, MemCheck, TaintCheck
 from repro.trace.codec import ROW_BYTES, RecordEncoder, byte_planes, encode_records
 from repro.workloads.base import get_workload
 from tests.conftest import build_copy_loop
+
+
+def machine_records(program):
+    """The record stream of a fresh machine running ``program``."""
+    return iter_machine_records(Machine(program))
 
 
 class TestRecordSize:
@@ -156,16 +161,16 @@ class TestCouplingModel:
 
 class TestProducer:
     def test_producer_counts_costs(self):
-        producer = LogProducer(Machine(build_copy_loop()))
-        stream = list(producer.stream())
+        producer = LogProducer()
+        stream = list(producer.stream(machine_records(build_copy_loop())))
         assert producer.stats.records == len(stream)
         assert sum(cost for _record, cost in stream) >= producer.stats.instructions
-        assert producer.stats.log_bytes == 0            # no trace writer attached
 
 
 class TestPlatform:
     def test_monitored_run_produces_result(self):
-        system = LBASystem(Machine(build_copy_loop()), AddrCheck(), OPTIMIZED_CONFIG)
+        system = LBASystem(machine_records(build_copy_loop()), AddrCheck(), OPTIMIZED_CONFIG,
+                           workload_name="copy_loop")
         result = system.run("opt")
         assert result.slowdown >= 1.0
         assert result.dispatch.events_handled > 0
@@ -173,34 +178,30 @@ class TestPlatform:
         assert result.workload == "copy_loop"
 
     def test_baseline_slower_than_optimized(self):
-        base = LBASystem(Machine(build_copy_loop(64)), MemCheck(), BASELINE_CONFIG).run("base")
-        opt = LBASystem(Machine(build_copy_loop(64)), MemCheck(), OPTIMIZED_CONFIG).run("opt")
+        base = LBASystem(machine_records(build_copy_loop(64)), MemCheck(), BASELINE_CONFIG)
+        opt = LBASystem(machine_records(build_copy_loop(64)), MemCheck(), OPTIMIZED_CONFIG)
+        base, opt = base.run("base"), opt.run("opt")
         assert base.slowdown > opt.slowdown
 
     def test_technique_gating_follows_figure2(self):
-        system = LBASystem(Machine(build_copy_loop()), AddrCheck(), OPTIMIZED_CONFIG)
+        system = LBASystem(machine_records(build_copy_loop()), AddrCheck(), OPTIMIZED_CONFIG)
         assert system.accelerator.it is None          # AddrCheck does not use IT
         assert system.accelerator.idempotent_filter is not None
-        system = LBASystem(Machine(build_copy_loop()), TaintCheck(), OPTIMIZED_CONFIG)
+        system = LBASystem(machine_records(build_copy_loop()), TaintCheck(), OPTIMIZED_CONFIG)
         assert system.accelerator.it is not None
         assert system.accelerator.idempotent_filter is None
 
     def test_baseline_config_disables_all_hardware(self):
-        system = LBASystem(Machine(build_copy_loop()), MemCheck(), BASELINE_CONFIG)
+        system = LBASystem(machine_records(build_copy_loop()), MemCheck(), BASELINE_CONFIG)
         assert system.accelerator.it is None
         assert system.accelerator.idempotent_filter is None
         assert system.accelerator.mtlb is None
 
     def test_mtlb_used_when_lma_enabled(self):
-        system = LBASystem(Machine(build_copy_loop(64)), AddrCheck(), OPTIMIZED_CONFIG)
+        system = LBASystem(machine_records(build_copy_loop(64)), AddrCheck(), OPTIMIZED_CONFIG)
         result = system.run()
         assert result.mapper.mtlb_hits + result.mapper.mtlb_misses == result.mapper.translations
         assert result.mapper.mtlb_hits > 0
-
-    def test_run_unmonitored_matches_app_alone(self):
-        cycles = run_unmonitored(Machine(build_copy_loop(32)))
-        monitored = LBASystem(Machine(build_copy_loop(32)), AddrCheck(), OPTIMIZED_CONFIG).run()
-        assert cycles == pytest.approx(monitored.timing.app_alone_cycles, rel=0.05)
 
 
 class TestLiveAccounting:
@@ -230,7 +231,7 @@ class TestLiveAccounting:
 
             monkeypatch.setattr(cls, name, counted)
         machine = get_workload(program, scale=0.3).build_machine()
-        result = LBASystem(machine, lifeguard_cls(), OPTIMIZED_CONFIG).run()
+        result = LBASystem(iter_machine_records(machine), lifeguard_cls(), OPTIMIZED_CONFIG).run()
         records = result.producer.records
         assert records > 0
         assert calls == {"account": records, "consume": records, "observe": records}

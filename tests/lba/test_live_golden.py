@@ -38,6 +38,7 @@ import pytest
 
 from repro.core.config import CacheConfig, MemoryHierarchyConfig
 from repro.experiments.harness import TECHNIQUE_STACKS, make_config
+from repro.lba.capture import iter_machine_records
 from repro.lba.platform import LBASystem
 from repro.lifeguards import ALL_LIFEGUARDS, LockSet, MemCheck
 from repro.workloads.base import MULTITHREADED_WORKLOADS, get_workload
@@ -183,7 +184,8 @@ def dual_core_digest(lifeguard: str, label: str, program: str, hierarchy=None) -
     if hierarchy is not None:
         config = dataclasses.replace(config, hierarchy=hierarchy)
     machine = get_workload(program, scale=SCALE).build_machine()
-    system = LBASystem(machine, ALL_LIFEGUARDS[lifeguard](), config, workload_name=program)
+    system = LBASystem(iter_machine_records(machine), ALL_LIFEGUARDS[lifeguard](), config,
+                       workload_name=program)
     result = system.run(label)
     return digest((monitoring_state(result), hierarchy_state(system.hierarchy)))
 

@@ -10,6 +10,7 @@ import pytest
 from repro.core.config import BASELINE_CONFIG, OPTIMIZED_CONFIG
 from repro.isa.machine import Machine
 from repro.isa.threads import ThreadedMachine
+from repro.lba.capture import iter_machine_records
 from repro.lba.platform import LBASystem
 from repro.lifeguards import AddrCheck, LockSet, MemCheck, TaintCheck, TaintCheckDetailed
 from repro.lifeguards.reports import ErrorKind
@@ -20,7 +21,7 @@ CONFIGS = [("baseline", BASELINE_CONFIG), ("optimized", OPTIMIZED_CONFIG)]
 
 def run(program, lifeguard, config):
     machine = ThreadedMachine(program) if isinstance(program, list) else Machine(program)
-    return LBASystem(machine, lifeguard, config).run()
+    return LBASystem(iter_machine_records(machine), lifeguard, config).run()
 
 
 def kinds(result):

@@ -12,13 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import BASELINE_CONFIG, OPTIMIZED_CONFIG
 from repro.isa.machine import Machine
+from repro.lba.capture import iter_machine_records
 from repro.lba.platform import LBASystem
 from repro.lifeguards import AddrCheck, MemCheck, TaintCheck
 from repro.workloads.generator import GeneratorConfig, generate_program
 
 
 def _run(lifeguard, program, config):
-    result = LBASystem(Machine(program), lifeguard, config).run()
+    result = LBASystem(iter_machine_records(Machine(program)), lifeguard, config).run()
     return lifeguard, result
 
 

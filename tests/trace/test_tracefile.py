@@ -7,12 +7,14 @@ import pytest
 
 from repro.core.events import AnnotationRecord, EventType, InstructionRecord
 from repro.experiments.harness import capture_trace
+from repro.trace.cli import main as trace_cli
 from repro.trace.codec import ROW_BYTES, TraceCodecError
 from repro.trace.tracefile import (
     DEFAULT_CHUNK_BYTES,
     TraceFormatError,
     TraceReader,
     TraceWriter,
+    repair_trace,
     verify_trace,
 )
 from repro.workloads.base import workload_names
@@ -108,6 +110,35 @@ class TestErrorPaths:
         writer.close()
         with TraceReader(path) as reader:
             assert reader.num_records == 50
+
+    def test_a_block_that_raises_leaves_the_file_unindexed(self, tmp_path):
+        # A capture that fails part-way must not publish its records as a
+        # complete trace: the file stays as a crash leaves it, and repair
+        # recovers the chunks flushed before the error.
+        records = _sample_records()
+
+        def failing_source():
+            yield from records
+            raise RuntimeError("capture failed")
+
+        path = tmp_path / "failed.trace"
+        with pytest.raises(RuntimeError, match="capture failed"):
+            with TraceWriter(path, chunk_bytes=512) as writer:
+                writer.extend(failing_source())
+        flushed = writer.stats.records
+        assert 0 < flushed < len(records)  # the chunk in flight is lost
+        with pytest.raises(ValueError, match="closed"):
+            writer.append(records[0])
+        with pytest.raises(TraceFormatError, match="missing index"):
+            TraceReader(path)
+        assert not verify_trace(path).ok
+        assert trace_cli(["verify", str(path)]) == 1
+        repair = repair_trace(path)
+        assert repair.changed
+        assert (repair.kept_chunks, repair.kept_records) == (writer.stats.chunks, flushed)
+        assert verify_trace(path).ok
+        with TraceReader(path) as reader:
+            assert list(reader) == records[:flushed]
 
     def test_truncated_file_detected(self, tmp_path):
         path = tmp_path / "trunc.trace"

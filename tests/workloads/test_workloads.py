@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import OPTIMIZED_CONFIG
 from repro.core.events import AnnotationRecord, EventType, InstructionRecord
 from repro.isa.machine import Machine
+from repro.lba.capture import iter_machine_records
 from repro.lba.platform import LBASystem
 from repro.lifeguards import AddrCheck, LockSet, MemCheck, TaintCheck
 from repro.workloads import MULTITHREADED_WORKLOADS, SPEC_WORKLOADS, get_workload, workload_names
@@ -55,14 +56,14 @@ class TestSpecWorkloads:
     def test_clean_under_addrcheck_and_memcheck(self, name):
         for lifeguard_cls in (AddrCheck, MemCheck):
             workload = get_workload(name, scale=TEST_SCALE)
-            result = LBASystem(workload.build_machine(), lifeguard_cls(), OPTIMIZED_CONFIG,
-                               workload_name=name).run()
+            result = LBASystem(iter_machine_records(workload.build_machine()), lifeguard_cls(),
+                               OPTIMIZED_CONFIG, workload_name=name).run()
             assert result.reports == [], (name, lifeguard_cls.__name__, result.reports[:3])
 
     def test_clean_under_taintcheck(self, name):
         workload = get_workload(name, scale=TEST_SCALE)
-        result = LBASystem(workload.build_machine(), TaintCheck(), OPTIMIZED_CONFIG,
-                           workload_name=name).run()
+        result = LBASystem(iter_machine_records(workload.build_machine()), TaintCheck(),
+                           OPTIMIZED_CONFIG, workload_name=name).run()
         assert result.reports == []
 
 
@@ -76,8 +77,8 @@ class TestMultithreadedWorkloads:
 
     def test_race_free_under_lockset(self, name):
         workload = get_workload(name, scale=TEST_SCALE)
-        result = LBASystem(workload.build_machine(), LockSet(), OPTIMIZED_CONFIG,
-                           workload_name=name).run()
+        result = LBASystem(iter_machine_records(workload.build_machine()), LockSet(),
+                           OPTIMIZED_CONFIG, workload_name=name).run()
         assert result.reports == [], (name, result.reports[:3])
 
     def test_uses_locks_or_readonly_sharing(self, name):
